@@ -1,35 +1,65 @@
 """Byte-exact bitstream serialisation for the toy codec.
 
 The encoded video is a real byte string with a magic number, versioned
-header and per-frame records. The format deliberately skips entropy coding
-(no Huffman tables) — coefficient levels are stored as zig-zag runs of
-signed varints — but everything a *partial decoder* needs to exercise is
-here: headers must be parsed, frame records must be walked, and the DC
-coefficient of each block is the first value of each block record, so a
-DC-only decoder can skip the AC tail without dequantising it.
+header and per-frame records. Everything a *partial decoder* needs to
+exercise is here: headers must be parsed, frame records must be walked,
+and the DC coefficient of each block is the first value of each block
+record, so a DC-only decoder can skip the AC tail without dequantising
+it.
 
 Layout::
 
     magic    4 bytes  b"RVC1"
-    header   varints: width, height, block_size, quality, gop_size, n_frames,
-             fps_millis (frames per second * 1000, rounded)
+    header   8 varints: width, height, block_size, quality, gop_size,
+             n_frames, fps_millis (frames per second * 1000, rounded),
+             format flags (bit 0: entropy-coded payloads; others unknown)
     frames   n_frames records:
-        frame_type   1 byte   b"I" or b"P"
-        n_blocks     varint
-        blocks       n_blocks records of zig-zag coefficient levels,
-                     each encoded as: n_values varint, then signed varints
-                     (trailing zeros of the scan are truncated)
+        frame_type   1 byte   b"I" (intra), b"P" (frame difference) or
+                              b"M" (motion-compensated difference)
+        n_blocks     varint   must equal the block grid size
+      byte-aligned format (flags bit 0 clear), n_blocks block records:
+        vector       2 signed varints (dy, dx)       -- b"M" frames only
+        n_values     varint   >= 1 in an I frame (the DC is always kept)
+        levels       n_values signed varints: the zig-zag scan with its
+                     trailing zeros truncated; the first one is the DC
+      entropy-coded format (flags bit 0 set):
+        n_bytes      varint   length of the payload that follows -- the
+                              slice resync marker: a predicted frame is
+                              skipped in one seek
+        payload      n_bytes of exponential-Golomb codes
+                     (:mod:`repro.codec.entropy`): per block the vector
+                     (b"M" only), the DC, then zero-run/level pairs
+
+Varints are unsigned LEB128; signed values are zig-zag mapped first. A
+byte below 0x80 ends a varint, and the three frame-type bytes are below
+0x80 too, so the whole byte-aligned body reads as one varint sequence --
+which is what lets :func:`decode_uvarints` locate and decode every value
+of a chunk in a few array passes instead of one call per value.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.errors import BitstreamError
 
-__all__ = ["BitstreamReader", "BitstreamWriter", "MAGIC"]
+__all__ = [
+    "BitstreamReader",
+    "BitstreamWriter",
+    "MAGIC",
+    "Uvarints",
+    "decode_uvarints",
+]
 
 MAGIC = b"RVC1"
+
+#: Longest varint :func:`decode_uvarints` takes: 9 x 7 = 63 bits fit its
+#: int64 arrays. ``read_uvarint`` itself accepts up to 11 bytes.
+_MAX_ARRAY_VARINT_BYTES = 9
+
+_CONTINUATION_BYTES = bytes(range(0x80, 0x100))
 
 
 def _zigzag_encode_int(value: int) -> int:
@@ -139,7 +169,7 @@ class BitstreamReader:
                 return result
             shift += 7
             if shift > 70:
-                raise BitstreamError("varint longer than 10 bytes; corrupt stream")
+                raise BitstreamError("varint longer than 11 bytes; corrupt stream")
 
     def read_svarint(self) -> int:
         """Consume one signed (zig-zag) varint."""
@@ -149,3 +179,71 @@ class BitstreamReader:
         """Skip ``count`` varints without decoding their values."""
         for _ in range(count):
             self.read_uvarint()
+
+
+class Uvarints(NamedTuple):
+    """Every varint of a byte run, as :func:`decode_uvarints` returns it.
+
+    Nearly all varints of a real stream are one byte long, so the values
+    are kept one byte each and the few longer ones listed on the side.
+    """
+
+    #: Per varint, in stream order: its value when it is one byte long
+    #: (so below 0x80), :attr:`LONG` otherwise.
+    small: bytearray
+    #: Indices (ascending) and values of the longer varints.
+    long_at: np.ndarray
+    long_values: np.ndarray
+
+    LONG = 0xFF
+
+    def take(self, indices: Sequence[int]) -> np.ndarray:
+        """The values (int64) of the varints at ``indices``."""
+        indices = np.asarray(indices, dtype=np.intp)
+        values = np.frombuffer(self.small, dtype=np.uint8)[indices].astype(
+            np.int64
+        )
+        long = np.flatnonzero(values == self.LONG)
+        values[long] = self.long_values[
+            np.searchsorted(self.long_at, indices[long])
+        ]
+        return values
+
+
+def decode_uvarints(data: bytes, offset: int = 0) -> Uvarints:
+    """Decode the varints of ``data[offset:]`` in a few array passes.
+
+    Entry ``i`` of the result is what the ``i``-th consecutive
+    :meth:`BitstreamReader.read_uvarint` call from ``offset`` would
+    return. Decoding stops where that reader would stop, at an
+    unterminated tail, and also before the first varint longer than 9
+    bytes (the reader takes up to 11), whose value would not fit an
+    int64.
+    """
+    body = np.frombuffer(data, dtype=np.uint8, offset=offset)
+    # Dropping the continuation bytes leaves each varint's last byte,
+    # which for a one-byte varint is its value.
+    small = bytearray(data[offset:].translate(None, _CONTINUATION_BYTES))
+    continuation_at = np.flatnonzero(body >= 0x80)
+    # A run of continuation bytes and the terminator after it are one
+    # long varint. ``run`` indexes the run starts within
+    # ``continuation_at``, which is also how many continuation bytes
+    # precede the run -- hence its varint index, ``first - run``.
+    run = np.flatnonzero(np.diff(continuation_at, prepend=-2) != 1)
+    first = continuation_at[run]
+    tail = np.diff(run, append=continuation_at.size)
+    at = first - run
+    last = first + tail
+    undecodable = np.flatnonzero(
+        (last >= body.size) | (tail >= _MAX_ARRAY_VARINT_BYTES)
+    )
+    if undecodable.size:
+        stop = undecodable[0]
+        del small[at[stop]:]
+        first, tail, at, last = first[:stop], tail[:stop], at[:stop], last[:stop]
+    values = body[last].astype(np.int64) << (7 * tail)
+    for k in range(int(tail.max(initial=0))):
+        rows = np.flatnonzero(tail > k)
+        values[rows] |= (body[first[rows] + k] & 0x7F).astype(np.int64) << (7 * k)
+    np.frombuffer(small, dtype=np.uint8)[at] = Uvarints.LONG
+    return Uvarints(small, at, values)

@@ -13,11 +13,15 @@ Two decoders are provided:
 * :func:`decode_video` — the full inverse pipeline (parse, dequantise,
   inverse DCT, motion-free prediction add-back).
 * :func:`decode_dc_coefficients` — the **partial decoder** the paper's
-  feature extractor uses: it walks the bitstream, reads only the first
-  (DC) level of every block of every I frame, skips all AC levels and all
-  P frames, and never performs an inverse DCT. For an orthonormal N x N
-  DCT the dequantised DC relates to the block mean as ``DC = N * mean``,
-  which is all the fingerprint needs.
+  feature extractor uses: it reads only the first (DC) level of every
+  block of every I frame, skips all AC levels and all P frames, and never
+  performs an inverse DCT. For an orthonormal N x N DCT the dequantised
+  DC relates to the block mean as ``DC = N * mean``, which is all the
+  fingerprint needs. A byte-aligned stream is scanned a chunk at a time
+  (:func:`_scan_dc_levels`: every varint decoded in one array pass, then
+  one hop per block); :func:`walk_dc_record`, the record-at-a-time
+  walker, serves exp-Golomb streams and the resync scanner
+  (:mod:`repro.codec.resync`) that damaged chunks go to.
 """
 
 from __future__ import annotations
@@ -27,7 +31,11 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.codec.bitstream import BitstreamReader, BitstreamWriter
+from repro.codec.bitstream import (
+    BitstreamReader,
+    BitstreamWriter,
+    decode_uvarints,
+)
 from repro.codec.blocks import assemble_blocks, pad_to_blocks, split_into_blocks
 from repro.codec.dct import dct2, idct2
 from repro.codec.entropy import (
@@ -342,6 +350,105 @@ def _read_header(
             bool(flags & 1))
 
 
+def _read_dc_layout(
+    reader: BitstreamReader, data_length: int
+) -> Tuple[int, int, int, int, float, bool]:
+    """Parse the header into what a DC-only decoder needs.
+
+    Returns ``(grid_rows, grid_cols, gop_size, num_frames, dc_quant_step,
+    entropy)``, all from the in-band header, and leaves the reader at
+    the first frame record.
+    """
+    (width, height, block_size, quality, gop_size, num_frames, _fps,
+     entropy) = _read_header(reader, data_length)
+    dc_quant_step = float(quantization_matrix(quality, block_size)[0, 0])
+    grid_rows = -(-height // block_size)
+    grid_cols = -(-width // block_size)
+    return grid_rows, grid_cols, gop_size, num_frames, dc_quant_step, entropy
+
+
+_INTRA, _MOTION = b"I"[0], b"M"[0]
+
+
+def _scan_dc_levels(
+    data: bytes, offset: int, num_frames: int, num_blocks: int
+) -> Tuple[List[int], np.ndarray]:
+    """DC levels of every I frame of a byte-aligned body, in one scan.
+
+    Equivalent to ``num_frames`` calls of :func:`walk_dc_record` from
+    ``offset``, without a call per varint: :func:`decode_uvarints`
+    decodes the whole body, then the records are hopped in *varint-index*
+    space (a block record spans ``1 + n_values`` varints, two more with a
+    motion vector) noting where each I block's DC sits. Returns the frame
+    indices of the I records and their ``(len(indices), num_blocks)``
+    int64 levels.
+
+    Raises :class:`BitstreamError` whenever the serial walk would — wrong
+    type byte or block count, an I block with no values, records running
+    past the last complete varint — and also when the records hold a
+    varint over 9 bytes, which the serial reader takes up to 11: success
+    proves the serial walk succeeds with the same values, failure only
+    that the chunk needs the serial path.
+    """
+    varints = decode_uvarints(data, offset)
+    steps, long = varints.small, varints.LONG
+    keyframes: List[int] = []
+    dc_at: List[int] = []
+    at = 0
+    frame_index = 0
+    try:
+        for frame_index in range(num_frames):
+            kind = steps[at]
+            if kind not in b"IPM":  # a long varint is no type byte either
+                raise BitstreamError(
+                    f"frame {frame_index}: unknown frame type byte {kind:#04x}"
+                )
+            claimed = steps[at + 1]
+            if claimed == long:
+                claimed = int(varints.take([at + 1])[0])
+            if claimed != num_blocks:
+                raise BitstreamError(
+                    f"frame {frame_index}: expected {num_blocks} blocks, "
+                    f"record claims {claimed}"
+                )
+            at += 2
+            if kind == _INTRA:
+                keyframes.append(frame_index)
+                for _ in range(num_blocks):
+                    keep = steps[at]
+                    if keep == long:
+                        keep = int(varints.take([at])[0])
+                    if keep < 1:
+                        raise BitstreamError(
+                            f"frame {frame_index}: block record with zero "
+                            "stored values"
+                        )
+                    dc_at.append(at + 1)
+                    at += 1 + keep
+            else:
+                # Predicted frames are most of the stream: hop from one
+                # block's count to the next, over the motion vector (two
+                # varints ahead of the count) where there is one.
+                lead = 2 if kind == _MOTION else 0
+                at += lead
+                for _ in range(num_blocks):
+                    keep = steps[at]
+                    if keep == long:
+                        keep = int(varints.take([at])[0])
+                    at += 1 + keep + lead
+                at -= lead
+    except IndexError:
+        at = len(steps) + 1
+    if at > len(steps):
+        raise BitstreamError(
+            f"frame {frame_index}: records run past the last decodable "
+            "varint (the stream is truncated, or holds one over 9 bytes)"
+        )
+    levels = varints.take(dc_at)
+    levels = (levels >> 1) ^ -(levels & 1)  # zig-zag -> signed
+    return keyframes, levels.reshape(len(keyframes), num_blocks)
+
+
 def walk_dc_record(
     reader: BitstreamReader,
     num_blocks: int,
@@ -473,16 +580,31 @@ def decode_dc_coefficients(
     The block *mean* luminance is recoverable as
     ``dc_grid / block_size + 128`` because the orthonormal DCT's DC equals
     ``block_size * mean`` for a square block.
+
+    The stream's own format flag picks the decoder. A byte-aligned body
+    goes through :func:`_scan_dc_levels` whole, so its grids are views of
+    one ``(keyframes, grid_rows, grid_cols)`` array and a malformed
+    record raises :class:`BitstreamError` before the first grid is
+    yielded; nothing is re-walked here — a caller that wants what is
+    left of a damaged stream hands it to
+    :func:`repro.codec.resync.resilient_dc_scan`. An exp-Golomb body is
+    walked record by record (its P frames are one seek each already).
     """
     reader = BitstreamReader(encoded.data)
-    (width, height, block_size, quality, gop_size, num_frames, _fps,
-     entropy) = _read_header(reader, len(encoded.data))
-    q_matrix = quantization_matrix(quality, block_size)
-    dc_quant_step = float(q_matrix[0, 0])
-    grid_cols = -(-width // block_size)
-    grid_rows = -(-height // block_size)
+    (grid_rows, grid_cols, _gop_size, num_frames, dc_quant_step,
+     entropy) = _read_dc_layout(reader, len(encoded.data))
     num_blocks = grid_rows * grid_cols
 
+    if not entropy:
+        keyframes, levels = _scan_dc_levels(
+            encoded.data, reader.position, num_frames, num_blocks
+        )
+        dc_grids = (
+            levels.astype(np.float64).reshape(-1, grid_rows, grid_cols)
+            * dc_quant_step
+        )
+        yield from zip(keyframes, dc_grids)
+        return
     for frame_index in range(num_frames):
         try:
             frame_type, dc_levels = walk_dc_record(reader, num_blocks, entropy)

@@ -40,8 +40,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.codec.bitstream import BitstreamReader
-from repro.codec.gop import EncodedVideo, _read_header, walk_dc_record
-from repro.codec.quantize import quantization_matrix
+from repro.codec.gop import EncodedVideo, _read_dc_layout, walk_dc_record
 from repro.errors import BitstreamError, CodecError
 
 __all__ = ["DCSegment", "ResilientScanResult", "resilient_dc_scan",
@@ -142,7 +141,10 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
     dimensions no record can be validated — so a bad header raises
     :class:`BitstreamError` and the caller should treat the whole chunk
     as lost (the :class:`EncodedVideo` metadata fields remain intact for
-    frame accounting; fault injection only mutates ``data``).
+    frame accounting; fault injection only mutates ``data``). Everything
+    needed to decode — grid, GOP size, quantiser — is read from that
+    in-band header, as :func:`~repro.codec.gop.decode_dc_coefficients`
+    does, so the two agree on any bytes both accept.
 
     Record-level corruption is survived: the scan resumes at the next
     offset where a complete I-frame record parses, opening a new
@@ -154,16 +156,13 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
     data = encoded.data
     reader = BitstreamReader(data)
     try:
-        (width, height, block_size, _quality, gop_size, num_frames, _fps,
-         entropy) = _read_header(reader, len(data))
+        (grid_rows, grid_cols, gop_size, num_frames, dc_quant_step,
+         entropy) = _read_dc_layout(reader, len(data))
     except CodecError:
         raise
     except Exception as error:  # pragma: no cover - typed-error backstop
         raise BitstreamError(f"unreadable header: {error}") from error
-    grid_cols = -(-width // block_size)
-    grid_rows = -(-height // block_size)
     num_blocks = grid_rows * grid_cols
-    dc_quant_step = float(quantization_matrix(encoded.quality, block_size)[0, 0])
     expected_keyframes = encoded.num_keyframes
 
     segments: List[DCSegment] = []

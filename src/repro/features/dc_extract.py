@@ -10,9 +10,10 @@ changes — the very attack the feature is supposed to survive.
 Two paths produce the same ``(num_keyframes, D)`` matrix:
 
 * :func:`block_means_from_encoded` — the faithful compressed-domain path:
-  walk the toy-MPEG bitstream with the partial decoder, recover each 8x8
+  run the partial decoder over the toy-MPEG bitstream, recover each 8x8
   block's mean from its DC coefficient (``mean = DC / block_size + 128``),
-  then average the 8x8-block means region-wise (fractionally weighted).
+  then average the 8x8-block means region-wise (fractionally weighted),
+  all key frames of the chunk in one stacked pass.
 * :func:`block_means_from_frames` — the pixel-domain reference path:
   average raw luminance over each region directly. Used by large workload
   builds; equals the compressed path up to quantisation error.
@@ -20,7 +21,8 @@ Two paths produce the same ``(num_keyframes, D)`` matrix:
 
 from __future__ import annotations
 
-from typing import List
+import functools
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +37,18 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64)
+def _region_edges(length: int, parts: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Floor and fractional part of the ``parts + 1`` region boundaries of
+    ``length`` samples (read-only: every caller shares them)."""
+    edges = np.linspace(0.0, length, parts + 1)
+    low = np.floor(edges).astype(np.intp)
+    frac = edges - low
+    low.setflags(write=False)
+    frac.setflags(write=False)
+    return low, frac
+
+
 def _fractional_region_sums(stack: np.ndarray, parts: int, axis: int) -> np.ndarray:
     """Sum a stack over ``parts`` equal fractional regions along ``axis``.
 
@@ -47,22 +61,20 @@ def _fractional_region_sums(stack: np.ndarray, parts: int, axis: int) -> np.ndar
         raise FeatureError(f"block grid side must be positive, got {parts}")
     if parts > length:
         raise FeatureError(f"cannot split {length} samples into {parts} blocks")
-    moved = np.moveaxis(stack, axis, -1)
-    # Prefix sums with a leading zero: cumulative[..., j] = sum of first j.
-    cumulative = np.concatenate(
-        [np.zeros(moved.shape[:-1] + (1,)), np.cumsum(moved, axis=-1)], axis=-1
-    )
-    edges = np.linspace(0.0, length, parts + 1)
-    low = np.floor(edges).astype(np.intp)
-    frac = edges - low
+    moved = stack.swapaxes(axis, -1)  # the lanes to sum, last
+    low, frac = _region_edges(length, parts)
+    # Prefix sums with a leading zero (cumulative[..., j] = sum of the
+    # first j) and the samples with a trailing zero, so both can be read
+    # at every boundary, the last one (low == length) included.
+    cumulative = np.zeros(moved.shape[:-1] + (length + 1,))
+    np.cumsum(moved, axis=-1, out=cumulative[..., 1:])
+    padded = np.zeros_like(cumulative)
+    padded[..., :-1] = moved
     # Value of the prefix integral at a fractional position x:
     # cumulative[floor(x)] + frac * sample[floor(x)].
-    padded = np.concatenate(
-        [moved, np.zeros(moved.shape[:-1] + (1,))], axis=-1
-    )
     at_edges = cumulative[..., low] + frac * padded[..., low]
     sums = at_edges[..., 1:] - at_edges[..., :-1]
-    return np.moveaxis(sums, -1, axis)
+    return sums.swapaxes(axis, -1)
 
 
 def region_mean_grid(frame: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -98,35 +110,35 @@ def block_means_from_frames(
     if frames.ndim != 3:
         raise FeatureError(f"expected (n, h, w) frames, got shape {frames.shape}")
     num_frames, height, width = frames.shape
-    row_sums = _fractional_region_sums(frames.astype(np.float64), rows, axis=1)
+    row_sums = _fractional_region_sums(
+        np.asarray(frames, dtype=np.float64), rows, axis=1
+    )
     region_sums = _fractional_region_sums(row_sums, cols, axis=2)
     area = (height / rows) * (width / cols)
     return (region_sums / area).reshape(num_frames, rows * cols)
 
 
 def block_means_from_dc_grids(
-    dc_grids: List[np.ndarray],
+    dc_grids: Sequence[np.ndarray],
     block_size: int,
     rows: int = 3,
     cols: int = 3,
 ) -> np.ndarray:
-    """Per-key-frame D-block mean luminance from pre-decoded DC grids.
+    """Per-key-frame D-block mean luminance from decoded DC grids.
 
-    The damage-tolerant scan (:func:`repro.codec.resync.resilient_dc_scan`)
-    hands back DC grids segment by segment rather than through the
-    one-shot partial decoder; this applies the identical DC-to-mean
-    conversion and fractional region averaging so recovered segments
-    fingerprint byte-for-byte like an undamaged decode.
+    ``dc_grids`` is a sequence (or an ``(n, grid_rows, grid_cols)``
+    array) of dequantised DC grids, one per key frame. They are stacked,
+    converted to 8x8-block means (``DC / block_size + 128``) and averaged
+    region-wise in one :func:`block_means_from_frames` call — the same
+    arithmetic per frame as :func:`region_mean_grid`, so the result is
+    byte-identical however the grids were grouped. Both the partial
+    decoder and the damage-tolerant scan
+    (:func:`repro.codec.resync.resilient_dc_scan`) feed this.
     """
-    if not dc_grids:
+    if not len(dc_grids):
         raise FeatureError("no DC grids to extract features from")
-    keyframe_means: List[np.ndarray] = []
-    for dc_grid in dc_grids:
-        block_mean_grid = np.asarray(dc_grid, dtype=np.float64) / block_size + 128.0
-        keyframe_means.append(
-            region_mean_grid(block_mean_grid, rows, cols).reshape(-1)
-        )
-    return np.vstack(keyframe_means)
+    block_means = np.asarray(dc_grids, dtype=np.float64) / block_size + 128.0
+    return block_means_from_frames(block_means, rows, cols)
 
 
 def block_means_from_encoded(
@@ -135,18 +147,9 @@ def block_means_from_encoded(
     """Per-key-frame D-block mean luminance via the partial decoder.
 
     Only I frames contribute (matching the paper's "DC coefficients of key
-    (or I) frames"); the output has ``encoded.num_keyframes`` rows. The
-    8x8-block DC grid is converted to block means
-    (``DC / block_size + 128``) and then averaged region-wise with the
-    same fractional-boundary rule as the pixel path.
+    (or I) frames"); the output has ``encoded.num_keyframes`` rows.
     """
-    block_size = encoded.block_size
-    keyframe_means: List[np.ndarray] = []
-    for _frame_index, dc_grid in decode_dc_coefficients(encoded):
-        block_mean_grid = dc_grid / block_size + 128.0
-        keyframe_means.append(
-            region_mean_grid(block_mean_grid, rows, cols).reshape(-1)
-        )
-    if not keyframe_means:
+    dc_grids = [dc_grid for _index, dc_grid in decode_dc_coefficients(encoded)]
+    if not dc_grids:
         raise FeatureError("encoded stream contains no key frames")
-    return np.vstack(keyframe_means)
+    return block_means_from_dc_grids(dc_grids, encoded.block_size, rows, cols)

@@ -15,6 +15,7 @@ streams. Three deterministic strategies are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,16 +61,24 @@ class CoefficientSelector:
                 f"unknown strategy {self.strategy!r}; choose from {_STRATEGIES}"
             )
 
-    @property
+    @cached_property
     def indices(self) -> np.ndarray:
-        """The selected block indices, in selection order."""
+        """The selected block indices, in selection order.
+
+        Computed once per selector (``cached_property`` writes to
+        ``__dict__``, which a frozen dataclass allows) and read-only,
+        since every caller gets the same array.
+        """
         if self.strategy == "first":
-            return np.arange(self.d, dtype=np.intp)
-        if self.strategy == "spread":
-            return np.unique(
+            indices = np.arange(self.d, dtype=np.intp)
+        elif self.strategy == "spread":
+            indices = np.unique(
                 np.round(np.linspace(0, self.num_blocks - 1, self.d)).astype(np.intp)
             )
-        return self._center_out_indices()
+        else:
+            indices = self._center_out_indices()
+        indices.setflags(write=False)
+        return indices
 
     def _center_out_indices(self) -> np.ndarray:
         rows = self.grid_rows

@@ -2,9 +2,11 @@
 
 :class:`ResilientDecoder` turns one :class:`~repro.ingest.sources.StreamChunk`
 into per-keyframe cell ids without ever letting a codec failure escape.
-The fast path is the normal partial decoder
-(:meth:`~repro.features.pipeline.FingerprintExtractor.cell_ids_from_encoded`);
-when that raises a typed codec error, the chunk is re-walked with
+A chunk is first offered to the normal partial decoder
+(:meth:`~repro.features.pipeline.FingerprintExtractor.cell_ids_from_encoded`),
+which for the byte-aligned format is one array scan that either proves
+the whole chunk sound or raises without having walked anything; a chunk
+it rejects is walked once, record by record, by
 :func:`~repro.codec.resync.resilient_dc_scan`, which recovers every GOP
 that still parses and reports where the damage was.
 

@@ -56,6 +56,18 @@ class GridPartitioner:
             raise PartitionError("features must lie in the unit hypercube [0, 1]^d")
         return np.clip(array, 0.0, 1.0)
 
+    def locate(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate once and return ``(grid_orders, local_coordinates)``.
+
+        The upper-boundary convention: a coordinate of exactly 1.0 maps
+        to local coordinate 1.0 inside the last slice (not 0.0 of a
+        nonexistent next slice).
+        """
+        scaled = self._check(features) * self.u
+        slices = np.minimum(scaled.astype(np.int64), self.u - 1)
+        weights = self.u ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+        return slices @ weights, scaled - slices
+
     def slice_indices(self, features: np.ndarray) -> np.ndarray:
         """Per-dimension slice indices, shape ``(n, d)`` of ints in [0, u)."""
         array = self._check(features)
@@ -63,20 +75,12 @@ class GridPartitioner:
 
     def grid_orders(self, features: np.ndarray) -> np.ndarray:
         """Row-major grid order ``O_g`` for each feature row, shape ``(n,)``."""
-        slices = self.slice_indices(features)
-        weights = self.u ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
-        return slices @ weights
+        return self.locate(features)[0]
 
     def local_coordinates(self, features: np.ndarray) -> np.ndarray:
-        """Coordinates of each vector inside its grid cell, in [0, 1)^d.
-
-        The upper-boundary convention matches :meth:`slice_indices`: a
-        coordinate of exactly 1.0 maps to local coordinate 1.0 inside the
-        last slice (not 0.0 of a nonexistent next slice).
-        """
-        array = self._check(features)
-        slices = np.minimum((array * self.u).astype(np.int64), self.u - 1)
-        return array * self.u - slices
+        """Coordinates of each vector inside its grid cell, in [0, 1]^d
+        (see :meth:`locate` for the boundary convention)."""
+        return self.locate(features)[1]
 
     def cell_corner(self, grid_order: int) -> Tuple[float, ...]:
         """Lower corner of the grid cell with the given row-major order."""

@@ -8,6 +8,7 @@ sequences become *sets* for the Jaccard similarity of Definition 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -36,11 +37,11 @@ class GridPyramidPartitioner:
 
     def __post_init__(self) -> None:
         # Validation is delegated to GridPartitioner's constructor.
-        GridPartitioner(d=self.d, u=self.u)
+        _ = self.grid
 
-    @property
+    @cached_property
     def grid(self) -> GridPartitioner:
-        """The underlying grid partitioner."""
+        """The underlying grid partitioner (built once)."""
         return GridPartitioner(d=self.d, u=self.u)
 
     @property
@@ -51,11 +52,8 @@ class GridPyramidPartitioner:
     def cell_ids(self, features: np.ndarray) -> np.ndarray:
         """Cell id for each feature row; shape ``(n,)`` of int64 in
         ``[0, 2 d u^d)``."""
-        grid = self.grid
-        orders = grid.grid_orders(features)
-        locals_ = grid.local_coordinates(features)
-        pyramids = pyramid_orders(locals_)
-        return 2 * self.d * orders + pyramids
+        orders, locals_ = self.grid.locate(features)
+        return 2 * self.d * orders + pyramid_orders(locals_)
 
     def cell_id(self, feature: np.ndarray) -> int:
         """Cell id of a single feature vector."""

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.codec.gop import encode_video
+from repro.codec.gop import decode_dc_coefficients, encode_video
 from repro.config import FingerprintConfig
 from repro.errors import FeatureError
 from repro.features.dc_extract import (
+    block_means_from_dc_grids,
     block_means_from_encoded,
     block_means_from_frames,
     region_mean_grid,
@@ -98,6 +99,39 @@ class TestBlockMeansFromEncoded:
         assert means.shape[0] == encoded.num_keyframes
 
 
+class TestBlockMeansFromDcGrids:
+    @pytest.mark.parametrize("shape", [(6, 8), (5, 7), (3, 3), (9, 4)])
+    def test_stacked_pass_is_byte_identical_to_per_frame(self, shape):
+        rng = np.random.default_rng(8)
+        grids = [rng.normal(0, 400, size=shape) for _ in range(5)]
+        per_frame = np.vstack([
+            region_mean_grid(grid / 8 + 128.0, 3, 3).reshape(-1)
+            for grid in grids
+        ])
+        stacked = block_means_from_dc_grids(grids, 8)
+        assert stacked.shape == (5, 9)
+        assert stacked.tobytes() == per_frame.tobytes()
+        # ... however the grids are grouped or held.
+        assert block_means_from_dc_grids(np.stack(grids), 8).tobytes() == (
+            stacked.tobytes()
+        )
+        assert block_means_from_dc_grids(grids[2:3], 8).tobytes() == (
+            stacked[2:3].tobytes()
+        )
+
+    def test_encoded_path_is_the_same_body(self):
+        clip = ClipSynthesizer(seed=4).generate_clip(4.0, label="c", fps=2.0)
+        encoded = encode_video(clip.frames, fps=clip.fps, gop_size=3)
+        grids = [grid for _, grid in decode_dc_coefficients(encoded)]
+        assert block_means_from_encoded(encoded).tobytes() == (
+            block_means_from_dc_grids(grids, encoded.block_size).tobytes()
+        )
+
+    def test_no_grids_rejected(self):
+        with pytest.raises(FeatureError):
+            block_means_from_dc_grids([], 8)
+
+
 class TestNormalize:
     def test_unit_range(self):
         rng = np.random.default_rng(5)
@@ -169,6 +203,16 @@ class TestSelector:
         picked = set(selector.indices.tolist())
         assert 4 in picked  # centre always included
         assert len(picked) == 5
+
+    @pytest.mark.parametrize("strategy", ["spread", "first", "center_out"])
+    def test_indices_computed_once_and_read_only(self, strategy):
+        selector = CoefficientSelector(d=4, num_blocks=9, strategy=strategy)
+        assert selector.indices is selector.indices
+        with pytest.raises(ValueError):
+            selector.indices[0] = 8
+        assert selector == CoefficientSelector(
+            d=4, num_blocks=9, strategy=strategy
+        )
 
     def test_indices_always_distinct(self):
         for d in range(1, 10):

@@ -151,6 +151,26 @@ class TestGridPyramidPartitioner:
         pyramid = pyramid_orders(local)[0]
         assert part.cell_ids(feature)[0] == 2 * 2 * grid_order + pyramid
 
+    def test_one_validation_pass_gives_the_separate_methods_ids(self):
+        part = GridPyramidPartitioner(d=4, u=3)
+        assert part.grid is part.grid
+        rng = np.random.default_rng(7)
+        features = np.vstack([
+            rng.uniform(0, 1, size=(300, 4)),
+            rng.integers(0, 4, size=(60, 4)) / 3.0,  # on slice boundaries
+            np.full((1, 4), -5e-10),                  # within tolerance
+            np.full((1, 4), 1.0 + 5e-10),
+        ])
+        grid = part.grid
+        slices = grid.slice_indices(features)
+        orders = slices @ (3 ** np.arange(3, -1, -1))
+        locals_ = np.clip(features, 0.0, 1.0) * 3 - slices
+        assert np.array_equal(grid.grid_orders(features), orders)
+        assert grid.local_coordinates(features).tobytes() == locals_.tobytes()
+        assert np.array_equal(
+            part.cell_ids(features), 2 * 4 * orders + pyramid_orders(locals_)
+        )
+
     def test_ids_in_range(self):
         part = GridPyramidPartitioner(d=5, u=4)
         rng = np.random.default_rng(1)
