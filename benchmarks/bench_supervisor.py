@@ -17,8 +17,7 @@ when nothing fails, and how fast it heals when something does:
 
 Every run of a workload must produce the identical match stream — the
 serial reference, the unsupervised run, the supervised run and the
-chaos run — enforced the same way ``bench_serve_scaling.py`` enforces
-shard transparency. Process-backend runs additionally assert zero
+chaos run. Process-backend runs additionally assert zero
 outstanding shared-memory references after close.
 
 Usage::

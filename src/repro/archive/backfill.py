@@ -91,7 +91,7 @@ class BackfillJob:
     started below ``live_start`` are emitted. ``emitted_through`` is
     the exclusive window watermark below which retro matches have
     already been handed to the collector — the resume-suppression
-    point persisted in ``repro.ckpt/4``.
+    point persisted in the service checkpoint.
     """
 
     query: Query
@@ -528,7 +528,7 @@ class BackfillEngine:
     def checkpoint_rows(
         self,
     ) -> List[Tuple[int, int, int, int, int, int]]:
-        """Unfinished jobs as ``repro.ckpt/4`` rows (lock held by the
+        """Unfinished jobs as service-checkpoint rows (lock held by the
         caller via :meth:`paused`)."""
         with self._lock:
             return [

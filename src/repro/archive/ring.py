@@ -22,7 +22,7 @@ columnar path live windows take (see ``docs/archive.md``).
 **Watermark.** ``next_index`` is the next basic-window index the
 archive expects. :meth:`append` silently drops rows below it, which
 makes re-feeding a stream after checkpoint resume idempotent: the
-``repro.ckpt/4`` snapshot carries the watermark and the unsealed ring,
+service checkpoint carries the watermark and the unsealed ring,
 so a resumed service neither re-archives nor drops windows, and
 :meth:`restore` reconciles the snapshot against whatever segments made
 it to disk before the crash (disk may be *ahead* of the snapshot —

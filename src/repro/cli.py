@@ -156,13 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
                        "equivalence)")
     serve.add_argument("--chunk-seconds", type=float, default=30.0,
                        help="stream seconds per ingested chunk")
-    serve.add_argument("--self-sketch", action="store_true",
-                       help="disable the sketch-once front end: every "
-                       "worker re-sketches the raw stream itself (the "
-                       "bit-for-bit reference protocol)")
     serve.add_argument("--batch-chunks", type=int, default=4,
-                       help="sketch-once mode: chunks sketched and "
-                       "shipped per WindowBatch")
+                       help="chunks sketched and shipped per WindowBatch")
     serve.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                        help="directory for service snapshots")
     serve.add_argument("--checkpoint-every", type=int, default=0,
@@ -587,11 +582,8 @@ def _command_serve(args: argparse.Namespace) -> int:
     chaos_plan = None
     if args.chaos:
         # Chaos positions count stream messages per worker: one per
-        # chunk when self-sketching, one per WindowBatch otherwise.
-        per_worker = (
-            len(chunks) if args.self_sketch
-            else max(1, -(-len(chunks) // max(1, args.batch_chunks)))
-        )
+        # WindowBatch.
+        per_worker = max(1, -(-len(chunks) // max(1, args.batch_chunks)))
         try:
             if args.chaos.startswith("seed:"):
                 chaos_plan = ChaosPlan.generate(
@@ -634,7 +626,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             backend=args.backend,
             queue_capacity=args.queue_capacity,
             policy=policy,
-            sketch_once=not args.self_sketch,
             batch_chunks=args.batch_chunks,
             archive=archive,
             backfill_async=False,
@@ -658,7 +649,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             strategy=args.plan,
             queue_capacity=args.queue_capacity,
             policy=policy,
-            sketch_once=not args.self_sketch,
             batch_chunks=args.batch_chunks,
             archive=archive,
             backfill_async=False,

@@ -17,8 +17,9 @@ The frame-accounting contract, which the chaos tests reconcile:
 
 Sessions checkpoint through :class:`repro.serve.CheckpointManager` — a
 one-worker :class:`~repro.serve.checkpoint.ServiceCheckpoint` with
-strategy ``"ingest"`` — so the serving layer's atomic-write/restore
-machinery, format tag and config verification are reused unchanged.
+strategy ``"ingest"``, whose front-end fields hold the monitor's
+buffer — so the serving layer's atomic-write/restore machinery, format
+tag and config verification are reused unchanged.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class StreamSession:
             self.detector = None
             self.monitor = sink
         self.decoder = ResilientDecoder(extractor)
-        self._archive_tap: Optional[ArchiveTap] = None
+        self._tap: Optional[ArchiveTap] = None
         if archive is not None:
             window_frames = (
                 self.detector.window_frames
@@ -168,7 +169,7 @@ class StreamSession:
                     1, round(config.window_seconds * keyframes_per_second)
                 )
             )
-            self._archive_tap = ArchiveTap(
+            self._tap = ArchiveTap(
                 archive,
                 queries.family,
                 window_frames,
@@ -209,8 +210,8 @@ class StreamSession:
             missing = gap_chunks * self.chunk_keyframes_hint
             inc("ingest.frames_missing", missing)
             self.monitor.skip_frames(missing)
-            if self._archive_tap is not None:
-                self._archive_tap.skip_frames(missing)
+            if self._tap is not None:
+                self._tap.skip_frames(missing)
 
     def process_chunk(self, chunk: StreamChunk) -> List[Match]:
         """Feed one chunk; returns the matches it produced.
@@ -265,10 +266,10 @@ class StreamSession:
             if filled:
                 inc("ingest.frames_filled", filled)
             matches.extend(self.monitor.push_cell_ids(ids))
-            if self._archive_tap is not None:
-                self._archive_tap.push_cell_ids(ids)
+            if self._tap is not None:
+                self._tap.push_cell_ids(ids)
         else:  # SKIP_WINDOW
-            tap = self._archive_tap
+            tap = self._tap
             position = 0
             for start, segment_ids in decoded.segments:
                 if start > position:
@@ -294,8 +295,8 @@ class StreamSession:
 
     def finish(self) -> List[Match]:
         """Flush the trailing partial window at end of stream."""
-        if self._archive_tap is not None:
-            self._archive_tap.flush()
+        if self._tap is not None:
+            self._tap.flush()
         matches = self.monitor.flush()
         if matches:
             self.registry.inc("ingest.matches", len(matches))
@@ -342,6 +343,7 @@ class StreamSession:
                 f"stream {self.stream_id} session is sink-backed; "
                 "checkpoint the backing service, not the session"
             )
+        pending, flushed, skip_remaining = self.monitor.buffer_state()
         snapshot = ServiceCheckpoint(
             config=self.config,
             keyframes_per_second=self.keyframes_per_second,
@@ -349,8 +351,13 @@ class StreamSession:
             cap_hint=0,
             strategy="ingest",
             worker_queries=[self.queries],
-            worker_states=[worker_state(self.detector, self.monitor)],
+            worker_states=[worker_state(self.detector)],
             matches=list(self.matches),
+            frontend_pending=pending,
+            frontend_flushed=flushed,
+            frontend_windows=self.detector.stats.windows_processed,
+            frontend_frames=self.detector.frames_processed,
+            frontend_skip=skip_remaining,
         )
         return manager.save(snapshot, path)
 
@@ -388,8 +395,11 @@ class StreamSession:
             fill_cell_id=fill_cell_id,
             chunk_keyframes_hint=chunk_keyframes_hint,
         )
-        restore_worker_state(
-            session.detector, session.monitor, snapshot.worker_states[0]
+        restore_worker_state(session.detector, snapshot.worker_states[0])
+        session.monitor.restore_buffer(
+            snapshot.frontend_pending,
+            snapshot.frontend_flushed,
+            snapshot.frontend_skip,
         )
         session.matches = list(snapshot.matches)
         session._last_seq = snapshot.chunks_ingested - 1

@@ -9,17 +9,20 @@ it with sketches recomputed from the (exactly preserved) cell ids under
 the same family, so a reloaded set is bit-for-bit equivalent to the
 original.
 
-Format version 2 additionally records the detector-relevant
-configuration (order, representation, ``vectorized``, threshold, ...)
-alongside the query set: a saved subscription is only meaningful for the
-engine it was built for, and silently loading it into a differently
-configured detector would change which copies are detected. Loading
-therefore fails loudly when the caller's expected configuration differs
-from the recorded one. Version 1 files (no configuration recorded) still
-load; they simply have nothing to check against.
+The file may also record the detector-relevant configuration (order,
+representation, ``vectorized``, threshold, ...) alongside the query
+set: a saved subscription is only meaningful for the engine it was
+built for, and silently loading it into a differently configured
+detector would change which copies are detected. Loading therefore
+fails loudly when the caller's expected configuration differs from the
+recorded one.
 
-The file embeds a format version; loading a future or corrupted file
-fails loudly instead of mis-detecting quietly.
+The file embeds a format version, and this build reads exactly the
+version it writes: any other version, a corrupted file, or a file
+holding pickled (object) arrays raises :class:`PersistenceError`
+instead of mis-detecting quietly. Files are opened with
+``allow_pickle=False`` — labels and tags are fixed-width unicode arrays
+— so loading one can never execute code.
 
 The payload helpers (:func:`query_set_payload`,
 :func:`query_set_from_mapping`, :func:`detector_config_payload`,
@@ -30,8 +33,9 @@ per-worker query sets and the service configuration in its snapshots.
 
 from __future__ import annotations
 
+import contextlib
 import pathlib
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -47,13 +51,15 @@ __all__ = [
     "detector_config_payload",
     "load_query_set",
     "load_recorded_config",
+    "open_archive",
     "query_set_from_mapping",
     "query_set_payload",
     "require_config_match",
     "save_query_set",
 ]
 
-FORMAT_VERSION = 2
+#: Written, and the only version read. Bump whenever the layout changes.
+FORMAT_VERSION = 3
 
 #: Detector configuration fields recorded alongside a saved query set —
 #: everything that changes which matches the engine reports.
@@ -72,6 +78,33 @@ CONFIG_FIELDS = (
 
 class PersistenceError(ReproError):
     """A query-set file is missing, corrupt or from an unknown version."""
+
+
+@contextlib.contextmanager
+def open_archive(path: pathlib.Path, what: str) -> Iterator[Mapping]:
+    """Open an ``.npz`` that came from outside the program.
+
+    Nothing is ever unpickled, the file is closed on exit, and whatever
+    goes wrong while the caller reads it — no file, not a zip, a
+    missing member, an object array — surfaces as a
+    :class:`PersistenceError` naming the file (``what`` says which kind
+    of file: ``"query-set"``, ``"checkpoint"``).
+    """
+    if not path.exists():
+        raise PersistenceError(f"no {what} file at {path}")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            yield archive
+    except ReproError:
+        raise
+    except KeyError as error:
+        raise PersistenceError(
+            f"{what} file {path} is missing field {error}"
+        ) from error
+    except Exception as error:  # zipfile/format errors vary by numpy
+        raise PersistenceError(
+            f"cannot read {what} file {path}: {error}"
+        ) from error
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +131,7 @@ def query_set_payload(
             [queries.get(qid).num_frames for qid in qids], dtype=np.int64
         ),
         f"{prefix}labels": np.asarray(
-            [queries.get(qid).label for qid in qids], dtype=object
+            [queries.get(qid).label for qid in qids], dtype=str
         ),
     }
     for qid in qids:
@@ -232,49 +265,29 @@ def save_query_set(
     if config is not None:
         payload.update(detector_config_payload(config))
     with open(path, "wb") as handle:
-        # No allow_pickle kwarg: older numpy stored it as a spurious
-        # archive member (object arrays pickle by default on save; it
-        # is the load side that must opt in).
         np.savez_compressed(handle, **payload)
 
 
-def _open_archive(path: pathlib.Path):
-    if not path.exists():
-        raise PersistenceError(f"no query-set file at {path}")
-    try:
-        return np.load(path, allow_pickle=True)
-    except Exception as error:  # zipfile/format errors vary by numpy
-        raise PersistenceError(f"cannot read query-set file {path}: {error}")
-
-
-def _read_version(archive, path: pathlib.Path) -> int:
-    try:
-        version = int(archive["format_version"][0])
-    except KeyError as error:
-        raise PersistenceError(
-            f"query-set file {path} is missing field {error}"
-        )
-    if version not in (1, FORMAT_VERSION):
+def _require_version(archive: Mapping, path: pathlib.Path) -> None:
+    version = int(archive["format_version"][0])
+    if version != FORMAT_VERSION:
         raise PersistenceError(
             f"query-set file {path} has format version {version}; "
-            f"this build reads versions 1 and {FORMAT_VERSION}"
+            f"this build reads and writes version {FORMAT_VERSION} only"
         )
-    return version
 
 
 def load_recorded_config(
     path: Union[str, pathlib.Path]
 ) -> Optional[DetectorConfig]:
-    """The detector configuration recorded in a query-set file.
-
-    ``None`` for version 1 files and version 2 files saved without one.
-    """
+    """The detector configuration recorded in a query-set file, or
+    ``None`` for a file saved without one."""
     path = pathlib.Path(path)
-    archive = _open_archive(path)
-    version = _read_version(archive, path)
-    if version < 2 or "config_num_hashes" not in archive:
-        return None
-    return detector_config_from_mapping(archive)
+    with open_archive(path, "query-set") as archive:
+        _require_version(archive, path)
+        if "config_num_hashes" not in archive:
+            return None
+        return detector_config_from_mapping(archive)
 
 
 def load_query_set(
@@ -287,37 +300,28 @@ def load_query_set(
     ----------
     expected_config:
         The configuration the caller intends to run the queries under.
-        When given and the file records one (format version 2), every
-        differing field raises :class:`PersistenceError` — a saved
-        subscription silently loaded into a different engine would
-        change detection results. Version 1 files recorded nothing, so
-        there is nothing to check.
+        When given and the file records one, every differing field
+        raises :class:`PersistenceError` — a saved subscription
+        silently loaded into a different engine would change detection
+        results.
 
     Raises
     ------
     PersistenceError
-        If the file is unreadable, structurally incomplete, written by
-        an unknown format version, or recorded under a configuration
-        that differs from ``expected_config``.
+        If the file is unreadable, structurally incomplete, holds
+        pickled arrays, was written under another format version, or
+        was recorded under a configuration that differs from
+        ``expected_config``.
     """
     path = pathlib.Path(path)
-    archive = _open_archive(path)
-    try:
-        version = _read_version(archive, path)
-        if expected_config is not None and version >= 2:
-            if "config_num_hashes" in archive:
-                require_config_match(
-                    detector_config_from_mapping(archive),
-                    expected_config,
-                    source=f"query-set file {path}",
-                )
-        queries = query_set_from_mapping(
+    with open_archive(path, "query-set") as archive:
+        _require_version(archive, path)
+        if expected_config is not None and "config_num_hashes" in archive:
+            require_config_match(
+                detector_config_from_mapping(archive),
+                expected_config,
+                source=f"query-set file {path}",
+            )
+        return query_set_from_mapping(
             archive, source=f"query-set file {path}"
         )
-    except PersistenceError:
-        raise
-    except KeyError as error:
-        raise PersistenceError(
-            f"query-set file {path} is missing field {error}"
-        )
-    return queries

@@ -3,9 +3,10 @@
 The single-process :class:`~repro.core.detector.StreamingDetector`
 scales with the number of subscribed queries; this package scales it
 *out*: the query set is partitioned into balanced shards
-(:mod:`~repro.serve.planner`), each shard runs a complete detector in
-its own worker (serial, thread or process backend) fed an identical
-copy of the stream over bounded queues (:mod:`~repro.serve.queues`),
+(:mod:`~repro.serve.planner`), the stream is cut into basic windows
+and sketched once (:mod:`~repro.serve.frontend`), each shard runs a
+detector in its own worker (serial, thread or process backend) fed the
+same window batches over bounded queues (:mod:`~repro.serve.queues`),
 and the per-shard match streams merge back into the single-process
 engine's canonical order (:mod:`~repro.serve.collector`). The merged
 output under the blocking backpressure policy is bit-for-bit the
@@ -24,7 +25,6 @@ from repro.errors import WorkerDeadError, WorkerStallError
 from repro.serve.chaos import ChaosEvent, ChaosPlan
 from repro.serve.checkpoint import (
     CHECKPOINT_FORMAT,
-    COMPATIBLE_FORMATS,
     CheckpointManager,
     ServiceCheckpoint,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "BatchDescriptor",
     "BoundedChannel",
     "CHECKPOINT_FORMAT",
-    "COMPATIBLE_FORMATS",
     "ChaosEvent",
     "ChaosPlan",
     "CheckpointManager",

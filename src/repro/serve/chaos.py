@@ -4,7 +4,7 @@ PR 4's :class:`~repro.ingest.faults.FaultInjector` drills the codec and
 transport layers; this module drills the *serving* layer. A
 :class:`ChaosPlan` is a frozen list of :class:`ChaosEvent` objects, each
 naming a worker, a failure mode and the 1-based index of the stream
-message (``chunk`` / ``batch`` / ``batch_shm``) at which it fires —
+message (``batch`` / ``batch_shm``) at which it fires —
 control traffic (lifecycle barriers, snapshots, flushes) never triggers
 an event, so a plan written against a workload stays valid regardless
 of how often the supervisor injects its own probes.

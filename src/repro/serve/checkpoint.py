@@ -5,10 +5,19 @@ one — rebuild the exact same service and continue the stream where it
 stopped, losing zero matches. One ``.npz`` file therefore carries
 everything: a format tag, the detector configuration (checked on
 restore, like :mod:`repro.persistence` does for query-set files), the
-stream position (chunks ingested), each worker's query subset and
-flattened detector state (from :mod:`repro.serve.state`), and the
-matches the collector has already merged — so the resumed service's
-cumulative match stream equals an uninterrupted run's.
+stream position (chunks ingested), the front end's undigested buffer
+and stream clock, each worker's query subset and flattened detector
+state (from :mod:`repro.serve.state`), the sketch archive's unsealed
+tail and in-flight backfill jobs, and the matches the collector has
+already merged — so the resumed service's cumulative match stream
+equals an uninterrupted run's.
+
+There is one format. :data:`CHECKPOINT_FORMAT` is the tag this build
+writes and the only tag it reads; anything else — an older snapshot, a
+newer one, a file holding pickled (object) arrays — is refused with a
+:class:`~repro.persistence.PersistenceError` naming the tag found and
+the tag supported. Files are opened with ``allow_pickle=False``, so
+loading a snapshot can never execute code.
 
 Writes are atomic and durable: the payload goes through
 :func:`repro.utils.atomic.atomic_savez` (fsync + tmp-rename), so a
@@ -40,6 +49,7 @@ from repro.persistence import (
     PersistenceError,
     detector_config_from_mapping,
     detector_config_payload,
+    open_archive,
     query_set_from_mapping,
     query_set_payload,
     require_config_match,
@@ -48,37 +58,13 @@ from repro.utils.atomic import atomic_savez
 
 __all__ = [
     "CHECKPOINT_FORMAT",
-    "COMPATIBLE_FORMATS",
     "CheckpointManager",
     "ServiceCheckpoint",
 ]
 
-#: Format tag embedded in every checkpoint archive. Bump the suffix when
-#: the layout changes incompatibly; loading rejects unknown tags.
-#: ``/2`` added the lifecycle ``epoch`` field (and per-worker epochs
-#: inside the worker states) for the query-admission control plane.
-#: ``/3`` added the sketch-once front end's stream state (``frontend_*``
-#: fields) — under sketch-once serving the undigested buffer lives in
-#: the service, not in the workers' monitors, so an older loader would
-#: silently drop those frames.
-#: ``/4`` added the sketch-archive watermark and unsealed ring
-#: (``archive_*``), the retro match stream (``retro_*``) and in-flight
-#: backfill jobs (``backfill_*``) — without them a kill/resume would
-#: re-archive already-sealed windows or silently drop a backfill.
-CHECKPOINT_FORMAT = "repro.ckpt/4"
-
-#: Older tags :meth:`CheckpointManager.load` still reads. ``/1``
-#: archives predate query churn: they load with ``epoch`` 0. ``/2``
-#: archives predate the sketch-once front end: they load without
-#: front-end state and the service migrates worker 0's monitor buffer.
-#: ``/3`` archives predate the sketch archive: they load with no
-#: archive state (watermark ``-1``) and empty retro/backfill streams.
-COMPATIBLE_FORMATS = (
-    "repro.ckpt/1",
-    "repro.ckpt/2",
-    "repro.ckpt/3",
-    CHECKPOINT_FORMAT,
-)
+#: Format tag embedded in every checkpoint archive — written, and the
+#: only one read. Bump the suffix whenever the layout changes.
+CHECKPOINT_FORMAT = "repro.ckpt/5"
 
 _CKPT_NAME = re.compile(r"^ckpt-(\d+)\.npz$")
 
@@ -110,22 +96,26 @@ class ServiceCheckpoint:
         order. Each dict carries that shard's lifecycle ``epoch``.
     matches:
         The merged match stream collected before the snapshot.
+    frontend_pending:
+        The front end's buffered cell ids (frames not yet forming a
+        whole basic window). The front end is whoever cuts the stream
+        into windows: the service's
+        :class:`~repro.serve.frontend.StreamFrontend`, or an ingest
+        session's :class:`~repro.core.live.LiveMonitor`.
+    frontend_flushed:
+        Whether the front end had flushed the stream.
+    frontend_windows / frontend_frames:
+        The front end's absolute stream clock (whole windows / frames
+        emitted).
     epoch:
         The service-level lifecycle epoch: how many subscribe /
         unsubscribe barriers the service had committed. A resumed
         service continues numbering from here, so a scripted churn
         schedule can skip the ops the checkpoint already contains.
-    frontend_pending:
-        Sketch-once mode only: the service front end's buffered cell
-        ids (frames not yet forming a whole basic window). ``None``
-        when the snapshot was taken in self-sketching mode (the same
-        frames then live in each worker's monitor buffer instead).
-    frontend_flushed:
-        Whether the front end had flushed the stream.
-    frontend_windows / frontend_frames:
-        The front end's absolute stream clock (whole windows / frames
-        emitted). ``-1`` marks "no front-end state recorded" — the
-        sentinel legacy archives load with.
+    frontend_skip:
+        Ingest sessions only: arriving frames the monitor must still
+        drop to re-align its window clock after a gap (the service's
+        front end owns a contiguous clock and always records 0).
     retro_matches:
         The retrospective (backfill) match stream collected before the
         snapshot, kept separate from the live stream so neither resume
@@ -133,15 +123,11 @@ class ServiceCheckpoint:
     archive_next:
         The sketch archive's watermark: the next basic-window index it
         expects. ``-1`` marks "no archive state recorded" (archiving
-        off, or a pre-``/4`` snapshot).
+        was off).
     archive_ring_indices / archive_ring_starts / archive_ring_frames /
     archive_ring_sketches:
         The archive's unsealed in-memory tail (windows not yet in a
         disk segment) — without them a crash would lose the ring.
-    archive_tap_pending / archive_tap_flushed / archive_tap_frames:
-        Legacy self-sketching mode only: the service-side archive tap's
-        buffered cell ids, flush flag and frame clock (in sketch-once
-        mode the front end *is* the tap and ``frontend_*`` covers it).
     backfill_jobs:
         In-flight/queued backfill jobs as ``(qid, start, live_start,
         end, emitted_through, cap_hint, retro_found)`` tuples. A resumed service
@@ -160,20 +146,18 @@ class ServiceCheckpoint:
     worker_queries: List[QuerySet]
     worker_states: List[Dict[str, np.ndarray]]
     matches: List[Match]
+    frontend_pending: np.ndarray
+    frontend_flushed: bool
+    frontend_windows: int
+    frontend_frames: int
     epoch: int = 0
-    frontend_pending: Optional[np.ndarray] = None
-    frontend_flushed: bool = False
-    frontend_windows: int = -1
-    frontend_frames: int = -1
+    frontend_skip: int = 0
     retro_matches: List[Match] = field(default_factory=list)
     archive_next: int = -1
     archive_ring_indices: Optional[np.ndarray] = None
     archive_ring_starts: Optional[np.ndarray] = None
     archive_ring_frames: Optional[np.ndarray] = None
     archive_ring_sketches: Optional[np.ndarray] = None
-    archive_tap_pending: Optional[np.ndarray] = None
-    archive_tap_flushed: bool = False
-    archive_tap_frames: int = -1
     backfill_jobs: List[Tuple[int, int, int, int, int, int, int]] = field(
         default_factory=list
     )
@@ -183,21 +167,13 @@ class ServiceCheckpoint:
         return len(self.worker_states)
 
     @property
-    def has_frontend(self) -> bool:
-        """Whether the snapshot carries sketch-once front-end state."""
-        return self.frontend_frames >= 0
-
-    @property
     def has_archive(self) -> bool:
         """Whether the snapshot carries sketch-archive state."""
         return self.archive_next >= 0
 
     def worker_epochs(self) -> List[int]:
         """Per-shard lifecycle epochs recorded in the worker states."""
-        return [
-            int(state["epoch"][0]) if "epoch" in state else 0
-            for state in self.worker_states
-        ]
+        return [int(state["epoch"][0]) for state in self.worker_states]
 
 
 def _int_array(value: Optional[np.ndarray]) -> np.ndarray:
@@ -350,10 +326,8 @@ class CheckpointManager:
             self.directory.mkdir(parents=True, exist_ok=True)
             path = self.path_for(checkpoint.chunks_ingested)
         path = pathlib.Path(path)
-        fmt = np.empty(1, dtype=object)
-        fmt[0] = CHECKPOINT_FORMAT
         payload: Dict[str, np.ndarray] = {
-            "format": fmt,
+            "format": np.asarray([CHECKPOINT_FORMAT]),
             "num_workers": np.asarray([checkpoint.num_workers]),
             "chunks_ingested": np.asarray([checkpoint.chunks_ingested]),
             "cap_hint": np.asarray([checkpoint.cap_hint]),
@@ -361,17 +335,16 @@ class CheckpointManager:
             "keyframes_per_second": np.asarray(
                 [checkpoint.keyframes_per_second], dtype=np.float64
             ),
-            "strategy": np.asarray([checkpoint.strategy], dtype=object),
-            "frontend_pending": (
-                np.empty(0, dtype=np.int64)
-                if checkpoint.frontend_pending is None
-                else np.asarray(checkpoint.frontend_pending, dtype=np.int64)
+            "strategy": np.asarray([checkpoint.strategy]),
+            "frontend_pending": np.asarray(
+                checkpoint.frontend_pending, dtype=np.int64
             ),
             "frontend_flushed": np.asarray(
                 [int(checkpoint.frontend_flushed)]
             ),
             "frontend_windows": np.asarray([checkpoint.frontend_windows]),
             "frontend_frames": np.asarray([checkpoint.frontend_frames]),
+            "frontend_skip": np.asarray([checkpoint.frontend_skip]),
             "archive_next": np.asarray([checkpoint.archive_next]),
             "archive_ring_indices": _int_array(
                 checkpoint.archive_ring_indices
@@ -382,21 +355,8 @@ class CheckpointManager:
             "archive_ring_frames": _int_array(
                 checkpoint.archive_ring_frames
             ),
-            "archive_ring_sketches": (
-                np.empty((0, 0), dtype=np.int64)
-                if checkpoint.archive_ring_sketches is None
-                else np.asarray(
-                    checkpoint.archive_ring_sketches, dtype=np.int64
-                )
-            ),
-            "archive_tap_pending": _int_array(
-                checkpoint.archive_tap_pending
-            ),
-            "archive_tap_flushed": np.asarray(
-                [int(checkpoint.archive_tap_flushed)]
-            ),
-            "archive_tap_frames": np.asarray(
-                [checkpoint.archive_tap_frames]
+            "archive_ring_sketches": _int_array(
+                checkpoint.archive_ring_sketches
             ),
             "backfill_jobs": np.asarray(
                 checkpoint.backfill_jobs, dtype=np.int64
@@ -434,9 +394,11 @@ class CheckpointManager:
         Raises
         ------
         PersistenceError
-            If no snapshot exists, the archive is unreadable or carries
-            an unknown format tag, or ``expected_config`` differs from
-            the recorded configuration (every differing field listed).
+            If no snapshot exists, the archive is unreadable, holds
+            pickled arrays or carries any format tag but
+            :data:`CHECKPOINT_FORMAT` (both tags are named), or
+            ``expected_config`` differs from the recorded configuration
+            (every differing field listed).
         """
         if path is None:
             path = self.latest()
@@ -445,41 +407,21 @@ class CheckpointManager:
                     f"no checkpoint found in {self.directory}"
                 )
         path = pathlib.Path(path)
-        if not path.exists():
-            raise PersistenceError(f"no checkpoint file at {path}")
-        try:
-            archive = np.load(path, allow_pickle=True)
-        except Exception as error:  # zipfile/format errors vary by numpy
-            raise PersistenceError(
-                f"cannot read checkpoint file {path}: {error}"
-            )
-        try:
+        with open_archive(path, "checkpoint") as archive:
             fmt = str(archive["format"][0])
-        except KeyError as error:
-            raise PersistenceError(
-                f"checkpoint file {path} is missing field {error}"
-            )
-        if fmt not in COMPATIBLE_FORMATS:
-            raise PersistenceError(
-                f"checkpoint file {path} has format {fmt!r}; this build "
-                f"reads {COMPATIBLE_FORMATS}"
-            )
-        try:
+            if fmt != CHECKPOINT_FORMAT:
+                raise PersistenceError(
+                    f"checkpoint file {path} has format {fmt!r}; this "
+                    f"build reads and writes {CHECKPOINT_FORMAT!r} only"
+                )
             config = detector_config_from_mapping(archive)
             if expected_config is not None:
                 require_config_match(
                     config, expected_config, source=f"checkpoint {path}"
                 )
-            num_workers = int(archive["num_workers"][0])
-            # Archives written by older builds carry a spurious
-            # "allow_pickle" member (a save-side kwarg bug); it is not
-            # part of the payload and must never reach a state dict.
-            member_names = [
-                name for name in archive.files if name != "allow_pickle"
-            ]
             worker_queries = []
             worker_states: List[Dict[str, np.ndarray]] = []
-            for index in range(num_workers):
+            for index in range(int(archive["num_workers"][0])):
                 worker_queries.append(
                     query_set_from_mapping(
                         archive,
@@ -492,47 +434,12 @@ class CheckpointManager:
                 worker_states.append(
                     {
                         key[len(prefix):]: archive[key]
-                        for key in member_names
+                        for key in archive.files
                         if key.startswith(prefix)
                         and not key.startswith(skip)
                     }
                 )
-            has_frontend = "frontend_frames" in member_names
-            frontend_frames = (
-                int(archive["frontend_frames"][0]) if has_frontend else -1
-            )
-            has_archive_state = "archive_next" in member_names
-            archive_next = (
-                int(archive["archive_next"][0]) if has_archive_state else -1
-            )
-            if has_archive_state and archive_next >= 0:
-                ring_indices = np.asarray(
-                    archive["archive_ring_indices"], dtype=np.int64
-                )
-                ring_starts = np.asarray(
-                    archive["archive_ring_starts"], dtype=np.int64
-                )
-                ring_frames = np.asarray(
-                    archive["archive_ring_frames"], dtype=np.int64
-                )
-                ring_sketches = np.asarray(
-                    archive["archive_ring_sketches"], dtype=np.int64
-                )
-            else:
-                ring_indices = ring_starts = ring_frames = None
-                ring_sketches = None
-            tap_frames = (
-                int(archive["archive_tap_frames"][0])
-                if has_archive_state
-                else -1
-            )
-            backfill_jobs: List[Tuple[int, int, int, int, int, int, int]] = []
-            if "backfill_jobs" in member_names:
-                for row in np.asarray(
-                    archive["backfill_jobs"], dtype=np.int64
-                ).reshape(-1, 7):
-                    backfill_jobs.append(tuple(int(v) for v in row))
-            checkpoint = ServiceCheckpoint(
+            return ServiceCheckpoint(
                 config=config,
                 keyframes_per_second=float(
                     archive["keyframes_per_second"][0]
@@ -543,54 +450,32 @@ class CheckpointManager:
                 worker_queries=worker_queries,
                 worker_states=worker_states,
                 matches=_matches_from_mapping(archive),
-                epoch=(
-                    int(archive["epoch"][0]) if "epoch" in archive.files else 0
+                frontend_pending=_int_array(archive["frontend_pending"]),
+                frontend_flushed=bool(int(archive["frontend_flushed"][0])),
+                frontend_windows=int(archive["frontend_windows"][0]),
+                frontend_frames=int(archive["frontend_frames"][0]),
+                epoch=int(archive["epoch"][0]),
+                frontend_skip=int(archive["frontend_skip"][0]),
+                retro_matches=_matches_from_mapping(
+                    archive, prefix="retro_"
                 ),
-                frontend_pending=(
-                    np.asarray(archive["frontend_pending"], dtype=np.int64)
-                    if frontend_frames >= 0
-                    else None
+                archive_next=int(archive["archive_next"][0]),
+                archive_ring_indices=_int_array(
+                    archive["archive_ring_indices"]
                 ),
-                frontend_flushed=(
-                    bool(int(archive["frontend_flushed"][0]))
-                    if has_frontend
-                    else False
+                archive_ring_starts=_int_array(
+                    archive["archive_ring_starts"]
                 ),
-                frontend_windows=(
-                    int(archive["frontend_windows"][0])
-                    if has_frontend
-                    else -1
+                archive_ring_frames=_int_array(
+                    archive["archive_ring_frames"]
                 ),
-                frontend_frames=frontend_frames,
-                retro_matches=(
-                    _matches_from_mapping(archive, prefix="retro_")
-                    if "retro_qid" in member_names
-                    else []
+                archive_ring_sketches=_int_array(
+                    archive["archive_ring_sketches"]
                 ),
-                archive_next=archive_next,
-                archive_ring_indices=ring_indices,
-                archive_ring_starts=ring_starts,
-                archive_ring_frames=ring_frames,
-                archive_ring_sketches=ring_sketches,
-                archive_tap_pending=(
-                    np.asarray(
-                        archive["archive_tap_pending"], dtype=np.int64
-                    )
-                    if has_archive_state and tap_frames >= 0
-                    else None
-                ),
-                archive_tap_flushed=(
-                    bool(int(archive["archive_tap_flushed"][0]))
-                    if has_archive_state
-                    else False
-                ),
-                archive_tap_frames=tap_frames,
-                backfill_jobs=backfill_jobs,
+                backfill_jobs=[
+                    tuple(int(v) for v in row)
+                    for row in _int_array(
+                        archive["backfill_jobs"]
+                    ).reshape(-1, 7)
+                ],
             )
-        except PersistenceError:
-            raise
-        except KeyError as error:
-            raise PersistenceError(
-                f"checkpoint file {path} is missing field {error}"
-            )
-        return checkpoint

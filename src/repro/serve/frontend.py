@@ -1,16 +1,16 @@
 """Sketch-once stream front end for the sharded detection service.
 
-The original serving design replicated raw cell-id chunks to every
-shard, and each shard independently re-ran window construction and
-``(C, K)`` min-hash sketching on its identical copy of the stream — the
-stream-side work of Section IV was multiplied by the worker count, so
-the service got *slower* with every added worker.
+The paper's Section IV sketches each basic window of the stream once
+and combines that sketch (Property 1) against every query. Under
+sharding that means the stream-side work — window construction and
+``(C, K)`` min-hash sketching — belongs in front of the workers, not in
+each of them, or it is multiplied by the worker count.
 
-:class:`StreamFrontend` factors that work out of the workers: the
-service buffers the chunk stream exactly like each worker's
-:class:`~repro.core.live.LiveMonitor` used to (whole basic windows cut
-at the same boundaries, a partial tail only at flush), sketches every
-ready window of a chunk batch in **one**
+:class:`StreamFrontend` is where the stream is sketched, and the only
+place that knows it: the service buffers the chunk stream exactly like
+a single-process :class:`~repro.core.live.LiveMonitor` (whole basic
+windows cut at the same boundaries, a partial tail only at flush),
+sketches every ready window of a chunk batch in **one**
 :meth:`~repro.minhash.family.MinHashFamily.sketch_many` pass, and — in
 bit mode without the index — encodes the packed window-vs-query
 signature planes for the *full* sorted query population in one
@@ -21,13 +21,13 @@ per shard (plane rows by qid) without redoing any stream-side math.
 Window coordinates inside a batch are **absolute** (the front end owns
 the stream clock), so a worker that never sees a batch — lossy
 backpressure policies — keeps later matches at their true stream
-positions instead of silently shifting them, an improvement over the
-raw-chunk protocol (see ``docs/serving.md``).
+positions instead of silently shifting them (see ``docs/serving.md``).
 
 Bit-for-bit equivalence: the per-window sketch values, the plane bits,
-the processing order and every engine counter are identical to the
-self-sketching path — the golden-equivalence suite runs the service in
-both modes against the serial detector.
+the processing order and every engine counter are identical to a
+single-process ``StreamingDetector`` + ``LiveMonitor`` over the same
+stream — the golden-equivalence suite checks the service against that
+reference in every mode, order and engine.
 """
 
 from __future__ import annotations

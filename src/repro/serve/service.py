@@ -1,10 +1,12 @@
 """The sharded detection service: plan, broadcast, merge, checkpoint.
 
 :class:`DetectionService` runs the paper's detector over a query set
-partitioned across N workers. Every worker receives an identical copy of
-the stream (chunks of key-frame cell ids); each detects only its shard's
-queries; the service merges the per-shard match streams back into the
-single-process engine's canonical order (:mod:`repro.serve.collector`).
+partitioned across N workers. The stream (chunks of key-frame cell ids)
+is cut into basic windows and sketched once, in the service
+(:mod:`repro.serve.frontend`); every worker receives the same
+precomputed window batches and detects only its shard's queries; the
+service merges the per-shard match streams back into the single-process
+engine's canonical order (:mod:`repro.serve.collector`).
 
 Three executor backends share one worker implementation and protocol
 (:mod:`repro.serve.workers`):
@@ -397,25 +399,15 @@ class DetectionService:
         Optional service-level registry for the ``serve.*`` metrics.
     timing_enabled:
         Whether worker registries record phase wall-clock.
-    sketch_once:
-        When True (the default), the stream front end — window
-        construction, min-hash sketching and (in no-index bit mode)
-        packed plane encoding — runs **once** in the service
-        (:class:`~repro.serve.frontend.StreamFrontend`), and workers
-        receive precomputed ``WindowBatch`` payloads instead of raw
-        chunks; on the process backend the batch arrays travel through
-        a shared-memory ring (:mod:`repro.serve.shm`). When False the
-        service runs the original self-sketching protocol — the
-        bit-for-bit reference the equivalence suite compares against.
     batch_chunks:
-        Sketch-once mode: how many consecutive chunks share one
-        ``WindowBatch`` (one sketch pass, one queue hop per worker).
+        How many consecutive chunks share one ``WindowBatch`` (one
+        sketch pass, one queue hop per worker; on the process backend
+        the batch arrays travel through a shared-memory ring,
+        :mod:`repro.serve.shm`).
     archive:
         Optional :class:`~repro.archive.SketchArchive`. When given,
-        every basic window's sketch is retained as it streams (the
-        sketch-once front end is tapped directly; in self-sketching
-        mode a dedicated quiet front end cuts and sketches windows for
-        the archive alone), and :meth:`subscribe` accepts
+        every basic window's sketch is retained as the front end emits
+        it, and :meth:`subscribe` accepts
         ``backfill=N`` to retrospectively probe the last N archived
         windows for the new query. Build the archive with the service's
         registry so the ``archive.*`` series lands in
@@ -456,7 +448,6 @@ class DetectionService:
         policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
         registry: Optional[MetricsRegistry] = None,
         timing_enabled: bool = True,
-        sketch_once: bool = True,
         batch_chunks: int = 4,
         archive: Optional[SketchArchive] = None,
         backfill_async: bool = True,
@@ -495,7 +486,6 @@ class DetectionService:
         self.collector = MatchCollector(config.order)
         self.chunks_ingested = 0
         self.epoch = 0
-        self._flushed = False
         self._closed = False
 
         if _checkpoint is None:
@@ -538,32 +528,24 @@ class DetectionService:
             # horizon; keep it so restored candidate ages stay legal.
             self.cap_hint = _checkpoint.cap_hint
 
-        self.sketch_once = bool(sketch_once)
         self.batch_chunks = max(1, int(batch_chunks))
-        self._frontend: Optional[StreamFrontend] = None
-        self._ring: Optional[ShmBatchRing] = None
-        if self.sketch_once:
-            self._frontend = StreamFrontend(
-                config=config,
-                family=self._family,
-                window_frames=self.window_frames,
-                registry=self.registry,
+        self._frontend = StreamFrontend(
+            config=config,
+            family=self._family,
+            window_frames=self.window_frames,
+            registry=self.registry,
+        )
+        self._frontend.set_queries(self._queries)
+        if _checkpoint is not None:
+            self._frontend.restore(
+                _checkpoint.frontend_pending,
+                _checkpoint.frontend_flushed,
+                _checkpoint.frontend_windows,
+                _checkpoint.frontend_frames,
             )
-            self._frontend.set_queries(self._queries)
-            if _checkpoint is not None:
-                states = self._restore_frontend(_checkpoint, states)
-        elif _checkpoint is not None and _checkpoint.has_frontend:
-            # A sketch-once snapshot resumed in self-sketching mode:
-            # hand the front end's undigested buffer back to every
-            # worker's monitor (they all buffer the identical stream).
-            states = [dict(state) for state in states]
-            for state in states:
-                state["pending"] = np.asarray(
-                    _checkpoint.frontend_pending, dtype=np.int64
-                )
+        self._ring: Optional[ShmBatchRing] = None
 
         self._archive = archive
-        self._tap: Optional[StreamFrontend] = None
         self._backfill: Optional[BackfillEngine] = None
         if archive is not None:
             if archive.family_fingerprint != self._family.fingerprint:
@@ -571,18 +553,6 @@ class DetectionService:
                     "the archive was recorded under a different hash "
                     f"family ({archive.family_fingerprint}) than this "
                     f"service's query set ({self._family.fingerprint})"
-                )
-            if self._frontend is None:
-                # Self-sketching mode has no service-side front end to
-                # tap; a dedicated quiet one cuts and sketches windows
-                # for the archive alone (set_queries is never called,
-                # so it computes no planes and its counters stay out of
-                # the service registry).
-                self._tap = StreamFrontend(
-                    config=config,
-                    family=self._family,
-                    window_frames=self.window_frames,
-                    registry=MetricsRegistry(timing_enabled=False),
                 )
             self._backfill = BackfillEngine(
                 config,
@@ -594,7 +564,7 @@ class DetectionService:
                 async_mode=backfill_async,
             )
             if _checkpoint is not None:
-                self._restore_archive(_checkpoint, states)
+                self._restore_archive(_checkpoint)
 
         worker_epochs = (
             [self.epoch] * len(shard_queries)
@@ -633,11 +603,7 @@ class DetectionService:
             )
             self._executor = self._supervisor
         self.num_workers = len(specs)
-        if (
-            self.sketch_once
-            and backend == "process"
-            and shm_available()
-        ):
+        if backend == "process" and shm_available():
             # Enough slots for every batch that can be in flight at
             # once: queue_capacity queued + one in processing + one
             # being published.
@@ -645,59 +611,13 @@ class DetectionService:
         self._planner = ShardPlanner(self.num_workers, strategy)
         self._update_query_gauges()
 
-    def _restore_frontend(
-        self,
-        checkpoint: ServiceCheckpoint,
-        states: List[Optional[Dict[str, np.ndarray]]],
-    ) -> List[Optional[Dict[str, np.ndarray]]]:
-        """Reinstate (or migrate) the front end's stream state.
+    def _restore_archive(self, checkpoint: ServiceCheckpoint) -> None:
+        """Reinstate archive ring/watermark, retro matches and
+        unfinished backfill jobs from a snapshot.
 
-        A ``repro.ckpt/3`` sketch-once snapshot restores directly. A
-        legacy (or self-sketching) snapshot kept the undigested buffer
-        in every worker's monitor instead: worker 0's buffer becomes
-        the front-end buffer, the front-end clock is derived from
-        worker 0's replicated stream counters, and the workers' own
-        buffers are emptied (batches now arrive pre-cut).
-        """
-        frontend = self._frontend
-        if checkpoint.has_frontend:
-            frontend.restore(
-                checkpoint.frontend_pending,
-                checkpoint.frontend_flushed,
-                checkpoint.frontend_windows,
-                checkpoint.frontend_frames,
-            )
-            return states
-        state = states[0]
-        counters = dict(
-            zip(
-                (str(name) for name in state["reg_counter_names"]),
-                (int(value) for value in state["reg_counter_values"]),
-            )
-        )
-        frontend.restore(
-            pending=np.asarray(state["pending"], dtype=np.int64),
-            flushed=bool(int(state["flushed"][0])),
-            windows_emitted=counters.get("engine.windows_processed", 0),
-            frames_emitted=counters.get("stream.frames_processed", 0),
-        )
-        migrated = [dict(other) for other in states]
-        for other in migrated:
-            other["pending"] = np.empty(0, dtype=np.int64)
-        return migrated
-
-    def _restore_archive(
-        self,
-        checkpoint: ServiceCheckpoint,
-        states: List[Optional[Dict[str, np.ndarray]]],
-    ) -> None:
-        """Reinstate archive ring/watermark, tap clock, retro matches
-        and unfinished backfill jobs from a ``repro.ckpt/4`` snapshot.
-
-        Older snapshots (or snapshots taken without an archive) carry
-        no archive state; the watermark is then fast-forwarded to the
-        stream clock — the windows already streamed were simply never
-        archived, not lost.
+        A snapshot taken without an archive carries no archive state;
+        the watermark is then fast-forwarded to the stream clock — the
+        windows already streamed were simply never archived, not lost.
         """
         archive = self._archive
         if checkpoint.has_archive:
@@ -708,56 +628,9 @@ class DetectionService:
                 checkpoint.archive_ring_frames,
                 checkpoint.archive_ring_sketches,
             )
-        self.collector.restore_retro(checkpoint.retro_matches)
-        if self._tap is not None:
-            if checkpoint.archive_tap_frames >= 0:
-                frames = int(checkpoint.archive_tap_frames)
-                flushed = bool(checkpoint.archive_tap_flushed)
-                # windows_emitted is implied: full windows plus, once
-                # flushed, the partial tail window if one existed.
-                windows = (
-                    -(-frames // self.window_frames)
-                    if flushed
-                    else frames // self.window_frames
-                )
-                self._tap.restore(
-                    np.asarray(
-                        checkpoint.archive_tap_pending, dtype=np.int64
-                    ),
-                    flushed,
-                    windows,
-                    frames,
-                )
-            elif checkpoint.has_frontend:
-                self._tap.restore(
-                    checkpoint.frontend_pending,
-                    checkpoint.frontend_flushed,
-                    checkpoint.frontend_windows,
-                    checkpoint.frontend_frames,
-                )
-            else:
-                state = states[0]
-                counters = dict(
-                    zip(
-                        (str(n) for n in state["reg_counter_names"]),
-                        (int(v) for v in state["reg_counter_values"]),
-                    )
-                )
-                self._tap.restore(
-                    pending=np.asarray(state["pending"], dtype=np.int64),
-                    flushed=bool(int(state["flushed"][0])),
-                    windows_emitted=counters.get(
-                        "engine.windows_processed", 0
-                    ),
-                    frames_emitted=counters.get(
-                        "stream.frames_processed", 0
-                    ),
-                )
-        if not checkpoint.has_archive:
-            # Archiving newly enabled on resume: the stream clock is
-            # ahead of the (empty) archive and those windows are gone,
-            # not gaps.
+        else:
             archive.fast_forward(self._stream_windows())
+        self.collector.restore_retro(checkpoint.retro_matches)
         dropped = 0
         for row in checkpoint.backfill_jobs:
             job = self._backfill.restore_job(
@@ -770,11 +643,7 @@ class DetectionService:
 
     def _stream_windows(self) -> int:
         """The live stream clock: basic windows emitted so far."""
-        if self._frontend is not None:
-            return self._frontend.windows_emitted
-        if self._tap is not None:
-            return self._tap.windows_emitted
-        return 0
+        return self._frontend.windows_emitted
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -791,7 +660,6 @@ class DetectionService:
         policy: BackpressurePolicy = BackpressurePolicy.BLOCK,
         registry: Optional[MetricsRegistry] = None,
         timing_enabled: bool = True,
-        sketch_once: bool = True,
         batch_chunks: int = 4,
         archive: Optional[SketchArchive] = None,
         backfill_async: bool = True,
@@ -807,9 +675,6 @@ class DetectionService:
         assignment, counters, candidate state and collected matches:
         re-feeding the stream from ``chunks_ingested`` yields exactly
         the match stream an uninterrupted run would have produced.
-        Snapshots migrate freely between ``sketch_once`` modes: the
-        undigested stream buffer moves between the front end and the
-        worker monitors, whichever side the resumed service sketches on.
         """
         if isinstance(source, ServiceCheckpoint):
             checkpoint = source
@@ -834,7 +699,6 @@ class DetectionService:
             policy=policy,
             registry=registry,
             timing_enabled=timing_enabled,
-            sketch_once=sketch_once,
             batch_chunks=batch_chunks,
             archive=archive,
             backfill_async=backfill_async,
@@ -863,15 +727,6 @@ class DetectionService:
             )
         return reply
 
-    def _control(self, message: Tuple) -> None:
-        """Broadcast a control message and await every acknowledgement."""
-        for worker_id in range(self.num_workers):
-            self._executor.send(
-                worker_id, message, BackpressurePolicy.BLOCK
-            )
-        for worker_id in range(self.num_workers):
-            self._expect(worker_id, "ok")
-
     def _record_put(
         self, worker_id: int, outcome: PutOutcome, num_chunks: int
     ) -> None:
@@ -888,16 +743,6 @@ class DetectionService:
         depth = self._executor.depth(worker_id)
         if depth is not None:
             registry.set_gauge(f"serve.queue_depth.w{worker_id}", depth)
-
-    def _account(self, worker_id: int, outcome: PutOutcome) -> List[int]:
-        """Record one chunk put's metrics; return stolen chunk seqs."""
-        self._record_put(worker_id, outcome, 1)
-        stolen = []
-        for item in outcome.dropped:
-            if isinstance(item, tuple) and item and item[0] == "chunk":
-                self.registry.inc(f"serve.chunks_dropped.w{worker_id}")
-                stolen.append(item[1])
-        return stolen
 
     def _account_batch(
         self, worker_id: int, outcome: PutOutcome, num_chunks: int
@@ -951,51 +796,16 @@ class DetectionService:
         window is processed too and the stream is closed.
         """
         self._require_open()
-        if self._flushed:
+        if self._frontend.flushed:
             raise ServeError("the stream has already been flushed")
         chunk_arrays = [
             np.asarray(chunk, dtype=np.int64) for chunk in chunks
         ]
-        if self._frontend is not None:
-            merged = self._run_sketch_once(chunk_arrays)
-        else:
-            merged = self._run_reference(chunk_arrays)
+        merged = self._run_sketch_once(chunk_arrays)
         self.chunks_ingested += len(chunk_arrays)
         if flush:
             merged.extend(self.flush())
         return merged
-
-    def _run_reference(
-        self, chunk_arrays: List[np.ndarray]
-    ) -> List[Match]:
-        """Self-sketching protocol: replicate raw chunks to every shard."""
-        outstanding: List[Set[int]] = [
-            set() for _ in range(self.num_workers)
-        ]
-        for seq, chunk in enumerate(chunk_arrays):
-            if self._tap is not None:
-                # Archive tap: sketch this chunk's completed windows
-                # once, service side, independent of the workers'
-                # self-sketching copies.
-                self._archive_batch(self._tap.build([chunk], seq))
-            message = ("chunk", seq, chunk)
-            for worker_id in range(self.num_workers):
-                outcome = self._executor.send(
-                    worker_id, message, self.policy
-                )
-                if outcome.delivered:
-                    outstanding[worker_id].add(seq)
-                for stolen_seq in self._account(worker_id, outcome):
-                    outstanding[worker_id].discard(stolen_seq)
-            self.registry.inc("serve.chunks_ingested")
-        results: List[Dict[int, List[Match]]] = [
-            {} for _ in range(self.num_workers)
-        ]
-        for worker_id in range(self.num_workers):
-            for _ in range(len(outstanding[worker_id])):
-                reply = self._expect(worker_id, "matches")
-                results[worker_id][reply[2]] = reply[3]
-        return self._merge_results(results, len(chunk_arrays))
 
     def _run_sketch_once(
         self, chunk_arrays: List[np.ndarray]
@@ -1143,18 +953,16 @@ class DetectionService:
     def flush(self) -> List[Match]:
         """Process the final partial window in every shard; merge it."""
         self._require_open()
-        if self._flushed:
+        if self._frontend.flushed:
+            # The front end is the one record of "stream over" (it is
+            # what a checkpoint restores), so a repeated flush sends
+            # nothing and re-seals nothing.
             return []
-        if self._frontend is not None:
-            # The tail is sketched (and plane-encoded) once, service
-            # side; it is small, so it travels inline on any backend.
-            tail = self._frontend.flush_tail()
-            self._archive_tail(tail)
-            message: Tuple = ("flush", tail)
-        else:
-            if self._tap is not None:
-                self._archive_tail(self._tap.flush_tail())
-            message = ("flush",)
+        # The tail is sketched (and plane-encoded) once, service side;
+        # it is small, so it travels inline on any backend.
+        tail = self._frontend.flush_tail()
+        self._archive_tail(tail)
+        message = ("flush", tail)
         for worker_id in range(self.num_workers):
             self._executor.send(
                 worker_id, message, BackpressurePolicy.BLOCK
@@ -1162,7 +970,6 @@ class DetectionService:
         batches = []
         for worker_id in range(self.num_workers):
             batches.append(self._expect(worker_id, "flushed")[2])
-        self._flushed = True
         if self._backfill is not None:
             # The stream is over: shadow windows a backfill job was
             # still waiting for will never arrive — close its horizon
@@ -1340,8 +1147,7 @@ class DetectionService:
         self._shard_qids[target].add(query.qid)
         self._queries[query.qid] = query
         self._caps[query.qid] = cap
-        if self._frontend is not None:
-            self._frontend.set_queries(self._queries)
+        self._frontend.set_queries(self._queries)
         if backfill and self._backfill is not None:
             # live_start: every window below the stream clock was
             # processed live *without* this query (the lifecycle
@@ -1377,8 +1183,7 @@ class DetectionService:
         self._shard_qids[worker_id].discard(qid)
         del self._queries[qid]
         del self._caps[qid]
-        if self._frontend is not None:
-            self._frontend.set_queries(self._queries)
+        self._frontend.set_queries(self._queries)
         if self._backfill is not None:
             self._backfill.cancel(qid)
         self.registry.inc("serve.queries.unsubscribed")
@@ -1473,12 +1278,9 @@ class DetectionService:
             "chunks_ingested": self.chunks_ingested,
             "matches_collected": len(self.collector),
             "shards": [sorted(qids) for qids in self._shard_qids],
-            "sketch_once": self.sketch_once,
             "batch_chunks": self.batch_chunks,
             "transport": (
-                "shm_ring"
-                if self._ring is not None
-                else ("batch_inline" if self.sketch_once else "chunk")
+                "shm_ring" if self._ring is not None else "batch_inline"
             ),
             "supervised": self._supervisor is not None,
             "quarantined_shards": self.degraded_shards(),
@@ -1559,16 +1361,7 @@ class DetectionService:
                     [self._queries[qid] for qid in shard_qids], self._family
                 )
             )
-        if self._frontend is not None:
-            pending, flushed, windows, frames = self._frontend.state()
-            frontend_fields = {
-                "frontend_pending": pending,
-                "frontend_flushed": flushed,
-                "frontend_windows": windows,
-                "frontend_frames": frames,
-            }
-        else:
-            frontend_fields = {}
+        pending, flushed, windows, frames = self._frontend.state()
         archive_fields: Dict[str, object] = {}
         if self._archive is not None:
             # Quiesce backfill for the snapshot: no slice can run while
@@ -1591,15 +1384,6 @@ class DetectionService:
                     "backfill_jobs": self._backfill.checkpoint_rows(),
                     "retro_matches": self.collector.retro_snapshot(),
                 }
-            if self._tap is not None:
-                tap_pending, tap_flushed, _, tap_frames = (
-                    self._tap.state()
-                )
-                archive_fields.update(
-                    archive_tap_pending=tap_pending,
-                    archive_tap_flushed=tap_flushed,
-                    archive_tap_frames=tap_frames,
-                )
         return manager.save(
             ServiceCheckpoint(
                 config=self.config,
@@ -1610,8 +1394,11 @@ class DetectionService:
                 worker_queries=queries,
                 worker_states=states,
                 matches=list(self.collector.matches),
+                frontend_pending=pending,
+                frontend_flushed=flushed,
+                frontend_windows=windows,
+                frontend_frames=frames,
                 epoch=self.epoch,
-                **frontend_fields,
                 **archive_fields,
             )
         )

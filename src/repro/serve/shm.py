@@ -1,9 +1,9 @@
 """Shared-memory ring transport for :class:`WindowBatch` fan-out.
 
-The process backend used to pickle every raw chunk once per worker —
-O(workers × chunk bytes) of serialization on the hot path. With the
-sketch-once front end the payload is a handful of flat numpy arrays, so
-the service instead writes them **once** into a reusable
+A :class:`WindowBatch` is a handful of flat numpy arrays; pickling it
+once per process worker would put O(workers × batch bytes) of
+serialization on the hot path, so the service instead writes them
+**once** into a reusable
 ``multiprocessing.shared_memory`` slot and sends each worker only a tiny
 picklable :class:`BatchDescriptor`; workers map the slot and build
 zero-copy array views over it.

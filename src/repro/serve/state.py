@@ -2,14 +2,17 @@
 
 A checkpointed worker must resume *exactly* where it stopped: the same
 live candidates (or ladder segments), the same per-(candidate, query)
-signatures, the same counters, distributions and timers, and the same
-partial-window buffer — so that the post-restore match stream and the
-final metrics are bit-for-bit what an uninterrupted run would have
-produced. :func:`worker_state` flattens all of that into a dict of
-numpy arrays (directly storable in an ``.npz`` and cheap to pickle
-across a process boundary); :func:`restore_worker_state` reinstates it
-onto a freshly constructed detector/monitor pair built from the same
-queries and configuration.
+signatures, and the same counters, distributions and timers — so that
+the post-restore match stream and the final metrics are bit-for-bit
+what an uninterrupted run would have produced. :func:`worker_state`
+flattens all of that into a dict of numpy arrays (directly storable in
+an ``.npz`` without pickling — names are fixed-width unicode arrays —
+and cheap to send across a process boundary);
+:func:`restore_worker_state` reinstates it onto a freshly constructed
+detector built from the same queries and configuration. The
+partial-window buffer is not a worker's: whoever cuts the stream into
+windows (the service's front end, an ingest session's monitor)
+checkpoints it.
 
 All four engine implementations are covered:
 
@@ -46,7 +49,6 @@ from repro.core.engine_sequential import (
     SequentialEngine,
     _Candidate,
 )
-from repro.core.live import LiveMonitor
 from repro.errors import ServeError
 from repro.minhash.sketch import Sketch
 from repro.obs.registry import MetricsRegistry
@@ -60,16 +62,14 @@ from repro.signature.bitsig import (
 __all__ = ["restore_worker_state", "worker_state"]
 
 
-def _object_array(items: List[str]) -> np.ndarray:
-    array = np.empty(len(items), dtype=object)
-    for position, item in enumerate(items):
-        array[position] = item
-    return array
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
+
+
+def _names(pairs: List[Tuple[str, object]]) -> np.ndarray:
+    """Metric names as a fixed-width unicode array (never pickled)."""
+    return np.asarray([name for name, _ in pairs], dtype=str)
 
 
 def _registry_state(registry: MetricsRegistry) -> Dict[str, np.ndarray]:
@@ -81,17 +81,17 @@ def _registry_state(registry: MetricsRegistry) -> Dict[str, np.ndarray]:
         [stats.state() for _, stats in dists], dtype=np.float64
     ).reshape(len(dists), 5)
     return {
-        "reg_counter_names": _object_array([name for name, _ in counters]),
+        "reg_counter_names": _names(counters),
         "reg_counter_values": np.asarray(
             [value for _, value in counters], dtype=np.int64
         ),
-        "reg_gauge_names": _object_array([name for name, _ in gauges]),
+        "reg_gauge_names": _names(gauges),
         "reg_gauge_values": np.asarray(
             [value for _, value in gauges], dtype=np.float64
         ),
-        "reg_dist_names": _object_array([name for name, _ in dists]),
+        "reg_dist_names": _names(dists),
         "reg_dist_states": dist_states,
-        "reg_timer_names": _object_array([name for name, _ in timers]),
+        "reg_timer_names": _names(timers),
         "reg_timer_calls": np.asarray(
             [timer.calls for _, timer in timers], dtype=np.int64
         ),
@@ -435,17 +435,14 @@ def _check_qids(current: tuple, recorded: np.ndarray) -> None:
 # ----------------------------------------------------------------------
 
 
-def worker_state(
-    detector: StreamingDetector, monitor: LiveMonitor
-) -> Dict[str, np.ndarray]:
+def worker_state(detector: StreamingDetector) -> Dict[str, np.ndarray]:
     """Flatten one worker's restorable state into numpy arrays.
 
-    Covers: the engine's candidate/ladder state, the full metrics
+    Covers: the engine's candidate/ladder state and the full metrics
     registry (counters, gauges, distributions, timers — the stream clock
-    ``stream.frames_processed`` and window counter live here), and the
-    monitor's partial-window buffer. Matches already emitted are *not*
-    part of the state: they were delivered to the caller before the
-    snapshot was taken.
+    ``stream.frames_processed`` and window counter live here). Matches
+    already emitted are *not* part of the state: they were delivered to
+    the caller before the snapshot was taken.
     """
     kind = _engine_kind(detector.engine)
     if kind == "columnar-sequential":
@@ -456,27 +453,20 @@ def worker_state(
         engine_state = _scalar_sequential_state(detector.engine)
     else:
         engine_state = _scalar_geometric_state(detector.engine)
-    pending, flushed, skip_remaining = monitor.buffer_state()
-    state: Dict[str, np.ndarray] = {
-        "kind": _object_array([kind]),
-        "pending": pending,
-        "flushed": np.asarray([int(flushed)]),
-        "monitor_skip": np.asarray([int(skip_remaining)]),
+    return {
+        "kind": np.asarray([kind]),
         **engine_state,
         **_registry_state(detector.registry),
     }
-    return state
 
 
 def restore_worker_state(
-    detector: StreamingDetector,
-    monitor: LiveMonitor,
-    state: Dict[str, np.ndarray],
+    detector: StreamingDetector, state: Dict[str, np.ndarray]
 ) -> None:
     """Reinstate a :func:`worker_state` snapshot.
 
-    ``detector`` and ``monitor`` must be freshly constructed from the
-    same configuration and query set the snapshot was taken under (the
+    ``detector`` must be freshly constructed from the same
+    configuration and query set the snapshot was taken under (the
     checkpoint layer verifies both before calling this).
     """
     kind = str(state["kind"][0])
@@ -495,9 +485,3 @@ def restore_worker_state(
     else:
         _restore_scalar_geometric(detector.engine, state)
     _restore_registry(detector.registry, state)
-    # "monitor_skip" is absent from checkpoints written before the
-    # ingestion layer existed; those monitors had no gap in flight.
-    skip = int(state["monitor_skip"][0]) if "monitor_skip" in state else 0
-    monitor.restore_buffer(
-        state["pending"], bool(int(state["flushed"][0])), skip
-    )

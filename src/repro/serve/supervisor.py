@@ -60,23 +60,16 @@ from repro.obs.export import snapshot as registry_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.serve.chaos import rebase_events
 from repro.serve.queues import BackpressurePolicy, PutOutcome
-from repro.serve.workers import ShardWorker, WorkerSpec
+from repro.serve.workers import STREAM_KINDS, ShardWorker, WorkerSpec
 
 __all__ = ["ShardSupervisor", "SupervisorConfig"]
 
-#: Stream-carrying request kinds — what the replay buffer is *for*.
-_STREAM_KINDS = frozenset({"chunk", "batch", "batch_shm"})
-
 #: Expected reply kind per request kind (the protocol table).
 _REPLY_KIND = {
-    "chunk": "matches",
     "batch": "matches_batch",
     "batch_shm": "matches_batch",
     "flush": "flushed",
     "lifecycle": "ok",
-    "subscribe": "ok",
-    "unsubscribe": "ok",
-    "cap_hint": "ok",
     "state": "state",
     "snapshot": "snapshot",
     "stop": "stopped",
@@ -412,14 +405,10 @@ class ShardSupervisor:
         shard.seq += 1
         stream_index = None
         num_chunks = 0
-        if kind in _STREAM_KINDS:
+        if kind in STREAM_KINDS:
             shard.stream_sent += 1
             stream_index = shard.stream_sent
-            if kind == "chunk":
-                num_chunks = 1
-            else:
-                payload = (shadow or message)[1]
-                num_chunks = int(payload.num_chunks)
+            num_chunks = int((shadow or message)[1].num_chunks)
         if kind == "stop":
             shard.stopping = True
         return _Entry(
@@ -435,26 +424,20 @@ class ShardSupervisor:
     def _apply_mirror(self, shard: _Shard, message: Tuple) -> None:
         """Track the shard's logical query state as requests pass by,
         so probe snapshots know which queries their state covers."""
-        kind = message[0]
-        if kind == "lifecycle":
-            _, epoch, ops, cap_hint = message
-            for op in ops:
-                if op[0] == "subscribe":
-                    shard.mirror[op[1].qid] = op[1]
-                elif op[0] == "unsubscribe":
-                    shard.mirror.pop(op[1], None)
-            shard.cap_hint = int(cap_hint)
-            shard.epoch = int(epoch)
-        elif kind == "subscribe":
-            shard.mirror[message[1].qid] = message[1]
-        elif kind == "unsubscribe":
-            shard.mirror.pop(message[1], None)
-        elif kind == "cap_hint":
-            shard.cap_hint = int(message[1])
+        if message[0] != "lifecycle":
+            return
+        _, epoch, ops, cap_hint = message
+        for op in ops:
+            if op[0] == "subscribe":
+                shard.mirror[op[1].qid] = op[1]
+            elif op[0] == "unsubscribe":
+                shard.mirror.pop(op[1], None)
+        shard.cap_hint = int(cap_hint)
+        shard.epoch = int(epoch)
 
     def _forget(self, shard: _Shard, item) -> None:
         """Unlog a request stolen from the queue by a lossy policy."""
-        if not isinstance(item, tuple) or item[0] not in _STREAM_KINDS:
+        if not isinstance(item, tuple) or item[0] not in STREAM_KINDS:
             return
         for entry in list(shard.pending):
             if entry.sent_message is item:
@@ -475,8 +458,6 @@ class ShardSupervisor:
             return True
         if kind != _REPLY_KIND[entry.kind]:
             return False
-        if kind == "matches":
-            return len(reply) == 4 and reply[2] == entry.sent_message[1]
         if kind == "matches_batch":
             return (
                 len(reply) == 4
@@ -720,8 +701,6 @@ class ShardSupervisor:
     def _synthesize(self, shard: _Shard, entry: _Entry) -> Tuple:
         wid = shard.id
         kind = entry.kind
-        if kind == "chunk":
-            return ("matches", wid, entry.sent_message[1], [])
         if kind in ("batch", "batch_shm"):
             base_seq = entry.replay_message[1].base_seq
             return (

@@ -1,41 +1,46 @@
 """Per-shard detection workers and their message protocol.
 
-Each worker owns one complete detection stack for its query shard: a
-private :class:`~repro.obs.registry.MetricsRegistry`, a
+Each worker owns one detection stack for its query shard: a private
+:class:`~repro.obs.registry.MetricsRegistry` and a
 :class:`~repro.core.detector.StreamingDetector` constructed with the
 *global* candidate cap hint (so candidate lifecycle matches the
 single-process detector — see
-:meth:`~repro.core.context.EvalContext.set_cap_hint`), and a
-:class:`~repro.core.live.LiveMonitor` front end that assembles the
-worker's identical copy of the stream into basic windows.
+:meth:`~repro.core.context.EvalContext.set_cap_hint`). A worker never
+sees raw frames: the service's
+:class:`~repro.serve.frontend.StreamFrontend` cuts and sketches every
+basic window once and ships the result.
 
 The protocol is plain tuples (picklable for the process backend); every
 request produces exactly one reply, so the service can run workers in
-lock step without extra sequencing:
+lock step without extra sequencing. Each request kind has exactly one
+sender, a :class:`~repro.serve.service.DetectionService` method:
 
-==================================  =====================================
-request                             reply
-==================================  =====================================
-``("chunk", seq, cell_ids)``        ``("matches", wid, seq, [Match, ...])``
-``("batch", WindowBatch)``          ``("matches_batch", wid, base_seq,
-                                    [[Match, ...], ...])``
-``("batch_shm", BatchDescriptor)``  same as ``batch``
-``("flush",)``                      ``("flushed", wid, [Match, ...])``
-``("flush", TailWindow | None)``    ``("flushed", wid, [Match, ...])``
-``("lifecycle", epoch, ops, hint)`` ``("ok", wid)``
-``("subscribe", query)``            ``("ok", wid)``
-``("unsubscribe", qid)``            ``("ok", wid)``
-``("cap_hint", hint)``              ``("ok", wid)``
-``("state",)``                      ``("state", wid, {...})``
-``("snapshot",)``                   ``("snapshot", wid, {...})``
-``("stop",)``                       ``("stopped", wid)``
-==================================  =====================================
+===================================  ======================  ====================
+request                              reply                   sent by
+===================================  ======================  ====================
+``("batch", WindowBatch)``           ``("matches_batch",     ``run`` (serial and
+                                     wid, base_seq,          thread backends)
+                                     [[Match, ...], ...])``
+``("batch_shm", BatchDescriptor)``   same as ``batch``       ``run`` (process
+                                                             backend)
+``("flush", TailWindow | None)``     ``("flushed", wid,      ``flush``
+                                     [Match, ...])``
+``("lifecycle", epoch, ops, hint)``  ``("ok", wid)``         ``subscribe`` /
+                                                             ``unsubscribe``
+``("state",)``                       ``("state", wid,        ``checkpoint``
+                                     {...})``
+``("snapshot",)``                    ``("snapshot", wid,     ``metrics_snapshot``
+                                     {...})``
+``("stop",)``                        ``("stopped", wid)``    ``close``
+===================================  ======================  ====================
 
-``chunk`` is the self-sketching reference path: the worker's
-:class:`LiveMonitor` buffers the raw cell ids and re-sketches every
-window locally. ``batch`` is the sketch-once fan-out: the service's
-:class:`~repro.serve.frontend.StreamFrontend` already built the
-windows, so the worker rebuilds each :class:`BasicWindow` from the
+A :class:`~repro.serve.supervisor.ShardSupervisor`, when present, sits
+on the channel rather than beside it: it relays every row, replays the
+logged ones to a respawned worker (a ``batch_shm`` as its inline
+``batch`` shadow) and interleaves ``("state",)`` probes of its own,
+whose replies it keeps.
+
+``batch``: the worker rebuilds each :class:`BasicWindow` from the
 shipped sketch rows (copying the small ``(nw, K)`` matrix once — the
 scalar engines retain sketch references across windows, so the rows
 must be worker-owned) and, when planes were precomputed, slices its
@@ -43,22 +48,20 @@ shard's plane rows out of the ``(nw, Q, W)`` arrays by qid (fancy
 indexing, which also copies). The reply carries one match list per
 chunk of the batch so the service can merge per stream sequence.
 ``batch_shm`` is the same payload delivered as a shared-memory
-descriptor (process backend); no view into the segment survives the
-message. The extended ``flush`` carries the front end's partial tail
-window (or ``None``); the bare form remains the reference path's.
+descriptor; no view into the segment survives the message. ``flush``
+carries the front end's partial tail window (``None`` when the stream
+ended on a window boundary).
 
 ``lifecycle`` is the epoch barrier of the query-admission control
 plane (see ``docs/serving.md``): the service broadcasts one message per
-churn event to *every* worker on the same channel as chunks, carrying
+churn event to *every* worker on the same channel as batches, carrying
 this worker's (possibly empty) op list — ``("subscribe", Query)`` or
 ``("unsubscribe", qid)`` tuples — plus the new global ``cap_hint``.
-Because it is ordered with the chunk stream, every shard applies the
+Because it is ordered with the batch stream, every shard applies the
 change at the same basic-window boundary, keeping the merged match
 stream deterministic. The worker records the epoch number; it rides
 along in state snapshots so a resumed service knows exactly which
-lifecycle events the checkpoint already contains. The three bare
-``subscribe``/``unsubscribe``/``cap_hint`` messages remain for direct
-single-worker use (e.g. the ingest layer's one-worker sessions).
+lifecycle events the checkpoint already contains.
 
 A worker never lets an exception escape: any failure is reported as
 ``("error", wid, message)`` and the worker keeps serving, so one bad
@@ -74,7 +77,6 @@ import numpy as np
 
 from repro.config import DetectorConfig
 from repro.core.detector import StreamingDetector
-from repro.core.live import LiveMonitor
 from repro.core.query import QuerySet
 from repro.core.results import Match
 from repro.minhash.sketch import Sketch
@@ -84,7 +86,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve.frontend import TailWindow, WindowBatch
 from repro.serve.state import restore_worker_state, worker_state
 
-__all__ = ["ShardWorker", "WorkerSpec"]
+__all__ = ["STREAM_KINDS", "ShardWorker", "WorkerSpec"]
 
 #: Batched windows ship no cell ids — nothing downstream of sketching
 #: reads them (the sketch and the planes are the stream's fingerprint).
@@ -147,12 +149,11 @@ class ShardWorker:
             registry=self.registry,
             cap_hint=spec.cap_hint,
         )
-        self.monitor = LiveMonitor(self.detector)
         self.epoch = int(spec.epoch)
         self._shm_reader = None
         self._plane_rows_cache: Optional[Tuple[Tuple, np.ndarray]] = None
         if spec.state is not None:
-            restore_worker_state(self.detector, self.monitor, spec.state)
+            restore_worker_state(self.detector, spec.state)
 
     def handle(self, message: Tuple) -> Tuple:
         """Dispatch one request tuple; exceptions become error replies."""
@@ -163,12 +164,6 @@ class ShardWorker:
 
     def _dispatch(self, message: Tuple) -> Tuple:
         kind = message[0]
-        if kind == "chunk":
-            _, seq, cell_ids = message
-            matches = self.monitor.push_cell_ids(
-                np.asarray(cell_ids, dtype=np.int64)
-            )
-            return ("matches", self.worker_id, seq, matches)
         if kind == "batch":
             batch = message[1]
             return (
@@ -186,11 +181,8 @@ class ShardWorker:
                 self._process_batch(batch),
             )
         if kind == "flush":
-            tail = message[1] if len(message) > 1 else None
-            matches: List[Match] = []
-            if tail is not None:
-                matches.extend(self._process_tail(tail))
-            matches.extend(self.monitor.flush())
+            tail = message[1]
+            matches = [] if tail is None else self._process_tail(tail)
             return ("flushed", self.worker_id, matches)
         if kind == "lifecycle":
             _, epoch, ops, cap_hint = message
@@ -204,17 +196,8 @@ class ShardWorker:
             self.detector.set_cap_hint(int(cap_hint))
             self.epoch = int(epoch)
             return ("ok", self.worker_id)
-        if kind == "subscribe":
-            self.detector.subscribe(message[1])
-            return ("ok", self.worker_id)
-        if kind == "unsubscribe":
-            self.detector.unsubscribe(message[1])
-            return ("ok", self.worker_id)
-        if kind == "cap_hint":
-            self.detector.set_cap_hint(int(message[1]))
-            return ("ok", self.worker_id)
         if kind == "state":
-            state = worker_state(self.detector, self.monitor)
+            state = worker_state(self.detector)
             state["epoch"] = np.asarray([self.epoch], dtype=np.int64)
             return ("state", self.worker_id, state)
         if kind == "snapshot":
@@ -328,7 +311,7 @@ class ShardWorker:
 #: Request kinds that advance a worker's chaos position — the stream
 #: itself, never control traffic (so supervisor probes cannot shift a
 #: plan's firing points).
-_STREAM_KINDS = frozenset({"chunk", "batch", "batch_shm"})
+STREAM_KINDS = frozenset({"batch", "batch_shm"})
 
 
 def _execute_chaos(worker: ShardWorker, event, outbox) -> bool:
@@ -370,7 +353,7 @@ def _worker_loop(spec: WorkerSpec, inbox, outbox) -> None:
     stream_seen = 0
     while True:
         message = inbox.get()
-        if chaos and message[0] in _STREAM_KINDS:
+        if chaos and message[0] in STREAM_KINDS:
             stream_seen += 1
             event = chaos.pop(stream_seen, None)
             if event is not None and _execute_chaos(worker, event, outbox):

@@ -365,8 +365,12 @@ def _snapshot(chunks):
         cap_hint=1,
         strategy="load",
         worker_queries=[QuerySet([query], FAMILY)],
-        worker_states=[{"pending": np.empty(0, dtype=np.int64)}],
+        worker_states=[{}],
         matches=[],
+        frontend_pending=np.empty(0, dtype=np.int64),
+        frontend_flushed=False,
+        frontend_windows=0,
+        frontend_frames=0,
     )
 
 

@@ -385,6 +385,57 @@ def test_checkpoint_restore_resumes_identically(tmp_path):
     )
 
 
+def test_checkpoint_carries_a_gap_in_flight(tmp_path):
+    """A snapshot taken while the monitor is still dropping frames to
+    re-align after a lost chunk resumes dropping exactly those frames."""
+    from repro.ingest import StreamChunk
+
+    family = MinHashFamily(num_hashes=16, seed=0)
+    cells = np.arange(40)
+    queries = QuerySet.from_cell_ids({1: cells[12:20]}, {1: 8}, family)
+    config = DetectorConfig(
+        num_hashes=16, threshold=0.5, window_seconds=2.0  # w = 4
+    )
+    # seq 1 is lost (5 frames by the hint) and seq 2 is a single frame,
+    # so the barrier after it still owes the gap's window one frame.
+    chunks = [
+        StreamChunk(0, 0, cells[0:5]),
+        StreamChunk(0, 2, cells[10:11]),
+        StreamChunk(0, 3, cells[11:24]),
+    ]
+
+    def session():
+        return StreamSession(
+            0, config, queries, KEYFRAMES_PER_SECOND, chunk_keyframes_hint=5
+        )
+
+    uninterrupted = session()
+    for chunk in chunks:
+        uninterrupted.process_chunk(chunk)
+    uninterrupted.finish()
+    assert uninterrupted.matches
+
+    first = session()
+    for chunk in chunks[:2]:
+        first.process_chunk(chunk)
+    assert first.monitor.skip_remaining == 1
+    manager = CheckpointManager(tmp_path)
+    first.checkpoint(manager)
+    resumed = StreamSession.restore(
+        manager, 0, config, chunk_keyframes_hint=5
+    )
+    assert resumed.monitor.skip_remaining == 1
+    resumed.process_chunk(chunks[2])
+    resumed.finish()
+    assert [_match_key(m) for m in resumed.matches] == [
+        _match_key(m) for m in uninterrupted.matches
+    ]
+    for name in ("stream.frames_processed", "stream.frames_skipped"):
+        assert resumed.registry.counter(name) == (
+            uninterrupted.registry.counter(name)
+        ), name
+
+
 class TestSchedulerValidation:
     def _session(self, stream_id):
         family = MinHashFamily(num_hashes=16, seed=0)

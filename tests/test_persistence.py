@@ -91,29 +91,49 @@ class TestFailureModes:
         with pytest.raises(PersistenceError):
             load_query_set(path)
 
+    @staticmethod
+    def _rewrite(path, drop=(), **members):
+        with np.load(path) as archive:
+            payload = {**archive, **members}
+        for name in drop:
+            del payload[name]
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+
     def test_version_mismatch(self, query_set, tmp_path):
+        """One version: older and newer files are both refused, naming
+        the version found and the version supported."""
         path = tmp_path / "queries.npz"
         save_query_set(query_set, path)
-        archive = dict(np.load(path, allow_pickle=True))
-        archive["format_version"] = np.asarray([99])
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **archive, allow_pickle=True)
-        with pytest.raises(PersistenceError, match="format version 99"):
-            load_query_set(path)
+        for version in (1, 99):
+            self._rewrite(path, format_version=np.asarray([version]))
+            for load in (load_query_set, load_recorded_config):
+                with pytest.raises(PersistenceError) as excinfo:
+                    load(path)
+                assert f"has format version {version};" in str(excinfo.value)
+                assert "reads and writes version 3 only" in str(
+                    excinfo.value
+                )
 
     def test_missing_field(self, query_set, tmp_path):
         path = tmp_path / "queries.npz"
         save_query_set(query_set, path)
-        archive = dict(np.load(path, allow_pickle=True))
-        del archive["cells_3"]
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **archive, allow_pickle=True)
+        self._rewrite(path, drop=["cells_3"])
         with pytest.raises(PersistenceError, match="missing field"):
+            load_query_set(path)
+
+    def test_pickled_member_is_refused(self, query_set, tmp_path):
+        path = tmp_path / "queries.npz"
+        save_query_set(query_set, path)
+        self._rewrite(
+            path, labels=np.asarray(["a", "b", "c"], dtype=object)
+        )
+        with pytest.raises(PersistenceError, match="Object arrays"):
             load_query_set(path)
 
 
 class TestRecordedConfig:
-    """Format version 2: the detector config rides with the query set."""
+    """The detector config rides with the query set."""
 
     def _config(self, **overrides):
         base = dict(num_hashes=64, threshold=0.7, window_seconds=10.0)
@@ -144,17 +164,3 @@ class TestRecordedConfig:
         save_query_set(query_set, path)
         assert load_recorded_config(path) is None
         load_query_set(path, expected_config=self._config())  # no raise
-
-    def test_version1_file_still_loads(self, query_set, tmp_path):
-        """Backward compatibility: v1 archives (no config) load fine."""
-        path = tmp_path / "queries.npz"
-        save_query_set(query_set, path, config=self._config())
-        archive = dict(np.load(path, allow_pickle=True))
-        archive["format_version"] = np.asarray([1])
-        for key in [k for k in archive if k.startswith("config_")]:
-            del archive[key]  # v1 files never carried config arrays
-        with open(path, "wb") as handle:
-            np.savez_compressed(handle, **archive, allow_pickle=True)
-        restored = load_query_set(path, expected_config=self._config())
-        assert restored.query_ids == query_set.query_ids
-        assert load_recorded_config(path) is None

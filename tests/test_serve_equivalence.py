@@ -25,7 +25,11 @@ from repro.core.detector import StreamingDetector
 from repro.core.live import LiveMonitor
 from repro.core.query import Query, QuerySet
 from repro.minhash.family import MinHashFamily
-from repro.serve import DetectionService, canonical_sort_key
+from repro.serve import (
+    CheckpointManager,
+    DetectionService,
+    canonical_sort_key,
+)
 
 CELL_SPACE = 500
 NUM_HASHES = 32
@@ -132,7 +136,7 @@ def _initial_set(family, queries, frames, actions):
 
 
 def _run_service(config, family, queries, frames, chunks, actions,
-                 num_workers, backend="serial", sketch_once=True):
+                 num_workers, backend="serial"):
     """Drive a service through the workload; returns (service, applied).
 
     ``applied`` records which churn actions actually executed: an
@@ -146,7 +150,6 @@ def _run_service(config, family, queries, frames, chunks, actions,
         KEYFRAMES_PER_SECOND,
         num_workers=num_workers,
         backend=backend,
-        sketch_once=sketch_once,
     )
     applied = []  # (boundary, kind, qid) — kept aligned for the replay
     for position, chunk in enumerate(chunks):
@@ -204,49 +207,6 @@ def test_sharded_equals_serial(order, representation, use_index, workload):
         service.close()
 
 
-@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
-@settings(max_examples=5, deadline=None)
-@given(workload=workloads())
-def test_sketch_once_equals_self_sketching(
-    order, representation, use_index, workload
-):
-    """Precomputed ``WindowBatch`` payloads are bit-for-bit the
-    self-sketching reference: same merged matches, same counters
-    (``engine.signature_encodes`` included — the precomputed-planes
-    path must charge exactly what each shard's own encoder would)."""
-    family_seed, queries, frames, threshold, chunks, actions = workload
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-        order=order,
-        representation=representation,
-        use_index=use_index,
-        vectorized=True,
-    )
-    for num_workers in SHARD_COUNTS:
-        outputs = {}
-        for sketch_once in (False, True):
-            service, applied = _run_service(
-                config, family, queries, frames, chunks, actions,
-                num_workers, sketch_once=sketch_once,
-            )
-            merged = service.metrics_snapshot()
-            assert merged["conflicts"] == []
-            outputs[sketch_once] = (
-                [_match_key(m) for m in service.matches],
-                applied,
-                {
-                    name: value
-                    for name, value in merged["counters"].items()
-                    if name.startswith(("engine.", "stream."))
-                },
-            )
-            service.close()
-        assert outputs[True] == outputs[False]
-
-
 @pytest.mark.parametrize(
     "representation,use_index",
     [(r, i) for r in Representation for i in (False, True)],
@@ -280,8 +240,7 @@ def test_sketch_once_all_engines(representation, use_index, vectorized):
     serial.extend(monitor.flush())
     with DetectionService(
         config, QuerySet.from_cell_ids(cells, frames, family),
-        KEYFRAMES_PER_SECOND, num_workers=2, sketch_once=True,
-        batch_chunks=2,
+        KEYFRAMES_PER_SECOND, num_workers=2, batch_chunks=2,
     ) as service:
         service.run(chunks)
         assert sorted(map(_match_key, service.matches)) == sorted(
@@ -325,9 +284,7 @@ def _serial_with_actions(config, family, queries, frames, chunks, applied):
 
 
 def _run_service_with_kill_resume(config, family, queries, frames, chunks,
-                                  actions, num_workers, ckpt_dir,
-                                  sketch_once=True,
-                                  resume_sketch_once=None):
+                                  actions, num_workers, ckpt_dir):
     """Like :func:`_run_service`, but kill/resume mid-stream.
 
     The service is checkpointed at the middle chunk boundary *after*
@@ -335,17 +292,12 @@ def _run_service_with_kill_resume(config, family, queries, frames, chunks,
     ops-before-checkpoint ordering), closed, and restored from disk
     before the remaining chunks run. Returns (service, applied) with the
     restored service holding the full merged match stream.
-    ``resume_sketch_once`` lets the restored service run the *other*
-    protocol (checkpoint mode migration); default is no change.
     """
-    if resume_sketch_once is None:
-        resume_sketch_once = sketch_once
     service = DetectionService(
         config,
         _initial_set(family, queries, frames, actions),
         KEYFRAMES_PER_SECOND,
         num_workers=num_workers,
-        sketch_once=sketch_once,
     )
     applied = []
     kill_at = (len(chunks) - 1) // 2 if len(chunks) > 1 else None
@@ -370,8 +322,7 @@ def _run_service_with_kill_resume(config, family, queries, frames, chunks,
             path = service.checkpoint(ckpt_dir)
             service.close()
             service = DetectionService.restore(
-                path, expected_config=config,
-                sketch_once=resume_sketch_once,
+                path, expected_config=config
             )
     return service, applied
 
@@ -418,54 +369,10 @@ def test_kill_resume_mid_churn_equals_serial(
             service.close()
 
 
-@pytest.mark.parametrize(
-    "before,after", [(False, True), (True, False)],
-    ids=["legacy-to-frontend", "frontend-to-legacy"],
-)
-@settings(max_examples=5, deadline=None)
-@given(workload=workloads())
-def test_checkpoint_migrates_between_sketch_modes(before, after, workload):
-    """A snapshot taken in one sketch mode resumes losslessly in the
-    other: the undigested partial-window buffer moves between the
-    service front end and the worker monitors, whichever side the
-    resumed service sketches on."""
-    family_seed, queries, frames, threshold, chunks, actions = workload
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-        representation=Representation.BIT,
-        use_index=False,
-        vectorized=True,
-    )
-    for num_workers in (1, 2):
-        with tempfile.TemporaryDirectory() as tmp:
-            service, applied = _run_service_with_kill_resume(
-                config, family, queries, frames, chunks, actions,
-                num_workers, Path(tmp),
-                sketch_once=before, resume_sketch_once=after,
-            )
-            ref_detector, ref_matches = _serial_with_actions(
-                config, family, queries, frames, chunks, applied
-            )
-            key = canonical_sort_key(config.order)
-            assert [
-                _match_key(m) for m in sorted(ref_matches, key=key)
-            ] == [_match_key(m) for m in service.matches]
-            _assert_counters(ref_detector, service)
-            service.close()
-
-
-@pytest.mark.parametrize(
-    "before,after",
-    [(False, True), (True, False), (True, True), (False, False)],
-    ids=["legacy-to-frontend", "frontend-to-legacy",
-         "frontend-to-frontend", "legacy-to-legacy"],
-)
-def test_mode_migration_carries_partial_buffer(before, after, tmp_path):
-    """Ragged chunks leave a non-empty partial-window buffer at the
-    checkpoint barrier; whichever mode resumes must carry it over."""
+def test_resume_carries_partial_buffer(tmp_path):
+    """Ragged chunks leave a non-empty front-end buffer at the
+    checkpoint barrier; the resumed service must carry it over and end
+    equal to the single-process detector, counters included."""
     rng = np.random.default_rng(101)
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=11)
     cells = {qid: rng.integers(0, CELL_SPACE, size=25) for qid in range(4)}
@@ -491,14 +398,13 @@ def test_mode_migration_carries_partial_buffer(before, after, tmp_path):
 
     service = DetectionService(
         config, QuerySet.from_cell_ids(cells, frames, family),
-        KEYFRAMES_PER_SECOND, num_workers=2, sketch_once=before,
+        KEYFRAMES_PER_SECOND, num_workers=2,
     )
     service.run(chunks[:2], flush=False)
     path = service.checkpoint(tmp_path)
     service.close()
-    resumed = DetectionService.restore(
-        path, expected_config=config, sketch_once=after
-    )
+    assert CheckpointManager(tmp_path).load(path).frontend_pending.size == 1
+    resumed = DetectionService.restore(path, expected_config=config)
     resumed.run(chunks[2:], flush=True)
     assert [_match_key(m) for m in resumed.matches] == [
         _match_key(m) for m in serial

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro.config import DetectorConfig, Representation
+from repro.core.detector import StreamingDetector
+from repro.core.live import LiveMonitor
 from repro.core.query import QuerySet
 from repro.errors import ServeError
 from repro.minhash.family import MinHashFamily
@@ -211,9 +213,14 @@ def _worker(config, queries):
     )
 
 
+def _reference_monitor(config, queries):
+    """The single-process oracle: one detector behind a LiveMonitor."""
+    return LiveMonitor(StreamingDetector(config, queries, 2.0))
+
+
 def test_batch_reply_splits_per_chunk():
     """One batch covering several chunks replies one match list per
-    chunk, equal to what per-chunk self-sketching yields."""
+    chunk, equal to what the single-process monitor yields per push."""
     config = _config()
     family = _family()
     rng = np.random.default_rng(5)
@@ -221,12 +228,8 @@ def test_batch_reply_splits_per_chunk():
     chunks = [rng.integers(0, CELL_SPACE, size=10) for _ in range(3)]
     chunks[1][2:7] = qs.get(1).cell_ids[:5]
 
-    reference = _worker(config, _queries(family))
-    per_chunk = []
-    for seq, chunk in enumerate(chunks):
-        reply = reference.handle(("chunk", seq, chunk))
-        assert reply[0] == "matches"
-        per_chunk.append(reply[3])
+    reference = _reference_monitor(config, _queries(family))
+    per_chunk = [reference.push_cell_ids(chunk) for chunk in chunks]
 
     frontend, _, _ = _frontend(config=config, family=family)
     batch = frontend.build(chunks, base_seq=0)
@@ -259,29 +262,31 @@ def test_batch_with_unknown_plane_qid_fails_loudly():
 
 
 def test_extended_flush_carries_the_tail():
-    """``("flush", TailWindow)`` processes the tail then flushes; the
-    bare form stays the self-sketching reference."""
+    """``("flush", TailWindow)`` processes the partial tail window the
+    way the single-process monitor's flush does."""
     config = _config()
     family = _family()
-    rng = np.random.default_rng(9)
-    stream = rng.integers(0, CELL_SPACE, size=8)
+    # 13 frames of a query's own cells: two whole windows, then a
+    # 3-frame tail that still matches.
+    stream = _queries(family).get(2).cell_ids[:13]
 
-    reference = _worker(config, _queries(family))
-    reference.handle(("chunk", 0, stream))
-    ref_reply = reference.handle(("flush",))
+    reference = _reference_monitor(config, _queries(family))
+    reference.push_cell_ids(stream)
+    ref_matches = reference.flush()
+    assert ref_matches
 
     frontend, _, _ = _frontend(config=config, family=family)
     batch = frontend.build([stream], base_seq=0)
     worker = _worker(config, _queries(family))
     worker.handle(("batch", batch))
     reply = worker.handle(("flush", frontend.flush_tail()))
-    assert reply[0] == ref_reply[0] == "flushed"
+    assert reply[0] == "flushed"
     assert [
         (m.qid, m.window_index, m.start_frame, m.end_frame, m.similarity)
         for m in reply[2]
     ] == [
         (m.qid, m.window_index, m.start_frame, m.end_frame, m.similarity)
-        for m in ref_reply[2]
+        for m in ref_matches
     ]
 
 

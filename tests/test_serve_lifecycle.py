@@ -8,16 +8,13 @@ Regression anchors for the online-maintenance bug sweep:
   and restore refused it;
 * an unsubscribed qid must leave no trace in worker-state snapshots,
   and re-subscribing the same qid must start from zeroed state;
-* lifecycle epochs must survive the checkpoint round-trip (format
-  ``repro.ckpt/2``) while ``repro.ckpt/1`` archives stay loadable;
+* lifecycle epochs must survive the checkpoint round-trip;
 * the ingest scheduler must forward lifecycle ops to every session at
   chunk boundaries, and the ``repro serve`` churn flags must replay a
   scripted schedule exactly across a kill/resume.
 """
 
 from __future__ import annotations
-
-import re
 
 import numpy as np
 import pytest
@@ -149,7 +146,7 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
     monitor = LiveMonitor(detector)
     monitor.push_cell_ids(rng.integers(0, CELL_SPACE, size=20))
     detector.subscribe(_query(family, 42, cells[0] + 1, 18))
-    state = worker_state(detector, monitor)
+    state = worker_state(detector)
     if "eng_qids" in state:  # columnar engines record the column layout
         assert 42 in state["eng_qids"].tolist()
 
@@ -164,7 +161,7 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
     )
     from repro.serve import restore_worker_state
 
-    restore_worker_state(fresh, LiveMonitor(fresh), state)  # must not raise
+    restore_worker_state(fresh, state)  # must not raise
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +188,7 @@ def test_unsubscribe_leaves_no_trace_in_snapshots(
     chunk[2:27] = cells[1]  # plant a copy so qid 1 accrues state
     monitor.push_cell_ids(chunk)
     detector.unsubscribe(1)
-    state = worker_state(detector, monitor)
+    state = worker_state(detector)
     for key in ("eng_qids", "eng_sig_qid", "eng_rel_qid"):
         if key in state:
             assert 1 not in state[key].tolist(), key
@@ -333,7 +330,7 @@ def test_subscribe_rejects_duplicates_and_foreign_family():
 
 
 # ----------------------------------------------------------------------
-# checkpoint format: epochs round-trip, v1 compatibility
+# checkpoint format: epochs round-trip
 # ----------------------------------------------------------------------
 
 
@@ -354,8 +351,8 @@ def test_checkpoint_records_epochs(tmp_path):
     checkpoint = manager.load(path)
     assert checkpoint.epoch == 1
     assert checkpoint.worker_epochs() == [1, 1]
-    with np.load(path, allow_pickle=True) as archive:
-        assert str(archive["format"][0]) == CHECKPOINT_FORMAT == "repro.ckpt/4"
+    with np.load(path) as archive:  # nothing in a snapshot is pickled
+        assert str(archive["format"][0]) == CHECKPOINT_FORMAT == "repro.ckpt/5"
 
     resumed = DetectionService.restore(checkpoint)
     assert resumed.epoch == 1
@@ -366,58 +363,27 @@ def test_checkpoint_records_epochs(tmp_path):
     resumed.close()
 
 
-def test_v1_checkpoint_still_loads(tmp_path):
-    """A pre-churn ``repro.ckpt/1`` archive loads with epoch 0."""
+def test_restore_after_flush_stays_flushed(tmp_path):
+    """A snapshot taken after flush() resumes closed: it takes no more
+    chunks, and a second flush() is a no-op that reaches no shard."""
     family, cells, frames, rng = _fixture()
     service = DetectionService(
         _config(), QuerySet.from_cell_ids(cells, frames, family),
         KEYFRAMES_PER_SECOND, num_workers=2,
     )
-    chunks = [rng.integers(0, CELL_SPACE, size=30) for _ in range(3)]
-    service.run(chunks[:2], flush=False)
+    service.run([rng.integers(0, CELL_SPACE, size=33)], flush=True)
     path = service.checkpoint(tmp_path)
-
-    # Downgrade the archive to the v1 layout: old format tag, no epoch
-    # fields, no front-end state — a v1 writer kept the undigested
-    # buffer in every worker's monitor, so move it back there.
-    with np.load(path, allow_pickle=True) as archive:
-        payload = {key: archive[key] for key in archive.files}
-    fmt = np.empty(1, dtype=object)
-    fmt[0] = "repro.ckpt/1"
-    payload["format"] = fmt
-    del payload["epoch"]
-    for key in [k for k in payload if k.endswith("_epoch")]:
-        del payload[key]
-    buffered = payload.pop("frontend_pending")
-    for key in [k for k in payload if k.startswith("frontend_")]:
-        del payload[key]
-    for key in [
-        k for k in payload if re.fullmatch(r"w\d+_pending", k)
-    ]:
-        payload[key] = buffered
-    v1_path = tmp_path / "ckpt-v1.npz"
-    with open(v1_path, "wb") as handle:
-        # v1 writers passed allow_pickle as a savez kwarg, embedding a
-        # spurious "allow_pickle" member; keep it so the load-side
-        # strip is exercised against a faithful old archive.
-        np.savez_compressed(handle, **payload, allow_pickle=True)
-
-    checkpoint = CheckpointManager(tmp_path).load(v1_path)
-    assert checkpoint.epoch == 0
-    assert checkpoint.worker_epochs() == [0, 0]
-    resumed = DetectionService.restore(checkpoint)
-    resumed.run(chunks[2:], flush=True)
-    reference = DetectionService(
-        _config(), QuerySet.from_cell_ids(cells, frames, family),
-        KEYFRAMES_PER_SECOND, num_workers=2,
-    )
-    reference.run(chunks)
-    assert list(map(_match_key, resumed.matches)) == list(
-        map(_match_key, reference.matches)
-    )
     service.close()
+
+    resumed = DetectionService.restore(path)
+    sent = []
+    send = resumed._executor.send
+    resumed._executor.send = lambda *args: sent.append(args) or send(*args)
+    with pytest.raises(ServeError, match="already been flushed"):
+        resumed.run([np.arange(5)])
+    assert resumed.flush() == []
+    assert sent == []
     resumed.close()
-    reference.close()
 
 
 # ----------------------------------------------------------------------

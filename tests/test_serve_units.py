@@ -343,6 +343,20 @@ class TestMergeSnapshots:
         }
 
 
+class _Tripwire:
+    """Unpickling one of these is the arbitrary-code path."""
+
+    fired = False
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _trip():
+    _Tripwire.fired = True
+    return "repro.ckpt/5"
+
+
 class TestCheckpointManager:
     def _checkpoint(self, family, chunks=3):
         queries = _query_set(family, [10, 20])
@@ -353,8 +367,12 @@ class TestCheckpointManager:
             cap_hint=4,
             strategy="load",
             worker_queries=[queries],
-            worker_states=[{"pending": np.arange(3, dtype=np.int64)}],
+            worker_states=[{"eng_start_frame": np.arange(3, dtype=np.int64)}],
             matches=[_match(0, 1, 5)],
+            frontend_pending=np.arange(2, dtype=np.int64),
+            frontend_flushed=False,
+            frontend_windows=7,
+            frontend_frames=35,
         )
 
     def test_roundtrip(self, family, tmp_path):
@@ -367,8 +385,15 @@ class TestCheckpointManager:
         assert loaded.matches == [_match(0, 1, 5)]
         assert loaded.worker_queries[0].query_ids == [0, 1]
         assert np.array_equal(
-            loaded.worker_states[0]["pending"], np.arange(3)
+            loaded.worker_states[0]["eng_start_frame"], np.arange(3)
         )
+        assert loaded.frontend_pending.tolist() == [0, 1]
+        assert (
+            loaded.frontend_flushed,
+            loaded.frontend_windows,
+            loaded.frontend_frames,
+            loaded.frontend_skip,
+        ) == (False, 7, 35, 0)
 
     def test_latest_picks_highest_position(self, family, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -389,14 +414,38 @@ class TestCheckpointManager:
             manager.load(expected_config=DetectorConfig(num_hashes=64))
 
     def test_unknown_format_rejected(self, family, tmp_path):
+        """One format: an older tag and a newer tag are both refused,
+        loudly, naming the tag found and the tag supported."""
         manager = CheckpointManager(tmp_path)
         path = manager.save(self._checkpoint(family))
-        archive = dict(np.load(path, allow_pickle=True))
-        archive["format"] = np.asarray(["repro.ckpt/99"], dtype=object)
+        with np.load(path) as archive:
+            payload = dict(archive)
+        for tag in ("repro.ckpt/4", "repro.ckpt/99"):
+            payload["format"] = np.asarray([tag])
+            with open(path, "wb") as handle:
+                np.savez_compressed(handle, **payload)
+            with pytest.raises(PersistenceError) as excinfo:
+                manager.load(path)
+            assert f"has format {tag!r}" in str(excinfo.value)
+            assert "reads and writes 'repro.ckpt/5' only" in str(
+                excinfo.value
+            )
+
+    def test_pickled_member_is_refused_not_unpickled(
+        self, family, tmp_path
+    ):
+        """A checkpoint is a file from outside the program: an object
+        array in it is refused before anything is unpickled."""
+        manager = CheckpointManager(tmp_path)
+        path = manager.save(self._checkpoint(family))
+        with np.load(path) as archive:
+            payload = dict(archive)
+        payload["format"] = np.asarray([_Tripwire()], dtype=object)
         with open(path, "wb") as handle:
-            np.savez_compressed(handle, **archive)
-        with pytest.raises(PersistenceError, match="repro.ckpt/99"):
+            np.savez_compressed(handle, **payload)
+        with pytest.raises(PersistenceError, match="Object arrays"):
             manager.load(path)
+        assert not _Tripwire.fired
 
     def test_archive_members_are_exactly_the_payload(self, family, tmp_path):
         """Regression: ``save`` used to pass ``allow_pickle=True`` as a
@@ -409,16 +458,16 @@ class TestCheckpointManager:
 
         checkpoint = self._checkpoint(family)
         path = CheckpointManager(tmp_path).save(checkpoint)
-        with np.load(path, allow_pickle=True) as archive:
+        with np.load(path) as archive:
             members = set(archive.files)
         expected = {
             "format", "num_workers", "chunks_ingested", "cap_hint",
             "epoch", "keyframes_per_second", "strategy",
             "frontend_pending", "frontend_flushed", "frontend_windows",
-            "frontend_frames", "archive_next", "archive_ring_indices",
-            "archive_ring_starts", "archive_ring_frames",
-            "archive_ring_sketches", "archive_tap_pending",
-            "archive_tap_flushed", "archive_tap_frames", "backfill_jobs",
+            "frontend_frames", "frontend_skip", "archive_next",
+            "archive_ring_indices", "archive_ring_starts",
+            "archive_ring_frames", "archive_ring_sketches",
+            "backfill_jobs",
         }
         expected |= set(detector_config_payload(checkpoint.config))
         expected |= {
@@ -434,30 +483,6 @@ class TestCheckpointManager:
         )
         expected |= {f"w0_{key}" for key in checkpoint.worker_states[0]}
         assert members == expected
-
-    def test_legacy_spurious_allow_pickle_member_is_stripped(
-        self, family, tmp_path
-    ):
-        """Archives written by the buggy save under older numpy (where
-        ``**kwds`` swallowed ``allow_pickle`` as an array member) still
-        load, and the junk member never reaches a worker-state dict."""
-        import io
-        import zipfile
-
-        manager = CheckpointManager(tmp_path)
-        path = manager.save(self._checkpoint(family))
-        # Modern numpy binds an ``allow_pickle`` keyword for real, so
-        # the junk member has to be spliced into the zip directly.
-        buffer = io.BytesIO()
-        np.save(buffer, np.asarray([True]))
-        with zipfile.ZipFile(path, "a") as stage:
-            stage.writestr("allow_pickle.npy", buffer.getvalue())
-        with np.load(path, allow_pickle=True) as reread:
-            assert "allow_pickle" in reread.files  # bug faithfully staged
-        loaded = manager.load(path)
-        assert loaded.chunks_ingested == 3
-        for state in loaded.worker_states:
-            assert "allow_pickle" not in state
 
     def test_empty_directory(self, tmp_path):
         with pytest.raises(PersistenceError, match="no checkpoint"):
