@@ -9,8 +9,8 @@ through it, exactly as a live worker would have — same
 :meth:`~repro.core.detector.StreamingDetector.process_window` entry,
 same columnar kernels, same Lemma 2 pruning, and in bit/no-index mode
 the planes are re-encoded from the archived sketches with
-:func:`~repro.signature.bitsig.encode_planes_many` (the
-``signature_from_planes`` parity path the live front end uses).
+:func:`~repro.signature.bitsig.encode_planes_many` (the kernel the
+live front end uses).
 
 **Why a single-query replay is exact.** In the sharded service a
 query's match stream depends only on its own candidate state, except

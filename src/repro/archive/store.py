@@ -18,6 +18,11 @@ atomic writes: e.g. a file copied off a dying disk) is quarantined to
 ``*.corrupt`` rather than deleted. A corrupt segment strictly *before*
 a valid one is not a crash artefact and raises
 :class:`~repro.errors.ArchiveError`.
+
+A segment is a file from outside the program: every read goes through
+:func:`repro.persistence.open_archive`, so nothing in one is ever
+unpickled, and a file holding an object array (segments sealed before
+the format tag became a unicode array included) is simply unreadable.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import ArchiveError
+from repro.persistence import open_archive
 from repro.utils.atomic import TMP_SUFFIX, atomic_savez
 
 __all__ = ["ARCHIVE_FORMAT", "SegmentInfo", "SegmentStore"]
@@ -40,6 +46,11 @@ ARCHIVE_FORMAT = "repro.arch/1"
 
 #: Suffix quarantined (corrupt-tail) segments are renamed to.
 CORRUPT_SUFFIX = ".corrupt"
+
+
+def _open_segment(path: pathlib.Path):
+    """A segment file, unpicklable; anything unreadable is ArchiveError."""
+    return open_archive(path, "archive segment", ArchiveError)
 
 
 def _segment_name(first_index: int, num_windows: int) -> str:
@@ -136,10 +147,8 @@ class SegmentStore:
                     f"overlaps sealed segment {info.path.name}"
                 )
         when = time.time() if sealed_at is None else float(sealed_at)
-        fmt = np.empty(1, dtype=object)
-        fmt[0] = ARCHIVE_FORMAT
         payload: Dict[str, np.ndarray] = {
-            "format": fmt,
+            "format": np.asarray([ARCHIVE_FORMAT]),
             "first_index": np.asarray([first_index], dtype=np.int64),
             "starts": starts,
             "frames": frames,
@@ -218,7 +227,7 @@ class SegmentStore:
         self, path: pathlib.Path, first_index: int, num_windows: int
     ) -> Optional[SegmentInfo]:
         try:
-            with np.load(path, allow_pickle=True) as archive:
+            with _open_segment(path) as archive:
                 if str(archive["format"][0]) != ARCHIVE_FORMAT:
                     return None
                 if int(archive["first_index"][0]) != first_index:
@@ -237,7 +246,7 @@ class SegmentStore:
                 ):
                     return None
                 sealed_at = float(archive["sealed_at"][0])
-        except Exception:  # zipfile/format errors vary by numpy version
+        except ArchiveError:
             return None
         return SegmentInfo(
             path=path,
@@ -253,25 +262,16 @@ class SegmentStore:
         self, info: SegmentInfo
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(starts, frames, sketch_values)`` with CRC verification."""
-        try:
-            with np.load(info.path, allow_pickle=True) as archive:
-                if str(archive["format"][0]) != ARCHIVE_FORMAT:
-                    raise ArchiveError(
-                        f"segment {info.path} has a foreign format tag "
-                        f"{archive['format'][0]!r}"
-                    )
-                starts = np.asarray(archive["starts"], dtype=np.int64)
-                frames = np.asarray(archive["frames"], dtype=np.int64)
-                values = np.asarray(
-                    archive["sketch_values"], dtype=np.int64
+        with _open_segment(info.path) as archive:
+            fmt = str(archive["format"][0])
+            if fmt != ARCHIVE_FORMAT:
+                raise ArchiveError(
+                    f"segment {info.path} has a foreign format tag {fmt!r}"
                 )
-                crc = int(archive["crc"][0])
-        except ArchiveError:
-            raise
-        except Exception as error:
-            raise ArchiveError(
-                f"cannot read segment {info.path}: {error}"
-            )
+            starts = np.asarray(archive["starts"], dtype=np.int64)
+            frames = np.asarray(archive["frames"], dtype=np.int64)
+            values = np.asarray(archive["sketch_values"], dtype=np.int64)
+            crc = int(archive["crc"][0])
         if crc != _payload_crc(starts, frames, values):
             raise ArchiveError(
                 f"segment {info.path} failed its CRC check"
@@ -281,7 +281,7 @@ class SegmentStore:
     def family_fingerprint(
         self, info: SegmentInfo
     ) -> Tuple[int, int, int]:
-        with np.load(info.path, allow_pickle=True) as archive:
+        with _open_segment(info.path) as archive:
             family = np.asarray(archive["family"], dtype=np.int64)
         return int(family[0]), int(family[1]), int(family[2])
 

@@ -135,11 +135,6 @@ class DetectorConfig:
     prune:
         Whether Lemma-2 pruning of hopeless candidates is applied (only
         meaningful for the BIT representation; ignored for SKETCH).
-    vectorized:
-        Whether the engines run on the columnar (structure-of-arrays)
-        candidate store with batched numpy kernels. ``False`` selects the
-        scalar reference implementation — same matches, same counters,
-        one candidate/query at a time (see ``docs/performance.md``).
     """
 
     num_hashes: int = 800
@@ -150,7 +145,6 @@ class DetectorConfig:
     representation: Representation = Representation.BIT
     use_index: bool = True
     prune: bool = True
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         require_positive("num_hashes", self.num_hashes)

@@ -6,7 +6,7 @@ Online subscribe/unsubscribe changes that layout, so engine stores carry
 the qid tuple they were built against and remap lazily: columns for
 retained queries move to their new position, vanished queries drop, and
 new queries start empty (exactly the state a fresh subscription has in
-the scalar reference engines).
+the oracle's qid-keyed stores, ``repro.reference``).
 """
 
 from __future__ import annotations

@@ -3,16 +3,20 @@
 :class:`EvalContext` owns everything the Sequential and Geometric engines
 both need: the query set, configuration-derived constants (window length
 in frames, per-query candidate caps, the Lemma 2 bound), the optional
-Hash-Query index, and the instrumented primitive operations — window
-payload construction, sketch similarity, lazy bit-signature encoding.
-Routing every primitive through this class is what makes the engines'
-cost profiles measurable (see :class:`~repro.core.monitor.EngineStats`).
+Hash-Query index, and the instrumented window-payload construction — one
+probe or one batched encode per window, packed into the ``(Q, W)`` planes
+the engines consume. Routing it through this class is what makes the
+engines' cost profiles measurable (see
+:class:`~repro.core.monitor.EngineStats`). The one-pair-at-a-time
+primitives of the paper's prose (sketch similarity, signature OR, the
+memoised lazy encode) are the oracle's: ``repro.reference`` adds them on
+top of this class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -23,19 +27,16 @@ from repro.errors import DetectionError
 from repro.index.hq import HashQueryIndex
 from repro.index.probe import probe_index
 from repro.obs.registry import MetricsRegistry
-from repro.minhash.sketch import Sketch
 from repro.minhash.windows import BasicWindow
 from repro.signature.bitsig import (
-    BitSignature,
     encode_planes,
     pack_bool_planes,
     plane_words,
     popcount_planes,
-    signature_from_planes,
 )
-from repro.signature.pruning import lemma2_prunable, violates_lemma2
+from repro.signature.pruning import lemma2_prunable
 
-__all__ = ["ColumnarPayload", "EvalContext", "QueryColumns", "WindowPayload"]
+__all__ = ["EvalContext", "QueryColumns", "WindowPayload"]
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class QueryColumns:
     """The active query set in columnar form, cached on the context.
 
     One column per subscribed query, in sorted-qid order. Rebuilt (and
-    re-cached) whenever the query set changes; the columnar engines remap
-    their stores against the new layout on their next window.
+    re-cached) whenever the query set changes; the engines remap their
+    stores against the new layout on their next window.
     """
 
     qids: Tuple[int, ...]
@@ -53,53 +54,26 @@ class QueryColumns:
 
 
 @dataclass
-class ColumnarPayload:
-    """Packed per-query artefacts of one window (columnar engines).
+class WindowPayload:
+    """A basic window plus its packed per-query comparison artefacts.
 
-    ``ge``/``lt`` rows are the packed window-vs-query signature planes;
-    which rows hold valid data is tracked by ``encoded``. ``present``
-    marks the columns whose window signature survived payload-level
-    Lemma 2 (the columnar analogue of ``WindowPayload.sigs``), and
-    ``lazy_charged`` tracks which columns have already paid the
-    one-per-(window, query) lazy ``signature_encodes`` accounting of the
-    scalar path's memoised :meth:`EvalContext.window_signature`.
+    ``related_mask`` marks the queries relevant to this window (the
+    probe's ``R_L`` with the index, every query without it). The
+    remaining arrays exist in bit mode only: ``ge``/``lt`` rows are the
+    packed window-vs-query signature planes, and which rows hold valid
+    data is tracked by ``encoded``. ``present`` marks the columns whose
+    window signature survived payload-level Lemma 2, and ``lazy_charged``
+    tracks which columns have already paid the one-per-(window, query)
+    lazy ``signature_encodes`` (see :meth:`EvalContext.window_planes`).
     """
 
+    window: BasicWindow
     related_mask: np.ndarray  #: ``(Q,)`` bool — relevance (sketch scoring)
     present: Optional[np.ndarray] = None  #: ``(Q,)`` bool — live window sigs
     ge: Optional[np.ndarray] = None  #: ``(Q, W)`` uint64
     lt: Optional[np.ndarray] = None  #: ``(Q, W)`` uint64
     encoded: Optional[np.ndarray] = None  #: ``(Q,)`` bool — rows computed
     lazy_charged: Optional[np.ndarray] = None  #: ``(Q,)`` bool — counted
-
-
-@dataclass
-class WindowPayload:
-    """A basic window plus its per-query comparison artefacts.
-
-    Attributes
-    ----------
-    window:
-        The sketched basic window.
-    sigs:
-        Bit mode: window-vs-query signatures, keyed by qid. Only the
-        *related* queries appear (all queries when no index is used, the
-        probe's ``R_L`` when it is).
-    related:
-        The qids relevant to this window (equals ``sigs.keys()`` in bit
-        mode; in sketch mode it is the probe result or all queries).
-    lazy_sigs:
-        Memo for window-vs-query signatures computed on demand for
-        queries outside ``sigs`` (candidates that track a query this
-        window is not related to still need the window's relation bits).
-        Shared by every candidate extended with this window.
-    """
-
-    window: BasicWindow
-    sigs: Dict[int, BitSignature] = field(default_factory=dict)
-    related: Set[int] = field(default_factory=set)
-    lazy_sigs: Dict[int, BitSignature] = field(default_factory=dict)
-    col: Optional[ColumnarPayload] = None
 
 
 class EvalContext:
@@ -133,8 +107,6 @@ class EvalContext:
         self.global_max_windows = max(
             max(self.max_windows.values()), self.cap_hint
         )
-        self.all_qids: Set[int] = set(queries.query_ids)
-        self.vectorized = bool(config.vectorized)
         self._query_columns_cache: Optional[QueryColumns] = None
 
     def refresh_queries(self) -> None:
@@ -145,7 +117,6 @@ class EvalContext:
         self.global_max_windows = max(
             max(self.max_windows.values()), self.cap_hint
         )
-        self.all_qids = set(self.queries.query_ids)
         self._query_columns_cache = None
 
     def set_cap_hint(self, cap_hint: int) -> None:
@@ -178,11 +149,6 @@ class EvalContext:
             )
         return self._query_columns_cache
 
-    def _query_matrix(self) -> tuple:
-        """``(qids, (m, K) value matrix)`` for batched window encoding."""
-        columns = self.query_columns()
-        return (list(columns.qids), columns.matrix)
-
     # ------------------------------------------------------------------
     # phase timing
     # ------------------------------------------------------------------
@@ -197,65 +163,10 @@ class EvalContext:
         """
         return self.registry.phase(f"phase.{name}")
 
-    # ------------------------------------------------------------------
-    # derived predicates
-    # ------------------------------------------------------------------
-
     @property
     def is_bit(self) -> bool:
         """Whether the bit-signature representation is active."""
         return self.config.representation is Representation.BIT
-
-    def within_cap(self, qid: int, num_windows: int) -> bool:
-        """Whether a candidate of ``num_windows`` windows may still match
-        query ``qid`` (the per-query λL bound)."""
-        return num_windows <= self.max_windows[qid]
-
-    def prunable(self, signature: BitSignature) -> bool:
-        """Lemma 2 check, honouring the config's ``prune`` switch."""
-        return self.config.prune and violates_lemma2(
-            signature, self.config.threshold
-        )
-
-    # ------------------------------------------------------------------
-    # instrumented primitives
-    # ------------------------------------------------------------------
-
-    def similarity(self, sketch: Sketch, qid: int) -> float:
-        """Sketch-vs-query similarity (one ``C_comp`` of Eq. (4))."""
-        self.registry.inc("engine.sketch_comparisons")
-        return sketch.similarity(self.queries.get(qid).sketch)
-
-    def combine(self, left: Sketch, right: Sketch) -> Sketch:
-        """Sketch combination (one ``C_comb`` of Eq. (4))."""
-        self.registry.inc("engine.sketch_combines")
-        return left.combine(right)
-
-    def encode_signature(self, sketch: Sketch, qid: int) -> BitSignature:
-        """Encode a bit signature from a sketch pair (O(K) operation)."""
-        self.registry.inc("engine.signature_encodes")
-        return BitSignature.encode(sketch, self.queries.get(qid).sketch)
-
-    def or_signatures(self, left: BitSignature, right: BitSignature) -> BitSignature:
-        """Bitwise-OR signature combination (the cheap bit operation)."""
-        self.registry.inc("engine.signature_combines")
-        return left.combine(right)
-
-    def window_signature(self, payload: WindowPayload, qid: int) -> BitSignature:
-        """Window-vs-query signature, memoised on the payload.
-
-        Candidates tracking a query the window is not related to all need
-        the same relation bits; the encode is performed once per
-        (window, query) pair.
-        """
-        signature = payload.sigs.get(qid)
-        if signature is not None:
-            return signature
-        signature = payload.lazy_sigs.get(qid)
-        if signature is None:
-            signature = self.encode_signature(payload.window.sketch, qid)
-            payload.lazy_sigs[qid] = signature
-        return signature
 
     # ------------------------------------------------------------------
     # window payload construction
@@ -290,98 +201,13 @@ class EvalContext:
         window: BasicWindow,
         planes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> WindowPayload:
-        if self.vectorized:
-            return self._window_payload_columnar(window, planes)
-        return self._window_payload_scalar(window, planes)
+        """Packed-plane payload with the oracle's exact accounting.
 
-    def _window_payload_scalar(
-        self,
-        window: BasicWindow,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> WindowPayload:
-        if self.index is not None:
-            self.registry.inc("engine.index_probes")
-            related_list = probe_index(
-                window.sketch,
-                self.index,
-                self.config.threshold,
-                prune=self.config.prune and self.is_bit,
-            )
-            if self.is_bit:
-                sigs = {
-                    element.qid: element.signature(self.config.num_hashes)
-                    for element in related_list
-                }
-                return WindowPayload(
-                    window=window, sigs=sigs, related=set(sigs)
-                )
-            return WindowPayload(
-                window=window,
-                related={element.qid for element in related_list},
-            )
-
-        if self.is_bit:
-            qids, matrix = self._query_matrix()
-            sigs: Dict[int, BitSignature] = {}
-            if planes is not None:
-                # Precomputed planes (sketch-once front end): the packed
-                # rows already hold the window-vs-query bits in the same
-                # little-endian layout the local encode would produce, so
-                # the signatures — and the charge per query — are the
-                # reference path's, bit for bit.
-                ge_rows, lt_rows = planes
-                self.registry.inc("engine.signature_encodes", len(qids))
-                for row, qid in enumerate(qids):
-                    signature = signature_from_planes(
-                        ge_rows[row], lt_rows[row], self.config.num_hashes
-                    )
-                    if self.prunable(signature):
-                        self.registry.inc("engine.signature_prunes")
-                        continue
-                    sigs[qid] = signature
-                return WindowPayload(
-                    window=window, sigs=sigs, related=set(sigs)
-                )
-            # Batched encode: compare the window's K values against the
-            # (m, K) query matrix in one shot and pack both planes row-wise.
-            values = window.sketch.values
-            ge_planes = np.packbits(
-                values[np.newaxis, :] <= matrix, axis=1, bitorder="little"
-            )
-            lt_planes = np.packbits(
-                values[np.newaxis, :] < matrix, axis=1, bitorder="little"
-            )
-            self.registry.inc("engine.signature_encodes", len(qids))
-            for row, qid in enumerate(qids):
-                signature = BitSignature._raw(
-                    int.from_bytes(ge_planes[row].tobytes(), "little"),
-                    int.from_bytes(lt_planes[row].tobytes(), "little"),
-                    self.config.num_hashes,
-                )
-                if self.prunable(signature):
-                    self.registry.inc("engine.signature_prunes")
-                    continue
-                sigs[qid] = signature
-            return WindowPayload(window=window, sigs=sigs, related=set(sigs))
-
-        return WindowPayload(window=window, related=set(self.all_qids))
-
-    # ------------------------------------------------------------------
-    # columnar window payloads (the vectorized engines' input)
-    # ------------------------------------------------------------------
-
-    def _window_payload_columnar(
-        self,
-        window: BasicWindow,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> WindowPayload:
-        """Packed-plane payload with the scalar path's exact accounting.
-
-        Counter parity with :meth:`_window_payload_scalar` is load-bearing
-        (the golden-equivalence suite asserts it): the no-index bit path
-        charges one ``signature_encodes`` per subscribed query and one
-        ``signature_prunes`` per window-level Lemma 2 casualty; the index
-        path charges only the probe.
+        Counter parity with ``ReferenceContext._window_payload`` is
+        load-bearing (the equivalence suite asserts it): the no-index bit
+        path charges one ``signature_encodes`` per subscribed query and
+        one ``signature_prunes`` per window-level Lemma 2 casualty; the
+        index path charges only the probe.
         """
         columns = self.query_columns()
         num_queries = len(columns.qids)
@@ -400,11 +226,7 @@ class EvalContext:
             if not self.is_bit:
                 for element in related_list:
                     related_mask[column_of[element.qid]] = True
-                return WindowPayload(
-                    window=window,
-                    related={element.qid for element in related_list},
-                    col=ColumnarPayload(related_mask=related_mask),
-                )
+                return WindowPayload(window=window, related_mask=related_mask)
             ge = np.zeros((num_queries, width), dtype=np.uint64)
             lt = np.zeros((num_queries, width), dtype=np.uint64)
             byte_width = width * 8
@@ -419,15 +241,12 @@ class EvalContext:
                 )
             return WindowPayload(
                 window=window,
-                related={element.qid for element in related_list},
-                col=ColumnarPayload(
-                    related_mask=related_mask,
-                    present=related_mask.copy(),
-                    ge=ge,
-                    lt=lt,
-                    encoded=related_mask.copy(),
-                    lazy_charged=np.zeros(num_queries, dtype=bool),
-                ),
+                related_mask=related_mask,
+                present=related_mask.copy(),
+                ge=ge,
+                lt=lt,
+                encoded=related_mask.copy(),
+                lazy_charged=np.zeros(num_queries, dtype=bool),
             )
 
         if self.is_bit:
@@ -453,56 +272,44 @@ class EvalContext:
                 present = np.ones(num_queries, dtype=bool)
             return WindowPayload(
                 window=window,
-                related={
-                    qid
-                    for qid, live in zip(columns.qids, present.tolist())
-                    if live
-                },
-                col=ColumnarPayload(
-                    related_mask=present.copy(),
-                    present=present,
-                    ge=ge,
-                    lt=lt,
-                    encoded=np.ones(num_queries, dtype=bool),
-                    lazy_charged=np.zeros(num_queries, dtype=bool),
-                ),
+                related_mask=present.copy(),
+                present=present,
+                ge=ge,
+                lt=lt,
+                encoded=np.ones(num_queries, dtype=bool),
+                lazy_charged=np.zeros(num_queries, dtype=bool),
             )
 
         return WindowPayload(
-            window=window,
-            related=set(self.all_qids),
-            col=ColumnarPayload(
-                related_mask=np.ones(num_queries, dtype=bool)
-            ),
+            window=window, related_mask=np.ones(num_queries, dtype=bool)
         )
 
     def window_planes(
         self, payload: WindowPayload, needed: np.ndarray
-    ) -> ColumnarPayload:
+    ) -> None:
         """Ensure window-vs-query planes exist for the ``needed`` columns.
 
-        The packed analogue of :meth:`window_signature`: columns outside
-        the payload's ``present`` set that a candidate still tracks need
-        the window's relation bits. Each such column is charged one
-        ``signature_encodes`` on first use per window — exactly the
-        scalar path's per-(window, query) memoised encode — even when the
+        Columns outside the payload's ``present`` set that a candidate
+        still tracks need the window's relation bits. Each such column is
+        charged one ``signature_encodes`` on first use per window — the
+        oracle's per-(window, query) memoised encode — even when the
         planes themselves were precomputed at payload construction.
         """
-        col = payload.col
-        to_charge = needed & ~col.present & ~col.lazy_charged
+        to_charge = needed & ~payload.present & ~payload.lazy_charged
         charges = int(np.count_nonzero(to_charge))
         if charges:
             self.registry.inc("engine.signature_encodes", charges)
-            col.lazy_charged |= to_charge
-        to_compute = needed & ~col.encoded
+            payload.lazy_charged |= to_charge
+        to_compute = needed & ~payload.encoded
         if to_compute.any():
             columns = self.query_columns()
             values = payload.window.sketch.values
             rows = np.flatnonzero(to_compute)
             submatrix = columns.matrix[rows]
-            col.ge[rows] = pack_bool_planes(
+            payload.ge[rows] = pack_bool_planes(
                 values[np.newaxis, :] <= submatrix
             )
-            col.lt[rows] = pack_bool_planes(values[np.newaxis, :] < submatrix)
-            col.encoded[to_compute] = True
-        return col
+            payload.lt[rows] = pack_bool_planes(
+                values[np.newaxis, :] < submatrix
+            )
+            payload.encoded[to_compute] = True

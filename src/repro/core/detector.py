@@ -16,8 +16,8 @@ import numpy as np
 
 from repro.config import CombinationOrder, DetectorConfig
 from repro.core.context import EvalContext
-from repro.core.engine_geometric import ColumnarGeometricEngine, GeometricEngine
-from repro.core.engine_sequential import ColumnarSequentialEngine, SequentialEngine
+from repro.core.engine_geometric import ColumnarGeometricEngine
+from repro.core.engine_sequential import ColumnarSequentialEngine
 from repro.core.monitor import EngineStats
 from repro.core.query import Query, QuerySet
 from repro.core.results import Match
@@ -55,6 +55,15 @@ class StreamingDetector:
         (see :meth:`set_cap_hint` and ``docs/serving.md``).
     """
 
+    #: What a detector is built from. The test-only oracle,
+    #: ``repro.reference.ReferenceDetector``, differs in these and in
+    #: nothing else.
+    context_class = EvalContext
+    engine_classes = {
+        CombinationOrder.SEQUENTIAL: ColumnarSequentialEngine,
+        CombinationOrder.GEOMETRIC: ColumnarGeometricEngine,
+    }
+
     def __init__(
         self,
         config: DetectorConfig,
@@ -84,7 +93,7 @@ class StreamingDetector:
             index.warm_caches()
         self.index = index
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.context = EvalContext(
+        self.context = self.context_class(
             config=config,
             queries=queries,
             window_frames=self.window_frames,
@@ -92,20 +101,7 @@ class StreamingDetector:
             registry=self.registry,
             cap_hint=cap_hint,
         )
-        if config.order is CombinationOrder.SEQUENTIAL:
-            sequential_cls = (
-                ColumnarSequentialEngine if config.vectorized
-                else SequentialEngine
-            )
-            self.engine: SequentialEngine | GeometricEngine = sequential_cls(
-                self.context
-            )
-        else:
-            geometric_cls = (
-                ColumnarGeometricEngine if config.vectorized
-                else GeometricEngine
-            )
-            self.engine = geometric_cls(self.context)
+        self.engine = self.engine_classes[config.order](self.context)
         self.matches: List[Match] = []
 
     # ------------------------------------------------------------------

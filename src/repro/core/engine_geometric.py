@@ -10,252 +10,34 @@ window first combines with candidate sequence 4, the result with 3, ..."
 — which costs ``log(⌈λL/w⌉)`` combinations per window (the second branch
 of Eq. (4)) at the price of skipped alignments, i.e. potential false
 negatives.
+
+:class:`ColumnarGeometricEngine` keeps each segment's per-query state as
+packed arrays; the one-query-at-a-time form is the oracle,
+``repro.reference.GeometricEngine``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
 import numpy as np
 
 from repro.core.columnar import column_remap
 from repro.core.context import EvalContext, QueryColumns, WindowPayload
 from repro.core.results import Match
-from repro.minhash.sketch import Sketch
-from repro.signature.bitsig import BitSignature, popcount_planes
+from repro.signature.bitsig import popcount_planes
 from repro.signature.pruning import lemma2_prunable
 
-__all__ = ["ColumnarGeometricEngine", "GeometricEngine"]
-
-
-class _Segment:
-    """One ladder segment: a combined run of ``size`` adjacent windows."""
-
-    __slots__ = ("size", "start_frame", "end_frame", "sketch", "sigs", "relevant")
-
-    def __init__(
-        self,
-        size: int,
-        start_frame: int,
-        end_frame: int,
-        sketch: Sketch,
-        sigs: Dict[int, BitSignature],
-        relevant: Set[int],
-    ) -> None:
-        self.size = size
-        self.start_frame = start_frame
-        self.end_frame = end_frame
-        self.sketch = sketch
-        self.sigs = sigs
-        self.relevant = relevant
-
-
-class GeometricEngine:
-    """Maintains the dyadic segment ladder and scores suffix merges."""
-
-    def __init__(self, context: EvalContext) -> None:
-        self.context = context
-        self.segments: List[_Segment] = []
-
-    @property
-    def resident_signatures(self) -> int:
-        """Bit signatures currently held in the ladder."""
-        return sum(len(segment.sigs) for segment in self.segments)
-
-    def purge_query(self, qid: int) -> None:
-        """Drop one query's in-flight state (online unsubscribe)."""
-        for segment in self.segments:
-            segment.sigs.pop(qid, None)
-            segment.relevant.discard(qid)
-
-    def refresh(self) -> None:
-        """Adopt the current query set (online subscribe).
-
-        The scalar ladder keys per-query state by qid, so nothing needs
-        to move; the columnar ladder overrides this to re-sync its
-        column layout eagerly rather than on the next window.
-        """
-
-    def process(self, payload: WindowPayload) -> List[Match]:
-        """Fold one basic window into the ladder; return match events.
-
-        Phase accounting: ladder maintenance (the window's own score,
-        the carry merges) runs under the ``combine`` timer, λL expiry
-        under ``prune``, and the suffix-accumulation scoring plus
-        per-window stats sampling under ``match_emit``.
-        """
-        ctx = self.context
-        window = payload.window
-        matches: List[Match] = []
-
-        with ctx.phase("combine"):
-            # The basic window itself is always tested (the αC_comp term
-            # of Eq. (4)) before it may be swallowed by a carry merge.
-            self._score(
-                num_windows=1,
-                start_frame=window.start_frame,
-                end_frame=window.end_frame,
-                sketch=window.sketch,
-                sigs=payload.sigs,
-                relevant=payload.related,
-                window_index=window.index,
-                matches=matches,
-            )
-
-            self.segments.append(
-                _Segment(
-                    size=1,
-                    start_frame=window.start_frame,
-                    end_frame=window.end_frame,
-                    sketch=window.sketch,
-                    sigs=dict(payload.sigs),
-                    relevant=set(payload.related),
-                )
-            )
-            # Carry propagation: merge equal-sized neighbours.
-            while (
-                len(self.segments) >= 2
-                and self.segments[-1].size == self.segments[-2].size
-            ):
-                newer = self.segments.pop()
-                older = self.segments.pop()
-                self.segments.append(self._merge(older, newer))
-
-        with ctx.phase("prune"):
-            # Expire the oldest segments once the ladder exceeds the λL
-            # cap.
-            total = sum(segment.size for segment in self.segments)
-            while total > ctx.global_max_windows and len(self.segments) > 1:
-                dropped = self.segments.pop(0)
-                total -= dropped.size
-                ctx.stats.expired_candidates += 1
-
-        with ctx.phase("match_emit"):
-            # Test the suffix accumulations, newest segment first. The
-            # single-newest suffix is skipped when it is exactly the
-            # window just scored above.
-            suffix: Optional[_Segment] = None
-            for segment in reversed(self.segments):
-                if suffix is None:
-                    suffix = _Segment(
-                        size=segment.size,
-                        start_frame=segment.start_frame,
-                        end_frame=segment.end_frame,
-                        sketch=segment.sketch,
-                        sigs=dict(segment.sigs),
-                        relevant=set(segment.relevant),
-                    )
-                    already_scored = segment.size == 1
-                else:
-                    suffix = self._merge(segment, suffix)
-                    already_scored = False
-                if not already_scored:
-                    self._score(
-                        num_windows=suffix.size,
-                        start_frame=suffix.start_frame,
-                        end_frame=suffix.end_frame,
-                        sketch=suffix.sketch,
-                        sigs=suffix.sigs,
-                        relevant=suffix.relevant,
-                        window_index=window.index,
-                        matches=matches,
-                    )
-
-            ctx.stats.windows_processed += 1
-            ctx.stats.signatures_maintained.add(self.resident_signatures)
-            ctx.stats.candidates_maintained.add(len(self.segments))
-            ctx.stats.matches_reported += len(matches)
-        return matches
-
-    # ------------------------------------------------------------------
-
-    def _merge(self, older: _Segment, newer: _Segment) -> _Segment:
-        """Combine two adjacent segments.
-
-        Sketch mode merges the segment sketches (min, O(K)); bit mode is
-        pure signature ORs — a query tracked by only one side is adopted
-        from that side (its other side shared no min-hash value with the
-        query; see the sequential engine's ``_extend_bit`` for the
-        rationale).
-        """
-        ctx = self.context
-        sigs: Dict[int, BitSignature] = {}
-        if ctx.is_bit:
-            sketch = newer.sketch
-            for qid in older.sigs.keys() | newer.sigs.keys():
-                older_sig = older.sigs.get(qid)
-                newer_sig = newer.sigs.get(qid)
-                if older_sig is not None and newer_sig is not None:
-                    signature = ctx.or_signatures(older_sig, newer_sig)
-                else:
-                    signature = older_sig if older_sig is not None else newer_sig
-                if ctx.prunable(signature):
-                    ctx.registry.inc("engine.signature_prunes")
-                    continue
-                sigs[qid] = signature
-        else:
-            sketch = ctx.combine(older.sketch, newer.sketch)
-        return _Segment(
-            size=older.size + newer.size,
-            start_frame=older.start_frame,
-            end_frame=newer.end_frame,
-            sketch=sketch,
-            sigs=sigs,
-            relevant=older.relevant | newer.relevant,
-        )
-
-    def _score(
-        self,
-        num_windows: int,
-        start_frame: int,
-        end_frame: int,
-        sketch: Sketch,
-        sigs: Dict[int, BitSignature],
-        relevant: Set[int],
-        window_index: int,
-        matches: List[Match],
-    ) -> None:
-        """Score one (possibly transient) candidate against its queries."""
-        ctx = self.context
-        if ctx.is_bit:
-            for qid, signature in sigs.items():
-                if not ctx.within_cap(qid, num_windows):
-                    continue
-                if signature.similarity >= ctx.config.threshold:
-                    matches.append(
-                        Match(
-                            qid=qid,
-                            window_index=window_index,
-                            start_frame=start_frame,
-                            end_frame=end_frame,
-                            similarity=signature.similarity,
-                        )
-                    )
-        else:
-            for qid in relevant:
-                if not ctx.within_cap(qid, num_windows):
-                    continue
-                similarity = ctx.similarity(sketch, qid)
-                if similarity >= ctx.config.threshold:
-                    matches.append(
-                        Match(
-                            qid=qid,
-                            window_index=window_index,
-                            start_frame=start_frame,
-                            end_frame=end_frame,
-                            similarity=similarity,
-                        )
-                    )
+__all__ = ["ColumnarGeometricEngine"]
 
 
 class _ColumnarSegment:
     """A ladder segment with its query state in columnar form.
 
-    The structural fields (``size``, ``start_frame``, ``end_frame``)
-    mirror :class:`_Segment` so ladder-shape invariants read identically;
-    the per-query dict/set state becomes a ``(Q,)`` presence mask with
-    ``(Q, W)`` packed signature planes (bit mode) and a ``(Q,)``
-    relevance mask (sketch mode).
+    ``size`` adjacent windows spanning ``start_frame..end_frame``; the
+    per-query state is a ``(Q,)`` presence mask with ``(Q, W)`` packed
+    signature planes (bit mode) or a ``(Q,)`` relevance mask (sketch
+    mode).
     """
 
     __slots__ = ("size", "start_frame", "end_frame", "sketch_values",
@@ -282,14 +64,14 @@ class _ColumnarSegment:
         self.relevant = relevant
 
 
-class ColumnarGeometricEngine(GeometricEngine):
+class ColumnarGeometricEngine:
     """Geometric order with per-segment query state as packed arrays.
 
     The ladder itself stays a Python list — it holds only
     ``O(log(λL/w))`` segments — but every per-query loop (carry merges,
     suffix merges, scoring) becomes a bulk plane OR / popcount / masked
     compare over all ``Q`` queries at once, with counter accounting
-    identical to :class:`GeometricEngine`.
+    identical to the oracle's.
     """
 
     def __init__(self, context: EvalContext) -> None:
@@ -345,14 +127,16 @@ class ColumnarGeometricEngine(GeometricEngine):
     def process(self, payload: WindowPayload) -> List[Match]:
         """Fold one basic window into the ladder (columnar kernels).
 
-        Same phase accounting as the reference engine; the bulk plane
+        Phase accounting: ladder maintenance (the window's own score,
+        the carry merges) runs under the ``combine`` timer, λL expiry
+        under ``prune``, and the suffix-accumulation scoring plus
+        per-window stats sampling under ``match_emit``. The bulk plane
         merges additionally run under the ``phase.combine.bitops`` /
         ``phase.combine.sketch`` sub-timers.
         """
         ctx = self.context
         columns = self._sync_columns()
         window = payload.window
-        col = payload.col
         matches: List[Match] = []
 
         with ctx.phase("combine"):
@@ -361,10 +145,10 @@ class ColumnarGeometricEngine(GeometricEngine):
                 # merges adopt one-sided signatures with a plain OR. The
                 # payload's planes may hold data for window-level-pruned
                 # columns (the lazy-encode cache) — mask them out here.
-                live = col.present[:, np.newaxis]
+                live = payload.present[:, np.newaxis]
                 zero = np.uint64(0)
-                fresh_ge = np.where(live, col.ge, zero)
-                fresh_lt = np.where(live, col.lt, zero)
+                fresh_ge = np.where(live, payload.ge, zero)
+                fresh_lt = np.where(live, payload.lt, zero)
             else:
                 fresh_ge = fresh_lt = None
             fresh = _ColumnarSegment(
@@ -372,10 +156,10 @@ class ColumnarGeometricEngine(GeometricEngine):
                 start_frame=window.start_frame,
                 end_frame=window.end_frame,
                 sketch_values=window.sketch.values,
-                presence=col.present if ctx.is_bit else None,
+                presence=payload.present if ctx.is_bit else None,
                 ge=fresh_ge,
                 lt=fresh_lt,
-                relevant=None if ctx.is_bit else col.related_mask,
+                relevant=None if ctx.is_bit else payload.related_mask,
             )
             self._score_block(fresh, columns, window.index, matches)
             self.segments.append(fresh)
@@ -432,7 +216,7 @@ class ColumnarGeometricEngine(GeometricEngine):
     ) -> _ColumnarSegment:
         """Combine two adjacent segments with bulk plane/sketch kernels.
 
-        Counter parity with the reference ``_merge``: one
+        Counter parity with the oracle's ``_merge``: one
         ``signature_combines`` per both-sides pair, adoption is free, and
         Lemma 2 prunes the merged pairs in bulk (bit mode); one
         ``sketch_combines`` per merge (sketch mode).

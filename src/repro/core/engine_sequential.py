@@ -7,229 +7,32 @@ candidate is opened at ``t``. This is the accuracy-first order: all
 ``⌈λL/w⌉`` alignments are tested, at ``⌈λL/w⌉`` combinations per window
 (the first branch of Eq. (4)).
 
-Two implementations share these semantics bit-for-bit:
-
-* :class:`SequentialEngine` — the scalar reference: a Python list of
-  ``_Candidate`` objects, one sketch merge / signature OR at a time.
-* :class:`ColumnarSequentialEngine` — the columnar store
-  (``config.vectorized``, the default): all candidate state lives in
-  structure-of-arrays form, so each window is a handful of broadcast
-  numpy kernels instead of ``C × Q`` Python-level operations (see
-  ``docs/performance.md``).
+:class:`ColumnarSequentialEngine` keeps all candidate state in
+structure-of-arrays form, so each window is a handful of broadcast numpy
+kernels instead of ``C × Q`` Python-level operations (see
+``docs/performance.md``). The one-candidate-at-a-time form of the same
+semantics is the oracle, ``repro.reference.SequentialEngine``;
+``tests/test_engine_reference.py`` holds the two to identical matches
+and counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List
 
 import numpy as np
 
 from repro.core.columnar import column_remap
 from repro.core.context import EvalContext, QueryColumns, WindowPayload
 from repro.core.results import Match
-from repro.minhash.sketch import Sketch, SketchBlock
-from repro.signature.bitsig import BitSignature, plane_words, popcount_planes
+from repro.minhash.sketch import SketchBlock
+from repro.signature.bitsig import plane_words, popcount_planes
 from repro.signature.pruning import lemma2_prunable
 
-__all__ = ["ColumnarSequentialEngine", "SequentialEngine"]
+__all__ = ["ColumnarSequentialEngine"]
 
 
-class _Candidate:
-    """One live suffix candidate ``P[start..now]``."""
-
-    __slots__ = ("start_window", "start_frame", "num_windows", "end_frame",
-                 "sketch", "sigs", "relevant")
-
-    def __init__(
-        self,
-        start_window: int,
-        start_frame: int,
-        end_frame: int,
-        sketch: Sketch,
-        sigs: Dict[int, BitSignature],
-        relevant: Set[int],
-    ) -> None:
-        self.start_window = start_window
-        self.start_frame = start_frame
-        self.num_windows = 1
-        self.end_frame = end_frame
-        self.sketch = sketch
-        self.sigs = sigs
-        self.relevant = relevant
-
-
-class SequentialEngine:
-    """Maintains all suffix candidates and scores them per window."""
-
-    def __init__(self, context: EvalContext) -> None:
-        self.context = context
-        self.candidates: List[_Candidate] = []
-
-    @property
-    def resident_signatures(self) -> int:
-        """Bit signatures currently held in ``C_L``."""
-        return sum(len(candidate.sigs) for candidate in self.candidates)
-
-    def purge_query(self, qid: int) -> None:
-        """Drop one query's in-flight state (online unsubscribe)."""
-        for candidate in self.candidates:
-            candidate.sigs.pop(qid, None)
-            candidate.relevant.discard(qid)
-
-    def refresh(self) -> None:
-        """Adopt the current query set (online subscribe).
-
-        The scalar store keys per-query state by qid, so nothing needs
-        to move; the columnar stores override this to re-sync their
-        column layout eagerly rather than on the next window.
-        """
-
-    def process(self, payload: WindowPayload) -> List[Match]:
-        """Fold one basic window into ``C_L``; return the match events.
-
-        Phase accounting: expiry of over-λL candidates runs under the
-        ``prune`` timer, candidate extension (signature ORs / sketch
-        merges, including their inline Lemma 2 pruning) under
-        ``combine``, and fresh-candidate scoring plus per-window stats
-        sampling under ``match_emit``.
-        """
-        ctx = self.context
-        window = payload.window
-        matches: List[Match] = []
-
-        with ctx.phase("prune"):
-            surviving: List[_Candidate] = []
-            for candidate in self.candidates:
-                candidate.num_windows += 1
-                candidate.end_frame = window.end_frame
-                if candidate.num_windows > ctx.global_max_windows:
-                    ctx.stats.expired_candidates += 1
-                    continue
-                surviving.append(candidate)
-            self.candidates = surviving
-
-        with ctx.phase("combine"):
-            for candidate in self.candidates:
-                if ctx.is_bit:
-                    # The Bit method never touches candidate sketches: all
-                    # maintenance is signature ORs (Section V-A).
-                    self._extend_bit(candidate, payload, matches)
-                else:
-                    candidate.sketch = ctx.combine(
-                        candidate.sketch, window.sketch
-                    )
-                    self._extend_sketch(candidate, payload, matches)
-
-        with ctx.phase("match_emit"):
-            fresh = _Candidate(
-                start_window=window.index,
-                start_frame=window.start_frame,
-                end_frame=window.end_frame,
-                sketch=window.sketch,
-                sigs=dict(payload.sigs),
-                relevant=set(payload.related),
-            )
-            self._evaluate_fresh(fresh, matches)
-            self.candidates.append(fresh)
-
-            ctx.stats.windows_processed += 1
-            ctx.stats.signatures_maintained.add(self.resident_signatures)
-            ctx.stats.candidates_maintained.add(len(self.candidates))
-            ctx.stats.matches_reported += len(matches)
-        return matches
-
-    # ------------------------------------------------------------------
-
-    def _emit(
-        self, candidate: _Candidate, qid: int, similarity: float,
-        window_index: int, matches: List[Match],
-    ) -> None:
-        matches.append(
-            Match(
-                qid=qid,
-                window_index=window_index,
-                start_frame=candidate.start_frame,
-                end_frame=candidate.end_frame,
-                similarity=similarity,
-            )
-        )
-
-    def _extend_bit(
-        self, candidate: _Candidate, payload: WindowPayload, matches: List[Match]
-    ) -> None:
-        """Combine a candidate's signatures with the window's (bit mode).
-
-        Queries tracked by both sides combine with a bitwise OR. A query
-        tracked only by the candidate needs the window's relation bits —
-        one O(K) encode, memoised per (window, query) on the payload. A
-        query the window just made relevant is *adopted*: its signature
-        starts from the window's bits alone, since the candidate's
-        earlier windows shared no min-hash value with it (Section V-B's
-        "signatures ... related to its consecutive candidate sequences").
-        The adopted signature therefore describes the suffix of the
-        candidate from this window on — an optimistic but sound start,
-        as the matching suffix exists as its own candidate too. Lemma 2
-        and the per-query length cap prune pairs as they are produced,
-        cascading exactly as Section V-B requires: a pruned pair can
-        never reappear on any extension of this candidate.
-        """
-        ctx = self.context
-        window = payload.window
-        new_sigs: Dict[int, BitSignature] = {}
-        for qid in candidate.sigs.keys() | payload.sigs.keys():
-            if not ctx.within_cap(qid, candidate.num_windows):
-                continue
-            candidate_sig = candidate.sigs.get(qid)
-            if candidate_sig is not None:
-                window_sig = ctx.window_signature(payload, qid)
-                signature = ctx.or_signatures(candidate_sig, window_sig)
-            else:
-                signature = payload.sigs[qid]
-            if ctx.prunable(signature):
-                ctx.registry.inc("engine.signature_prunes")
-                continue
-            new_sigs[qid] = signature
-            if signature.similarity >= ctx.config.threshold:
-                self._emit(candidate, qid, signature.similarity,
-                           window.index, matches)
-        candidate.sigs = new_sigs
-
-    def _extend_sketch(
-        self, candidate: _Candidate, payload: WindowPayload, matches: List[Match]
-    ) -> None:
-        """Re-score a candidate's relevant queries (sketch mode)."""
-        ctx = self.context
-        candidate.relevant |= payload.related
-        still_relevant: Set[int] = set()
-        for qid in candidate.relevant:
-            if not ctx.within_cap(qid, candidate.num_windows):
-                continue
-            still_relevant.add(qid)
-            similarity = ctx.similarity(candidate.sketch, qid)
-            if similarity >= ctx.config.threshold:
-                self._emit(candidate, qid, similarity,
-                           payload.window.index, matches)
-        candidate.relevant = still_relevant
-
-    def _evaluate_fresh(
-        self, candidate: _Candidate, matches: List[Match]
-    ) -> None:
-        """Score the newly opened length-1 candidate."""
-        ctx = self.context
-        if ctx.is_bit:
-            for qid, signature in candidate.sigs.items():
-                if signature.similarity >= ctx.config.threshold:
-                    self._emit(candidate, qid, signature.similarity,
-                               candidate.start_window, matches)
-        else:
-            for qid in candidate.relevant:
-                similarity = ctx.similarity(candidate.sketch, qid)
-                if similarity >= ctx.config.threshold:
-                    self._emit(candidate, qid, similarity,
-                               candidate.start_window, matches)
-
-
-class ColumnarSequentialEngine(SequentialEngine):
+class ColumnarSequentialEngine:
     """Sequential order on the columnar candidate store.
 
     All live candidates are one structure of arrays: per-candidate meta
@@ -240,12 +43,11 @@ class ColumnarSequentialEngine(SequentialEngine):
     presence mask (bit mode). One arriving window is then: a boolean
     expiry compaction, a broadcast ``np.minimum`` / bulk bitwise OR, one
     vectorized similarity kernel, and a mask-driven match emission —
-    with counter accounting identical to :class:`SequentialEngine`.
+    with counter accounting identical to the oracle's.
     """
 
     def __init__(self, context: EvalContext) -> None:
         self.context = context
-        self.candidates = []  # unused; kept for reference-API parity
         self._qids: tuple = None
         self._sync_columns()
 
@@ -326,10 +128,13 @@ class ColumnarSequentialEngine(SequentialEngine):
     def process(self, payload: WindowPayload) -> List[Match]:
         """Fold one basic window into the columnar ``C_L``.
 
-        Same phase accounting as the reference engine; the numpy kernel
-        sections inside ``combine`` additionally run under
-        ``phase.combine.bitops`` (bit mode) or ``phase.combine.sketch``
-        (sketch mode) sub-timers.
+        Phase accounting: expiry of over-λL candidates runs under the
+        ``prune`` timer, candidate extension (signature ORs / sketch
+        merges, including their inline Lemma 2 pruning) under
+        ``combine``, and fresh-candidate scoring plus per-window stats
+        sampling under ``match_emit``. The numpy kernel sections inside
+        ``combine`` additionally run under ``phase.combine.bitops`` (bit
+        mode) or ``phase.combine.sketch`` (sketch mode) sub-timers.
         """
         ctx = self.context
         columns = self._sync_columns()
@@ -413,11 +218,11 @@ class ColumnarSequentialEngine(SequentialEngine):
     ) -> None:
         """All candidates' signature ORs / adoptions as bulk bitwise ops.
 
-        Mirrors ``_extend_bit`` pair-for-pair: the per-query λL cap
-        filters first (dropped pairs touch no counter), tracked pairs OR
-        with the window planes (one ``signature_combines`` each, lazy
-        window encodes charged per column), window-only pairs adopt the
-        window signature, and Lemma 2 prunes the results in bulk.
+        Mirrors the oracle's ``_extend_bit`` pair for pair: the per-query
+        λL cap filters first (dropped pairs touch no counter), tracked
+        pairs OR with the window planes (one ``signature_combines`` each,
+        lazy window encodes charged per column), window-only pairs adopt
+        the window signature, and Lemma 2 prunes the results in bulk.
         """
         ctx = self.context
         window = payload.window
@@ -425,10 +230,10 @@ class ColumnarSequentialEngine(SequentialEngine):
         ages = window.index - self.start_window + 1
         cap = ages[:, np.newaxis] <= columns.max_windows
         combined = self.presence & cap
-        col = ctx.window_planes(
-            payload, needed=combined.any(axis=0) & ~payload.col.present
+        ctx.window_planes(
+            payload, needed=combined.any(axis=0) & ~payload.present
         )
-        adopted = ~self.presence & cap & col.present
+        adopted = ~self.presence & cap & payload.present
         ctx.registry.inc(
             "engine.signature_combines", int(np.count_nonzero(combined))
         )
@@ -442,8 +247,8 @@ class ColumnarSequentialEngine(SequentialEngine):
             # window planes into every tracked-or-adopting row.
             np.multiply(ge, combined3, out=ge)
             np.multiply(lt, combined3, out=lt)
-            np.bitwise_or(ge, col.ge, out=ge, where=present3)
-            np.bitwise_or(lt, col.lt, out=lt, where=present3)
+            np.bitwise_or(ge, payload.ge, out=ge, where=present3)
+            np.bitwise_or(lt, payload.lt, out=lt, where=present3)
             n1 = popcount_planes(lt)
             if ctx.config.prune:
                 prunable = present & lemma2_prunable(
@@ -476,7 +281,7 @@ class ColumnarSequentialEngine(SequentialEngine):
         with ctx.phase("combine.sketch"):
             self.block.combine_all(window.sketch)
         ctx.registry.inc("engine.sketch_combines", rows)
-        self.relevant |= payload.col.related_mask
+        self.relevant |= payload.related_mask
         ages = window.index - self.start_window + 1
         cap = ages[:, np.newaxis] <= columns.max_windows
         active = self.relevant & cap
@@ -501,22 +306,21 @@ class ColumnarSequentialEngine(SequentialEngine):
         """Open, score and append the length-1 candidate at this window."""
         ctx = self.context
         window = payload.window
-        col = payload.col
         num_hashes = ctx.config.num_hashes
         qids = columns.qids
         if ctx.is_bit:
-            n1 = popcount_planes(col.lt)
+            n1 = popcount_planes(payload.lt)
             similarity = 1.0 - (
-                (num_hashes - popcount_planes(col.ge)) + n1
+                (num_hashes - popcount_planes(payload.ge)) + n1
             ) / num_hashes
-            emit = col.present & (similarity >= ctx.config.threshold)
+            emit = payload.present & (similarity >= ctx.config.threshold)
             self.presence = np.concatenate(
-                [self.presence, col.present[np.newaxis, :]]
+                [self.presence, payload.present[np.newaxis, :]]
             )
-            self.ge = np.concatenate([self.ge, col.ge[np.newaxis, :, :]])
-            self.lt = np.concatenate([self.lt, col.lt[np.newaxis, :, :]])
+            self.ge = np.concatenate([self.ge, payload.ge[np.newaxis, :, :]])
+            self.lt = np.concatenate([self.lt, payload.lt[np.newaxis, :, :]])
         else:
-            relevant = col.related_mask
+            relevant = payload.related_mask
             ctx.registry.inc(
                 "engine.sketch_comparisons", int(np.count_nonzero(relevant))
             )

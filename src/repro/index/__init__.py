@@ -10,12 +10,11 @@ yields their bit signatures as a by-product.
 """
 
 from repro.index.hq import HashQueryIndex, IndexEntry
-from repro.index.probe import RelatedQuery, probe_index, probe_index_reference
+from repro.index.probe import RelatedQuery, probe_index
 
 __all__ = [
     "HashQueryIndex",
     "IndexEntry",
     "RelatedQuery",
     "probe_index",
-    "probe_index_reference",
 ]

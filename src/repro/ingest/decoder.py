@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.codec.gop import EncodedVideo
 from repro.codec.resync import resilient_dc_scan
-from repro.errors import CodecError, IngestError
+from repro.errors import CodecError, FeatureError, IngestError
 from repro.features.pipeline import FingerprintExtractor
 from repro.ingest.sources import StreamChunk
 
@@ -180,7 +180,9 @@ class ResilientDecoder:
         expected = encoded.num_keyframes
         try:
             ids = extractor.cell_ids_from_encoded(encoded)
-        except CodecError:
+        except (CodecError, FeatureError):
+            # FeatureError: an in-band frame count damaged to zero parses
+            # cleanly and yields no key frame to fingerprint.
             pass
         else:
             if ids.shape[0] == expected:
@@ -193,9 +195,12 @@ class ResilientDecoder:
         try:
             scan = resilient_dc_scan(encoded)
         except CodecError:
-            # Header destroyed: the whole chunk is lost, but the
-            # EncodedVideo metadata still tells us how many key frames
-            # the stream clock must account for.
+            scan = None
+        if scan is None or not (scan.segments or scan.decode_errors):
+            # Header destroyed, or damaged into promising no frames so
+            # the scan walked nothing and met no error: the whole chunk
+            # is lost, but the EncodedVideo metadata still tells us how
+            # many key frames the stream clock must account for.
             return DecodedChunk(
                 expected_keyframes=expected,
                 decode_errors=1,

@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.codec.gop import EncodedVideo, encode_video
 from repro.errors import IngestError
+from repro.persistence import open_archive
 from repro.utils.atomic import atomic_savez
 from repro.utils.rng import derive_seed
 from repro.video.clip import VideoClip
@@ -286,14 +287,14 @@ def record_stream(
     the recorded source was fault-wrapped.
     """
     payload: Dict[str, np.ndarray] = {
-        "format": np.asarray([RECORDING_FORMAT], dtype=object),
+        "format": np.asarray([RECORDING_FORMAT]),
     }
     count = 0
     for chunk in source:
         prefix = f"chunk{count}_"
         item = chunk.payload
         if isinstance(item, EncodedVideo):
-            payload[prefix + "kind"] = np.asarray(["encoded"], dtype=object)
+            payload[prefix + "kind"] = np.asarray(["encoded"])
             payload[prefix + "data"] = np.frombuffer(item.data, dtype=np.uint8)
             payload[prefix + "meta"] = np.asarray(
                 [getattr(item, name) for name in _ENCODED_FIELDS]
@@ -304,7 +305,7 @@ def record_stream(
         else:
             array = np.asarray(item)
             kind = "cells" if array.ndim == 1 else "frames"
-            payload[prefix + "kind"] = np.asarray([kind], dtype=object)
+            payload[prefix + "kind"] = np.asarray([kind])
             payload[prefix + "data"] = array
         count += 1
     payload["num_chunks"] = np.asarray([count], dtype=np.int64)
@@ -315,23 +316,29 @@ def record_stream(
 
 
 class ReplaySource(StreamSource):
-    """Replay a stream recorded with :func:`record_stream`."""
+    """Replay a stream recorded with :func:`record_stream`.
+
+    A recording is a file from outside the program: nothing in it is
+    unpickled, and anything unreadable — an object array included, as
+    in recordings made before the tags became unicode arrays — raises
+    :class:`~repro.errors.IngestError`.
+    """
 
     def __init__(
         self, stream_id: int, path: Union[str, pathlib.Path]
     ) -> None:
         super().__init__(stream_id)
         self.path = pathlib.Path(path)
-        if not self.path.exists():
-            raise IngestError(f"no stream recording at {self.path}")
-        with np.load(self.path, allow_pickle=True) as archive:
+        self._payloads: List[Payload] = []
+        with open_archive(
+            self.path, "stream recording", IngestError
+        ) as archive:
             fmt = str(archive["format"][0])
             if fmt != RECORDING_FORMAT:
                 raise IngestError(
                     f"unsupported recording format {fmt!r} "
                     f"(expected {RECORDING_FORMAT!r})"
                 )
-            self._payloads: List[Payload] = []
             for index in range(int(archive["num_chunks"][0])):
                 prefix = f"chunk{index}_"
                 kind = str(archive[prefix + "kind"][0])

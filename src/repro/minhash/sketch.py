@@ -15,7 +15,7 @@ vectorized equality count (see ``docs/performance.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -129,20 +129,6 @@ class SketchBlock:
         """A block with zero rows."""
         return cls(np.empty((0, family[0]), dtype=np.int64), family)
 
-    @classmethod
-    def from_sketches(cls, sketches: Sequence[Sketch]) -> "SketchBlock":
-        """Stack scalar sketches (all of one family) into a block."""
-        if not sketches:
-            raise SketchError("cannot build a block from zero sketches")
-        family = sketches[0].family
-        for sketch in sketches:
-            if sketch.family != family:
-                raise SketchError(
-                    f"cannot block sketches from different families: "
-                    f"{family} vs {sketch.family}"
-                )
-        return cls(np.stack([sketch.values for sketch in sketches]), family)
-
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
@@ -169,10 +155,6 @@ class SketchBlock:
     def take(self, keep: np.ndarray) -> None:
         """Compact to the rows selected by boolean mask ``keep``."""
         self.values = self.values[keep]
-
-    def row_sketch(self, row: int) -> Sketch:
-        """Row ``row`` as a scalar :class:`Sketch` (fast constructor)."""
-        return Sketch._raw(self.values[row].copy(), self.family)
 
     def equal_count_matrix(self, query_matrix: np.ndarray) -> np.ndarray:
         """``(C, Q)`` matrix of coordinate-wise equal-value counts.

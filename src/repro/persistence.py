@@ -10,10 +10,10 @@ the same family, so a reloaded set is bit-for-bit equivalent to the
 original.
 
 The file may also record the detector-relevant configuration (order,
-representation, ``vectorized``, threshold, ...) alongside the query
-set: a saved subscription is only meaningful for the engine it was
-built for, and silently loading it into a differently configured
-detector would change which copies are detected. Loading therefore
+representation, threshold, ...) alongside the query set: a saved
+subscription is only meaningful for the engine it was built for, and
+silently loading it into a differently configured detector would change
+which copies are detected. Loading therefore
 fails loudly when the caller's expected configuration differs from the
 recorded one.
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import pathlib
-from typing import Dict, Iterator, List, Mapping, Optional, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Type, Union
 
 import numpy as np
 
@@ -72,7 +72,6 @@ CONFIG_FIELDS = (
     "representation",
     "use_index",
     "prune",
-    "vectorized",
 )
 
 
@@ -81,30 +80,32 @@ class PersistenceError(ReproError):
 
 
 @contextlib.contextmanager
-def open_archive(path: pathlib.Path, what: str) -> Iterator[Mapping]:
+def open_archive(
+    path: pathlib.Path,
+    what: str,
+    error: Type[ReproError] = PersistenceError,
+) -> Iterator[Mapping]:
     """Open an ``.npz`` that came from outside the program.
 
     Nothing is ever unpickled, the file is closed on exit, and whatever
     goes wrong while the caller reads it — no file, not a zip, a
-    missing member, an object array — surfaces as a
-    :class:`PersistenceError` naming the file (``what`` says which kind
-    of file: ``"query-set"``, ``"checkpoint"``).
+    missing member, an object array — surfaces as the caller's typed
+    ``error`` naming the file (``what`` says which kind of file:
+    ``"query-set"``, ``"checkpoint"``, ``"stream recording"``).
     """
     if not path.exists():
-        raise PersistenceError(f"no {what} file at {path}")
+        raise error(f"no {what} file at {path}")
     try:
         with np.load(path, allow_pickle=False) as archive:
             yield archive
     except ReproError:
         raise
-    except KeyError as error:
-        raise PersistenceError(
-            f"{what} file {path} is missing field {error}"
-        ) from error
-    except Exception as error:  # zipfile/format errors vary by numpy
-        raise PersistenceError(
-            f"cannot read {what} file {path}: {error}"
-        ) from error
+    except KeyError as missing:
+        raise error(
+            f"{what} file {path} is missing field {missing}"
+        ) from missing
+    except Exception as cause:  # zipfile/format errors vary by numpy
+        raise error(f"cannot read {what} file {path}: {cause}") from cause
 
 
 # ----------------------------------------------------------------------
@@ -209,7 +210,6 @@ def detector_config_from_mapping(
             ),
             use_index=bool(int(mapping[f"{prefix}use_index"][0])),
             prune=bool(int(mapping[f"{prefix}prune"][0])),
-            vectorized=bool(int(mapping[f"{prefix}vectorized"][0])),
         )
     except KeyError as error:
         raise PersistenceError(f"recorded config is missing field {error}")

@@ -16,10 +16,7 @@ a pure function of the match coordinates:
 ``(window_index, start_frame, qid)`` uniquely identifies a match (an
 engine scores each candidate/query pair at most once per window), so
 sorting the merged per-chunk batch by the canonical key reproduces the
-single-process stream bit-for-bit for the columnar engines. The scalar
-reference engines iterate Python sets when scoring, so their *intra-
-window* emission order is unspecified; the equivalence suite compares
-them after canonical sorting (see ``docs/serving.md``).
+single-process stream bit-for-bit (see ``docs/serving.md``).
 """
 
 from __future__ import annotations

@@ -14,50 +14,36 @@ partial-window buffer is not a worker's: whoever cuts the stream into
 windows (the service's front end, an ingest session's monitor)
 checkpoints it.
 
-All four engine implementations are covered:
+Both engines are covered, each stored as the arrays it already holds:
 
-===========  ============================  ===============================
-order        scalar reference              columnar store
-===========  ============================  ===============================
-Sequential   ``_Candidate`` list           start/frame vectors + ``(C, Q)``
-             (sketch, per-qid signature    presence and ``(C, Q, W)``
-             dicts, relevant sets)         planes / ``(C, K)`` block
-Geometric    ``_Segment`` ladder           ``_ColumnarSegment`` ladder
-===========  ============================  ===============================
+===========  ========================  ===================================
+order        on-disk ``kind``          state
+===========  ========================  ===================================
+Sequential   ``columnar-sequential``   start/frame vectors + ``(C, Q)``
+                                       presence and ``(C, Q, W)`` planes
+                                       / ``(C, K)`` sketch block
+Geometric    ``columnar-geometric``    ``_ColumnarSegment`` ladder
+===========  ========================  ===================================
 
-Scalar signatures round-trip through their packed plane form
-(:func:`~repro.signature.bitsig.planes_from_signature` /
-``signature_from_planes``), scalar sketches through their raw value
-vectors — both loss-free.
+The test-only oracle in ``repro.reference`` is never checkpointed: its
+engines are refused here, as is a snapshot whose ``kind`` names one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.detector import StreamingDetector
 from repro.core.engine_geometric import (
     ColumnarGeometricEngine,
-    GeometricEngine,
     _ColumnarSegment,
-    _Segment,
 )
-from repro.core.engine_sequential import (
-    ColumnarSequentialEngine,
-    SequentialEngine,
-    _Candidate,
-)
+from repro.core.engine_sequential import ColumnarSequentialEngine
 from repro.errors import ServeError
-from repro.minhash.sketch import Sketch
 from repro.obs.registry import MetricsRegistry
-from repro.signature.bitsig import (
-    BitSignature,
-    plane_words,
-    planes_from_signature,
-    signature_from_planes,
-)
+from repro.signature.bitsig import plane_words
 
 __all__ = ["restore_worker_state", "worker_state"]
 
@@ -127,70 +113,6 @@ def _restore_registry(
 
 
 # ----------------------------------------------------------------------
-# scalar pair flattening (sigs dicts / relevant sets)
-# ----------------------------------------------------------------------
-
-
-def _flatten_sigs(
-    holders: List, width: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten per-holder ``{qid: BitSignature}`` dicts to pair arrays."""
-    rows: List[int] = []
-    qids: List[int] = []
-    ge_rows: List[np.ndarray] = []
-    lt_rows: List[np.ndarray] = []
-    for row, holder in enumerate(holders):
-        for qid in sorted(holder.sigs):
-            ge, lt = planes_from_signature(holder.sigs[qid])
-            rows.append(row)
-            qids.append(qid)
-            ge_rows.append(ge)
-            lt_rows.append(lt)
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(qids, dtype=np.int64),
-        np.asarray(ge_rows, dtype=np.uint64).reshape(len(rows), width),
-        np.asarray(lt_rows, dtype=np.uint64).reshape(len(rows), width),
-    )
-
-
-def _flatten_relevant(holders: List) -> Tuple[np.ndarray, np.ndarray]:
-    rows: List[int] = []
-    qids: List[int] = []
-    for row, holder in enumerate(holders):
-        for qid in sorted(holder.relevant):
-            rows.append(row)
-            qids.append(qid)
-    return (
-        np.asarray(rows, dtype=np.int64),
-        np.asarray(qids, dtype=np.int64),
-    )
-
-
-def _unflatten_sigs(
-    state: Dict[str, np.ndarray], num_hashes: int, count: int
-) -> List[Dict[int, BitSignature]]:
-    sigs: List[Dict[int, BitSignature]] = [dict() for _ in range(count)]
-    for row, qid, ge, lt in zip(
-        state["eng_sig_row"],
-        state["eng_sig_qid"],
-        state["eng_sig_ge"],
-        state["eng_sig_lt"],
-    ):
-        sigs[int(row)][int(qid)] = signature_from_planes(ge, lt, num_hashes)
-    return sigs
-
-
-def _unflatten_relevant(
-    state: Dict[str, np.ndarray], count: int
-) -> List[Set[int]]:
-    relevant: List[Set[int]] = [set() for _ in range(count)]
-    for row, qid in zip(state["eng_rel_row"], state["eng_rel_qid"]):
-        relevant[int(row)].add(int(qid))
-    return relevant
-
-
-# ----------------------------------------------------------------------
 # engines
 # ----------------------------------------------------------------------
 
@@ -200,10 +122,6 @@ def _engine_kind(engine) -> str:
         return "columnar-sequential"
     if isinstance(engine, ColumnarGeometricEngine):
         return "columnar-geometric"
-    if isinstance(engine, SequentialEngine):
-        return "scalar-sequential"
-    if isinstance(engine, GeometricEngine):
-        return "scalar-geometric"
     raise ServeError(f"unknown engine type {type(engine).__name__}")
 
 
@@ -241,62 +159,6 @@ def _restore_columnar_sequential(
     else:
         engine.block.values = state["eng_block"].astype(np.int64)
         engine.relevant = state["eng_relevant"].astype(bool)
-
-
-def _scalar_sequential_state(engine: SequentialEngine) -> Dict:
-    candidates = engine.candidates
-    width = plane_words(engine.context.config.num_hashes)
-    num_hashes = engine.context.config.num_hashes
-    sig_row, sig_qid, sig_ge, sig_lt = _flatten_sigs(candidates, width)
-    rel_row, rel_qid = _flatten_relevant(candidates)
-    return {
-        "eng_start_window": np.asarray(
-            [c.start_window for c in candidates], dtype=np.int64
-        ),
-        "eng_start_frame": np.asarray(
-            [c.start_frame for c in candidates], dtype=np.int64
-        ),
-        "eng_num_windows": np.asarray(
-            [c.num_windows for c in candidates], dtype=np.int64
-        ),
-        "eng_end_frame": np.asarray(
-            [c.end_frame for c in candidates], dtype=np.int64
-        ),
-        "eng_sketch": np.asarray(
-            [c.sketch.values for c in candidates], dtype=np.int64
-        ).reshape(len(candidates), num_hashes),
-        "eng_sig_row": sig_row,
-        "eng_sig_qid": sig_qid,
-        "eng_sig_ge": sig_ge,
-        "eng_sig_lt": sig_lt,
-        "eng_rel_row": rel_row,
-        "eng_rel_qid": rel_qid,
-    }
-
-
-def _restore_scalar_sequential(
-    engine: SequentialEngine, state: Dict[str, np.ndarray]
-) -> None:
-    num_hashes = engine.context.config.num_hashes
-    fingerprint = engine.context.queries.family.fingerprint
-    count = len(state["eng_start_window"])
-    sigs = _unflatten_sigs(state, num_hashes, count)
-    relevant = _unflatten_relevant(state, count)
-    candidates: List[_Candidate] = []
-    for row in range(count):
-        candidate = _Candidate(
-            start_window=int(state["eng_start_window"][row]),
-            start_frame=int(state["eng_start_frame"][row]),
-            end_frame=int(state["eng_end_frame"][row]),
-            sketch=Sketch._raw(
-                state["eng_sketch"][row].astype(np.int64), fingerprint
-            ),
-            sigs=sigs[row],
-            relevant=relevant[row],
-        )
-        candidate.num_windows = int(state["eng_num_windows"][row])
-        candidates.append(candidate)
-    engine.candidates = candidates
 
 
 def _columnar_geometric_state(engine: ColumnarGeometricEngine) -> Dict:
@@ -368,59 +230,6 @@ def _restore_columnar_geometric(
     engine.segments = segments
 
 
-def _scalar_geometric_state(engine: GeometricEngine) -> Dict:
-    segments = engine.segments
-    num_hashes = engine.context.config.num_hashes
-    width = plane_words(num_hashes)
-    sig_row, sig_qid, sig_ge, sig_lt = _flatten_sigs(segments, width)
-    rel_row, rel_qid = _flatten_relevant(segments)
-    return {
-        "eng_seg_size": np.asarray(
-            [s.size for s in segments], dtype=np.int64
-        ),
-        "eng_seg_start": np.asarray(
-            [s.start_frame for s in segments], dtype=np.int64
-        ),
-        "eng_seg_end": np.asarray(
-            [s.end_frame for s in segments], dtype=np.int64
-        ),
-        "eng_seg_sketch": np.asarray(
-            [s.sketch.values for s in segments], dtype=np.int64
-        ).reshape(len(segments), num_hashes),
-        "eng_sig_row": sig_row,
-        "eng_sig_qid": sig_qid,
-        "eng_sig_ge": sig_ge,
-        "eng_sig_lt": sig_lt,
-        "eng_rel_row": rel_row,
-        "eng_rel_qid": rel_qid,
-    }
-
-
-def _restore_scalar_geometric(
-    engine: GeometricEngine, state: Dict[str, np.ndarray]
-) -> None:
-    num_hashes = engine.context.config.num_hashes
-    fingerprint = engine.context.queries.family.fingerprint
-    count = len(state["eng_seg_size"])
-    sigs = _unflatten_sigs(state, num_hashes, count)
-    relevant = _unflatten_relevant(state, count)
-    segments: List[_Segment] = []
-    for row in range(count):
-        segments.append(
-            _Segment(
-                size=int(state["eng_seg_size"][row]),
-                start_frame=int(state["eng_seg_start"][row]),
-                end_frame=int(state["eng_seg_end"][row]),
-                sketch=Sketch._raw(
-                    state["eng_seg_sketch"][row].astype(np.int64), fingerprint
-                ),
-                sigs=sigs[row],
-                relevant=relevant[row],
-            )
-        )
-    engine.segments = segments
-
-
 def _check_qids(current: tuple, recorded: np.ndarray) -> None:
     if tuple(int(qid) for qid in recorded) != tuple(current):
         raise ServeError(
@@ -447,12 +256,8 @@ def worker_state(detector: StreamingDetector) -> Dict[str, np.ndarray]:
     kind = _engine_kind(detector.engine)
     if kind == "columnar-sequential":
         engine_state = _columnar_sequential_state(detector.engine)
-    elif kind == "columnar-geometric":
-        engine_state = _columnar_geometric_state(detector.engine)
-    elif kind == "scalar-sequential":
-        engine_state = _scalar_sequential_state(detector.engine)
     else:
-        engine_state = _scalar_geometric_state(detector.engine)
+        engine_state = _columnar_geometric_state(detector.engine)
     return {
         "kind": np.asarray([kind]),
         **engine_state,
@@ -478,10 +283,6 @@ def restore_worker_state(
         )
     if kind == "columnar-sequential":
         _restore_columnar_sequential(detector.engine, state)
-    elif kind == "columnar-geometric":
-        _restore_columnar_geometric(detector.engine, state)
-    elif kind == "scalar-sequential":
-        _restore_scalar_sequential(detector.engine, state)
     else:
-        _restore_scalar_geometric(detector.engine, state)
+        _restore_columnar_geometric(detector.engine, state)
     _restore_registry(detector.registry, state)

@@ -42,7 +42,7 @@ whose replies it keeps.
 
 ``batch``: the worker rebuilds each :class:`BasicWindow` from the
 shipped sketch rows (copying the small ``(nw, K)`` matrix once — the
-scalar engines retain sketch references across windows, so the rows
+geometric ladder retains sketch references across windows, so the rows
 must be worker-owned) and, when planes were precomputed, slices its
 shard's plane rows out of the ``(nw, Q, W)`` arrays by qid (fancy
 indexing, which also copies). The reply carries one match list per
@@ -252,8 +252,8 @@ class ShardWorker:
         """Run every precomputed window; one match list per chunk."""
         detector = self.detector
         fingerprint = detector.queries.family.fingerprint
-        # Worker-owned copy: scalar engines keep candidate sketches by
-        # reference, and a shared-memory row would be overwritten when
+        # Worker-owned copy: the geometric ladder keeps segment sketches
+        # by reference, and a shared-memory row would be overwritten when
         # the producer reuses the slot.
         values = np.array(batch.sketch_values, dtype=np.int64)
         rows = self._plane_rows(batch.plane_qids)

@@ -27,8 +27,7 @@ engines: planes stored as little-endian ``uint64`` word arrays of width
 ``⌈K/64⌉`` (`plane_words`), so whole ``(C, Q)`` blocks of signatures OR,
 popcount and Lemma-2-prune as bulk bitwise numpy operations. Word ``w``,
 bit ``b`` of a packed plane is bit ``64w + b`` of the equivalent Python
-int, making the two representations freely convertible
-(`planes_from_signature` / `signature_from_planes`).
+int.
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ __all__ = [
     "encode_planes_many",
     "pack_bool_planes",
     "plane_words",
-    "planes_from_signature",
     "popcount_planes",
-    "signature_from_planes",
 ]
 
 PLANE_WORD_BITS = 64
@@ -124,25 +121,6 @@ def encode_planes_many(
     ge = pack_bool_planes(window_matrix[:, np.newaxis, :] <= query_matrix)
     lt = pack_bool_planes(window_matrix[:, np.newaxis, :] < query_matrix)
     return ge, lt
-
-
-def planes_from_signature(signature: "BitSignature") -> tuple:
-    """One signature's ``(ge, lt)`` planes as ``(W,)`` uint64 arrays."""
-    width = plane_words(signature.num_hashes) * 8
-    ge = np.frombuffer(signature.ge.to_bytes(width, "little"), dtype="<u8")
-    lt = np.frombuffer(signature.lt.to_bytes(width, "little"), dtype="<u8")
-    return ge, lt
-
-
-def signature_from_planes(
-    ge: np.ndarray, lt: np.ndarray, num_hashes: int
-) -> "BitSignature":
-    """Rebuild a scalar :class:`BitSignature` from packed plane rows."""
-    return BitSignature._raw(
-        int.from_bytes(ge.tobytes(), "little"),
-        int.from_bytes(lt.tobytes(), "little"),
-        num_hashes,
-    )
 
 
 def _pack_bits(flags: np.ndarray) -> int:

@@ -20,6 +20,28 @@ from repro.workloads.doctor import StreamDoctor
 from repro.workloads.library import ClipLibrary
 
 
+class _Tripwire:
+    """Unpickling one of these is the arbitrary-code path."""
+
+    fired = False
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _trip():
+    _Tripwire.fired = True
+    return "tripped"
+
+
+@pytest.fixture()
+def tripwire():
+    """A class to plant in an object array: ``tripwire.fired`` tells
+    whether loading the file unpickled (i.e. executed) it."""
+    _Tripwire.fired = False
+    return _Tripwire
+
+
 @pytest.fixture(scope="session")
 def smoke_profile() -> ScaleProfile:
     """A tiny profile: four short queries on a four-minute stream."""

@@ -124,7 +124,7 @@ def test_store_load_detects_payload_corruption(tmp_path):
     _, starts, frames, values = _rows(0, 4)
     info = store.seal(0, starts, frames, values, FP)
     # Rewrite the payload without refreshing the stored CRC.
-    with np.load(info.path, allow_pickle=True) as archive:
+    with np.load(info.path) as archive:
         members = {name: archive[name] for name in archive.files}
     members["starts"] = members["starts"] + 1
     np.savez(info.path, **members)
@@ -403,17 +403,30 @@ def test_manager_rejects_bad_keep_last(tmp_path):
         CheckpointManager(tmp_path, keep_last=0)
 
 
-def test_segment_format_tag_is_checked(tmp_path):
-    store = SegmentStore(tmp_path)
-    _, starts, frames, values = _rows(0, 2)
-    info = store.seal(0, starts, frames, values, FP)
-    with np.load(info.path, allow_pickle=True) as archive:
-        members = {name: archive[name] for name in archive.files}
-    fmt = np.empty(1, dtype=object)
-    fmt[0] = "alien/9"
-    members["format"] = fmt
-    np.savez(info.path, **members)
-    with pytest.raises(ArchiveError, match="format"):
-        store.load(info)
-    assert SegmentStore(tmp_path).recover() == []
+def test_segment_format_tag_is_checked(tmp_path, tripwire):
+    """A foreign tag is refused by ``load`` and quarantined by
+    ``recover`` — and so is a tag held as an object array (as segments
+    sealed by older builds were): a segment is a file from outside the
+    program, and nothing in it is ever unpickled."""
+    for name, tag, message in (
+        ("alien", np.asarray(["alien/9"]), "foreign format tag 'alien/9'"),
+        ("object", np.asarray([tripwire()], dtype=object), "Object arrays"),
+    ):
+        directory = tmp_path / name
+        directory.mkdir()
+        store = SegmentStore(directory)
+        _, starts, frames, values = _rows(0, 2)
+        info = store.seal(0, starts, frames, values, FP)
+        with np.load(info.path) as archive:
+            assert archive["format"].dtype.kind == "U"
+            members = {name: archive[name] for name in archive.files}
+        members["format"] = tag
+        np.savez(info.path, **members)
+        with pytest.raises(ArchiveError, match=message):
+            store.load(info)
+        assert SegmentStore(directory).recover() == []
+        assert [p.name for p in directory.iterdir()] == [
+            info.path.name + ".corrupt"
+        ]
+    assert not tripwire.fired
     assert ARCHIVE_FORMAT == "repro.arch/1"

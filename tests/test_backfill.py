@@ -6,9 +6,8 @@ over the overlap, the combined retro + live match stream is bit-for-bit
 (same matches, same similarities, same canonical order) what a service
 that carried the query from chunk 0 reports. This suite drives
 hypothesis workloads through every engine mode (both combination
-orders, both representations, index on/off, scalar and columnar
-kernels) and shard counts 1/2/5, checks the thread and process
-executors, and kills a service *mid-backfill* to prove a checkpoint
+orders, both representations, index on/off) and shard counts 1/2/5,
+checks the thread and process executors, and kills a service *mid-backfill* to prove a checkpoint
 resume loses no retro matches and duplicates none.
 """
 
@@ -56,7 +55,7 @@ def _match_key(match):
     )
 
 
-def _config(order, representation, use_index, threshold, vectorized=True):
+def _config(order, representation, use_index, threshold):
     return DetectorConfig(
         num_hashes=NUM_HASHES,
         threshold=threshold,
@@ -64,7 +63,6 @@ def _config(order, representation, use_index, threshold, vectorized=True):
         order=order,
         representation=representation,
         use_index=use_index,
-        vectorized=vectorized,
     )
 
 
@@ -195,36 +193,6 @@ def test_late_subscribe_backfill_equals_from_start(
             chunks, subscribe_at, num_workers=num_workers,
         )
         assert got == reference
-
-
-@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
-def test_scalar_engine_backfill_equals_from_start(
-    order, representation, use_index
-):
-    """The scalar (non-vectorized) engine honours the same guarantee."""
-    rng = np.random.default_rng(41)
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=5)
-    queries = {0: rng.integers(0, CELL_SPACE, size=30),
-               1: rng.integers(0, CELL_SPACE, size=20)}
-    frames = {0: 30, 1: 20}
-    late_cells = rng.integers(0, CELL_SPACE, size=25)
-    chunks = []
-    for position in range(4):
-        chunk = rng.integers(0, CELL_SPACE, size=6 * WINDOW_FRAMES)
-        source = [0, 1, LATE_QID][position % 3]
-        copy = late_cells if source == LATE_QID else queries[source]
-        chunk[: copy.size] = copy
-        chunks.append(chunk)
-    config = _config(order, representation, use_index, 0.3,
-                     vectorized=False)
-    reference = _from_start(
-        config, family, queries, frames, late_cells, 25, chunks
-    )
-    got = _late_subscribe(
-        config, family, queries, frames, late_cells, 25, chunks,
-        subscribe_at=2, num_workers=2,
-    )
-    assert got == reference
 
 
 @pytest.mark.slow

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -60,6 +62,13 @@ class TestDetectorConfig:
         config = DetectorConfig().replace(num_hashes=100)
         assert config.num_hashes == 100
         assert config.threshold == 0.7
+
+    def test_engine_implementation_is_not_configurable(self):
+        """The paper's eight parameters and no ninth: which kernels run
+        is not a setting (the scalar oracle lives in repro.reference)."""
+        assert len(dataclasses.fields(DetectorConfig)) == 8
+        with pytest.raises(TypeError):
+            DetectorConfig(vectorized=False)
 
     def test_rejects_bad_values(self):
         with pytest.raises(ConfigError):

@@ -18,6 +18,7 @@ from repro.core.detector import StreamingDetector
 from repro.core.query import QuerySet
 from repro.errors import DetectionError
 from repro.minhash.family import MinHashFamily
+from repro.reference import ReferenceDetector
 
 KF_RATE = 1.0  # one key frame per second: window_seconds == window_frames
 
@@ -275,7 +276,20 @@ class TestExpiry:
         detector.process_cell_ids(_filler(rng, 500))
         cap = detector.context.global_max_windows
         engine = detector.engine
-        assert all(c.num_windows <= cap for c in engine.candidates)
+        last_window = detector.stats.windows_processed - 1
+        assert 0 < engine.num_candidates <= cap
+        assert engine.start_window.shape == (engine.num_candidates,)
+        assert np.all(last_window - engine.start_window + 1 <= cap)
+        assert detector.stats.expired_candidates > 0
+
+    def test_reference_candidates_bounded_by_lambda_l(self, wide_family, rng):
+        queries = _make_queries(wide_family, {0: (1000, 1040, 40)})
+        detector = ReferenceDetector(_config(), queries, KF_RATE)
+        detector.process_cell_ids(_filler(rng, 500))
+        cap = detector.context.global_max_windows
+        candidates = detector.engine.candidates
+        assert 0 < len(candidates) <= cap
+        assert all(c.num_windows <= cap for c in candidates)
         assert detector.stats.expired_candidates > 0
 
     def test_geometric_total_size_bounded(self, wide_family, rng):

@@ -7,16 +7,18 @@ import pytest
 
 from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.detector import StreamingDetector
-from repro.core.engine_geometric import GeometricEngine
+from repro.core.engine_geometric import ColumnarGeometricEngine
 from repro.core.monitor import EngineStats
 from repro.core.query import QuerySet
 from repro.minhash.family import MinHashFamily
+from repro.reference import GeometricEngine, ReferenceDetector
 
 KF_RATE = 1.0
 
 
 def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.SKETCH,
-              window_seconds=10.0, num_query_frames=200):
+              window_seconds=10.0, num_query_frames=200,
+              detector_cls=StreamingDetector):
     family = MinHashFamily(num_hashes=64, seed=2)
     queries = QuerySet.from_cell_ids(
         {0: np.arange(1000, 1100)}, {0: num_query_frames}, family
@@ -28,7 +30,7 @@ def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.SK
         window_seconds=window_seconds,
         use_index=False,
     )
-    return StreamingDetector(config, queries, KF_RATE)
+    return detector_cls(config, queries, KF_RATE)
 
 
 class TestGeometricLadder:
@@ -37,7 +39,7 @@ class TestGeometricLadder:
         of n (while under the expiry cap)."""
         detector = _detector()
         engine = detector.engine
-        assert isinstance(engine, GeometricEngine)
+        assert type(engine) is ColumnarGeometricEngine
         for n in range(1, 14):
             detector.process_cell_ids(rng.integers(0, 500, size=10))
             sizes = [segment.size for segment in engine.segments]
@@ -46,12 +48,31 @@ class TestGeometricLadder:
             ]
             assert sorted(sizes) == sorted(expected), (n, sizes)
 
+    def test_reference_ladder_has_the_same_shape(self, rng):
+        """The oracle's ladder, once: binary-counter sizes, strictly
+        decreasing toward the tail, contiguous in frames."""
+        detector = _detector(detector_cls=ReferenceDetector)
+        engine = detector.engine
+        assert type(engine) is GeometricEngine
+        for n in range(1, 14):
+            detector.process_cell_ids(rng.integers(0, 500, size=10))
+            sizes = [segment.size for segment in engine.segments]
+            assert sizes == [
+                1 << bit
+                for bit in reversed(range(n.bit_length()))
+                if n & (1 << bit)
+            ], (n, sizes)
+            cursor = engine.segments[0].start_frame
+            for segment in engine.segments:
+                assert segment.start_frame == cursor
+                cursor = segment.end_frame
+
     def test_sizes_strictly_decreasing_toward_tail(self, rng):
         detector = _detector()
         engine = detector.engine
         detector.process_cell_ids(rng.integers(0, 500, size=11 * 10))
         sizes = [segment.size for segment in engine.segments]
-        assert sizes == sorted(sizes, reverse=True)
+        assert all(a > b for a, b in zip(sizes, sizes[1:])), sizes
 
     def test_segments_are_contiguous(self, rng):
         detector = _detector()

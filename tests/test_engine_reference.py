@@ -1,11 +1,12 @@
-"""Golden equivalence: columnar engines vs the scalar reference.
+"""Golden equivalence: production vs reference.
 
-The columnar (``vectorized=True``) engines promise bit-for-bit identical
-behaviour to the scalar reference implementations: the same Match
+The production (columnar) engines promise bit-for-bit identical
+behaviour to the scalar oracle in ``repro.reference``: the same Match
 stream (same similarities, computed through the same float operations),
 the same counters — including ``signature_prunes`` and
 ``expired_candidates`` — and the same maintained-state distributions.
-This suite drives both implementations through randomized workloads
+This suite drives a :class:`StreamingDetector` and a
+:class:`ReferenceDetector` through the same randomized workloads
 (hypothesis) covering mid-stream subscribe/unsubscribe, partial tail
 windows and threshold edge cases, for both combination orders, both
 representations, and with the Hash-Query index on and off.
@@ -21,6 +22,7 @@ from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.detector import StreamingDetector
 from repro.core.query import Query, QuerySet
 from repro.minhash.family import MinHashFamily
+from repro.reference import ReferenceDetector
 
 CELL_SPACE = 500  # small id space -> plenty of sketch collisions
 NUM_HASHES = 32
@@ -112,7 +114,9 @@ def workloads(draw):
     return family_seed, queries, frames, threshold, chunks, actions
 
 
-def _run_session(config, family, queries, frames, chunks, actions):
+def _run_session(
+    detector_cls, config, family, queries, frames, chunks, actions
+):
     # Only the originally numbered queries are subscribed up front; the
     # rest arrive through subscribe actions.
     subscribed_first = [
@@ -123,7 +127,7 @@ def _run_session(config, family, queries, frames, chunks, actions):
         {qid: frames[qid] for qid in subscribed_first},
         family,
     )
-    detector = StreamingDetector(config, query_set, KEYFRAMES_PER_SECOND)
+    detector = detector_cls(config, query_set, KEYFRAMES_PER_SECOND)
     for position, chunk in enumerate(chunks):
         detector.process_cell_ids(chunk)
         if position < len(actions):
@@ -141,6 +145,23 @@ def _run_session(config, family, queries, frames, chunks, actions):
             elif kind == "unsubscribe":
                 detector.unsubscribe(qid)
     return detector
+
+
+def _run_both(mode, threshold, family, queries, frames, chunks, actions):
+    """The same session through the oracle and through production."""
+    order, representation, use_index = mode
+    config = DetectorConfig(
+        num_hashes=NUM_HASHES,
+        threshold=threshold,
+        window_seconds=WINDOW_SECONDS,
+        order=order,
+        representation=representation,
+        use_index=use_index,
+    )
+    return tuple(
+        _run_session(cls, config, family, queries, frames, chunks, actions)
+        for cls in (ReferenceDetector, StreamingDetector)
+    )
 
 
 def _assert_equivalent(reference, columnar):
@@ -171,20 +192,8 @@ def _assert_equivalent(reference, columnar):
 def test_columnar_matches_reference(order, representation, use_index, workload):
     family_seed, queries, frames, threshold, chunks, actions = workload
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    base = dict(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-        order=order,
-        representation=representation,
-        use_index=use_index,
-    )
-    reference = _run_session(
-        DetectorConfig(**base, vectorized=False),
-        family, queries, frames, chunks, actions,
-    )
-    columnar = _run_session(
-        DetectorConfig(**base, vectorized=True),
+    reference, columnar = _run_both(
+        (order, representation, use_index), threshold,
         family, queries, frames, chunks, actions,
     )
     _assert_equivalent(reference, columnar)
@@ -203,21 +212,8 @@ def test_columnar_exact_threshold_tie(order, representation, use_index):
     # Sweep thresholds across every attainable similarity level i/K so
     # some run ties exactly (similarities are multiples of 1/K).
     for level in range(0, NUM_HASHES + 1, 4):
-        threshold = max(level, 1) / NUM_HASHES
-        base = dict(
-            num_hashes=NUM_HASHES,
-            threshold=threshold,
-            window_seconds=WINDOW_SECONDS,
-            order=order,
-            representation=representation,
-            use_index=use_index,
-        )
-        reference = _run_session(
-            DetectorConfig(**base, vectorized=False),
-            family, queries, frames, [stream], [],
-        )
-        columnar = _run_session(
-            DetectorConfig(**base, vectorized=True),
+        reference, columnar = _run_both(
+            (order, representation, use_index), max(level, 1) / NUM_HASHES,
             family, queries, frames, [stream], [],
         )
         _assert_equivalent(reference, columnar)
@@ -236,20 +232,8 @@ def test_columnar_partial_tail_window(order, representation):
     queries = {0: rng.integers(0, CELL_SPACE, size=20)}
     frames = {0: 20}
     stream = rng.integers(0, CELL_SPACE, size=23)  # 4 windows + 3 frames
-    base = dict(
-        num_hashes=NUM_HASHES,
-        threshold=0.3,
-        window_seconds=WINDOW_SECONDS,
-        order=order,
-        representation=representation,
-        use_index=False,
-    )
-    reference = _run_session(
-        DetectorConfig(**base, vectorized=False),
-        family, queries, frames, [stream], [],
-    )
-    columnar = _run_session(
-        DetectorConfig(**base, vectorized=True),
+    reference, columnar = _run_both(
+        (order, representation, False), 0.3,
         family, queries, frames, [stream], [],
     )
     assert reference.stats.partial_windows == 1

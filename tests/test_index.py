@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import IndexError_
 from repro.index.hq import HashQueryIndex
-from repro.index.probe import probe_index, probe_index_reference
+from repro.index.probe import probe_index
 from repro.minhash.family import MinHashFamily
+from repro.reference import probe_index_reference
 from repro.signature.bitsig import BitSignature
 
 

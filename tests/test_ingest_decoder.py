@@ -124,17 +124,22 @@ class TestResilientDecoder:
             )
 
     def test_destroyed_header_counts_whole_chunk(self, extractor):
+        """A broken magic — or byte 9, the ``num_frames`` varint, zeroed:
+        a header promising no frames parses cleanly, and used to escape
+        as ``FeatureError: encoded stream contains no key frames``."""
         src = SyntheticSource(0, seed=7, num_chunks=1)
         encoded = src.encode_chunk(0)
-        data = bytearray(encoded.data)
-        data[0] ^= 0xFF
-        chunk = StreamChunk(
-            0, 0, dataclasses.replace(encoded, data=bytes(data))
-        )
-        decoded = ResilientDecoder(extractor).decode_chunk(chunk)
-        assert decoded.header_lost
-        assert decoded.keyframes_decoded == 0
-        assert decoded.keyframes_damaged == chunk.expected_keyframes
+        assert encoded.data[9] == encoded.num_frames == 24
+        for offset, value in ((0, encoded.data[0] ^ 0xFF), (9, 0)):
+            data = bytearray(encoded.data)
+            data[offset] = value
+            chunk = StreamChunk(
+                0, 0, dataclasses.replace(encoded, data=bytes(data))
+            )
+            decoded = ResilientDecoder(extractor).decode_chunk(chunk)
+            assert decoded.header_lost and decoded.decode_errors >= 1
+            assert decoded.keyframes_decoded == 0
+            assert decoded.keyframes_damaged == chunk.expected_keyframes == 4
 
     def test_cell_id_passthrough_needs_no_extractor(self):
         ids = np.arange(9)

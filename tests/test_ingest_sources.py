@@ -144,8 +144,28 @@ class TestRecordReplay:
         )
 
     def test_missing_recording_rejected(self, tmp_path):
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match="no stream recording"):
             ReplaySource(0, tmp_path / "nope.npz")
+
+    def test_object_array_recording_is_refused_not_unpickled(
+        self, tmp_path, tripwire
+    ):
+        """A recording is a file from outside the program: one whose tags
+        are object arrays (as older recordings' were) is refused with the
+        module's typed error — never unpickled."""
+        path = tmp_path / "cells.npz"
+        record_stream(path, CellIdSource(0, [np.arange(10)]))
+        with np.load(path) as archive:
+            assert archive["format"].dtype.kind == "U"
+            assert archive["chunk0_kind"].dtype.kind == "U"
+            members = dict(archive)
+        for member in ("format", "chunk0_kind"):
+            damaged = dict(members)
+            damaged[member] = np.asarray([tripwire()], dtype=object)
+            np.savez(path, **damaged)
+            with pytest.raises(IngestError, match="Object arrays"):
+                ReplaySource(0, path)
+        assert not tripwire.fired
 
 
 class TestFaultInjector:

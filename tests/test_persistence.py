@@ -146,17 +146,22 @@ class TestRecordedConfig:
         save_query_set(query_set, path, config=config)
         assert load_recorded_config(path) == config
         load_query_set(path, expected_config=config)  # must not raise
+        # Version 3 files written while the engine switch existed carry
+        # one more member; they load unchanged.
+        TestFailureModes._rewrite(path, config_vectorized=np.asarray([1]))
+        assert load_recorded_config(path) == config
+        load_query_set(path, expected_config=config)
 
     def test_mismatch_fails_loudly(self, query_set, tmp_path):
         """Every differing field is named with both values."""
         path = tmp_path / "queries.npz"
         save_query_set(query_set, path, config=self._config())
-        other = self._config(threshold=0.9, vectorized=False)
+        other = self._config(threshold=0.9, prune=False)
         with pytest.raises(PersistenceError) as excinfo:
             load_query_set(path, expected_config=other)
         message = str(excinfo.value)
         assert "threshold: recorded=0.7 expected=0.9" in message
-        assert "vectorized: recorded=True expected=False" in message
+        assert "prune: recorded=True expected=False" in message
 
     def test_no_recorded_config_skips_check(self, query_set, tmp_path):
         """Files saved without a config have nothing to check against."""

@@ -8,7 +8,12 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import pathlib
 import pkgutil
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -67,6 +72,38 @@ class TestSubpackages:
         ):
             module = importlib.import_module(module_info.name)
             assert module.__doc__, f"{module_info.name} lacks a docstring"
+
+
+class TestReferenceBoundary:
+    """``repro.reference`` is the tests' oracle, not part of the runtime."""
+
+    def test_no_runtime_module_imports_the_reference(self):
+        root = pathlib.Path(repro.__file__).parent
+        imports = re.compile(
+            r"^\s*(from|import)\s+repro\.reference\b"
+            r"|^\s*from\s+repro\s+import\b.*\breference\b",
+            re.MULTILINE,
+        )
+        assert [
+            str(path.relative_to(root))
+            for path in sorted(root.rglob("*.py"))
+            if path.relative_to(root).parts[0] != "reference"
+            and imports.search(path.read_text())
+        ] == []
+
+    def test_import_repro_does_not_load_the_reference(self):
+        root = pathlib.Path(repro.__file__).parent
+        probe = (
+            "import sys, repro; "
+            "print([m for m in sys.modules if m.startswith('repro.reference')])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root.parent)},
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestErrorHierarchy:

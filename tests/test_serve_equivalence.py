@@ -25,6 +25,7 @@ from repro.core.detector import StreamingDetector
 from repro.core.live import LiveMonitor
 from repro.core.query import Query, QuerySet
 from repro.minhash.family import MinHashFamily
+from repro.reference import ReferenceDetector
 from repro.serve import (
     CheckpointManager,
     DetectionService,
@@ -186,7 +187,6 @@ def test_sharded_equals_serial(order, representation, use_index, workload):
         order=order,
         representation=representation,
         use_index=use_index,
-        vectorized=True,
     )
     for num_workers in SHARD_COUNTS:
         service, applied = _run_service(
@@ -209,13 +209,14 @@ def test_sharded_equals_serial(order, representation, use_index, workload):
 
 @pytest.mark.parametrize(
     "representation,use_index",
-    [(r, i) for r in Representation for i in (False, True)],
-    ids=lambda v: getattr(v, "value", {False: "noidx", True: "idx"}.get(v)),
+    [
+        # "columnar-": the ids these cases have always had.
+        pytest.param(r, i, id=f"columnar-{r.value}-{'idx' if i else 'noidx'}")
+        for r in Representation for i in (False, True)
+    ],
 )
-@pytest.mark.parametrize("vectorized", [False, True],
-                         ids=["scalar", "columnar"])
-def test_sketch_once_all_engines(representation, use_index, vectorized):
-    """Both engine implementations accept precomputed payloads in every
+def test_sketch_once_all_engines(representation, use_index):
+    """The engines accept precomputed payloads in every
     representation/index mode and reproduce the serial stream."""
     rng = np.random.default_rng(67)
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=6)
@@ -227,7 +228,6 @@ def test_sketch_once_all_engines(representation, use_index, vectorized):
         num_hashes=NUM_HASHES, threshold=0.3,
         window_seconds=WINDOW_SECONDS,
         representation=representation, use_index=use_index,
-        vectorized=vectorized,
     )
     detector = StreamingDetector(
         config, QuerySet.from_cell_ids(cells, frames, family),
@@ -348,7 +348,6 @@ def test_kill_resume_mid_churn_equals_serial(
         order=order,
         representation=representation,
         use_index=use_index,
-        vectorized=True,
     )
     for num_workers in SHARD_COUNTS:
         # tempfile (not the tmp_path fixture): function-scoped fixtures
@@ -421,28 +420,29 @@ def test_resume_carries_partial_buffer(tmp_path):
 def test_scalar_matches_columnar_under_churn(
     order, representation, use_index, workload
 ):
-    """Golden equivalence of the two engine implementations under churn.
+    """Golden equivalence of production and oracle under churn.
 
     A subscribe must not leave the columnar path scoring a stale query
     column set, and an unsubscribe must purge the query's columns; the
     scalar store keys state by qid and is immune, so any divergence in
-    the match streams pins the bug on the vectorized path.
+    the match streams pins the bug on the production path.
     """
     family_seed, queries, frames, threshold, chunks, actions = workload
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
     initial = [qid for qid in queries if ("subscribe", qid) not in actions]
+    config = DetectorConfig(
+        num_hashes=NUM_HASHES,
+        threshold=threshold,
+        window_seconds=WINDOW_SECONDS,
+        order=order,
+        representation=representation,
+        use_index=use_index,
+    )
     results = {}
-    for vectorized in (False, True):
-        config = DetectorConfig(
-            num_hashes=NUM_HASHES,
-            threshold=threshold,
-            window_seconds=WINDOW_SECONDS,
-            order=order,
-            representation=representation,
-            use_index=use_index,
-            vectorized=vectorized,
-        )
-        detector = StreamingDetector(
+    for vectorized, detector_cls in (
+        (False, ReferenceDetector), (True, StreamingDetector)
+    ):
+        detector = detector_cls(
             config,
             _initial_set(family, queries, frames, actions),
             KEYFRAMES_PER_SECOND,
@@ -547,36 +547,3 @@ def test_checkpoint_restore_loses_nothing(order, tmp_path):
         assert merged_a[name] == merged_b[name], name
     uninterrupted.close()
     resumed.close()
-
-
-def test_scalar_engines_match_after_canonical_sort():
-    """Scalar (vectorized=False) workers: set-iteration order differs,
-    but the canonically sorted stream still equals serial."""
-    rng = np.random.default_rng(51)
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=2)
-    cells = {qid: rng.integers(0, CELL_SPACE, size=28) for qid in range(4)}
-    frames = {qid: 28 for qid in cells}
-    chunks = [rng.integers(0, CELL_SPACE, size=30) for _ in range(2)]
-    chunks[0][1:29] = cells[0]
-    for order in CombinationOrder:
-        config = DetectorConfig(
-            num_hashes=NUM_HASHES, threshold=0.3,
-            window_seconds=WINDOW_SECONDS, order=order, vectorized=False,
-        )
-        detector = StreamingDetector(
-            config, QuerySet.from_cell_ids(cells, frames, family),
-            KEYFRAMES_PER_SECOND,
-        )
-        monitor = LiveMonitor(detector)
-        serial = []
-        for chunk in chunks:
-            serial.extend(monitor.push_cell_ids(chunk))
-        serial.extend(monitor.flush())
-        with DetectionService(
-            config, QuerySet.from_cell_ids(cells, frames, family),
-            KEYFRAMES_PER_SECOND, num_workers=2,
-        ) as service:
-            service.run(chunks)
-            assert sorted(map(_match_key, service.matches)) == sorted(
-                map(_match_key, serial)
-            )

@@ -28,12 +28,14 @@ from repro.errors import ServeError
 from repro.ingest import CellIdSource, StreamScheduler, StreamSession
 from repro.minhash.family import MinHashFamily
 from repro.persistence import save_query_set
+from repro.reference import ReferenceDetector
 from repro.serve import (
     CHECKPOINT_FORMAT,
     CheckpointManager,
     DetectionService,
     QueryInfo,
     ShardPlanner,
+    restore_worker_state,
     worker_state,
 )
 
@@ -61,7 +63,7 @@ def _match_key(match):
 
 
 def _config(order=CombinationOrder.SEQUENTIAL,
-            representation=Representation.BIT, vectorized=True,
+            representation=Representation.BIT,
             use_index=True, threshold=0.3):
     return DetectorConfig(
         num_hashes=NUM_HASHES,
@@ -70,7 +72,6 @@ def _config(order=CombinationOrder.SEQUENTIAL,
         order=order,
         representation=representation,
         use_index=use_index,
-        vectorized=vectorized,
     )
 
 
@@ -147,8 +148,7 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
     monitor.push_cell_ids(rng.integers(0, CELL_SPACE, size=20))
     detector.subscribe(_query(family, 42, cells[0] + 1, 18))
     state = worker_state(detector)
-    if "eng_qids" in state:  # columnar engines record the column layout
-        assert 42 in state["eng_qids"].tolist()
+    assert 42 in state["eng_qids"].tolist()
 
     fresh = StreamingDetector(
         config,
@@ -159,9 +159,24 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
         ),
         KEYFRAMES_PER_SECOND,
     )
-    from repro.serve import restore_worker_state
-
     restore_worker_state(fresh, state)  # must not raise
+
+
+def test_the_oracle_is_never_checkpointed():
+    """Two engine kinds are checkpointable, both production: a snapshot
+    naming a scalar kind (an older build could write one) is refused,
+    and so is a :class:`ReferenceDetector` handed to ``worker_state``."""
+    family, cells, frames, rng = _fixture()
+    queries = QuerySet.from_cell_ids(cells, frames, family)
+    detector = StreamingDetector(_config(), queries, KEYFRAMES_PER_SECOND)
+    state = worker_state(detector)
+    assert str(state["kind"][0]) == "columnar-sequential"
+    state["kind"] = np.asarray(["scalar-sequential"])
+    with pytest.raises(ServeError, match="'scalar-sequential'"):
+        restore_worker_state(detector, state)
+    oracle = ReferenceDetector(_config(), queries, KEYFRAMES_PER_SECOND)
+    with pytest.raises(ServeError, match="unknown engine type"):
+        worker_state(oracle)
 
 
 # ----------------------------------------------------------------------
@@ -169,16 +184,16 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("order,representation", ENGINE_MODES)
-@pytest.mark.parametrize("vectorized", [True, False],
-                         ids=["columnar", "scalar"])
-def test_unsubscribe_leaves_no_trace_in_snapshots(
-    order, representation, vectorized
-):
+@pytest.mark.parametrize("order,representation", [
+    # "columnar-": the ids these cases have always had.
+    pytest.param(*mode.values, id=f"columnar-{mode.id}")
+    for mode in ENGINE_MODES
+])
+def test_unsubscribe_leaves_no_trace_in_snapshots(order, representation):
     """After unsubscribe, the removed qid appears nowhere in the worker
-    state: not in the column layout, pair arrays, or query listing."""
+    state: not in the column layout or the query listing."""
     family, cells, frames, rng = _fixture()
-    config = _config(order, representation, vectorized=vectorized)
+    config = _config(order, representation)
     detector = StreamingDetector(
         config, QuerySet.from_cell_ids(cells, frames, family),
         KEYFRAMES_PER_SECOND,
@@ -189,9 +204,7 @@ def test_unsubscribe_leaves_no_trace_in_snapshots(
     monitor.push_cell_ids(chunk)
     detector.unsubscribe(1)
     state = worker_state(detector)
-    for key in ("eng_qids", "eng_sig_qid", "eng_rel_qid"):
-        if key in state:
-            assert 1 not in state[key].tolist(), key
+    assert 1 not in state["eng_qids"].tolist()
     assert 1 not in detector.queries.query_ids
 
 

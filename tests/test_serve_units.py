@@ -343,20 +343,6 @@ class TestMergeSnapshots:
         }
 
 
-class _Tripwire:
-    """Unpickling one of these is the arbitrary-code path."""
-
-    fired = False
-
-    def __reduce__(self):
-        return (_trip, ())
-
-
-def _trip():
-    _Tripwire.fired = True
-    return "repro.ckpt/5"
-
-
 class TestCheckpointManager:
     def _checkpoint(self, family, chunks=3):
         queries = _query_set(family, [10, 20])
@@ -379,7 +365,13 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path)
         path = manager.save(self._checkpoint(family))
         assert path == manager.latest()
-        loaded = manager.load()
+        # ``repro.ckpt/5`` files written while the engine switch existed
+        # carry one more member; they load unchanged.
+        with np.load(path) as archive:
+            payload = {**archive, "config_vectorized": np.asarray([1])}
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **payload)
+        loaded = manager.load(expected_config=DetectorConfig(num_hashes=32))
         assert loaded.chunks_ingested == 3
         assert loaded.cap_hint == 4
         assert loaded.matches == [_match(0, 1, 5)]
@@ -432,7 +424,7 @@ class TestCheckpointManager:
             )
 
     def test_pickled_member_is_refused_not_unpickled(
-        self, family, tmp_path
+        self, family, tmp_path, tripwire
     ):
         """A checkpoint is a file from outside the program: an object
         array in it is refused before anything is unpickled."""
@@ -440,12 +432,12 @@ class TestCheckpointManager:
         path = manager.save(self._checkpoint(family))
         with np.load(path) as archive:
             payload = dict(archive)
-        payload["format"] = np.asarray([_Tripwire()], dtype=object)
+        payload["format"] = np.asarray([tripwire()], dtype=object)
         with open(path, "wb") as handle:
             np.savez_compressed(handle, **payload)
         with pytest.raises(PersistenceError, match="Object arrays"):
             manager.load(path)
-        assert not _Tripwire.fired
+        assert not tripwire.fired
 
     def test_archive_members_are_exactly_the_payload(self, family, tmp_path):
         """Regression: ``save`` used to pass ``allow_pickle=True`` as a
