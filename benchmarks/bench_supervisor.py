@@ -4,8 +4,8 @@ Measures what the self-healing layer (`repro.serve.supervisor`) costs
 when nothing fails, and how fast it heals when something does:
 
 * **steady-state supervision overhead** — the identical chunk stream
-  through an unsupervised service and a supervised one (no chaos), per
-  backend and worker count. Supervision adds a request log, a rolling
+  through an unsupervised process-backend service and a supervised one
+  (no chaos), per worker count. Supervision adds a request log, a rolling
   ``("state",)`` snapshot probe every ``snapshot_every`` stream
   messages, and per-reply validation; the target is **< 5 %** of
   baseline throughput (enforced in full mode, reported in ``--quick``).
@@ -17,8 +17,8 @@ when nothing fails, and how fast it heals when something does:
 
 Every run of a workload must produce the identical match stream — the
 serial reference, the unsupervised run, the supervised run and the
-chaos run. Process-backend runs additionally assert zero
-outstanding shared-memory references after close.
+chaos run — and leave zero outstanding shared-memory references
+after close.
 
 Usage::
 
@@ -132,7 +132,7 @@ def main(argv: List[str] | None = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small stream, thread backend, one repeat, "
+        help="CI smoke mode: small stream, two workers, one repeat, "
         "overhead reported but not enforced",
     )
     parser.add_argument(
@@ -153,7 +153,6 @@ def main(argv: List[str] | None = None) -> int:
     num_queries = 8 if args.quick else 16
     stream_frames = 1600 if args.quick else 6400
     repeats = args.repeats or (1 if args.quick else 5)
-    backends = ["thread"] if args.quick else ["thread", "process"]
     worker_counts = [2] if args.quick else [2, 4]
 
     config = DetectorConfig(
@@ -178,91 +177,84 @@ def main(argv: List[str] | None = None) -> int:
         raise SystemExit("workload produced no matches — nothing to verify")
 
     results: List[Dict[str, object]] = []
-    for backend in backends:
-        for workers in worker_counts:
-            best_base = best_sup = None
-            paired_overheads: List[float] = []
-            recoveries: List[float] = []
-            restarts = 0
-            for _ in range(repeats):
-                base = run_stream(
-                    config, family, cell_ids, frame_counts, chunks,
-                    workers, backend,
-                )
-                sup = run_stream(
-                    config, family, cell_ids, frame_counts, chunks,
-                    workers, backend,
-                    supervise=True, supervisor=supervisor,
-                )
-                chaos = run_stream(
-                    config, family, cell_ids, frame_counts, chunks,
-                    workers, backend,
-                    supervise=True, supervisor=supervisor,
-                    chaos=ChaosPlan.parse(f"kill:0@{kill_at}"),
-                )
-                for label, sample in (
-                    ("baseline", base), ("supervised", sup),
-                    ("chaos-kill", chaos),
-                ):
-                    if sample["matches"] != reference:
-                        raise SystemExit(
-                            f"{label} {backend}/w={workers} diverged from "
-                            f"the serial reference "
-                            f"({len(sample['matches'])} vs "
-                            f"{len(reference)} matches)"
-                        )
-                    if backend == "process":
-                        refs = sample["metrics"]["serve"][
-                            "shm_outstanding_refs"
-                        ]
-                        if refs:
-                            raise SystemExit(
-                                f"{label} {backend}/w={workers} leaked "
-                                f"{refs} shared-memory refs"
-                            )
-                recoveries.append(recovery_ms(chaos["metrics"]))
-                restarts = chaos["metrics"]["counters"][
-                    "serve.supervisor.restarts"
-                ]
-                paired_overheads.append(
-                    1.0 - sup["frames_per_sec"] / base["frames_per_sec"]
-                )
-                if best_base is None or (
-                    base["frames_per_sec"] > best_base
-                ):
-                    best_base = base["frames_per_sec"]
-                if best_sup is None or sup["frames_per_sec"] > best_sup:
-                    best_sup = sup["frames_per_sec"]
-            # Machine throughput drifts several percent over the minutes
-            # a full run takes; the median of *adjacent-pair* ratios
-            # cancels that drift where best-of ratios do not.
-            overhead = float(np.median(paired_overheads))
-            row = {
-                "backend": backend,
-                "workers": workers,
-                "baseline_frames_per_sec": best_base,
-                "supervised_frames_per_sec": best_sup,
-                "supervision_overhead": overhead,
-                "recovery_ms": float(np.mean(recoveries)),
-                "chaos_restarts": int(restarts),
-                "matches": len(reference),
-            }
-            results.append(row)
-            print(
-                f"{backend:>8s} w={workers}: baseline "
-                f"{best_base:9.0f} f/s, supervised {best_sup:9.0f} f/s "
-                f"(overhead {100 * overhead:+5.1f}%), recovery "
-                f"{row['recovery_ms']:7.1f} ms over {restarts} restart(s)"
+    for workers in worker_counts:
+        best_base = best_sup = None
+        paired_overheads: List[float] = []
+        recoveries: List[float] = []
+        restarts = 0
+        for _ in range(repeats):
+            base = run_stream(
+                config, family, cell_ids, frame_counts, chunks,
+                workers, "process",
             )
-            if not args.quick and overhead > OVERHEAD_BUDGET:
-                raise SystemExit(
-                    f"supervision overhead {100 * overhead:.1f}% on "
-                    f"{backend}/w={workers} exceeds the "
-                    f"{100 * OVERHEAD_BUDGET:.0f}% budget"
-                )
+            sup = run_stream(
+                config, family, cell_ids, frame_counts, chunks,
+                workers, "process", supervisor=supervisor,
+            )
+            chaos = run_stream(
+                config, family, cell_ids, frame_counts, chunks,
+                workers, "process", supervisor=supervisor,
+                chaos=ChaosPlan.parse(f"kill:0@{kill_at}"),
+            )
+            for label, sample in (
+                ("baseline", base), ("supervised", sup),
+                ("chaos-kill", chaos),
+            ):
+                if sample["matches"] != reference:
+                    raise SystemExit(
+                        f"{label} w={workers} diverged from the serial "
+                        f"reference ({len(sample['matches'])} vs "
+                        f"{len(reference)} matches)"
+                    )
+                refs = sample["metrics"]["serve"]["shm_outstanding_refs"]
+                if refs:
+                    raise SystemExit(
+                        f"{label} w={workers} leaked {refs} "
+                        "shared-memory refs"
+                    )
+            recoveries.append(recovery_ms(chaos["metrics"]))
+            restarts = chaos["metrics"]["counters"][
+                "serve.supervisor.restarts"
+            ]
+            paired_overheads.append(
+                1.0 - sup["frames_per_sec"] / base["frames_per_sec"]
+            )
+            if best_base is None or (
+                base["frames_per_sec"] > best_base
+            ):
+                best_base = base["frames_per_sec"]
+            if best_sup is None or sup["frames_per_sec"] > best_sup:
+                best_sup = sup["frames_per_sec"]
+        # Machine throughput drifts several percent over the minutes
+        # a full run takes; the median of *adjacent-pair* ratios
+        # cancels that drift where best-of ratios do not.
+        overhead = float(np.median(paired_overheads))
+        row = {
+            "workers": workers,
+            "baseline_frames_per_sec": best_base,
+            "supervised_frames_per_sec": best_sup,
+            "supervision_overhead": overhead,
+            "recovery_ms": float(np.mean(recoveries)),
+            "chaos_restarts": int(restarts),
+            "matches": len(reference),
+        }
+        results.append(row)
+        print(
+            f"w={workers}: baseline "
+            f"{best_base:9.0f} f/s, supervised {best_sup:9.0f} f/s "
+            f"(overhead {100 * overhead:+5.1f}%), recovery "
+            f"{row['recovery_ms']:7.1f} ms over {restarts} restart(s)"
+        )
+        if not args.quick and overhead > OVERHEAD_BUDGET:
+            raise SystemExit(
+                f"supervision overhead {100 * overhead:.1f}% at "
+                f"w={workers} exceeds the "
+                f"{100 * OVERHEAD_BUDGET:.0f}% budget"
+            )
 
     report = {
         "benchmark": "supervisor",
+        "backend": "process",
         "seed": BENCH_SEED,
         "quick": args.quick,
         "python": platform.python_version(),

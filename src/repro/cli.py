@@ -141,9 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_detector_args(serve)
     serve.add_argument("--workers", type=int, default=2,
                        help="shard / worker count")
-    serve.add_argument("--backend", choices=("serial", "thread", "process"),
+    serve.add_argument("--backend", choices=("serial", "process"),
                        default="serial",
-                       help="executor: in-process, threads, or OS processes")
+                       help="executor: in-process, or one OS process per "
+                       "worker")
     serve.add_argument("--plan", choices=("count", "load"), default="load",
                        help="shard balancing strategy")
     serve.add_argument("--queue-capacity", type=int, default=4,
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wrap the executor in the shard supervisor: "
                        "dead/stalled/poisoned workers are respawned and "
                        "their shard replayed from the last rolling "
-                       "snapshot (thread/process backends only)")
+                       "snapshot (process backend only)")
     serve.add_argument("--chaos", metavar="PLAN", default=None,
                        help="deterministic fault injection (implies "
                        "--supervise): either explicit events "
@@ -282,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="TCP port (0 picks a free one)")
     gateway.add_argument("--workers", type=int, default=2,
                          help="shard / worker count")
-    gateway.add_argument("--backend",
-                         choices=("serial", "thread", "process"),
-                         default="thread")
+    gateway.add_argument("--backend", choices=("serial", "process"),
+                         default="process",
+                         help="executor: in-process, or one OS process "
+                         "per worker")
     gateway.add_argument("--policy",
                          choices=("block", "drop_oldest", "shed"),
                          default="block",
@@ -540,7 +542,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         return 2
     supervise = args.supervise or args.chaos is not None
     if supervise and args.backend == "serial":
-        print("--supervise/--chaos require --backend thread or process",
+        print("--supervise/--chaos require --backend process",
               file=sys.stderr)
         return 2
     try:

@@ -117,7 +117,7 @@ class ServeError(ReproError):
 
 
 class WorkerDeadError(ServeError):
-    """A shard worker's process or thread died with requests outstanding.
+    """A shard worker's process died with requests outstanding.
 
     Raised by executor ``recv``/``send`` instead of blocking forever on a
     queue whose producer no longer exists. Carries the worker id and the
@@ -143,7 +143,7 @@ class WorkerStallError(ServeError):
     """A shard worker is alive but failed to reply within its deadline.
 
     Raised by executor ``recv`` when a bounded wait expires while the
-    worker process/thread still reports as alive — the liveness signal
+    worker process still reports as alive — the liveness signal
     that distinguishes a stalled worker from a dead one.
     """
 

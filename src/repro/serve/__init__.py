@@ -5,7 +5,7 @@ scales with the number of subscribed queries; this package scales it
 *out*: the query set is partitioned into balanced shards
 (:mod:`~repro.serve.planner`), the stream is cut into basic windows
 and sketched once (:mod:`~repro.serve.frontend`), each shard runs a
-detector in its own worker (serial, thread or process backend) fed the
+detector in its own worker (serial or process backend) fed the
 same window batches over bounded queues (:mod:`~repro.serve.queues`),
 and the per-shard match streams merge back into the single-process
 engine's canonical order (:mod:`~repro.serve.collector`). The merged

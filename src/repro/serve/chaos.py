@@ -13,9 +13,8 @@ The events execute *inside* the worker loop, which makes them faithful
 crash simulations rather than cooperative shutdowns:
 
 ``kill``
-    A process-backed worker calls ``os._exit(1)`` — no cleanup, no
-    reply, exactly what a segfault or OOM kill looks like from the
-    parent. A thread-backed worker abandons its loop without replying.
+    The worker process calls ``os._exit(1)`` — no cleanup, no reply,
+    exactly what a segfault or OOM kill looks like from the parent.
 ``stall``
     The worker sleeps ``stall_seconds`` before handling the message.
     A stall longer than the supervisor's recv deadline is

@@ -76,12 +76,13 @@ class PutOutcome:
 
 
 class BoundedChannel:
-    """A bounded FIFO with policy-aware puts (thread backend).
+    """A bounded FIFO with policy-aware puts between threads.
 
-    The standard library's :class:`queue.Queue` cannot atomically steal
-    its oldest element, so the thread executor uses this small
-    condition-variable channel instead. ``get`` blocks until an item is
-    available; ``put`` applies a :class:`BackpressurePolicy`.
+    :class:`queue.Queue` cannot atomically steal its oldest element, so
+    the gateway's credit window and the ingest scheduler's per-stream
+    queues use this small condition-variable channel instead. ``get``
+    blocks until an item is available; ``put`` applies a
+    :class:`BackpressurePolicy`.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -195,8 +196,6 @@ def put_with_policy(
 def queue_depth(target: object) -> Optional[int]:
     """Best-effort queue depth (``qsize`` is unimplemented on some
     platforms for multiprocessing queues)."""
-    if isinstance(target, BoundedChannel):
-        return len(target)
     try:
         return int(target.qsize())
     except (NotImplementedError, AttributeError):

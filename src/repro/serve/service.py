@@ -8,17 +8,12 @@ precomputed window batches and detects only its shard's queries; the
 service merges the per-shard match streams back into the single-process
 engine's canonical order (:mod:`repro.serve.collector`).
 
-Three executor backends share one worker implementation and protocol
-(:mod:`repro.serve.workers`):
-
-* ``serial`` — workers are plain objects called in-process, in shard
-  order. Deterministic and dependency-free; the reference backend for
-  the equivalence suite.
-* ``thread`` — one thread per worker fed through a
-  :class:`~repro.serve.queues.BoundedChannel`.
-* ``process`` — one OS process per worker over ``multiprocessing``
-  queues (fork start method where available, so query sketches are
-  inherited rather than re-pickled).
+Two executor backends, ``serial`` (in-process, the reference for the
+equivalence suite) and ``process`` (one OS process per worker), share
+one worker implementation and protocol (:mod:`repro.serve.workers`)
+and one executor contract (:mod:`repro.serve.executors`). Supervision
+(:mod:`repro.serve.supervisor`) wraps the process executor when a
+:class:`SupervisorConfig` is given.
 
 **Equivalence invariant.** A query's matches depend only on its own
 sketch/signature state *except* for candidate expiry, which uses the
@@ -36,8 +31,6 @@ bounded ingestion and are fully accounted in the ``serve.*`` metrics.
 from __future__ import annotations
 
 import pathlib
-import queue as queue_module
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -49,29 +42,24 @@ from repro.archive import BackfillEngine, SketchArchive
 from repro.config import DetectorConfig
 from repro.core.query import Query, QuerySet
 from repro.core.results import Match
-from repro.errors import ServeError, WorkerDeadError, WorkerStallError
+from repro.errors import ServeError
 from repro.obs.export import snapshot
 from repro.obs.merge import merge_snapshots
 from repro.obs.registry import MetricsRegistry
 from repro.serve.chaos import ChaosPlan
 from repro.serve.checkpoint import CheckpointManager, ServiceCheckpoint
 from repro.serve.collector import MatchCollector
+from repro.serve.executors import ProcessExecutor, SerialExecutor
 from repro.serve.frontend import StreamFrontend
 from repro.serve.planner import ShardPlanner
-from repro.serve.queues import (
-    BackpressurePolicy,
-    BoundedChannel,
-    PutOutcome,
-    put_with_policy,
-    queue_depth,
-)
+from repro.serve.queues import BackpressurePolicy, PutOutcome
 from repro.serve.shm import ShmBatchRing, shm_available
 from repro.serve.supervisor import ShardSupervisor, SupervisorConfig
-from repro.serve.workers import ShardWorker, WorkerSpec, _worker_loop
+from repro.serve.workers import WorkerSpec
 
 __all__ = ["BACKENDS", "DetectionService", "QueryInfo"]
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -110,266 +98,9 @@ class QueryInfo:
     status: str = "active"
 
 
-#: Poll interval for liveness-aware receives. Executor ``recv`` never
-#: parks forever on a queue: it wakes at this cadence to check whether
-#: the producing worker still exists (satellite fix for the historical
-#: "recv blocks forever on a dead child" deadlock).
-_RECV_POLL_SECONDS = 0.05
-
-#: After a worker is first seen dead, one final longer poll lets any
-#: reply already in flight through the queue/pipe arrive before recv
-#: gives up and raises.
-_DEAD_GRACE_SECONDS = 0.2
-
 #: Per-worker bound on shutdown waits — close() must terminate even
 #: when a worker is alive but wedged.
 _CLOSE_TIMEOUT_SECONDS = 10.0
-
-
-class _SerialExecutor:
-    """In-process workers; replies buffered to keep the protocol uniform."""
-
-    def __init__(self, specs: List[WorkerSpec]) -> None:
-        self.workers = [ShardWorker(spec) for spec in specs]
-        self._replies: List[List[Tuple]] = [[] for _ in specs]
-
-    def send(
-        self, worker_id: int, message: Tuple, policy: BackpressurePolicy
-    ) -> PutOutcome:
-        reply = self.workers[worker_id].handle(message)
-        self._replies[worker_id].append(reply)
-        return PutOutcome(delivered=True)
-
-    def recv(self, worker_id: int, timeout: Optional[float] = None) -> Tuple:
-        return self._replies[worker_id].pop(0)
-
-    def try_recv(self, worker_id: int) -> Optional[Tuple]:
-        replies = self._replies[worker_id]
-        return replies.pop(0) if replies else None
-
-    def is_alive(self, worker_id: int) -> bool:
-        return True
-
-    def depth(self, worker_id: int) -> Optional[int]:
-        return 0
-
-    def join(self) -> None:
-        pass
-
-
-class _LiveRecvMixin:
-    """Liveness-aware ``recv`` shared by the thread/process backends.
-
-    Subclasses provide ``outboxes`` (queues with ``get(timeout=...)``
-    raising ``queue.Empty``), ``is_alive(worker_id)`` and an ``acked``
-    list counting replies already returned per worker.
-    """
-
-    def _filter_reply(self, worker_id: int, reply: Tuple) -> bool:
-        """Whether ``reply`` belongs to the protocol stream. Backends
-        whose ``kill`` is cooperative (threads) drop the resulting
-        ``stopped`` acknowledgement here — the caller never asked."""
-        return True
-
-    def recv(self, worker_id: int, timeout: Optional[float] = None) -> Tuple:
-        outbox = self.outboxes[worker_id]
-        deadline = (
-            None if timeout is None else time.perf_counter() + timeout
-        )
-        while True:
-            try:
-                reply = outbox.get(timeout=_RECV_POLL_SECONDS)
-            except queue_module.Empty:
-                reply = None
-            if reply is not None:
-                if not self._filter_reply(worker_id, reply):
-                    continue
-                self.acked[worker_id] += 1
-                return reply
-            if not self.is_alive(worker_id):
-                # One grace poll: a reply written just before death may
-                # still be crossing the queue (mp feeder pipe).
-                try:
-                    reply = outbox.get(timeout=_DEAD_GRACE_SECONDS)
-                except queue_module.Empty:
-                    raise WorkerDeadError(
-                        worker_id, self.acked[worker_id]
-                    ) from None
-                if not self._filter_reply(worker_id, reply):
-                    continue
-                self.acked[worker_id] += 1
-                return reply
-            if deadline is not None and time.perf_counter() >= deadline:
-                raise WorkerStallError(
-                    worker_id, self.acked[worker_id], timeout
-                )
-
-    def try_recv(self, worker_id: int) -> Optional[Tuple]:
-        try:
-            reply = self.outboxes[worker_id].get_nowait()
-        except queue_module.Empty:
-            return None
-        if not self._filter_reply(worker_id, reply):
-            return None
-        self.acked[worker_id] += 1
-        return reply
-
-
-class _ThreadExecutor(_LiveRecvMixin):
-    """One thread per worker over policy-aware bounded channels."""
-
-    def __init__(self, specs: List[WorkerSpec], capacity: int) -> None:
-        self.capacity = capacity
-        count = len(specs)
-        self.inboxes: List[BoundedChannel] = [None] * count
-        self.outboxes: List[queue_module.Queue] = [None] * count
-        self.threads: List[threading.Thread] = [None] * count
-        self.acked = [0] * count
-        self._killed = [False] * count
-        for spec in specs:
-            self._spawn(spec)
-
-    def _spawn(self, spec: WorkerSpec) -> None:
-        worker_id = spec.worker_id
-        inbox = BoundedChannel(self.capacity)
-        outbox: queue_module.Queue = queue_module.Queue()
-        thread = threading.Thread(
-            target=_worker_loop,
-            args=(spec, inbox, outbox),
-            name=f"repro-serve-w{worker_id}",
-            daemon=True,
-        )
-        self.inboxes[worker_id] = inbox
-        self.outboxes[worker_id] = outbox
-        self.threads[worker_id] = thread
-        self._killed[worker_id] = False
-        thread.start()
-
-    def _filter_reply(self, worker_id: int, reply: Tuple) -> bool:
-        # The cooperative kill below makes the dying thread emit a
-        # ``stopped`` ack nobody in the protocol stream asked for.
-        return not (
-            self._killed[worker_id]
-            and isinstance(reply, tuple)
-            and reply
-            and reply[0] == "stopped"
-        )
-
-    def send(
-        self, worker_id: int, message: Tuple, policy: BackpressurePolicy
-    ) -> PutOutcome:
-        return self.inboxes[worker_id].put(message, policy)
-
-    def is_alive(self, worker_id: int) -> bool:
-        return self.threads[worker_id].is_alive()
-
-    def kill(self, worker_id: int) -> None:
-        """Abandon a worker thread (threads cannot be terminated).
-
-        A best-effort ``stop`` is left in its old inbox so a stalled
-        thread that eventually wakes drains out instead of spinning on
-        an orphaned channel; its queues are replaced on respawn.
-        """
-        self._killed[worker_id] = True
-        try:
-            self.inboxes[worker_id].put(("stop",), BackpressurePolicy.SHED)
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-    def respawn(self, worker_id: int, spec: WorkerSpec) -> None:
-        self._spawn(spec)
-
-    def depth(self, worker_id: int) -> Optional[int]:
-        return queue_depth(self.inboxes[worker_id])
-
-    def join(self) -> None:
-        for thread in self.threads:
-            thread.join(timeout=10.0)
-
-
-class _ProcessExecutor(_LiveRecvMixin):
-    """One OS process per worker over multiprocessing queues."""
-
-    def __init__(self, specs: List[WorkerSpec], capacity: int) -> None:
-        import multiprocessing
-
-        methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else methods[0]
-        )
-        self.capacity = capacity
-        count = len(specs)
-        self.inboxes = [None] * count
-        self.outboxes = [None] * count
-        self.processes = [None] * count
-        self.acked = [0] * count
-        for spec in specs:
-            self._spawn(spec)
-
-    def _spawn(self, spec: WorkerSpec) -> None:
-        worker_id = spec.worker_id
-        inbox = self._context.Queue(self.capacity)
-        outbox = self._context.Queue()
-        process = self._context.Process(
-            target=_worker_loop,
-            args=(spec, inbox, outbox),
-            name=f"repro-serve-w{worker_id}",
-            daemon=True,
-        )
-        self.inboxes[worker_id] = inbox
-        self.outboxes[worker_id] = outbox
-        self.processes[worker_id] = process
-        process.start()
-
-    def send(
-        self, worker_id: int, message: Tuple, policy: BackpressurePolicy
-    ) -> PutOutcome:
-        return put_with_policy(self.inboxes[worker_id], message, policy)
-
-    def is_alive(self, worker_id: int) -> bool:
-        return self.processes[worker_id].is_alive()
-
-    def kill(self, worker_id: int) -> None:
-        self._reap(self.processes[worker_id])
-
-    @staticmethod
-    def _reap(process) -> None:
-        # SIGTERM first; escalate to SIGKILL because workers forked
-        # mid-run inherit whatever handler the host installed (the CLI
-        # swallows SIGTERM for graceful drains, for one).
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=2.0)
-        if process.is_alive():
-            process.kill()
-            process.join(timeout=2.0)
-
-    @staticmethod
-    def _discard_queue(mp_queue) -> None:
-        try:
-            mp_queue.close()
-            mp_queue.cancel_join_thread()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-    def respawn(self, worker_id: int, spec: WorkerSpec) -> None:
-        self._discard_queue(self.inboxes[worker_id])
-        self._discard_queue(self.outboxes[worker_id])
-        self._spawn(spec)
-
-    def depth(self, worker_id: int) -> Optional[int]:
-        return queue_depth(self.inboxes[worker_id])
-
-    def join(self) -> None:
-        for process in self.processes:
-            process.join(timeout=10.0)
-        for process in self.processes:
-            if process.is_alive():
-                self._reap(process)
-        # A dead child's queues can pin the parent's feeder threads at
-        # interpreter exit; detach them once nothing reads anymore.
-        for mp_queue in list(self.inboxes) + list(self.outboxes):
-            self._discard_queue(mp_queue)
 
 
 class DetectionService:
@@ -386,11 +117,12 @@ class DetectionService:
     num_workers:
         Requested shard count (clamped to the number of queries).
     backend:
-        ``"serial"``, ``"thread"`` or ``"process"``.
+        ``"serial"`` or ``"process"`` (:mod:`repro.serve.executors`).
     strategy:
         Shard-planning strategy (``"count"`` or ``"load"``).
     queue_capacity:
-        Bound on each worker's ingestion queue (thread/process).
+        Bound on each worker's ingestion queue (process backend; it
+        also sizes the shared-memory ring). Must be at least 1.
     policy:
         Backpressure policy for *chunk* messages; control messages
         always block. Only ``BLOCK`` preserves exact single-process
@@ -419,20 +151,19 @@ class DetectionService:
         :meth:`pump_backfill` / :meth:`drain_backfill` — the
         deterministic mode the CLI's serial driver and the kill/resume
         tests use.
-    supervise:
-        Wrap the executor in a :class:`ShardSupervisor`
-        (:mod:`repro.serve.supervisor`): dead, stalled or poisoned
-        workers are detected, respawned from rolling per-shard
-        snapshots and their unacked requests replayed, keeping the
-        merged match stream bit-for-bit intact; shards that exhaust
-        their restart budget are quarantined and the service degrades
-        gracefully. Thread/process backends only.
     supervisor:
-        Optional :class:`SupervisorConfig` (implies ``supervise``).
+        A :class:`SupervisorConfig` wraps the executor in a
+        :class:`ShardSupervisor` (:mod:`repro.serve.supervisor`): dead,
+        stalled or poisoned workers are detected, respawned from
+        rolling per-shard snapshots and their unacked requests
+        replayed, keeping the merged match stream bit-for-bit intact;
+        shards that exhaust their restart budget are quarantined and
+        the service degrades gracefully. ``None`` (default) runs
+        unsupervised. Process backend only.
     chaos:
         Optional :class:`~repro.serve.chaos.ChaosPlan` of scheduled
         worker failures (testing/drills); events execute inside the
-        worker loops. Thread/process backends only.
+        worker loops. Process backend only.
     """
 
     def __init__(
@@ -451,8 +182,7 @@ class DetectionService:
         batch_chunks: int = 4,
         archive: Optional[SketchArchive] = None,
         backfill_async: bool = True,
-        supervise: bool = False,
-        supervisor: Optional["SupervisorConfig"] = None,
+        supervisor: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosPlan] = None,
         _checkpoint: Optional[ServiceCheckpoint] = None,
     ) -> None:
@@ -460,17 +190,19 @@ class DetectionService:
             raise ServeError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if supervisor is not None:
-            supervise = True
-        if supervise and backend == "serial":
+        if queue_capacity < 1:
+            raise ServeError(
+                f"queue_capacity must be >= 1, got {queue_capacity}"
+            )
+        if supervisor is not None and backend == "serial":
             raise ServeError(
                 "supervision needs workers that can die independently; "
-                "the serial backend has none (use thread or process)"
+                "the serial backend has none (use process)"
             )
         if chaos is not None and chaos and backend == "serial":
             raise ServeError(
-                "chaos injection targets thread/process workers; the "
-                "serial backend runs them in the service process"
+                "chaos injection targets process workers; the serial "
+                "backend runs them in the service process"
             )
         self.config = config
         self.keyframes_per_second = float(keyframes_per_second)
@@ -588,13 +320,11 @@ class DetectionService:
             for index, shard in enumerate(shard_queries)
         ]
         if backend == "serial":
-            self._executor = _SerialExecutor(specs)
-        elif backend == "thread":
-            self._executor = _ThreadExecutor(specs, queue_capacity)
+            self._executor = SerialExecutor(specs)
         else:
-            self._executor = _ProcessExecutor(specs, queue_capacity)
+            self._executor = ProcessExecutor(specs, queue_capacity)
         self._supervisor: Optional[ShardSupervisor] = None
-        if supervise:
+        if supervisor is not None:
             self._supervisor = ShardSupervisor(
                 self._executor,
                 specs,
@@ -663,8 +393,7 @@ class DetectionService:
         batch_chunks: int = 4,
         archive: Optional[SketchArchive] = None,
         backfill_async: bool = True,
-        supervise: bool = False,
-        supervisor: Optional["SupervisorConfig"] = None,
+        supervisor: Optional[SupervisorConfig] = None,
         chaos: Optional[ChaosPlan] = None,
     ) -> "DetectionService":
         """Rebuild a service from a checkpoint and continue mid-stream.
@@ -702,7 +431,6 @@ class DetectionService:
             batch_chunks=batch_chunks,
             archive=archive,
             backfill_async=backfill_async,
-            supervise=supervise,
             supervisor=supervisor,
             chaos=chaos,
             _checkpoint=checkpoint,
@@ -1411,12 +1139,12 @@ class DetectionService:
         """Deliver ``stop`` without ever wedging on a corpse.
 
         Supervised services route through the supervisor (which
-        synthesizes delivery for dead/quarantined shards); bare
-        thread/process executors get a bounded liveness-checked put so
+        synthesizes delivery for dead/quarantined shards); a bare
+        executor gets a bounded liveness-checked put so
         a dead worker with a full inbox cannot hang shutdown.
         """
         executor = self._executor
-        if self._supervisor is not None or self.backend == "serial":
+        if self._supervisor is not None:
             executor.send(worker_id, ("stop",), BackpressurePolicy.BLOCK)
             return
         deadline = time.perf_counter() + _CLOSE_TIMEOUT_SECONDS

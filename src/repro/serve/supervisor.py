@@ -1,8 +1,9 @@
 """Self-healing shard supervision: detect, restart, replay, quarantine.
 
-:class:`ShardSupervisor` sits between :class:`DetectionService` and a
-thread/process executor, presenting the same ``send``/``recv``/
-``depth``/``join`` surface while making worker death survivable. It
+:class:`ShardSupervisor` sits between :class:`DetectionService` and its
+:class:`~repro.serve.executors.ProcessExecutor`, presenting the same
+``send``/``recv``/``depth``/``join`` surface (the executor contract,
+:mod:`repro.serve.executors`) while making worker death survivable. It
 exploits the protocol's one-reply-per-request discipline
 (:mod:`repro.serve.workers`): requests to a worker are logged with a
 per-worker sequence number, replies are matched FIFO against that log,
@@ -13,7 +14,7 @@ worker had finished.
 Failure detection uses three signals:
 
 * **dead** — the executor's liveness-aware ``recv``/``send`` report the
-  worker's process or thread gone (:class:`~repro.errors.WorkerDeadError`);
+  worker's process gone (:class:`~repro.errors.WorkerDeadError`);
 * **stalled** — the worker is alive but produced no reply within the
   configured deadline (:class:`~repro.errors.WorkerStallError`);
 * **poisoned** — a reply arrived that does not validate against the
@@ -59,6 +60,7 @@ from repro.errors import ServeError, WorkerDeadError, WorkerStallError
 from repro.obs.export import snapshot as registry_snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.serve.chaos import rebase_events
+from repro.serve.executors import ProcessExecutor
 from repro.serve.queues import BackpressurePolicy, PutOutcome
 from repro.serve.workers import STREAM_KINDS, ShardWorker, WorkerSpec
 
@@ -203,9 +205,9 @@ class ShardSupervisor:
     Parameters
     ----------
     executor:
-        The underlying thread/process executor (must expose the
-        liveness extensions: ``recv(timeout=)``, ``try_recv``,
-        ``is_alive``, ``kill``, ``respawn``).
+        The :class:`~repro.serve.executors.ProcessExecutor` whose
+        workers it heals (``kill`` / ``respawn`` are what it needs
+        beyond the shared contract).
     specs:
         The :class:`WorkerSpec` each worker was built from — the
         zero-point snapshot (and respawn template) per shard.
@@ -217,17 +219,11 @@ class ShardSupervisor:
 
     def __init__(
         self,
-        executor,
+        executor: ProcessExecutor,
         specs: List[WorkerSpec],
         config: Optional[SupervisorConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        for method in ("try_recv", "is_alive", "kill", "respawn"):
-            if not hasattr(executor, method):
-                raise ServeError(
-                    f"executor {type(executor).__name__} lacks the "
-                    f"{method!r} liveness extension needed for supervision"
-                )
         self._base = executor
         self.config = config or SupervisorConfig()
         self.registry = (

@@ -18,8 +18,8 @@ sender, a :class:`~repro.serve.service.DetectionService` method:
 ===================================  ======================  ====================
 request                              reply                   sent by
 ===================================  ======================  ====================
-``("batch", WindowBatch)``           ``("matches_batch",     ``run`` (serial and
-                                     wid, base_seq,          thread backends)
+``("batch", WindowBatch)``           ``("matches_batch",     ``run`` (serial
+                                     wid, base_seq,          backend)
                                      [[Match, ...], ...])``
 ``("batch_shm", BatchDescriptor)``   same as ``batch``       ``run`` (process
                                                              backend)
@@ -70,6 +70,8 @@ control message cannot orphan a process worker mid-stream.
 
 from __future__ import annotations
 
+import os
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -317,12 +319,10 @@ STREAM_KINDS = frozenset({"batch", "batch_shm"})
 def _execute_chaos(worker: ShardWorker, event, outbox) -> bool:
     """Run one scheduled failure inside the worker loop.
 
-    Returns True when the loop must abandon the current message (kill /
-    poison); a stall falls through to normal handling after sleeping.
+    Returns True when the loop must abandon the current message
+    (poison); a stall falls through to normal handling after sleeping,
+    and a kill never returns.
     """
-    import threading
-    import time
-
     if event.kind == "stall":
         time.sleep(event.stall_seconds)
         return False
@@ -330,23 +330,17 @@ def _execute_chaos(worker: ShardWorker, event, outbox) -> bool:
         outbox.put(("chaos-poison", worker.worker_id, event.at_seq))
         return True
     # kill: die the way a crash does — no reply, no cleanup handshake.
-    if threading.current_thread() is threading.main_thread():
-        # Process backend: the loop owns the child's main thread.
-        import os
-
-        os._exit(1)
-    return True
+    os._exit(1)
 
 
 def _worker_loop(spec: WorkerSpec, inbox, outbox) -> None:
-    """Request/reply loop shared by the thread and process backends.
+    """Request/reply loop of one process-backend worker.
 
     Runs until a ``stop`` request; its reply is sent before returning so
     the parent can join deterministically. When the spec carries chaos
     events, each stream message is checked against the schedule before
-    handling — a ``kill`` abandons the loop without replying (process
-    workers hard-exit), a ``poison`` substitutes a malformed reply, a
-    ``stall`` sleeps first.
+    handling — a ``kill`` hard-exits the process without replying, a
+    ``poison`` substitutes a malformed reply, a ``stall`` sleeps first.
     """
     worker = ShardWorker(spec)
     chaos = {event.at_seq: event for event in (spec.chaos or ())}
@@ -357,8 +351,6 @@ def _worker_loop(spec: WorkerSpec, inbox, outbox) -> None:
             stream_seen += 1
             event = chaos.pop(stream_seen, None)
             if event is not None and _execute_chaos(worker, event, outbox):
-                if event.kind == "kill":
-                    return
                 continue
         reply = worker.handle(message)
         outbox.put(reply)

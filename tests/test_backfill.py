@@ -7,7 +7,7 @@ over the overlap, the combined retro + live match stream is bit-for-bit
 that carried the query from chunk 0 reports. This suite drives
 hypothesis workloads through every engine mode (both combination
 orders, both representations, index on/off) and shard counts 1/2/5,
-checks the thread and process executors, and kills a service *mid-backfill* to prove a checkpoint
+checks the process executor, and kills a service *mid-backfill* to prove a checkpoint
 resume loses no retro matches and duplicates none.
 """
 
@@ -196,7 +196,7 @@ def test_late_subscribe_backfill_equals_from_start(
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backfill_across_executor_backends(backend):
     """Retro equivalence holds when shards run on real executors."""
     rng = np.random.default_rng(23)

@@ -53,7 +53,7 @@ def test_serve_signal_drains_and_checkpoints(tmp_path, sig):
     proc = _spawn(
         "serve",
         "--stream-seconds", "600", "--queries", "4", "--hashes", "16",
-        "--workers", "2", "--backend", "thread",
+        "--workers", "2", "--backend", "process",
         "--chunk-seconds", "10", "--pace", "0.2",
         "--checkpoint-dir", str(ckpt_dir),
     )
@@ -81,7 +81,7 @@ def test_serve_resume_after_sigterm_completes(tmp_path):
     common = (
         "serve",
         "--stream-seconds", "120", "--queries", "4", "--hashes", "16",
-        "--workers", "2", "--backend", "thread",
+        "--workers", "2", "--backend", "process",
         "--chunk-seconds", "10",
         "--checkpoint-dir", str(ckpt_dir),
     )

@@ -57,7 +57,7 @@ def _workload():
     return qcells, frames, chunks
 
 
-def make_service(backend: str = "thread", **extra) -> DetectionService:
+def make_service(backend: str = "process", **extra) -> DetectionService:
     qcells, frames, _ = _workload()
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=5)
     queries = QuerySet.from_cell_ids(qcells, frames, family)
@@ -75,10 +75,10 @@ def _match_tuple(source) -> tuple:
             source.end_frame, source.similarity)
 
 
-def _reference_run(backend: str):
+def _reference_run():
     """The in-process ground truth: same chunks, same service shape."""
     _, _, chunks = _workload()
-    service = make_service(backend)
+    service = make_service()
     try:
         for chunk in chunks:
             service.run([chunk], flush=False)
@@ -100,11 +100,11 @@ def _stable_metrics(snapshot: dict) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_kill_resume_parity(backend):
     """A mid-stream client crash + token resume must change nothing:
     the watched match stream is bit-for-bit the in-process stream."""
-    reference, ref_metrics = _reference_run(backend)
+    reference, ref_metrics = _reference_run()
     assert reference, "workload must produce matches to be a real test"
 
     _, _, chunks = _workload()
@@ -149,7 +149,7 @@ def test_kill_resume_parity(backend):
 
 
 def test_watch_resume_continues_without_replay_or_loss():
-    reference, _ = _reference_run("thread")
+    reference, _ = _reference_run()
     _, _, chunks = _workload()
     service = make_service()
     server = GatewayServer(service, credits=4)
@@ -361,7 +361,7 @@ def test_graceful_drain_sends_goaway_and_leaks_nothing():
     """Shutdown must flush the tail, goaway the clients with resume
     state, join every thread, and release the port."""
     before = {t.name for t in threading.enumerate()}
-    reference, _ = _reference_run("thread")
+    reference, _ = _reference_run()
     _, _, chunks = _workload()
     service = make_service()
     server = GatewayServer(service, credits=4)
@@ -405,12 +405,11 @@ def test_shard_restart_starves_credits_and_keeps_parity():
     starvation while the shard restarts and its batches replay), never
     a ``chunk_error``, and the final stream is bit-for-bit the
     undisturbed reference."""
-    reference, _ = _reference_run("thread")
+    reference, _ = _reference_run()
     assert reference, "workload must produce matches to be a real test"
 
     _, _, chunks = _workload()
     service = make_service(
-        supervise=True,
         chaos=ChaosPlan.parse("kill:0@3"),
         supervisor=SupervisorConfig(recv_deadline=1.0),
     )
@@ -446,10 +445,9 @@ def test_quarantined_shard_degrades_queries_not_the_stream():
     its queries report ``degraded`` over admin (flagged, not dropped),
     the ended reply is marked partial, and the surviving shard's
     matches are bit-for-bit the reference's."""
-    reference, _ = _reference_run("thread")
+    reference, _ = _reference_run()
     _, _, chunks = _workload()
     service = make_service(
-        supervise=True,
         chaos=ChaosPlan.parse("kill:0@3"),
         supervisor=SupervisorConfig(recv_deadline=1.0, max_restarts=0),
     )

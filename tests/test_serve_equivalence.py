@@ -8,7 +8,7 @@ counters sum to the serial values, and a mid-stream checkpoint/restore
 loses zero matches. This suite drives randomized workloads (hypothesis)
 with subscribe/unsubscribe churn through 1, 2 and 5 shards for both
 combination orders, both representations, and with the index on and
-off; backend smoke tests cover the thread and process executors.
+off; a backend smoke test covers the process executor.
 """
 
 from __future__ import annotations
@@ -57,6 +57,12 @@ REPLICATED = {
     "engine.expired_candidates",
     "engine.sketch_combines",
 }
+
+
+def _config(threshold, **modes):
+    """The suite's detector (K hashes, w-frame windows) in ``modes``."""
+    return DetectorConfig(num_hashes=NUM_HASHES, threshold=threshold,
+                          window_seconds=WINDOW_SECONDS, **modes)
 
 
 def _match_key(match):
@@ -180,14 +186,8 @@ def _run_service(config, family, queries, frames, chunks, actions,
 def test_sharded_equals_serial(order, representation, use_index, workload):
     family_seed, queries, frames, threshold, chunks, actions = workload
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-        order=order,
-        representation=representation,
-        use_index=use_index,
-    )
+    config = _config(threshold, order=order, representation=representation,
+                     use_index=use_index)
     for num_workers in SHARD_COUNTS:
         service, applied = _run_service(
             config, family, queries, frames, chunks, actions, num_workers
@@ -224,11 +224,8 @@ def test_sketch_once_all_engines(representation, use_index):
     frames = {qid: 25 for qid in cells}
     chunks = [rng.integers(0, CELL_SPACE, size=35) for _ in range(3)]
     chunks[1][4:29] = cells[1]
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES, threshold=0.3,
-        window_seconds=WINDOW_SECONDS,
-        representation=representation, use_index=use_index,
-    )
+    config = _config(0.3, representation=representation,
+                     use_index=use_index)
     detector = StreamingDetector(
         config, QuerySet.from_cell_ids(cells, frames, family),
         KEYFRAMES_PER_SECOND,
@@ -341,14 +338,8 @@ def test_kill_resume_mid_churn_equals_serial(
     """
     family_seed, queries, frames, threshold, chunks, actions = workload
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-        order=order,
-        representation=representation,
-        use_index=use_index,
-    )
+    config = _config(threshold, order=order, representation=representation,
+                     use_index=use_index)
     for num_workers in SHARD_COUNTS:
         # tempfile (not the tmp_path fixture): function-scoped fixtures
         # trip hypothesis' health check across examples.
@@ -380,11 +371,8 @@ def test_resume_carries_partial_buffer(tmp_path):
     # at the first two barriers.
     chunks = [rng.integers(0, CELL_SPACE, size=13) for _ in range(4)]
     chunks[1][0:13] = cells[2][5:18]
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES, threshold=0.2,
-        window_seconds=WINDOW_SECONDS,
-        representation=Representation.BIT, use_index=False,
-    )
+    config = _config(0.2, representation=Representation.BIT,
+                     use_index=False)
     detector = StreamingDetector(
         config, QuerySet.from_cell_ids(cells, frames, family),
         KEYFRAMES_PER_SECOND,
@@ -430,14 +418,8 @@ def test_scalar_matches_columnar_under_churn(
     family_seed, queries, frames, threshold, chunks, actions = workload
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
     initial = [qid for qid in queries if ("subscribe", qid) not in actions]
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-        order=order,
-        representation=representation,
-        use_index=use_index,
-    )
+    config = _config(threshold, order=order, representation=representation,
+                     use_index=use_index)
     results = {}
     for vectorized, detector_cls in (
         (False, ReferenceDetector), (True, StreamingDetector)
@@ -476,19 +458,16 @@ def _assert_counters(ref_detector, service):
         assert merged["counters"].get(name, 0) == value, name
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_backends_match_serial(backend):
-    """The concurrent executors produce the serial backend's output."""
+    """The process executor produces the serial backend's output."""
     rng = np.random.default_rng(23)
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=4)
     cells = {qid: rng.integers(0, CELL_SPACE, size=30) for qid in range(5)}
     frames = {qid: 30 for qid in cells}
     chunks = [rng.integers(0, CELL_SPACE, size=40) for _ in range(3)]
     chunks[1][5:35] = cells[2]
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES, threshold=0.3,
-        window_seconds=WINDOW_SECONDS,
-    )
+    config = _config(0.3)
 
     def run(backend_name):
         queries = QuerySet.from_cell_ids(cells, frames, family)
@@ -514,10 +493,7 @@ def test_checkpoint_restore_loses_nothing(order, tmp_path):
     chunks = [rng.integers(0, CELL_SPACE, size=35) for _ in range(4)]
     chunks[0][3:28] = cells[1]
     chunks[2][7:32] = cells[3]
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES, threshold=0.3,
-        window_seconds=WINDOW_SECONDS, order=order,
-    )
+    config = _config(0.3, order=order)
 
     def fresh_queries():
         return QuerySet.from_cell_ids(cells, frames, family)

@@ -1,12 +1,11 @@
 """Self-healing shards: crash-anytime equivalence, quarantine, chaos.
 
 The supervisor's contract is that worker death is invisible in the
-output: for any shard count, backend and engine, killing (or stalling,
-or poisoning) any worker at any chunk boundary under supervision
-yields bit-for-bit the match stream of an uninterrupted run — same
-matches, same canonical order — because the shard is respawned from
-its rolling snapshot and the window batches since then are replayed
-from the in-memory log. Exhausting the restart budget must *degrade*
+output: for any shard count, killing (or stalling, or poisoning) any
+worker at any chunk boundary under supervision yields bit-for-bit the
+match stream of an uninterrupted run — same matches, same canonical
+order — because the shard is respawned from its rolling snapshot and
+the window batches since then are replayed from the in-memory log. Exhausting the restart budget must *degrade*
 (queries flagged, surviving shards exact), never corrupt. This suite
 drives randomized workloads (hypothesis) through that promise, plus
 deterministic coverage for the chaos plan format, the dead-worker
@@ -38,8 +37,9 @@ WINDOW_SECONDS = 2.5
 KEYFRAMES_PER_SECOND = 2.0  # w = 5 key frames
 SHARD_COUNTS = (1, 2, 5)
 
-#: A short deadline keeps thread-backend kill detection fast (a killed
-#: thread just stops replying; death is only observable as silence).
+#: A dead worker process is seen at once by ``is_alive``; the recv
+#: deadline only decides how long a *live* but silent worker may stall,
+#: so a short one keeps the stall drills fast.
 FAST = SupervisorConfig(recv_deadline=1.0)
 
 
@@ -93,6 +93,11 @@ def crash_workloads(draw):
     return family_seed, queries, frames, threshold, chunks, kind, at_seq
 
 
+def _config(threshold):
+    return DetectorConfig(num_hashes=NUM_HASHES, threshold=threshold,
+                          window_seconds=WINDOW_SECONDS)
+
+
 def _service(config, family, queries, frames, num_workers, backend,
              **extra):
     return DetectionService(
@@ -112,8 +117,7 @@ def _drive(service, chunks):
 
 
 @pytest.mark.parametrize("backend", [
-    # "columnar-": the ids these cases have always had.
-    pytest.param("thread", id="columnar-thread"),
+    # "columnar-process": the id this case has always had.
     pytest.param("process", id="columnar-process"),
 ])
 @settings(max_examples=5, deadline=None)
@@ -121,11 +125,7 @@ def _drive(service, chunks):
 def test_crash_anytime_equals_uninterrupted(backend, workload):
     family_seed, queries, frames, threshold, chunks, kind, at_seq = workload
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-    )
+    config = _config(threshold)
     reference = _service(config, family, queries, frames, 2, "serial")
     expected = _drive(reference, chunks)
     reference.close()
@@ -138,7 +138,7 @@ def test_crash_anytime_equals_uninterrupted(backend, workload):
         ))
         service = _service(
             config, family, queries, frames, num_workers, backend,
-            supervise=True, chaos=plan, supervisor=FAST,
+            chaos=plan, supervisor=FAST,
         )
         try:
             got = _drive(service, chunks)
@@ -149,10 +149,9 @@ def test_crash_anytime_equals_uninterrupted(backend, workload):
             counters = service.metrics_snapshot()["counters"]
             assert counters.get("serve.supervisor.kills", 0) >= 1
             assert counters.get("serve.supervisor.restarts", 0) >= 1
-            if backend == "process":
-                assert service.metrics_snapshot()["serve"][
-                    "shm_outstanding_refs"
-                ] == 0, "crashed worker leaked shared-memory refs"
+            assert service.metrics_snapshot()["serve"][
+                "shm_outstanding_refs"
+            ] == 0, "crashed worker leaked shared-memory refs"
         finally:
             service.close()
 
@@ -167,11 +166,7 @@ def test_checkpoint_resume_mid_recovery(tmp_path_factory, workload,
     barrier = min(barrier, len(chunks) - 1)
     at_seq = min(at_seq, barrier)  # crash before the checkpoint barrier
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=family_seed)
-    config = DetectorConfig(
-        num_hashes=NUM_HASHES,
-        threshold=threshold,
-        window_seconds=WINDOW_SECONDS,
-    )
+    config = _config(threshold)
     reference = _service(config, family, queries, frames, 2, "serial")
     expected = _drive(reference, chunks)
     reference.close()
@@ -183,8 +178,8 @@ def test_checkpoint_resume_mid_recovery(tmp_path_factory, workload,
         ChaosEvent(kind=kind, worker_id=0, at_seq=at_seq),
     ))
     first = _service(
-        config, family, queries, frames, 2, "thread",
-        supervise=True, chaos=plan, supervisor=FAST,
+        config, family, queries, frames, 2, "process",
+        chaos=plan, supervisor=FAST,
     )
     for chunk in chunks[:barrier]:
         first.run([chunk], flush=False)
@@ -193,8 +188,8 @@ def test_checkpoint_resume_mid_recovery(tmp_path_factory, workload,
     first.close()
 
     resumed = DetectionService.restore(
-        manager, expected_config=config, backend="thread",
-        supervise=True, supervisor=FAST,
+        manager, expected_config=config, backend="process",
+        supervisor=FAST,
     )
     try:
         for position in range(barrier, len(chunks)):
@@ -206,6 +201,7 @@ def test_checkpoint_resume_mid_recovery(tmp_path_factory, workload,
 
 
 def _fixed_workload():
+    """Config, family, queries, frames and chunks of the fixed cases."""
     rng = np.random.default_rng(42)
     queries = {qid: rng.integers(0, CELL_SPACE, size=20)
                for qid in range(4)}
@@ -216,7 +212,8 @@ def _fixed_workload():
         victim = int(rng.integers(0, 4))
         chunk[:20] = np.asarray(queries[victim])[:20]
         chunks.append(chunk)
-    return queries, frames, chunks
+    family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
+    return _config(0.3), family, queries, frames, chunks
 
 
 def test_quarantine_flags_queries_and_keeps_survivors_exact():
@@ -224,10 +221,7 @@ def test_quarantine_flags_queries_and_keeps_survivors_exact():
     (``degraded``), the service reports partial output, planner load
     biases away from the dead shard, and the surviving shard's matches
     are bit-for-bit the reference's."""
-    queries, frames, chunks = _fixed_workload()
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
-    config = DetectorConfig(num_hashes=NUM_HASHES, threshold=0.3,
-                            window_seconds=WINDOW_SECONDS)
+    config, family, queries, frames, chunks = _fixed_workload()
     reference = _service(config, family, queries, frames, 2, "serial")
     expected = _drive(reference, chunks)
     shard_of = {qid: reference.shard_of(qid) for qid in queries}
@@ -235,8 +229,7 @@ def test_quarantine_flags_queries_and_keeps_survivors_exact():
 
     plan = ChaosPlan((ChaosEvent("kill", worker_id=0, at_seq=2),))
     service = _service(
-        config, family, queries, frames, 2, "thread",
-        supervise=True, chaos=plan,
+        config, family, queries, frames, 2, "process", chaos=plan,
         supervisor=SupervisorConfig(recv_deadline=1.0, max_restarts=0),
     )
     try:
@@ -270,16 +263,13 @@ def test_quarantine_flags_queries_and_keeps_survivors_exact():
         service.close()
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["process"])
 def test_unsupervised_dead_worker_raises_not_hangs(backend):
     """Satellite: without supervision, a dead worker must surface as a
     typed ``WorkerDeadError`` (worker id + acked watermark), never as
     an indefinite ``recv`` hang — and ``close()`` must still succeed,
     twice, afterwards."""
-    queries, frames, chunks = _fixed_workload()
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
-    config = DetectorConfig(num_hashes=NUM_HASHES, threshold=0.3,
-                            window_seconds=WINDOW_SECONDS)
+    config, family, queries, frames, chunks = _fixed_workload()
     service = _service(config, family, queries, frames, 2, backend)
     try:
         service.run([chunks[0]], flush=False)
@@ -295,14 +285,26 @@ def test_unsupervised_dead_worker_raises_not_hangs(backend):
 
 
 def test_close_is_idempotent_on_healthy_service():
-    queries, frames, chunks = _fixed_workload()
-    family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
-    config = DetectorConfig(num_hashes=NUM_HASHES, threshold=0.3,
-                            window_seconds=WINDOW_SECONDS)
-    service = _service(config, family, queries, frames, 2, "thread")
+    config, family, queries, frames, chunks = _fixed_workload()
+    service = _service(config, family, queries, frames, 2, "process")
     _drive(service, chunks)
     service.close()
     service.close()
+
+
+def test_two_backends_and_one_supervision_switch():
+    """Only ``serial`` and ``process`` exist; ``supervisor=`` is the one
+    way to ask for supervision, and serial workers still cannot have
+    it. Every refusal comes before a worker is built."""
+    config, family, queries, frames, _ = _fixed_workload()
+    with pytest.raises(ServeError, match=r"\('serial', 'process'\)"):
+        _service(config, family, queries, frames, 2, "thread")
+    with pytest.raises(TypeError, match="supervise"):
+        _service(config, family, queries, frames, 2, "process",
+                 supervise=True)
+    with pytest.raises(ServeError, match="serial backend"):
+        _service(config, family, queries, frames, 2, "serial",
+                 supervisor=SupervisorConfig())
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.serve import (
     BackpressurePolicy,
     BoundedChannel,
     CheckpointManager,
+    DetectionService,
     MatchCollector,
     ServiceCheckpoint,
     ShardPlanner,
@@ -289,6 +290,17 @@ class TestPutWithPolicy:
         assert outcome.dropped == []  # the worker won every steal race
         assert target.steal_attempts == 3
         assert target.items == ["x"]
+
+
+def test_service_rejects_queue_capacity_below_one(family):
+    """``multiprocessing.Queue(0)`` is unbounded: a zero capacity would
+    make ``block`` never block and the lossy policies never drop, so the
+    service refuses it before any worker exists."""
+    with pytest.raises(ServeError, match="queue_capacity must be >= 1, got 0"):
+        DetectionService(
+            DetectorConfig(num_hashes=32), _query_set(family, [10, 20]),
+            2.0, backend="process", queue_capacity=0,
+        )
 
 
 class TestMergeSnapshots:
