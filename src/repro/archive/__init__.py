@@ -21,11 +21,9 @@ the equivalence argument.
 from repro.archive.backfill import BackfillEngine, BackfillJob
 from repro.archive.ring import SketchArchive
 from repro.archive.store import ARCHIVE_FORMAT, SegmentInfo, SegmentStore
-from repro.archive.tap import ArchiveTap
 
 __all__ = [
     "ARCHIVE_FORMAT",
-    "ArchiveTap",
     "BackfillEngine",
     "BackfillJob",
     "SegmentInfo",

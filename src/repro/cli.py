@@ -255,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("skip_window", "zero_fill", "fail"),
                         default="skip_window",
                         help="what to do with undecodable key frames")
-    ingest.add_argument("--pool", type=int, default=0,
-                        help="detector worker threads (0 = inline)")
     ingest.add_argument("--queue-capacity", type=int, default=4,
                         help="per-stream chunk queue bound")
     ingest.add_argument("--seed", type=int, default=42)
@@ -269,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--window-seconds", type=float, default=2.0,
                         metavar="W")
     ingest.add_argument("--metrics-out", metavar="PATH", default=None,
-                        help="write the nested repro.ingest/1 JSON "
+                        help="write the nested repro.ingest/2 JSON "
                         "snapshot here")
 
     gateway = subparsers.add_parser(
@@ -854,14 +852,13 @@ def _command_ingest(args: argparse.Namespace) -> int:
     scheduler = StreamScheduler(
         pairs,
         policy=SchedulingPolicy(args.policy),
-        pool_size=args.pool,
         queue_capacity=args.queue_capacity,
     )
     print(f"ingesting {args.streams} stream(s) x {args.chunks} chunks "
           f"({args.faults} faults, {args.degrade} degradation, "
-          f"{args.policy} scheduling, pool={args.pool})")
+          f"{args.policy} scheduling)")
     # SIGINT/SIGTERM stop the scheduler at the next round boundary:
-    # in-flight chunks drain, tails flush, then the report prints.
+    # tails flush, then the report prints.
     previous_handlers = {
         sig: signal.signal(
             sig, lambda signum, frame: scheduler.request_stop()

@@ -1,12 +1,20 @@
-"""Live stream monitoring: bitstream / frame chunks in, matches out.
+"""The single-process oracle: bitstream / frame chunks in, matches out.
 
 :class:`StreamingDetector` consumes whole basic windows of cell ids; a
-live deployment receives arbitrary-sized chunks — a few encoded GOPs
-from a capture card, a burst of key frames. :class:`LiveMonitor` is the
-adapter: it runs the compressed-domain feature pipeline on whatever
-arrives (encoded bitstreams via the partial decoder, raw frames via the
-pixel path, or pre-extracted cell ids), buffers the signature stream,
-and feeds the detector exactly one basic window at a time.
+stream arrives in arbitrary-sized chunks — a few encoded GOPs from a
+capture card, a burst of key frames. :class:`LiveMonitor` is the
+in-process adapter: it runs the compressed-domain feature pipeline on
+whatever arrives (encoded bitstreams via the partial decoder, raw
+frames via the pixel path, or pre-extracted cell ids), buffers the
+signature stream, and feeds one detector exactly one basic window at a
+time.
+
+It is the reference every served configuration is held to: the
+service's :class:`~repro.serve.frontend.StreamFrontend` cuts windows and
+gaps exactly as :meth:`LiveMonitor.push_cell_ids` and
+:meth:`LiveMonitor.skip_frames` do, and the equivalence suites compare
+the two. The runtime (ingest, serve, gateway, archive) never uses it;
+the evaluation runner and the examples do.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ class LiveMonitor:
         Fingerprint pipeline used for encoded/raw-frame input; must use
         the same configuration the query fingerprints were built with.
         Optional: a monitor fed pre-extracted cell ids only (the
-        evaluation runner, the sharded serving workers) may omit it, in
+        evaluation runner, the equivalence oracles) may omit it, in
         which case :meth:`push_encoded` / :meth:`push_frames` raise
         :class:`~repro.errors.DetectionError`.
 

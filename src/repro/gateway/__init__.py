@@ -34,7 +34,7 @@ from repro.gateway.protocol import (
     decode_frame,
     encode_frame,
 )
-from repro.gateway.server import GatewayHandle, GatewayServer, ServiceSink
+from repro.gateway.server import GatewayHandle, GatewayServer
 
 __all__ = [
     "AdminClient",
@@ -47,7 +47,6 @@ __all__ = [
     "GatewayHandle",
     "GatewayServer",
     "IngestClient",
-    "ServiceSink",
     "WatchClient",
     "WIRE_FORMAT",
     "decode_frame",

@@ -12,10 +12,11 @@ PR 5 epoch-barrier machinery requires.
 Session kinds
 -------------
 * **ingest** — pushes ``chunk`` frames (cell ids or encoded
-  bitstreams). Chunks route through a sink-backed
-  :class:`~repro.ingest.session.StreamSession`, so sequence-number
-  dedupe, resilient decode and degradation policies apply before the
-  shared service sees a frame. One stream binding exists per gateway;
+  bitstreams). Chunks route through a
+  :class:`~repro.ingest.session.StreamSession` over the shared service,
+  so sequence-number dedupe, resilient decode and every degradation
+  policy (``skip_window`` gaps included) apply before the service's
+  front end sees a frame. One stream binding exists per gateway;
   a second live ingest connection is refused, and a dead one can be
   resumed with the binding's token.
 * **admin** — request/response ops: ``subscribe`` / ``unsubscribe``
@@ -84,54 +85,18 @@ from repro.gateway.protocol import (
     encode_frame,
 )
 from repro.ingest.decoder import DegradationPolicy
-from repro.ingest.session import DetectorSink, StreamSession
+from repro.ingest.session import StreamSession
 from repro.ingest.sources import StreamChunk
 from repro.obs.export import snapshot
 from repro.obs.registry import MetricsRegistry
 from repro.serve.checkpoint import CheckpointManager
 from repro.serve.queues import BackpressurePolicy, BoundedChannel
 
-__all__ = ["GatewayHandle", "GatewayServer", "ServiceSink"]
+__all__ = ["GatewayHandle", "GatewayServer"]
 
 _ENCODED_META_FIELDS = (
     "width", "height", "block_size", "quality", "gop_size", "num_frames"
 )
-
-
-class ServiceSink(DetectorSink):
-    """Routes a :class:`StreamSession`'s surviving frames into a shared
-    :class:`~repro.serve.DetectionService`.
-
-    The session keeps seq-dedupe, decode and degradation; the service
-    keeps windowing, sharded detection and canonical merge. The service
-    front end owns a contiguous stream clock, so :meth:`skip_frames`
-    (the ``skip_window`` policy on damaged GOPs) is not supported —
-    gateway streams degrade with ``zero_fill`` or quarantine with
-    ``fail``.
-    """
-
-    def __init__(self, service) -> None:
-        self.service = service
-
-    def push_cell_ids(self, cell_ids) -> List:
-        ids = np.asarray(cell_ids, dtype=np.int64)
-        return self.service.run([ids], flush=False)
-
-    def skip_frames(self, num_frames: int) -> None:
-        raise GatewayError(
-            "a service-backed stream cannot skip frames (the shared "
-            "front end owns a contiguous window clock); use the "
-            "zero_fill or fail degradation policy"
-        )
-
-    def flush(self) -> List:
-        return self.service.flush()
-
-    def subscribe(self, query) -> None:
-        self.service.subscribe(query)
-
-    def unsubscribe(self, qid: int) -> None:
-        self.service.unsubscribe(qid)
 
 
 @dataclass
@@ -179,9 +144,7 @@ class GatewayServer:
         channel; ``block`` starves credits, the lossy policies emit
         ``drop`` notices.
     degrade:
-        Degradation policy for damaged encoded chunks
-        (``skip_window`` is rejected at the sink — see
-        :class:`ServiceSink`).
+        Degradation policy for damaged encoded chunks.
     extractor:
         Fingerprint pipeline for encoded chunk frames (defaults to a
         fresh :class:`~repro.features.pipeline.FingerprintExtractor`).
@@ -218,7 +181,7 @@ class GatewayServer:
         self.credit_window = int(credits)
         self.policy = policy
         self.degrade = degrade
-        self.extractor = extractor
+        self.extractor = extractor or FingerprintExtractor()
         self.max_frame_bytes = int(max_frame_bytes)
         self.heartbeat_seconds = float(heartbeat_seconds)
         self.idle_timeout_seconds = float(idle_timeout_seconds)
@@ -663,12 +626,9 @@ class GatewayServer:
             self._ingest_token = secrets.token_hex(8)
             self._session = StreamSession(
                 self._stream_id,
-                self.service.config,
-                None,
-                self.service.keyframes_per_second,
                 extractor=self.extractor,
                 policy=self.degrade,
-                sink=ServiceSink(self.service),
+                service=self.service,
             )
         else:
             if token != self._ingest_token:

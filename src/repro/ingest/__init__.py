@@ -12,11 +12,11 @@ resilient many-stream frontend over the single-stream detector stack:
 * :mod:`repro.ingest.decoder` — damage-tolerant chunk decoding on top
   of the codec's GOP resync scanner; degradation policies decide what
   undecodable frames become.
-* :mod:`repro.ingest.session` — one stream's detector + monitor state,
-  sequence-gap handling, and checkpointing via ``repro.serve``.
+* :mod:`repro.ingest.session` — one stream's seq-dedupe, decode and
+  degradation stage in front of a ``repro.serve`` detection service
+  (which owns the window clock, detection and checkpointing).
 * :mod:`repro.ingest.scheduler` — round-robin / deficit-weighted
-  multiplexing of N sessions over a bounded detector pool with
-  per-stream backpressure.
+  multiplexing of N sessions with per-stream backpressure.
 
 See ``docs/ingestion.md`` for the fault model, degradation semantics
 and the ``ingest.*`` metric reference.
@@ -33,7 +33,7 @@ from repro.ingest.scheduler import (
     SchedulingPolicy,
     StreamScheduler,
 )
-from repro.ingest.session import DetectorSink, StreamSession
+from repro.ingest.session import StreamSession
 from repro.ingest.sources import (
     CellIdSource,
     EncodedChunkSource,
@@ -49,7 +49,6 @@ __all__ = [
     "CellIdSource",
     "DecodedChunk",
     "DegradationPolicy",
-    "DetectorSink",
     "EncodedChunkSource",
     "FAULT_PRESETS",
     "FaultInjector",

@@ -43,9 +43,9 @@ class DegradationPolicy(enum.Enum):
     """What a session does with key frames the decoder could not recover.
 
     * ``SKIP_WINDOW`` — acknowledge the gap on the window clock
-      (:meth:`LiveMonitor.skip_frames`); every basic window overlapping
-      damage is sacrificed whole, every intact window still matches at
-      its true stream position.
+      (:meth:`~repro.serve.frontend.StreamFrontend.skip_frames`); every
+      basic window overlapping damage is sacrificed whole, every intact
+      window still matches at its true stream position.
     * ``ZERO_FILL`` — substitute a constant fill cell id for missing
       frames, keeping every window alive at the cost of diluted window
       similarity around the damage.

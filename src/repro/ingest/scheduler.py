@@ -1,8 +1,9 @@
-"""Multiplexing N stream sessions over a bounded detector pool.
+"""Multiplexing N stream sessions on one thread.
 
 :class:`StreamScheduler` pairs each stream's source (possibly
-fault-wrapped) with its :class:`~repro.ingest.session.StreamSession` and
-drives them to completion under a scheduling policy:
+fault-wrapped) with its :class:`~repro.ingest.session.StreamSession` —
+and through it that stream's :class:`~repro.serve.DetectionService` —
+and drives them to completion under a scheduling policy:
 
 * ``ROUND_ROBIN`` — one chunk per stream per round; every stream makes
   the same chunk-rate progress regardless of chunk size.
@@ -18,13 +19,10 @@ queue is full its source is simply not pumped that round (the producer
 holds the data, nothing is dropped), and the stall is counted under
 ``ingest.backpressure_waits``.
 
-Detector work runs on a :class:`DetectorPool`. ``pool_size=0`` processes
-chunks inline on the scheduler thread — fully deterministic, the
-reference for the equivalence suite. ``pool_size >= 1`` dispatches to
-worker threads with **at most one in-flight chunk per stream**, so each
-stream's chunks are still processed in order and its match stream is
-bit-for-bit identical to the inline schedule; only cross-stream
-interleaving changes.
+Chunks are processed inline on the scheduler thread, in order per
+stream, so each stream's match stream is bit-for-bit its independent
+single-stream run's. Parallelism belongs to each session's service
+(shards on the process backend), not to the scheduler.
 
 Chaos survival: a session raising any :class:`~repro.errors.ReproError`
 for a chunk marks that stream failed (counted under
@@ -35,7 +33,6 @@ poisoned stream can never stall the fleet.
 from __future__ import annotations
 
 import enum
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -55,7 +52,7 @@ __all__ = [
 ]
 
 #: Schema tag of the scheduler's nested metrics snapshot.
-INGEST_SNAPSHOT_FORMAT = "repro.ingest/1"
+INGEST_SNAPSHOT_FORMAT = "repro.ingest/2"
 
 
 class SchedulingPolicy(enum.Enum):
@@ -78,86 +75,11 @@ class ScheduledStream:
     finished: bool = False
     failed: bool = False
     deficit: float = 0.0
-    in_flight: bool = False
     lifecycle_applied: int = 0
 
     @property
     def stream_id(self) -> int:
         return self.source.stream_id
-
-
-class DetectorPool:
-    """A bounded pool of detector worker threads.
-
-    ``size=0`` is the synchronous mode: :meth:`submit` runs the chunk
-    inline and :meth:`drain` is a no-op. With workers, tasks enter a
-    bounded channel (blocking the scheduler when all workers are busy —
-    the pool is the global ingestion rate limiter) and results return on
-    a stdlib queue the scheduler drains between rounds.
-    """
-
-    _STOP = object()
-
-    def __init__(self, size: int) -> None:
-        if size < 0:
-            raise IngestError(f"pool size cannot be negative ({size})")
-        self.size = size
-        self._tasks: Optional[BoundedChannel] = None
-        self._results: "queue_module.Queue" = queue_module.Queue()
-        self._threads: List[threading.Thread] = []
-        if size > 0:
-            self._tasks = BoundedChannel(max(2, 2 * size))
-            for index in range(size):
-                thread = threading.Thread(
-                    target=self._worker, name=f"ingest-pool-{index}", daemon=True
-                )
-                thread.start()
-                self._threads.append(thread)
-
-    def _worker(self) -> None:
-        assert self._tasks is not None
-        while True:
-            task = self._tasks.get()
-            if task is self._STOP:
-                return
-            stream, chunk = task
-            try:
-                stream.session.process_chunk(chunk)
-                self._results.put((stream, chunk, None))
-            except ReproError as error:
-                self._results.put((stream, chunk, error))
-
-    def submit(self, stream: ScheduledStream, chunk: StreamChunk):
-        """Run or enqueue one chunk; inline mode returns its error."""
-        if self._tasks is None:
-            try:
-                stream.session.process_chunk(chunk)
-            except ReproError as error:
-                return error
-            return None
-        stream.in_flight = True
-        self._tasks.put((stream, chunk), BackpressurePolicy.BLOCK)
-        return None
-
-    def poll(self, timeout: float = 0.0):
-        """Collect finished tasks: list of (stream, chunk, error)."""
-        results = []
-        while True:
-            try:
-                if timeout and not results:
-                    results.append(self._results.get(timeout=timeout))
-                else:
-                    results.append(self._results.get_nowait())
-            except queue_module.Empty:
-                return results
-
-    def shutdown(self) -> None:
-        if self._tasks is not None:
-            for _ in self._threads:
-                self._tasks.put(self._STOP, BackpressurePolicy.BLOCK)
-            for thread in self._threads:
-                thread.join()
-            self._threads = []
 
 
 class StreamScheduler:
@@ -171,8 +93,6 @@ class StreamScheduler:
         stream ids.
     policy:
         Service discipline across streams.
-    pool_size:
-        Detector worker threads; 0 = inline (deterministic reference).
     queue_capacity:
         Per-stream chunk queue bound (the backpressure surface).
     quantum:
@@ -188,7 +108,6 @@ class StreamScheduler:
         self,
         streams: Sequence[tuple],
         policy: SchedulingPolicy = SchedulingPolicy.ROUND_ROBIN,
-        pool_size: int = 0,
         queue_capacity: int = 4,
         quantum: float = 0.0,
         weights: Optional[Dict[int, float]] = None,
@@ -201,7 +120,6 @@ class StreamScheduler:
                 f"queue_capacity must be >= 1, got {queue_capacity}"
             )
         self.policy = policy
-        self.pool_size = pool_size
         self.realtime_stalls = realtime_stalls
         self.registry = MetricsRegistry()
         self.streams: List[ScheduledStream] = []
@@ -245,9 +163,9 @@ class StreamScheduler:
         """Ask :meth:`run` to stop at the next round boundary.
 
         Safe to call from any thread (e.g. a signal handler). The loop
-        stops pumping new chunks, drains every in-flight chunk, then
-        flushes each unfinished session's window tail — an interrupted
-        run loses no decoded frame that had already entered a session.
+        stops pumping new chunks, then flushes each unfinished session's
+        window tail — an interrupted run loses no decoded frame that had
+        already entered a session.
         """
         self._stop_requested.set()
 
@@ -258,9 +176,9 @@ class StreamScheduler:
     def subscribe(self, query) -> None:
         """Register a query subscription for every scheduled stream.
 
-        Ops are forwarded to each session's detector at that stream's
-        next chunk boundary (never mid-chunk, even with a threaded
-        detector pool), exactly once per stream, in registration order.
+        Ops are forwarded to each session's service at that stream's
+        next chunk boundary, exactly once per stream, in registration
+        order.
         """
         self._lifecycle_ops.append(("subscribe", query))
 
@@ -269,8 +187,8 @@ class StreamScheduler:
         self._lifecycle_ops.append(("unsubscribe", qid))
 
     def _apply_lifecycle(self, stream: ScheduledStream) -> None:
-        """Forward pending lifecycle ops to one idle stream's session."""
-        if stream.in_flight or stream.failed:
+        """Forward pending lifecycle ops to one stream's session."""
+        if stream.failed:
             return
         while stream.lifecycle_applied < len(self._lifecycle_ops):
             kind, arg = self._lifecycle_ops[stream.lifecycle_applied]
@@ -332,12 +250,11 @@ class StreamScheduler:
             if self.realtime_stalls:
                 time.sleep(chunk.stall_seconds)
 
-    def _dispatch(
-        self, pool: DetectorPool, stream: ScheduledStream, chunk: StreamChunk
-    ) -> None:
+    def _dispatch(self, stream: ScheduledStream, chunk: StreamChunk) -> None:
         self._account_stall(stream, chunk)
-        error = pool.submit(stream, chunk)
-        if error is not None:
+        try:
+            stream.session.process_chunk(chunk)
+        except ReproError as error:
             self._record_failure(stream, error)
 
     def _record_failure(self, stream: ScheduledStream, error) -> None:
@@ -349,13 +266,6 @@ class StreamScheduler:
             # without processing so the fleet keeps moving.
             stream.failed = True
 
-    def _collect(self, pool: DetectorPool, block: bool) -> None:
-        timeout = 0.05 if block else 0.0
-        for stream, _chunk, error in pool.poll(timeout):
-            stream.in_flight = False
-            if error is not None:
-                self._record_failure(stream, error)
-
     def _active(self) -> List[ScheduledStream]:
         return [
             stream
@@ -364,11 +274,7 @@ class StreamScheduler:
         ]
 
     def _stream_done(self, stream: ScheduledStream) -> bool:
-        return (
-            stream.exhausted
-            and len(stream.queue) == 0
-            and not stream.in_flight
-        )
+        return stream.exhausted and len(stream.queue) == 0
 
     def _finish_stream(self, stream: ScheduledStream) -> None:
         if not stream.failed:
@@ -378,39 +284,29 @@ class StreamScheduler:
                 self._record_failure(stream, error)
         stream.finished = True
 
-    def _drain(self, pool: DetectorPool) -> None:
-        """Stop-request path: wait out in-flight chunks, flush tails."""
-        while any(stream.in_flight for stream in self.streams):
-            self._collect(pool, block=True)
+    def _drain(self) -> None:
+        """Stop-request path: flush every unfinished stream's tail."""
         for stream in self.streams:
             if not stream.finished:
                 self._finish_stream(stream)
         self.registry.inc("ingest.stop_drains")
 
-    def _serve_round_robin(
-        self, pool: DetectorPool, active: List[ScheduledStream]
-    ) -> int:
+    def _serve_round_robin(self, active: List[ScheduledStream]) -> int:
         served = 0
         for stream in active:
-            if stream.in_flight:
-                continue
             chunk = self._take(stream)
             if chunk is None:
                 continue
             if stream.failed:
                 served += 1  # drained, not processed
                 continue
-            self._dispatch(pool, stream, chunk)
+            self._dispatch(stream, chunk)
             served += 1
         return served
 
-    def _serve_deficit(
-        self, pool: DetectorPool, active: List[ScheduledStream]
-    ) -> int:
+    def _serve_deficit(self, active: List[ScheduledStream]) -> int:
         served = 0
         for stream in active:
-            if stream.in_flight:
-                continue
             stream.deficit += max(self.quantum, self._max_cost) * stream.weight
             while True:
                 head = stream.queue.peek()
@@ -428,10 +324,8 @@ class StreamScheduler:
                 if stream.failed:
                     served += 1
                     continue
-                self._dispatch(pool, stream, chunk)
+                self._dispatch(stream, chunk)
                 served += 1
-                if stream.in_flight:
-                    break  # one in-flight chunk per stream
         return served
 
     # ------------------------------------------------------------------
@@ -446,34 +340,26 @@ class StreamScheduler:
         unhandled exception here is a bug, and the chaos suite asserts
         there are none.
         """
-        pool = DetectorPool(self.pool_size)
         wait_rounds = self.registry.distribution("ingest.scheduler_wait")
-        try:
-            while True:
-                if self._stop_requested.is_set():
-                    self._drain(pool)
-                    break
-                active = self._active()
-                if not active:
-                    break
-                for stream in active:
-                    self._apply_lifecycle(stream)
-                    self._pump(stream)
-                if self.policy is SchedulingPolicy.DEFICIT:
-                    served = self._serve_deficit(pool, active)
-                else:
-                    served = self._serve_round_robin(pool, active)
-                waiting = served == 0 and any(
-                    stream.in_flight for stream in active
-                )
-                self._collect(pool, block=waiting)
-                wait_rounds.add(0.0 if served else 1.0)
-                self.rounds += 1
-                for stream in active:
-                    if self._stream_done(stream):
-                        self._finish_stream(stream)
-        finally:
-            pool.shutdown()
+        while True:
+            if self._stop_requested.is_set():
+                self._drain()
+                break
+            active = self._active()
+            if not active:
+                break
+            for stream in active:
+                self._apply_lifecycle(stream)
+                self._pump(stream)
+            if self.policy is SchedulingPolicy.DEFICIT:
+                served = self._serve_deficit(active)
+            else:
+                served = self._serve_round_robin(active)
+            wait_rounds.add(0.0 if served else 1.0)
+            self.rounds += 1
+            for stream in active:
+                if self._stream_done(stream):
+                    self._finish_stream(stream)
         return {
             stream.stream_id: list(stream.session.matches)
             for stream in self.streams
@@ -525,21 +411,26 @@ class StreamScheduler:
         }
 
     def metrics_snapshot(self) -> Dict[str, object]:
-        """Nested ``repro.ingest/1`` snapshot: scheduler + per-stream.
+        """Nested ``repro.ingest/2`` snapshot: scheduler + per-stream.
 
-        Per-stream ``engine.*`` counters describe *different* streams,
-        so they are nested rather than merged — unlike ``repro.serve``,
-        whose shards replicate one stream.
+        Each stream's entry is its service's
+        :meth:`~repro.serve.DetectionService.metrics_snapshot` with the
+        session's ``ingest.*`` series folded in. Streams describe
+        *different* streams, so they are nested rather than merged —
+        unlike a service's shards, which replicate one stream.
         """
+        streams = {}
+        for stream in self.streams:
+            merged = stream.session.service.metrics_snapshot()
+            own = snapshot(stream.session.registry)
+            for section in ("counters", "gauges", "distributions", "timers"):
+                merged[section].update(own[section])
+            streams[str(stream.stream_id)] = merged
         return {
             "schema": INGEST_SNAPSHOT_FORMAT,
             "policy": self.policy.value,
-            "pool_size": self.pool_size,
             "rounds": self.rounds,
             "scheduler": snapshot(self.registry),
-            "streams": {
-                str(stream.stream_id): snapshot(stream.session.registry)
-                for stream in self.streams
-            },
+            "streams": streams,
             "reconciliation": self.reconciliation(),
         }

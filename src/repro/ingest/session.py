@@ -1,25 +1,28 @@
-"""Per-stream detection sessions.
+"""Per-stream ingest sessions: the stage in front of a detection service.
 
-A :class:`StreamSession` is the unit the scheduler multiplexes: one
-stream's :class:`~repro.core.detector.StreamingDetector` +
-:class:`~repro.core.live.LiveMonitor` + :class:`ResilientDecoder`, glued
-to a degradation policy and an ``ingest.*`` metric namespace in the
-session's own :class:`~repro.obs.registry.MetricsRegistry` (sessions
-never share a registry — their ``engine.*`` counters describe different
-streams and must not merge).
+A :class:`StreamSession` is the unit the scheduler multiplexes and the
+gateway binds a remote stream to. It is a pure pre-detection stage —
+sequence-number dedupe, :class:`ResilientDecoder` decode and the
+degradation policy — in front of a
+:class:`~repro.serve.DetectionService`, which owns everything after:
+the one window clock (its :class:`~repro.serve.frontend.StreamFrontend`,
+gaps included), sharded detection, the canonical match stream, the
+archive and the checkpoint. By default a session builds a serial,
+one-worker service of its own; the gateway passes its shared one.
 
-The frame-accounting contract, which the chaos tests reconcile:
+The session's own :class:`~repro.obs.registry.MetricsRegistry` holds
+the ``ingest.*`` series (sessions never share one); ``engine.*`` lives
+in the service's shards. The frame-accounting contract, which the chaos
+tests reconcile:
 
     frames offered by the source
-        = frames pushed to the detector
+        = frames pushed to the service
         + frames skipped / filled (damage)
         + frames dropped in flight (injector) or behind a seq gap
 
-Sessions checkpoint through :class:`repro.serve.CheckpointManager` — a
-one-worker :class:`~repro.serve.checkpoint.ServiceCheckpoint` with
-strategy ``"ingest"``, whose front-end fields hold the monitor's
-buffer — so the serving layer's atomic-write/restore machinery, format
-tag and config verification are reused unchanged.
+A session checkpoint is a plain service checkpoint: the service's
+``chunks_ingested`` *is* the session's stream position (highest
+sequence number seen plus one, lost chunks included).
 """
 
 from __future__ import annotations
@@ -29,10 +32,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.archive import ArchiveTap, SketchArchive
 from repro.config import DetectorConfig
-from repro.core.detector import StreamingDetector
-from repro.core.live import LiveMonitor
 from repro.core.query import QuerySet
 from repro.core.results import Match
 from repro.errors import IngestError
@@ -41,55 +41,22 @@ from repro.ingest.decoder import DegradationPolicy, ResilientDecoder
 from repro.ingest.sources import StreamChunk
 from repro.obs.registry import MetricsRegistry
 from repro.serve.checkpoint import CheckpointManager, ServiceCheckpoint
-from repro.serve.state import restore_worker_state, worker_state
+from repro.serve.service import DetectionService
 
-__all__ = ["DetectorSink", "StreamSession"]
-
-
-class DetectorSink:
-    """Interface a :class:`StreamSession` drives when it does not own a
-    detector of its own.
-
-    The default session builds a private
-    :class:`~repro.core.detector.StreamingDetector` +
-    :class:`~repro.core.live.LiveMonitor` pair. A *sink* replaces that
-    pair with any object exposing the same five operations — the
-    network gateway uses one to route a remote stream's chunks, after
-    seq-dedupe and degradation handling, into a shared
-    :class:`~repro.serve.DetectionService` instead.
-    """
-
-    def push_cell_ids(self, cell_ids) -> List[Match]:
-        """Feed decoded key-frame cell ids; return matches produced."""
-        raise NotImplementedError
-
-    def skip_frames(self, num_frames: int) -> None:
-        """Advance the window clock over undecodable/lost frames."""
-        raise NotImplementedError
-
-    def flush(self) -> List[Match]:
-        """Process the trailing partial window at end of stream."""
-        raise NotImplementedError
-
-    def subscribe(self, query) -> None:
-        """Add a continuous query at a chunk boundary."""
-        raise NotImplementedError
-
-    def unsubscribe(self, qid: int) -> None:
-        """Drop a continuous query at a chunk boundary."""
-        raise NotImplementedError
+__all__ = ["StreamSession"]
 
 
 class StreamSession:
-    """One stream's detector state behind a degradation policy.
+    """One stream's seq-dedupe, decode and degradation stage.
 
     Parameters
     ----------
     stream_id:
         The stream this session owns.
     config, queries, keyframes_per_second:
-        Detector construction parameters (the queries are shared
-        read-only across sessions in a scheduler).
+        Build the session's own serial, one-worker
+        :class:`~repro.serve.DetectionService`; unused when ``service``
+        is given.
     extractor:
         Fingerprint pipeline for encoded / raw-frame chunks; optional
         when the stream delivers pre-extracted cell ids.
@@ -104,80 +71,42 @@ class StreamSession:
         ``gap * hint`` frames; when zero, lost chunks are only counted
         (``ingest.chunks_missing``) and the clock keeps running on
         delivered content.
-    cap_hint:
-        Candidate-expiry floor forwarded to the detector.
-    sink:
-        Optional :class:`DetectorSink`. When given, the session owns no
-        detector: chunks still pass through its seq-dedupe, decode and
-        degradation machinery, but the surviving cell ids go to the
-        sink (e.g. a shared :class:`~repro.serve.DetectionService`
-        behind the gateway). Sink-backed sessions cannot checkpoint
-        themselves — checkpoint the backing service instead.
-    archive:
-        Optional per-stream :class:`~repro.archive.SketchArchive`. The
-        session then archives every basic window its degradation
-        machinery lets through, via an
-        :class:`~repro.archive.ArchiveTap` that mirrors the monitor's
-        window clock exactly: skipped windows become archive *gaps*
-        (``ingest.archive_gap_windows``), delivered windows are
-        sketched and retained (``ingest.archive_windows``) — so a late
-        backfill over this stream probes precisely the windows the
-        live detector saw.
+    service:
+        The detection service the surviving cell ids feed (e.g. the
+        gateway's shared one). Its stream position must be this
+        session's.
     """
 
     def __init__(
         self,
         stream_id: int,
-        config: DetectorConfig,
-        queries: QuerySet,
-        keyframes_per_second: float,
+        config: Optional[DetectorConfig] = None,
+        queries: Optional[QuerySet] = None,
+        keyframes_per_second: Optional[float] = None,
         extractor: Optional[FingerprintExtractor] = None,
         policy: DegradationPolicy = DegradationPolicy.SKIP_WINDOW,
         fill_cell_id: int = 0,
         chunk_keyframes_hint: int = 0,
-        cap_hint: int = 0,
-        sink: Optional[DetectorSink] = None,
-        archive: Optional[SketchArchive] = None,
+        service: Optional[DetectionService] = None,
     ) -> None:
+        if service is None:
+            needed = (config, queries, keyframes_per_second)
+            if any(value is None for value in needed):
+                raise IngestError(
+                    "a session needs a service, or the config, queries "
+                    "and key-frame rate to build one"
+                )
+            service = DetectionService(
+                config, queries, keyframes_per_second, num_workers=1
+            )
         self.stream_id = stream_id
-        self.config = config
-        self.queries = queries
-        self.keyframes_per_second = keyframes_per_second
+        self.service = service
         self.policy = policy
         self.fill_cell_id = int(fill_cell_id)
         self.chunk_keyframes_hint = int(chunk_keyframes_hint)
         self.registry = MetricsRegistry()
-        if sink is None:
-            self.detector = StreamingDetector(
-                config,
-                queries,
-                keyframes_per_second,
-                registry=self.registry,
-                cap_hint=cap_hint,
-            )
-            self.monitor = LiveMonitor(self.detector, extractor)
-        else:
-            self.detector = None
-            self.monitor = sink
         self.decoder = ResilientDecoder(extractor)
-        self._tap: Optional[ArchiveTap] = None
-        if archive is not None:
-            window_frames = (
-                self.detector.window_frames
-                if self.detector is not None
-                else max(
-                    1, round(config.window_seconds * keyframes_per_second)
-                )
-            )
-            self._tap = ArchiveTap(
-                archive,
-                queries.family,
-                window_frames,
-                registry=self.registry,
-            )
-        self.matches: List[Match] = []
         self.failed = False
-        self._last_seq = -1
         for name in (
             "ingest.chunks_processed",
             "ingest.chunks_duplicate",
@@ -201,25 +130,20 @@ class StreamSession:
     @property
     def chunks_ingested(self) -> int:
         """Stream position: highest sequence number seen, plus one."""
-        return self._last_seq + 1
+        return self.service.chunks_ingested
 
-    def _acknowledge_missing(self, gap_chunks: int) -> None:
-        inc = self.registry.inc
-        inc("ingest.chunks_missing", gap_chunks)
-        if self.chunk_keyframes_hint > 0:
-            missing = gap_chunks * self.chunk_keyframes_hint
-            inc("ingest.frames_missing", missing)
-            self.monitor.skip_frames(missing)
-            if self._tap is not None:
-                self._tap.skip_frames(missing)
+    @property
+    def matches(self) -> List[Match]:
+        """The service's merged match stream (read, not copied)."""
+        return self.service.matches
 
     def process_chunk(self, chunk: StreamChunk) -> List[Match]:
         """Feed one chunk; returns the matches it produced.
 
-        Out-of-order and duplicate deliveries (sequence number at or
-        below the last processed one) are dropped and counted. A
-        sequence gap is acknowledged before the chunk is processed so
-        the window clock never drifts past real content.
+        Out-of-order and duplicate deliveries (sequence number below
+        the stream position) are dropped and counted. A sequence gap is
+        acknowledged before the chunk is processed so the window clock
+        never drifts past real content.
         """
         if chunk.stream_id != self.stream_id:
             raise IngestError(
@@ -227,15 +151,30 @@ class StreamSession:
                 f"of stream {chunk.stream_id}"
             )
         inc = self.registry.inc
-        if chunk.seq <= self._last_seq:
+        service = self.service
+        gap_chunks = chunk.seq - service.chunks_ingested
+        if gap_chunks < 0:
             inc("ingest.chunks_duplicate")
             return []
-        gap_chunks = chunk.seq - self._last_seq - 1
-        if gap_chunks > 0:
-            self._acknowledge_missing(gap_chunks)
-        self._last_seq = chunk.seq
+        if gap_chunks:
+            inc("ingest.chunks_missing", gap_chunks)
+            if self.chunk_keyframes_hint > 0:
+                missing = gap_chunks * self.chunk_keyframes_hint
+                inc("ingest.frames_missing", missing)
+                service.skip_frames(missing)
         inc("ingest.chunks_processed")
+        try:
+            matches = self._feed(chunk)
+        finally:
+            # One service chunk or several (one per surviving segment),
+            # the stream position moves past this sequence number.
+            service.chunks_ingested = chunk.seq + 1
+        if matches:
+            inc("ingest.matches", len(matches))
+        return matches
 
+    def _feed(self, chunk: StreamChunk) -> List[Match]:
+        inc = self.registry.inc
         with self.registry.phase("phase.ingest_decode"):
             decoded = self.decoder.decode_chunk(chunk)
         inc("ingest.frames_expected", decoded.expected_keyframes)
@@ -255,7 +194,7 @@ class StreamSession:
                 f"under the fail policy"
             )
 
-        matches: List[Match] = []
+        service = self.service
         if self.policy is DegradationPolicy.ZERO_FILL:
             filled = decoded.expected_keyframes - decoded.keyframes_decoded
             ids = np.full(
@@ -265,42 +204,24 @@ class StreamSession:
                 ids[start : start + segment_ids.shape[0]] = segment_ids
             if filled:
                 inc("ingest.frames_filled", filled)
-            matches.extend(self.monitor.push_cell_ids(ids))
-            if self._tap is not None:
-                self._tap.push_cell_ids(ids)
-        else:  # SKIP_WINDOW
-            tap = self._tap
-            position = 0
-            for start, segment_ids in decoded.segments:
-                if start > position:
-                    self.monitor.skip_frames(start - position)
-                    if tap is not None:
-                        tap.skip_frames(start - position)
-                matches.extend(self.monitor.push_cell_ids(segment_ids))
-                if tap is not None:
-                    tap.push_cell_ids(segment_ids)
-                position = start + segment_ids.shape[0]
-            if position < decoded.expected_keyframes:
-                self.monitor.skip_frames(
-                    decoded.expected_keyframes - position
-                )
-                if tap is not None:
-                    tap.skip_frames(
-                        decoded.expected_keyframes - position
-                    )
-        if matches:
-            inc("ingest.matches", len(matches))
-            self.matches.extend(matches)
+            return service.run([ids], flush=False)
+        # SKIP_WINDOW: each hole in the chunk is a gap on the clock.
+        matches: List[Match] = []
+        position = 0
+        for start, segment_ids in decoded.segments:
+            if start > position:
+                service.skip_frames(start - position)
+            matches.extend(service.run([segment_ids], flush=False))
+            position = start + segment_ids.shape[0]
+        if position < decoded.expected_keyframes:
+            service.skip_frames(decoded.expected_keyframes - position)
         return matches
 
     def finish(self) -> List[Match]:
         """Flush the trailing partial window at end of stream."""
-        if self._tap is not None:
-            self._tap.flush()
-        matches = self.monitor.flush()
+        matches = self.service.flush()
         if matches:
             self.registry.inc("ingest.matches", len(matches))
-            self.matches.extend(matches)
         return matches
 
     # ------------------------------------------------------------------
@@ -308,99 +229,47 @@ class StreamSession:
     # ------------------------------------------------------------------
 
     def subscribe(self, query) -> None:
-        """Add a continuous query to this session's detector mid-stream.
-
-        Must be called at a chunk boundary (never while a pool worker
-        is processing one of this session's chunks); the scheduler's
-        lifecycle forwarding guarantees that.
-        """
-        if self.detector is None:
-            self.monitor.subscribe(query)
-        else:
-            self.detector.subscribe(query)
+        """Add a continuous query at a chunk boundary (the scheduler's
+        lifecycle forwarding guarantees one)."""
+        self.service.subscribe(query)
         self.registry.inc("ingest.queries_subscribed")
 
     def unsubscribe(self, qid: int) -> None:
         """Drop a continuous query, purging its in-flight state."""
-        if self.detector is None:
-            self.monitor.unsubscribe(qid)
-        else:
-            self.detector.unsubscribe(qid)
+        self.service.unsubscribe(qid)
         self.registry.inc("ingest.queries_unsubscribed")
 
     # ------------------------------------------------------------------
-    # checkpointing (via repro.serve)
+    # resume (a session checkpoint is ``service.checkpoint(...)``)
     # ------------------------------------------------------------------
-
-    def checkpoint(
-        self,
-        manager: CheckpointManager,
-        path: Union[str, pathlib.Path, None] = None,
-    ) -> pathlib.Path:
-        """Snapshot this session as a one-worker service checkpoint."""
-        if self.detector is None:
-            raise IngestError(
-                f"stream {self.stream_id} session is sink-backed; "
-                "checkpoint the backing service, not the session"
-            )
-        pending, flushed, skip_remaining = self.monitor.buffer_state()
-        snapshot = ServiceCheckpoint(
-            config=self.config,
-            keyframes_per_second=self.keyframes_per_second,
-            chunks_ingested=self.chunks_ingested,
-            cap_hint=0,
-            strategy="ingest",
-            worker_queries=[self.queries],
-            worker_states=[worker_state(self.detector)],
-            matches=list(self.matches),
-            frontend_pending=pending,
-            frontend_flushed=flushed,
-            frontend_windows=self.detector.stats.windows_processed,
-            frontend_frames=self.detector.frames_processed,
-            frontend_skip=skip_remaining,
-        )
-        return manager.save(snapshot, path)
 
     @classmethod
     def restore(
         cls,
-        manager: CheckpointManager,
+        source: Union[str, pathlib.Path, CheckpointManager, ServiceCheckpoint],
         stream_id: int,
-        config: DetectorConfig,
+        config: Optional[DetectorConfig] = None,
         extractor: Optional[FingerprintExtractor] = None,
         policy: DegradationPolicy = DegradationPolicy.SKIP_WINDOW,
         fill_cell_id: int = 0,
         chunk_keyframes_hint: int = 0,
-        path: Union[str, pathlib.Path, None] = None,
     ) -> "StreamSession":
-        """Rebuild a session from its latest (or given) checkpoint.
+        """Rebuild a session over its restored service.
 
-        The caller re-feeds the stream from ``session.chunks_ingested``;
-        earlier chunks are deduplicated by sequence number, so replaying
-        from chunk 0 is safe (if wasteful).
+        ``source`` is anything :meth:`DetectionService.restore
+        <repro.serve.DetectionService.restore>` takes; ``config``, when
+        given, must equal the recorded one. The caller re-feeds the
+        stream from ``session.chunks_ingested``; earlier chunks are
+        deduplicated by sequence number, so replaying from chunk 0 is
+        safe (if wasteful).
         """
-        snapshot = manager.load(path, expected_config=config)
-        if snapshot.num_workers != 1 or snapshot.strategy != "ingest":
-            raise IngestError(
-                f"checkpoint holds a {snapshot.num_workers}-worker "
-                f"{snapshot.strategy!r} service, not an ingest session"
-            )
-        session = cls(
-            stream_id=stream_id,
-            config=snapshot.config,
-            queries=snapshot.worker_queries[0],
-            keyframes_per_second=snapshot.keyframes_per_second,
+        return cls(
+            stream_id,
             extractor=extractor,
             policy=policy,
             fill_cell_id=fill_cell_id,
             chunk_keyframes_hint=chunk_keyframes_hint,
+            service=DetectionService.restore(
+                source, expected_config=config
+            ),
         )
-        restore_worker_state(session.detector, snapshot.worker_states[0])
-        session.monitor.restore_buffer(
-            snapshot.frontend_pending,
-            snapshot.frontend_flushed,
-            snapshot.frontend_skip,
-        )
-        session.matches = list(snapshot.matches)
-        session._last_seq = snapshot.chunks_ingested - 1
-        return session

@@ -4,7 +4,8 @@ The single-process :class:`~repro.core.detector.StreamingDetector`
 scales with the number of subscribed queries; this package scales it
 *out*: the query set is partitioned into balanced shards
 (:mod:`~repro.serve.planner`), the stream is cut into basic windows
-and sketched once (:mod:`~repro.serve.frontend`), each shard runs a
+and sketched once (:mod:`~repro.serve.frontend` — the tree's one window
+clock, gaps from lossy ingest included), each shard runs a
 detector in its own worker (serial or process backend) fed the
 same window batches over bounded queues (:mod:`~repro.serve.queues`),
 and the per-shard match streams merge back into the single-process

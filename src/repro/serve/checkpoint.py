@@ -97,11 +97,8 @@ class ServiceCheckpoint:
     matches:
         The merged match stream collected before the snapshot.
     frontend_pending:
-        The front end's buffered cell ids (frames not yet forming a
-        whole basic window). The front end is whoever cuts the stream
-        into windows: the service's
-        :class:`~repro.serve.frontend.StreamFrontend`, or an ingest
-        session's :class:`~repro.core.live.LiveMonitor`.
+        The :class:`~repro.serve.frontend.StreamFrontend`'s buffered
+        cell ids (frames not yet forming a whole basic window).
     frontend_flushed:
         Whether the front end had flushed the stream.
     frontend_windows / frontend_frames:
@@ -113,9 +110,10 @@ class ServiceCheckpoint:
         service continues numbering from here, so a scripted churn
         schedule can skip the ops the checkpoint already contains.
     frontend_skip:
-        Ingest sessions only: arriving frames the monitor must still
-        drop to re-align its window clock after a gap (the service's
-        front end owns a contiguous clock and always records 0).
+        Arriving frames the front end must still drop to re-align its
+        window clock after a gap
+        (:attr:`~repro.serve.frontend.StreamFrontend.skip_remaining`);
+        0 unless an ingest session skipped frames mid-window.
     retro_matches:
         The retrospective (backfill) match stream collected before the
         snapshot, kept separate from the live stream so neither resume

@@ -23,11 +23,21 @@ the stream clock), so a worker that never sees a batch — lossy
 backpressure policies — keeps later matches at their true stream
 positions instead of silently shifting them (see ``docs/serving.md``).
 
+The clock also survives frames that never arrive.
+:meth:`StreamFrontend.skip_frames` is the one gap discipline of the
+tree (an ingest session's undecodable GOPs and lost chunks): it drops
+the partial window, advances the clock over every window the gap
+touches, and swallows the rest of the window where the gap ends. The
+sacrificed windows and frames ride in-band on the next
+:class:`WindowBatch` (``windows_skipped`` / ``frames_skipped``), so
+every shard acknowledges the gap at the same point of its stream.
+
 Bit-for-bit equivalence: the per-window sketch values, the plane bits,
-the processing order and every engine counter are identical to a
-single-process ``StreamingDetector`` + ``LiveMonitor`` over the same
-stream — the golden-equivalence suite checks the service against that
-reference in every mode, order and engine.
+the processing order and every engine counter are identical to the
+single-process oracle — a ``StreamingDetector`` behind a
+:class:`~repro.core.live.LiveMonitor` — over the same stream; the
+golden-equivalence suite checks the service against it in every mode,
+order and engine.
 """
 
 from __future__ import annotations
@@ -82,6 +92,11 @@ class WindowBatch:
     ge, lt:
         ``(nw, Q, W)`` packed uint64 window-vs-query signature planes
         (``None`` alongside ``plane_qids``).
+    windows_skipped, frames_skipped:
+        The gap acknowledged since the previous batch: windows the
+        clock advanced over without sketching, and frames lost to them
+        (see :meth:`StreamFrontend.skip_frames`). Every window of a gap
+        precedes every window of the batch.
     """
 
     base_seq: int
@@ -93,6 +108,8 @@ class WindowBatch:
     plane_qids: Optional[Tuple[int, ...]] = None
     ge: Optional[np.ndarray] = None
     lt: Optional[np.ndarray] = None
+    windows_skipped: int = 0
+    frames_skipped: int = 0
 
     @property
     def num_chunks(self) -> int:
@@ -172,6 +189,11 @@ class StreamFrontend:
         self._flushed = False
         self.windows_emitted = 0
         self.frames_emitted = 0
+        # Arriving frames still to drop so the next kept frame starts a
+        # window (see skip_frames); > 0 implies _pending is empty.
+        self.skip_remaining = 0
+        # The gap not yet shipped on a batch: windows, frames.
+        self._gap = [0, 0]
         self._qids: Tuple[int, ...] = ()
         self._matrix: Optional[np.ndarray] = None
 
@@ -208,14 +230,21 @@ class StreamFrontend:
     def flushed(self) -> bool:
         return self._flushed
 
-    def state(self) -> Tuple[np.ndarray, bool, int, int]:
-        """``(pending, flushed, windows_emitted, frames_emitted)`` for
-        checkpointing."""
+    @property
+    def gap_pending(self) -> bool:
+        """Whether a gap is acknowledged but not yet on any batch."""
+        return any(self._gap)
+
+    def state(self) -> Tuple[np.ndarray, bool, int, int, int]:
+        """``(pending, flushed, windows_emitted, frames_emitted,
+        skip_remaining)`` for checkpointing. Take it with no gap
+        pending: the shipped gap lives in the shards' counters."""
         return (
             self._pending.copy(),
             self._flushed,
             self.windows_emitted,
             self.frames_emitted,
+            self.skip_remaining,
         )
 
     def restore(
@@ -224,17 +253,67 @@ class StreamFrontend:
         flushed: bool,
         windows_emitted: int,
         frames_emitted: int,
+        skip_remaining: int = 0,
     ) -> None:
         """Reinstate a :meth:`state` snapshot (checkpoint resume)."""
         pending = np.asarray(pending, dtype=np.int64).copy()
-        if windows_emitted < 0 or frames_emitted < 0:
+        if windows_emitted < 0 or frames_emitted < 0 or skip_remaining < 0:
             raise ServeError(
                 "corrupt frontend snapshot: negative stream clock"
+            )
+        if skip_remaining and pending.shape[0]:
+            raise ServeError(
+                "corrupt frontend snapshot: pending frames alongside an "
+                "unfinished gap window"
             )
         self._pending = pending
         self._flushed = bool(flushed)
         self.windows_emitted = int(windows_emitted)
         self.frames_emitted = int(frames_emitted)
+        self.skip_remaining = int(skip_remaining)
+
+    def skip_frames(self, count: int) -> int:
+        """Acknowledge ``count`` stream frames that will never arrive.
+
+        Call at a chunk barrier. The semantics are exactly the oracle's
+        (:meth:`repro.core.live.LiveMonitor.skip_frames`):
+
+        * the buffered frames of the partial window are dropped (that
+          window can never complete cleanly);
+        * the clock advances over every window the gap touches;
+        * if the gap ends mid-window, the rest of that window's real
+          frames are dropped as they arrive (:attr:`skip_remaining`),
+          so the next kept frame starts on a window boundary.
+
+        Returns the windows the clock advanced over (the archive's
+        gap). They and every lost frame ship on the next batch.
+        """
+        if self._flushed:
+            raise ServeError(
+                "the stream has already been flushed; no more chunks"
+            )
+        count = int(count)
+        if count < 0:
+            raise ServeError(f"cannot skip a negative frame count ({count})")
+        if count == 0:
+            return 0
+        window_frames = self.window_frames
+        clock = self.frames_emitted
+        dropped = int(self._pending.shape[0])
+        if self.skip_remaining:
+            position = clock - self.skip_remaining
+        else:
+            position = clock + dropped
+        self._pending = np.empty(0, dtype=np.int64)
+        end = position + count
+        boundary = -(-end // window_frames) * window_frames
+        windows = max(0, boundary - clock) // window_frames
+        self.windows_emitted += windows
+        self.frames_emitted += windows * window_frames
+        self.skip_remaining = max(boundary, clock) - end
+        self._gap[0] += windows
+        self._gap[1] += count + dropped
+        return windows
 
     # ------------------------------------------------------------------
     # batch construction
@@ -245,10 +324,11 @@ class StreamFrontend:
     ) -> WindowBatch:
         """Sketch (and encode) every whole window the chunks complete.
 
-        Chunks are appended to the pending buffer in order; each one
-        records how many whole windows it completed (the same cut every
-        worker's ``LiveMonitor`` used to make), then all ready windows
-        of the batch are sketched in one ``sketch_many`` pass.
+        Chunks are appended to the pending buffer in order (less any
+        frames a gap still swallows); each one records how many whole
+        windows it completed, then all ready windows of the batch are
+        sketched in one ``sketch_many`` pass. The batch also carries
+        the gap acknowledged since the previous one.
         """
         if self._flushed:
             raise ServeError(
@@ -269,6 +349,11 @@ class StreamFrontend:
                 raise ServeError(
                     f"cell ids must be 1-D, got shape {ids.shape}"
                 )
+            if self.skip_remaining:
+                drop = min(self.skip_remaining, int(ids.shape[0]))
+                ids = ids[drop:]
+                self.skip_remaining -= drop
+                self._gap[1] += drop
             self._pending = np.concatenate([self._pending, ids])
             full = (
                 self._pending.shape[0] // window_frames
@@ -318,6 +403,7 @@ class StreamFrontend:
                 shape = (0, len(plane_qids), width)
                 ge = np.zeros(shape, dtype=np.uint64)
                 lt = np.zeros(shape, dtype=np.uint64)
+        (windows_skipped, frames_skipped), self._gap = self._gap, [0, 0]
         return WindowBatch(
             base_seq=int(base_seq),
             chunk_windows=np.asarray(counts, dtype=np.int64),
@@ -328,14 +414,18 @@ class StreamFrontend:
             plane_qids=plane_qids,
             ge=ge,
             lt=lt,
+            windows_skipped=windows_skipped,
+            frames_skipped=frames_skipped,
         )
 
     def flush_tail(self) -> Optional[TailWindow]:
         """Sketch the trailing partial window; ``None`` when the stream
-        ended exactly on a window boundary. Marks the stream flushed."""
+        ended exactly on a window boundary. Marks the stream flushed
+        (ship any pending gap on a batch first)."""
         if self._flushed:
             return None
         self._flushed = True
+        self.skip_remaining = 0
         if self._pending.shape[0] == 0:
             return None
         with self.registry.phase("phase.frontend"):

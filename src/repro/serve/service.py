@@ -6,7 +6,10 @@ is cut into basic windows and sketched once, in the service
 (:mod:`repro.serve.frontend`); every worker receives the same
 precomputed window batches and detects only its shard's queries; the
 service merges the per-shard match streams back into the single-process
-engine's canonical order (:mod:`repro.serve.collector`).
+engine's canonical order (:mod:`repro.serve.collector`). Frames that
+never arrive (an ingest session's lost chunks and undecodable GOPs) are
+acknowledged with :meth:`DetectionService.skip_frames`; the front end
+keeps the clock and ships the gap to every shard in-band.
 
 Two executor backends, ``serial`` (in-process, the reference for the
 equivalence suite) and ``process`` (one OS process per worker), share
@@ -219,9 +222,11 @@ class DetectionService:
         self.chunks_ingested = 0
         self.epoch = 0
         self._closed = False
+        # Validates the strategy before any checkpoint field is read.
+        self._planner = ShardPlanner(num_workers, strategy)
 
         if _checkpoint is None:
-            plan = ShardPlanner(num_workers, strategy).plan(
+            plan = self._planner.plan(
                 queries, self.window_frames, config.tempo_scale
             )
             shard_queries = [
@@ -261,19 +266,20 @@ class DetectionService:
             self.cap_hint = _checkpoint.cap_hint
 
         self.batch_chunks = max(1, int(batch_chunks))
-        self._frontend = StreamFrontend(
+        self.frontend = StreamFrontend(
             config=config,
             family=self._family,
             window_frames=self.window_frames,
             registry=self.registry,
         )
-        self._frontend.set_queries(self._queries)
+        self.frontend.set_queries(self._queries)
         if _checkpoint is not None:
-            self._frontend.restore(
+            self.frontend.restore(
                 _checkpoint.frontend_pending,
                 _checkpoint.frontend_flushed,
                 _checkpoint.frontend_windows,
                 _checkpoint.frontend_frames,
+                _checkpoint.frontend_skip,
             )
         self._ring: Optional[ShmBatchRing] = None
 
@@ -338,7 +344,6 @@ class DetectionService:
             # once: queue_capacity queued + one in processing + one
             # being published.
             self._ring = ShmBatchRing(queue_capacity + 2)
-        self._planner = ShardPlanner(self.num_workers, strategy)
         self._update_query_gauges()
 
     def _restore_archive(self, checkpoint: ServiceCheckpoint) -> None:
@@ -373,7 +378,7 @@ class DetectionService:
 
     def _stream_windows(self) -> int:
         """The live stream clock: basic windows emitted so far."""
-        return self._frontend.windows_emitted
+        return self.frontend.windows_emitted
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -524,7 +529,7 @@ class DetectionService:
         window is processed too and the stream is closed.
         """
         self._require_open()
-        if self._frontend.flushed:
+        if self.frontend.flushed:
             raise ServeError("the stream has already been flushed")
         chunk_arrays = [
             np.asarray(chunk, dtype=np.int64) for chunk in chunks
@@ -534,6 +539,26 @@ class DetectionService:
         if flush:
             merged.extend(self.flush())
         return merged
+
+    def skip_frames(self, count: int) -> None:
+        """Acknowledge ``count`` stream frames that will never arrive.
+
+        Call at a chunk barrier. The front end sacrifices every basic
+        window the gap touches, exactly like the single-process oracle
+        (:meth:`~repro.serve.frontend.StreamFrontend.skip_frames`); the
+        gap reaches every shard in-band on the next batch, and the
+        archive, if any, records the sacrificed windows as a gap.
+        """
+        self._require_open()
+        windows = self.frontend.skip_frames(count)
+        if windows and self._archive is not None:
+            self._archive.note_gap(windows)
+
+    def _deliver_gap(self) -> None:
+        """Ship a gap that no chunk has carried yet, on an empty batch:
+        a flush or a checkpoint must not leave it in the front end."""
+        if self.frontend.gap_pending:
+            self._run_sketch_once([])
 
     def _run_sketch_once(
         self, chunk_arrays: List[np.ndarray]
@@ -588,9 +613,11 @@ class DetectionService:
             registry.inc("serve.transport.shm_waits")
             drain_one(min(candidates)[1])
 
-        for base in range(0, len(chunk_arrays), self.batch_chunks):
+        # An empty chunk list still sends one (empty) batch: the carrier
+        # of a pending gap.
+        for base in range(0, max(1, len(chunk_arrays)), self.batch_chunks):
             group = chunk_arrays[base : base + self.batch_chunks]
-            batch = self._frontend.build(group, base)
+            batch = self.frontend.build(group, base)
             if self._archive is not None:
                 self._archive_batch(batch)
             registry.inc("serve.transport.batches")
@@ -681,14 +708,15 @@ class DetectionService:
     def flush(self) -> List[Match]:
         """Process the final partial window in every shard; merge it."""
         self._require_open()
-        if self._frontend.flushed:
+        if self.frontend.flushed:
             # The front end is the one record of "stream over" (it is
             # what a checkpoint restores), so a repeated flush sends
             # nothing and re-seals nothing.
             return []
+        self._deliver_gap()
         # The tail is sketched (and plane-encoded) once, service side;
         # it is small, so it travels inline on any backend.
-        tail = self._frontend.flush_tail()
+        tail = self.frontend.flush_tail()
         self._archive_tail(tail)
         message = ("flush", tail)
         for worker_id in range(self.num_workers):
@@ -875,7 +903,7 @@ class DetectionService:
         self._shard_qids[target].add(query.qid)
         self._queries[query.qid] = query
         self._caps[query.qid] = cap
-        self._frontend.set_queries(self._queries)
+        self.frontend.set_queries(self._queries)
         if backfill and self._backfill is not None:
             # live_start: every window below the stream clock was
             # processed live *without* this query (the lifecycle
@@ -911,7 +939,7 @@ class DetectionService:
         self._shard_qids[worker_id].discard(qid)
         del self._queries[qid]
         del self._caps[qid]
-        self._frontend.set_queries(self._queries)
+        self.frontend.set_queries(self._queries)
         if self._backfill is not None:
             self._backfill.cancel(qid)
         self.registry.inc("serve.queries.unsubscribed")
@@ -1064,6 +1092,7 @@ class DetectionService:
             if isinstance(target, CheckpointManager)
             else CheckpointManager(target)
         )
+        self._deliver_gap()
         states: List[Dict[str, np.ndarray]] = []
         queries: List[QuerySet] = []
         for worker_id in range(self.num_workers):
@@ -1089,7 +1118,7 @@ class DetectionService:
                     [self._queries[qid] for qid in shard_qids], self._family
                 )
             )
-        pending, flushed, windows, frames = self._frontend.state()
+        pending, flushed, windows, frames, skip = self.frontend.state()
         archive_fields: Dict[str, object] = {}
         if self._archive is not None:
             # Quiesce backfill for the snapshot: no slice can run while
@@ -1126,6 +1155,7 @@ class DetectionService:
                 frontend_flushed=flushed,
                 frontend_windows=windows,
                 frontend_frames=frames,
+                frontend_skip=skip,
                 epoch=self.epoch,
                 **archive_fields,
             )

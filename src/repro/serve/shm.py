@@ -147,6 +147,8 @@ class BatchDescriptor:
         Mirror of :attr:`WindowBatch.num_chunks` (drop accounting).
     plane_qids:
         The plane row layout (inline — it is a small tuple of ints).
+    windows_skipped, frames_skipped:
+        Mirrors of the batch's in-band gap (inline scalars).
     fields:
         ``(field, dtype, shape, offset)`` per shipped array.
     total_bytes:
@@ -160,6 +162,8 @@ class BatchDescriptor:
     plane_qids: Optional[Tuple[int, ...]]
     fields: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
     total_bytes: int
+    windows_skipped: int = 0
+    frames_skipped: int = 0
 
 
 class _Slot:
@@ -283,6 +287,8 @@ class ShmBatchRing:
             plane_qids=batch.plane_qids,
             fields=tuple(fields),
             total_bytes=total,
+            windows_skipped=batch.windows_skipped,
+            frames_skipped=batch.frames_skipped,
         )
 
     def release(self, slot_index: int, reader: int) -> None:
@@ -398,6 +404,8 @@ class ShmBatchReader:
             plane_qids=descriptor.plane_qids,
             ge=values["ge"],
             lt=values["lt"],
+            windows_skipped=descriptor.windows_skipped,
+            frames_skipped=descriptor.frames_skipped,
         )
 
     def close(self) -> None:

@@ -10,9 +10,8 @@ an ``.npz`` without pickling — names are fixed-width unicode arrays —
 and cheap to send across a process boundary);
 :func:`restore_worker_state` reinstates it onto a freshly constructed
 detector built from the same queries and configuration. The
-partial-window buffer is not a worker's: whoever cuts the stream into
-windows (the service's front end, an ingest session's monitor)
-checkpoints it.
+partial-window buffer and gap state are not a worker's: the service's
+front end, which cuts the stream into windows, checkpoints them.
 
 Both engines are covered, each stored as the arrays it already holds:
 

@@ -40,7 +40,10 @@ logged ones to a respawned worker (a ``batch_shm`` as its inline
 ``batch`` shadow) and interleaves ``("state",)`` probes of its own,
 whose replies it keeps.
 
-``batch``: the worker rebuilds each :class:`BasicWindow` from the
+``batch``: the worker first acknowledges the batch's in-band gap
+(``windows_skipped`` / ``frames_skipped``, see
+:meth:`~repro.serve.frontend.StreamFrontend.skip_frames`) on its
+detector's clock, then rebuilds each :class:`BasicWindow` from the
 shipped sketch rows (copying the small ``(nw, K)`` matrix once — the
 geometric ladder retains sketch references across windows, so the rows
 must be worker-owned) and, when planes were precomputed, slices its
@@ -253,6 +256,9 @@ class ShardWorker:
     def _process_batch(self, batch: WindowBatch) -> List[List[Match]]:
         """Run every precomputed window; one match list per chunk."""
         detector = self.detector
+        if batch.windows_skipped or batch.frames_skipped:
+            detector.acknowledge_gap(batch.windows_skipped)
+            detector.stats.frames_skipped += batch.frames_skipped
         fingerprint = detector.queries.family.fingerprint
         # Worker-owned copy: the geometric ladder keeps segment sketches
         # by reference, and a shared-memory row would be overwritten when

@@ -1,7 +1,8 @@
 """Unit coverage for the sketch archive: atomic writes, the segment
 store (CRC, torn-tail recovery, quarantine, compaction), the spillable
 ring (dedupe, gaps, retention, pins, checkpoint reconcile) and the
-gap-aware ingest tap. Backfill equivalence lives in test_backfill.py.
+service's gap-aware archive tap. Backfill equivalence lives in
+test_backfill.py.
 """
 
 from __future__ import annotations
@@ -9,16 +10,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.archive import (
-    ARCHIVE_FORMAT,
-    ArchiveTap,
-    SegmentStore,
-    SketchArchive,
-)
-from repro.errors import ArchiveError
+from repro.archive import ARCHIVE_FORMAT, SegmentStore, SketchArchive
+from repro.config import DetectorConfig
+from repro.core.query import QuerySet
+from repro.errors import ArchiveError, ServeError
 from repro.minhash.family import MinHashFamily
 from repro.obs.registry import MetricsRegistry
-from repro.serve import CheckpointManager
+from repro.serve import CheckpointManager, DetectionService
 from repro.serve.checkpoint import ServiceCheckpoint
 from repro.utils.atomic import TMP_SUFFIX, atomic_savez, atomic_write_bytes
 
@@ -298,22 +296,31 @@ def test_archive_recovers_catalogue_on_construction(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# ArchiveTap (lossy ingest accounting)
+# the service's archive tap (lossy ingest accounting)
 # ----------------------------------------------------------------------
+
+
+def _tapped_service(archive, family=FAMILY):
+    """A one-worker service with w = 5 archiving into ``archive``."""
+    queries = QuerySet.from_cell_ids({1: np.arange(10)}, {1: 10}, family)
+    config = DetectorConfig(num_hashes=K, window_seconds=2.5)
+    return DetectionService(
+        config, queries, 2.0, num_workers=1, archive=archive
+    )
 
 
 def test_tap_mirrors_monitor_clock_under_gaps():
     archive = SketchArchive(FP, K)
-    tap = ArchiveTap(archive, FAMILY, window_frames=5)
+    service = _tapped_service(archive)
     rng = np.random.default_rng(11)
-    assert tap.push_cell_ids(rng.integers(0, 100, size=12)) == 2
+    service.run([rng.integers(0, 100, size=12)], flush=False)
+    assert archive.next_index == 2
     # Lose 6 frames mid-window: the partial window dies, and the gap
     # runs to the next boundary (frames 10..20 → windows 2 and 3).
-    tap.skip_frames(6)
-    assert tap.skip_remaining == 2  # swallow the gap-ending window tail
+    service.skip_frames(6)
+    assert service.frontend.skip_remaining == 2  # swallow the window tail
     assert archive.next_index == 4
-    assert tap.push_cell_ids(rng.integers(0, 100, size=7)) == 1
-    assert tap.flush() == 0  # nothing pending
+    service.run([rng.integers(0, 100, size=7)], flush=True)  # no tail
     lo, hi = archive.available()
     assert (lo, hi) == (0, 5)
     seen = np.concatenate(
@@ -324,25 +331,24 @@ def test_tap_mirrors_monitor_clock_under_gaps():
 
 def test_tap_flush_archives_partial_tail():
     archive = SketchArchive(FP, K)
-    tap = ArchiveTap(archive, FAMILY, window_frames=5)
+    service = _tapped_service(archive)
     ids = np.arange(8)
-    tap.push_cell_ids(ids)
-    assert tap.flush() == 1
+    service.run([ids], flush=True)
     blocks = archive.iter_blocks(0, 2)
     indices, starts, frames, values = blocks[0]
     np.testing.assert_array_equal(frames, [5, 3])
     # The tail sketch matches sketching its distinct cells directly.
     expected = FAMILY.sketch(np.unique(ids[5:])).values
     np.testing.assert_array_equal(values[1], expected)
-    with pytest.raises(ArchiveError):
-        tap.push_cell_ids(ids)
+    with pytest.raises(ServeError):
+        service.run([ids])
 
 
 def test_tap_rejects_foreign_family():
     archive = SketchArchive(FP, K)
     other = MinHashFamily(num_hashes=K, seed=99)
-    with pytest.raises(ArchiveError, match="family"):
-        ArchiveTap(archive, other, window_frames=5)
+    with pytest.raises(ServeError, match="family"):
+        _tapped_service(archive, family=other)
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +357,7 @@ def test_tap_rejects_foreign_family():
 
 
 def _snapshot(chunks):
-    from repro.config import DetectorConfig
-    from repro.core.query import Query, QuerySet
+    from repro.core.query import Query
 
     cells = np.arange(4, dtype=np.int64)
     query = Query(

@@ -13,6 +13,7 @@ resume loses no retro matches and duplicates none.
 
 from __future__ import annotations
 
+from dataclasses import astuple as _match_key
 import tempfile
 from pathlib import Path
 
@@ -43,16 +44,6 @@ ALL_MODES = [
     for representation in Representation
     for use_index in (False, True)
 ]
-
-
-def _match_key(match):
-    return (
-        match.qid,
-        match.window_index,
-        match.start_frame,
-        match.end_frame,
-        match.similarity,
-    )
 
 
 def _config(order, representation, use_index, threshold):

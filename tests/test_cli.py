@@ -113,7 +113,9 @@ class TestIngestCommand:
         assert args.faults == "light"
         assert args.policy == "round_robin"
         assert args.degrade == "skip_window"
-        assert args.pool == 0
+        with pytest.raises(SystemExit) as excinfo:  # no thread pool
+            main(["ingest", "--pool", "2"])
+        assert excinfo.value.code == 2
 
     def test_ingest_rejects_bad_preset(self):
         with pytest.raises(SystemExit):
@@ -132,14 +134,14 @@ class TestIngestCommand:
         import json
 
         snapshot = json.loads(metrics.read_text())
-        assert snapshot["schema"] == "repro.ingest/1"
+        assert snapshot["schema"] == "repro.ingest/2"
         assert len(snapshot["streams"]) == 2
         assert snapshot["reconciliation"]["unprocessed"] == 0
 
     def test_ingest_chaos_run_survives(self, capsys):
         exit_code = main([
             "ingest", "--streams", "2", "--chunks", "5",
-            "--faults", "heavy", "--policy", "deficit", "--pool", "2",
+            "--faults", "heavy", "--policy", "deficit",
         ])
         assert exit_code == 0
         assert "Ingestion report" in capsys.readouterr().out

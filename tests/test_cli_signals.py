@@ -108,7 +108,7 @@ def test_ingest_sigterm_stops_at_round_boundary(tmp_path):
     proc = _spawn(
         "ingest",
         "--streams", "2", "--chunks", "400", "--chunk-seconds", "5",
-        "--faults", "light", "--pool", "0", "--hashes", "16",
+        "--faults", "light", "--hashes", "16",
         "--metrics-out", str(metrics),
     )
     try:

@@ -14,6 +14,7 @@ representations, and with the Hash-Query index on and off.
 
 from __future__ import annotations
 
+from dataclasses import astuple as _match_key
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,16 +38,6 @@ ALL_MODES = [
     for representation in Representation
     for use_index in (False, True)
 ]
-
-
-def _match_key(match):
-    return (
-        match.qid,
-        match.window_index,
-        match.start_frame,
-        match.end_frame,
-        match.similarity,
-    )
 
 
 def _distribution_summary(registry, name):

@@ -4,9 +4,10 @@ The workload here is the repo's canonical match-producing stream: two
 sketched queries planted verbatim inside a 120-frame stream, detected
 by a 32-hash family at threshold 0.3. Every parity assertion compares
 the gateway's pushed match stream bit-for-bit (similarity included)
-against a fresh in-process run over the same chunks.
+against a fresh in-process session over the same chunks.
 """
 
+import functools
 import socket
 import threading
 import time
@@ -16,11 +17,16 @@ import pytest
 
 from repro.config import DetectorConfig
 from repro.core.query import QuerySet
+from repro.features.pipeline import FingerprintExtractor
 from repro.gateway import (
     AdminClient,
     GatewayServer,
     IngestClient,
     WatchClient,
+)
+from repro.ingest import (
+    DegradationPolicy, EncodedChunkSource, FaultInjector, FaultPlan,
+    StreamChunk, StreamSession, SyntheticSource,
 )
 from repro.minhash.family import MinHashFamily
 from repro.serve import ChaosPlan, DetectionService, SupervisorConfig
@@ -57,8 +63,24 @@ def _workload():
     return qcells, frames, chunks
 
 
-def make_service(backend: str = "process", **extra) -> DetectionService:
-    qcells, frames, _ = _workload()
+@functools.lru_cache(maxsize=None)
+def _encoded_workload():
+    """Toy-MPEG chunks (KPS key frames/s) under seeded bit flips that
+    destroy key frames, and two queries cut from the clean stream."""
+    source = SyntheticSource(0, seed=40, num_chunks=12)
+    clean = [source.encode_chunk(index) for index in range(12)]
+    cells = [FingerprintExtractor().cell_ids_from_encoded(v) for v in clean]
+    qcells = {0: np.concatenate(cells[3:5]), 1: np.concatenate(cells[8:11])}
+    damaged = FaultInjector(
+        EncodedChunkSource(0, clean), FaultPlan(bit_flip=0.5, max_flips=2),
+        seed=0,
+    )
+    frames = {qid: len(ids) for qid, ids in qcells.items()}
+    return qcells, frames, [chunk.payload for chunk in damaged]
+
+
+def make_service(backend: str = "process", workload=_workload, **extra):
+    qcells, frames, _ = workload()
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=5)
     queries = QuerySet.from_cell_ids(qcells, frames, family)
     return DetectionService(
@@ -75,14 +97,18 @@ def _match_tuple(source) -> tuple:
             source.end_frame, source.similarity)
 
 
-def _reference_run():
-    """The in-process ground truth: same chunks, same service shape."""
-    _, _, chunks = _workload()
-    service = make_service()
+def _reference_run(workload=_workload, degrade=DegradationPolicy.ZERO_FILL):
+    """The in-process ground truth: same chunks through a session over
+    the same service shape."""
+    _, _, chunks = workload()
+    service = make_service(workload=workload)
+    session = StreamSession(
+        0, extractor=FingerprintExtractor(), policy=degrade, service=service
+    )
     try:
-        for chunk in chunks:
-            service.run([chunk], flush=False)
-        service.flush()
+        for seq, chunk in enumerate(chunks):
+            session.process_chunk(StreamChunk(0, seq, chunk))
+        session.finish()
         matches = [_match_tuple(m) for m in service.collector.matches]
         metrics = service.metrics_snapshot()
     finally:
@@ -100,25 +126,33 @@ def _stable_metrics(snapshot: dict) -> dict:
     }
 
 
-@pytest.mark.parametrize("backend", ["process"])
-def test_kill_resume_parity(backend):
+@pytest.mark.parametrize("case", ["process", "skip_window"])
+def test_kill_resume_parity(case):
     """A mid-stream client crash + token resume must change nothing:
-    the watched match stream is bit-for-bit the in-process stream."""
-    reference, ref_metrics = _reference_run()
+    the watched match stream is bit-for-bit the in-process stream —
+    with ``skip_window``, over encoded chunks whose damage the shared
+    front end turns into window-clock gaps."""
+    workload, degrade = _workload, DegradationPolicy.ZERO_FILL
+    if case == "skip_window":
+        workload, degrade = _encoded_workload, DegradationPolicy.SKIP_WINDOW
+    reference, ref_metrics = _reference_run(workload, degrade)
     assert reference, "workload must produce matches to be a real test"
+    gaps = ref_metrics["counters"]["stream.windows_skipped"]
+    assert bool(gaps) == (case == "skip_window")
 
-    _, _, chunks = _workload()
-    service = make_service(backend)
-    server = GatewayServer(service, credits=4)
+    _, _, chunks = workload()
+    service = make_service(workload=workload)
+    server = GatewayServer(service, credits=4, degrade=degrade)
     handle = server.run_in_thread()
     try:
         watcher = WatchClient("127.0.0.1", handle.port, credits=1 << 16)
 
         first = IngestClient("127.0.0.1", handle.port)
+        push = first.push if case == "process" else first.push_encoded
         token = first.token
         assert first.last_seq == -1
         for seq in range(6):
-            first.push(seq, chunks[seq])
+            push(seq, chunks[seq])
         first.drain()
         first.kill()  # crash: no bye, no end
 
@@ -129,8 +163,9 @@ def test_kill_resume_parity(backend):
         assert second.last_seq == 5
         # Deliberately replay two already-processed chunks: the
         # session's seq-dedupe must absorb the overlap.
+        push = second.push if case == "process" else second.push_encoded
         for seq in range(second.last_seq - 1, len(chunks)):
-            second.push(seq, chunks[seq])
+            push(seq, chunks[seq])
         total = second.end()
         second.close()
 

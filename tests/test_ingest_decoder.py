@@ -178,32 +178,10 @@ class TestStreamSessionPolicies:
     def _damaged_chunk(self, seed=41):
         """A chunk whose second key frame is unrecoverable: its I record
         type byte is smashed, so resync can only lock onto the next GOP."""
-        from repro.codec.bitstream import BitstreamReader
-        from repro.codec.gop import _read_header, walk_dc_record
+        from tests.test_ingest_scheduler import _corrupt_keyframe_bit
 
         src = SyntheticSource(0, seed=seed, num_chunks=1, chunk_seconds=4.0)
-        encoded = src.encode_chunk(0)
-        reader = BitstreamReader(encoded.data)
-        width, height, block_size, _q, _g, _n, _fps, entropy = _read_header(
-            reader, len(encoded.data)
-        )
-        num_blocks = (-(-width // block_size)) * (-(-height // block_size))
-        victim = None
-        keyframes_seen = 0
-        for _ in range(encoded.num_frames):
-            position = reader.position
-            frame_type, _levels = walk_dc_record(reader, num_blocks, entropy)
-            if frame_type == b"I":
-                keyframes_seen += 1
-                if keyframes_seen == 2:
-                    victim = position
-                    break
-        assert victim is not None
-        data = bytearray(encoded.data)
-        data[victim] = 0x00
-        return StreamChunk(
-            0, 0, dataclasses.replace(encoded, data=bytes(data))
-        )
+        return StreamChunk(0, 0, _corrupt_keyframe_bit(src.encode_chunk(0), 1))
 
     def test_skip_window_keeps_clock_honest(self, extractor):
         session = _session(DegradationPolicy.SKIP_WINDOW, extractor)
@@ -213,10 +191,11 @@ class TestStreamSessionPolicies:
         expected = counter("ingest.frames_expected")
         assert expected == chunk.expected_keyframes
         # Clock covers every expected frame: decoded + skipped.
-        clock = session.detector.frames_processed
-        pending = session.monitor.pending_frames
-        skipping = session.monitor.skip_remaining
-        assert clock + pending - skipping == expected
+        frontend = session.service.frontend
+        clock = frontend.frames_emitted
+        assert clock + frontend.pending_frames - frontend.skip_remaining == (
+            expected
+        )
 
     def test_zero_fill_processes_every_frame(self, extractor):
         session = _session(DegradationPolicy.ZERO_FILL, extractor)
@@ -224,10 +203,9 @@ class TestStreamSessionPolicies:
         session.process_chunk(chunk)
         counter = session.registry.counter
         assert counter("ingest.frames_filled") > 0
-        assert (
-            session.detector.frames_processed
-            + session.monitor.pending_frames
-            == counter("ingest.frames_expected")
+        frontend = session.service.frontend
+        assert frontend.frames_emitted + frontend.pending_frames == (
+            counter("ingest.frames_expected")
         )
 
     def test_fail_policy_raises_and_marks_failed(self, extractor):
@@ -260,10 +238,11 @@ class TestStreamSessionPolicies:
         counter = session.registry.counter
         assert counter("ingest.chunks_missing") == 1
         assert counter("ingest.frames_missing") == 4
-        clock = session.detector.frames_processed
-        pending = session.monitor.pending_frames
-        skipping = session.monitor.skip_remaining
-        assert clock + pending - skipping == 12  # 3 chunks' worth
+        frontend = session.service.frontend
+        clock = frontend.frames_emitted
+        assert clock + frontend.pending_frames - frontend.skip_remaining == (
+            12  # 3 chunks' worth
+        )
 
     def test_wrong_stream_rejected(self, extractor):
         session = _session(DegradationPolicy.SKIP_WINDOW, extractor)

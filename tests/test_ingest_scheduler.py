@@ -2,9 +2,10 @@
 
 The acceptance bar for the ingestion layer:
 
-* a clean N-stream scheduler run is bit-for-bit identical, per stream
-  and including order, to N independent single-stream runs — for both
-  scheduling policies and with a real detector pool;
+* an N-stream scheduler run, chunks lost in flight included, is
+  bit-for-bit identical, per stream and including order and the clock
+  counters, to N independent single-process oracle runs — for both
+  scheduling policies;
 * under single-bit corruption, every intact GOP after resync is still
   decoded and matched at its true stream position;
 * under aggressive fault injection no exception reaches the scheduler
@@ -14,6 +15,7 @@ The acceptance bar for the ingestion layer:
 
 from __future__ import annotations
 
+from dataclasses import astuple as _match_key
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from repro.config import DetectorConfig
 from repro.core.detector import StreamingDetector
 from repro.core.live import LiveMonitor
 from repro.core.query import QuerySet
-from repro.errors import IngestError
+from repro.errors import IngestError, ServeError
 from repro.features.pipeline import FingerprintExtractor
 from repro.ingest import (
     CellIdSource,
@@ -36,23 +38,15 @@ from repro.ingest import (
     SyntheticSource,
 )
 from repro.minhash.family import MinHashFamily
-from repro.serve.checkpoint import CheckpointManager
+from repro.serve import CheckpointManager, ServiceCheckpoint
 from repro.utils.rng import derive_seed
 
 CELL_SPACE = 500
 NUM_HASHES = 32
 WINDOW_SECONDS = 2.5
 KEYFRAMES_PER_SECOND = 2.0  # w = 5 key frames
-
-
-def _match_key(match):
-    return (
-        match.qid,
-        match.window_index,
-        match.start_frame,
-        match.end_frame,
-        match.similarity,
-    )
+CLOCK = ("engine.windows_processed", "stream.frames_processed",
+         "stream.windows_skipped", "stream.frames_skipped")
 
 
 def _query_set(queries, frames, family_seed):
@@ -60,22 +54,45 @@ def _query_set(queries, frames, family_seed):
     return QuerySet.from_cell_ids(queries, frames, family)
 
 
-def _single_stream_matches(config, queries, frames, family_seed, chunks):
+def _single_stream_run(config, queries, frames, family_seed, chunks, lost):
+    """The oracle: one detector behind a LiveMonitor, replaying
+    ``skip_frames`` for every lost chunk a later delivery reveals."""
     detector = StreamingDetector(
         config, _query_set(queries, frames, family_seed),
         KEYFRAMES_PER_SECOND,
     )
     monitor = LiveMonitor(detector)
+    delivered = [seq for seq in range(len(chunks)) if seq not in lost]
     matches = []
-    for chunk in chunks:
-        matches.extend(monitor.push_cell_ids(chunk))
+    for seq, chunk in enumerate(chunks):
+        if seq not in lost:
+            matches.extend(monitor.push_cell_ids(chunk))
+        elif delivered and seq < delivered[-1]:
+            monitor.skip_frames(len(chunk))
     matches.extend(monitor.flush())
-    return matches
+    return matches, {name: detector.registry.counter(name) for name in CLOCK}
+
+
+class _LossySource(CellIdSource):
+    """Offers every chunk but loses the ``lost`` seqs in flight."""
+
+    def __init__(self, stream_id, chunks, lost):
+        super().__init__(stream_id, chunks)
+        self.lost = lost
+        self.keyframes_dropped = 0
+
+    def __iter__(self):
+        for chunk in super().__iter__():
+            if chunk.seq in self.lost:
+                self.keyframes_dropped += chunk.expected_keyframes
+            else:
+                yield chunk
 
 
 @st.composite
 def fleets(draw):
-    """N cell-id streams with occasional planted query copies."""
+    """N cell-id streams with occasional planted query copies; a lossy
+    stream has uniform chunks, some lost in flight."""
     family_seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     num_queries = draw(st.integers(2, 4))
@@ -90,9 +107,13 @@ def fleets(draw):
     streams = []
     for _ in range(num_streams):
         num_chunks = draw(st.integers(1, 4))
+        uniform = draw(st.integers(3, 30))
+        lost = set()
+        if draw(st.booleans()):
+            lost = draw(st.sets(st.integers(0, num_chunks - 1)))
         chunks = []
         for _ in range(num_chunks):
-            length = draw(st.integers(3, 30))
+            length = uniform if lost else draw(st.integers(3, 30))
             chunk = rng.integers(0, CELL_SPACE, size=length)
             if draw(st.booleans()):
                 victim = draw(st.sampled_from(sorted(queries)))
@@ -100,61 +121,55 @@ def fleets(draw):
                 at = draw(st.integers(0, length - copy.size))
                 chunk[at : at + copy.size] = copy
             chunks.append(chunk)
-        streams.append(chunks)
+        streams.append((chunks, lost))
     return family_seed, queries, frames, threshold, streams
 
 
-def _build_scheduler(config, queries, frames, family_seed, streams,
-                     policy, pool_size):
-    pairs = []
-    for stream_id, chunks in enumerate(streams):
-        session = StreamSession(
-            stream_id, config,
-            _query_set(queries, frames, family_seed),
-            KEYFRAMES_PER_SECOND,
-        )
-        pairs.append((CellIdSource(stream_id, chunks), session))
-    return StreamScheduler(
-        pairs, policy=policy, pool_size=pool_size, queue_capacity=2
-    )
-
-
 @pytest.mark.parametrize(
-    "policy,pool_size",
-    [
-        (SchedulingPolicy.ROUND_ROBIN, 0),
-        (SchedulingPolicy.ROUND_ROBIN, 2),
-        (SchedulingPolicy.DEFICIT, 0),
-        (SchedulingPolicy.DEFICIT, 2),
-    ],
-    ids=["rr-inline", "rr-pool", "drr-inline", "drr-pool"],
+    "policy",
+    [SchedulingPolicy.ROUND_ROBIN, SchedulingPolicy.DEFICIT],
+    ids=["rr-inline", "drr-inline"],
 )
 @settings(max_examples=10, deadline=None)
 @given(fleet=fleets())
-def test_scheduler_equals_independent_runs(policy, pool_size, fleet):
-    """Multiplexing is transparent: per-stream output is bit-for-bit the
-    single-stream detector's, including order."""
+def test_scheduler_equals_independent_runs(policy, fleet):
+    """Multiplexing is transparent and the service's front end keeps
+    the oracle's gap discipline: per-stream output is bit-for-bit the
+    single-process run's, including order and the clock counters."""
     family_seed, queries, frames, threshold, streams = fleet
     config = DetectorConfig(
         num_hashes=NUM_HASHES,
         threshold=threshold,
         window_seconds=WINDOW_SECONDS,
     )
-    scheduler = _build_scheduler(
-        config, queries, frames, family_seed, streams, policy, pool_size
-    )
+    pairs = [
+        (
+            _LossySource(stream_id, chunks, lost),
+            StreamSession(
+                stream_id, config,
+                _query_set(queries, frames, family_seed),
+                KEYFRAMES_PER_SECOND,
+                chunk_keyframes_hint=len(chunks[0]) if lost else 0,
+            ),
+        )
+        for stream_id, (chunks, lost) in enumerate(streams)
+    ]
+    scheduler = StreamScheduler(pairs, policy=policy, queue_capacity=2)
     by_stream = scheduler.run()
-    for stream_id, chunks in enumerate(streams):
-        expected = _single_stream_matches(
-            config, queries, frames, family_seed, chunks
+    snapshot = scheduler.metrics_snapshot()
+    for stream_id, (chunks, lost) in enumerate(streams):
+        expected, clock = _single_stream_run(
+            config, queries, frames, family_seed, chunks, lost
         )
         assert [_match_key(m) for m in by_stream[stream_id]] == [
             _match_key(m) for m in expected
         ], f"stream {stream_id} diverged"
+        counters = snapshot["streams"][str(stream_id)]["counters"]
+        assert {name: counters[name] for name in CLOCK} == clock
     recon = scheduler.reconciliation()
     assert recon["unprocessed"] == 0
     assert recon["frames_offered"] == sum(
-        sum(len(c) for c in chunks) for chunks in streams
+        sum(len(c) for c in chunks) for chunks, _ in streams
     )
 
 
@@ -170,27 +185,14 @@ def _corrupt_keyframe_bit(encoded, keyframe_index):
     invalid frame type (structural single-bit corruption)."""
     import dataclasses
 
-    from repro.codec.bitstream import BitstreamReader
-    from repro.codec.gop import _read_header, walk_dc_record
+    from tests.test_codec_resync import _record_offsets
 
-    reader = BitstreamReader(encoded.data)
-    width, height, block_size, _q, _g, _n, _fps, entropy = _read_header(
-        reader, len(encoded.data)
-    )
-    num_blocks = (-(-width // block_size)) * (-(-height // block_size))
-    seen = 0
-    for _ in range(encoded.num_frames):
-        position = reader.position
-        frame_type, _levels = walk_dc_record(reader, num_blocks, entropy)
-        if frame_type == b"I":
-            if seen == keyframe_index:
-                data = bytearray(encoded.data)
-                # Bit 1: b'I' (0x49) becomes 0x4B, an invalid frame
-                # type (bit 2 would yield b'M', which still parses).
-                data[position] ^= 0x02
-                return dataclasses.replace(encoded, data=bytes(data))
-            seen += 1
-    raise AssertionError("keyframe not found")
+    offsets = [at for at, kind in _record_offsets(encoded) if kind == b"I"]
+    data = bytearray(encoded.data)
+    # Bit 1: b'I' (0x49) becomes 0x4B, an invalid frame type (bit 2
+    # would yield b'M', which still parses).
+    data[offsets[keyframe_index]] ^= 0x02
+    return dataclasses.replace(encoded, data=bytes(data))
 
 
 def test_single_bit_corruption_intact_gops_still_match():
@@ -276,9 +278,7 @@ def test_chaos_survival_and_reconciliation(policy):
             chunk_keyframes_hint=4,
         )
         pairs.append((injector, session))
-    scheduler = StreamScheduler(
-        pairs, policy=policy, pool_size=2, queue_capacity=2
-    )
+    scheduler = StreamScheduler(pairs, policy=policy, queue_capacity=2)
     scheduler.run()  # must not raise
 
     recon = scheduler.reconciliation()
@@ -295,7 +295,7 @@ def test_chaos_survival_and_reconciliation(policy):
     assert recon["frames_missing"] <= recon["frames_dropped_in_flight"]
 
     snapshot = scheduler.metrics_snapshot()
-    assert snapshot["schema"] == "repro.ingest/1"
+    assert snapshot["schema"] == "repro.ingest/2"
     assert len(snapshot["streams"]) == 4
     for stream_metrics in snapshot["streams"].values():
         assert stream_metrics["counters"]["ingest.chunks_processed"] >= 0
@@ -365,12 +365,9 @@ def test_checkpoint_restore_resumes_identically(tmp_path):
     )
     for seq in range(3):
         first.process_chunk(chunk(seq))
-    manager = CheckpointManager(tmp_path)
-    path = first.checkpoint(manager)
+    path = first.service.checkpoint(CheckpointManager(tmp_path))
 
-    resumed = StreamSession.restore(
-        manager, 0, config, extractor=extractor, path=path
-    )
+    resumed = StreamSession.restore(path, 0, config, extractor=extractor)
     assert resumed.chunks_ingested == 3
     for seq in range(3, 6):
         resumed.process_chunk(chunk(seq))
@@ -380,13 +377,13 @@ def test_checkpoint_restore_resumes_identically(tmp_path):
         _match_key(m) for m in uninterrupted.matches
     ]
     assert (
-        resumed.detector.frames_processed
-        == uninterrupted.detector.frames_processed
+        resumed.service.frontend.frames_emitted
+        == uninterrupted.service.frontend.frames_emitted
     )
 
 
 def test_checkpoint_carries_a_gap_in_flight(tmp_path):
-    """A snapshot taken while the monitor is still dropping frames to
+    """A snapshot taken while the front end is still dropping frames to
     re-align after a lost chunk resumes dropping exactly those frames."""
     from repro.ingest import StreamChunk
 
@@ -418,22 +415,40 @@ def test_checkpoint_carries_a_gap_in_flight(tmp_path):
     first = session()
     for chunk in chunks[:2]:
         first.process_chunk(chunk)
-    assert first.monitor.skip_remaining == 1
+    assert first.service.frontend.skip_remaining == 1
     manager = CheckpointManager(tmp_path)
-    first.checkpoint(manager)
+    first.service.checkpoint(manager)
     resumed = StreamSession.restore(
         manager, 0, config, chunk_keyframes_hint=5
     )
-    assert resumed.monitor.skip_remaining == 1
+    assert resumed.chunks_ingested == 3  # the lost seq 1 counts
+    assert resumed.service.frontend.skip_remaining == 1
     resumed.process_chunk(chunks[2])
     resumed.finish()
     assert [_match_key(m) for m in resumed.matches] == [
         _match_key(m) for m in uninterrupted.matches
     ]
-    for name in ("stream.frames_processed", "stream.frames_skipped"):
-        assert resumed.registry.counter(name) == (
-            uninterrupted.registry.counter(name)
-        ), name
+    counters = resumed.service.metrics_snapshot()["counters"]
+    expected = uninterrupted.service.metrics_snapshot()["counters"]
+    for name in CLOCK:
+        assert counters[name] == expected[name], name
+
+
+def test_parent_ingest_checkpoint_is_refused(tmp_path):
+    """A session checkpoint from before sessions were service-backed
+    (strategy ``"ingest"``) is refused by name, not half-restored."""
+    family = MinHashFamily(num_hashes=16, seed=0)
+    queries = QuerySet.from_cell_ids({1: np.arange(8)}, {1: 8}, family)
+    config = DetectorConfig(num_hashes=16, window_seconds=2.0)
+    path = CheckpointManager(tmp_path).save(ServiceCheckpoint(
+        config=config, keyframes_per_second=KEYFRAMES_PER_SECOND,
+        chunks_ingested=1, cap_hint=0, strategy="ingest",
+        worker_queries=[queries], worker_states=[{}], matches=[],
+        frontend_pending=np.arange(3), frontend_flushed=False,
+        frontend_windows=0, frontend_frames=0, frontend_skip=0,
+    ))
+    with pytest.raises(ServeError, match="'ingest'"):
+        StreamSession.restore(path, 0, config)
 
 
 class TestSchedulerValidation:

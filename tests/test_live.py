@@ -276,7 +276,7 @@ class TestSkipFrames:
 
 class TestBufferRoundTrip:
     """buffer_state()/restore_buffer() must reproduce the monitor exactly
-    (the serving and ingest checkpoints depend on it)."""
+    (the oracle's own snapshot API)."""
 
     def _clone(self, monitor, query_ids=(0,), num_frames=40):
         fresh = _monitor(np.arange(1000, 1040), 40)

@@ -13,6 +13,7 @@ off; a backend smoke test covers the process executor.
 
 from __future__ import annotations
 
+from dataclasses import astuple as _match_key
 import tempfile
 from pathlib import Path
 
@@ -63,16 +64,6 @@ def _config(threshold, **modes):
     """The suite's detector (K hashes, w-frame windows) in ``modes``."""
     return DetectorConfig(num_hashes=NUM_HASHES, threshold=threshold,
                           window_seconds=WINDOW_SECONDS, **modes)
-
-
-def _match_key(match):
-    return (
-        match.qid,
-        match.window_index,
-        match.start_frame,
-        match.end_frame,
-        match.similarity,
-    )
 
 
 @st.composite

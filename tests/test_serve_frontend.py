@@ -177,17 +177,19 @@ def test_flush_on_boundary_returns_none():
 def test_state_restore_roundtrip():
     frontend, _, _ = _frontend()
     frontend.build([np.arange(13, dtype=np.int64)], base_seq=0)
-    pending, flushed, windows, frames = frontend.state()
+    pending, flushed, windows, frames, skip = frontend.state()
     assert pending.tolist() == [10, 11, 12]
-    assert (flushed, windows, frames) == (False, 2, 10)
+    assert (flushed, windows, frames, skip) == (False, 2, 10, 0)
 
     other, _, _ = _frontend()
-    other.restore(pending, flushed, windows, frames)
+    other.restore(pending, flushed, windows, frames, skip)
     batch = other.build([np.arange(2, dtype=np.int64)], base_seq=2)
     assert batch.indices.tolist() == [2]
     assert batch.starts.tolist() == [10]
     with pytest.raises(ServeError):
         other.restore(pending, False, -1, 0)
+    with pytest.raises(ServeError):  # a gap owes frames: nothing pending
+        other.restore(pending, False, 2, 10, skip_remaining=1)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ Regression anchors for the online-maintenance bug sweep:
 
 from __future__ import annotations
 
+from dataclasses import astuple as _match_key
 import numpy as np
 import pytest
 
@@ -50,16 +51,6 @@ ENGINE_MODES = [
     for order in CombinationOrder
     for representation in Representation
 ]
-
-
-def _match_key(match):
-    return (
-        match.qid,
-        match.window_index,
-        match.start_frame,
-        match.end_frame,
-        match.similarity,
-    )
 
 
 def _config(order=CombinationOrder.SEQUENTIAL,
@@ -404,9 +395,8 @@ def test_restore_after_flush_stays_flushed(tmp_path):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("pool_size", [0, 2], ids=["inline", "pool"])
-def test_scheduler_forwards_lifecycle_ops(pool_size):
-    """Ops registered on the scheduler reach every session's detector
+def test_scheduler_forwards_lifecycle_ops():
+    """Ops registered on the scheduler reach every session's service
     exactly once, at a chunk boundary."""
     family, cells, frames, rng = _fixture(num_queries=3)
     config = _config()
@@ -422,13 +412,13 @@ def test_scheduler_forwards_lifecycle_ops(pool_size):
             KEYFRAMES_PER_SECOND,
         )
         pairs.append((CellIdSource(stream_id, chunks), session))
-    scheduler = StreamScheduler(pairs, pool_size=pool_size)
+    scheduler = StreamScheduler(pairs)
     extra = _query(family, 71, rng.integers(0, CELL_SPACE, size=14), 14)
     scheduler.subscribe(extra)
     scheduler.unsubscribe(0)
     scheduler.run()
     for _, session in pairs:
-        qids = set(session.detector.queries.query_ids)
+        qids = {info.qid for info in session.service.list_queries()}
         assert 71 in qids
         assert 0 not in qids
         assert session.registry.counter("ingest.queries_subscribed") == 1

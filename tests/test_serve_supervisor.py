@@ -14,6 +14,7 @@ error path, crash-aware shared-memory sweeping and close() hygiene.
 
 from __future__ import annotations
 
+from dataclasses import astuple as _match_key
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,16 +48,6 @@ def _make_query(family, queries, frames, qid):
     distinct = np.unique(np.asarray(queries[qid], dtype=np.int64))
     return Query(qid=qid, cell_ids=distinct, num_frames=frames[qid],
                  sketch=family.sketch(distinct))
-
-
-def _match_key(match):
-    return (
-        match.qid,
-        match.window_index,
-        match.start_frame,
-        match.end_frame,
-        match.similarity,
-    )
 
 
 @st.composite
@@ -326,6 +317,7 @@ class _Batch:
         self.ge = None
         self.lt = None
         self.num_chunks = 1
+        self.windows_skipped = self.frames_skipped = 0
 
 
 def test_shm_reader_refcounts_survive_crashes():
