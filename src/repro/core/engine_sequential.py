@@ -8,12 +8,15 @@ candidate is opened at ``t``. This is the accuracy-first order: all
 (the first branch of Eq. (4)).
 
 :class:`ColumnarSequentialEngine` keeps all candidate state in
-structure-of-arrays form, so each window is a handful of broadcast numpy
-kernels instead of ``C × Q`` Python-level operations (see
-``docs/performance.md``). The one-candidate-at-a-time form of the same
-semantics is the oracle, ``repro.reference.SequentialEngine``;
-``tests/test_engine_reference.py`` holds the two to identical matches
-and counters.
+structure-of-arrays form, so each window is a handful of numpy kernels
+instead of Python-level per-pair operations (see
+``docs/performance.md``). In bit mode the per-query state is a sparse
+*pair store* — only the (candidate, query) signatures that are live
+after the λL cap and Lemma 2 exist — so a window's cost follows the live
+pairs and the window's related queries, not ``C × Q``. The
+one-candidate-at-a-time form of the same semantics is the oracle,
+``repro.reference.SequentialEngine``; ``tests/test_engine_reference.py``
+holds the two to identical matches and counters.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.core.columnar import column_remap
 from repro.core.context import EvalContext, QueryColumns, WindowPayload
 from repro.core.results import Match
 from repro.minhash.sketch import SketchBlock
+from repro.minhash.windows import BasicWindow
 from repro.signature.bitsig import plane_words, popcount_planes
 from repro.signature.pruning import lemma2_prunable
 
@@ -35,15 +39,23 @@ __all__ = ["ColumnarSequentialEngine"]
 class ColumnarSequentialEngine:
     """Sequential order on the columnar candidate store.
 
-    All live candidates are one structure of arrays: per-candidate meta
-    vectors (``start_window``, ``start_frame``; a candidate's length in
-    windows is derived as ``window.index - start_window + 1``), a
-    ``(C, K)`` :class:`~repro.minhash.sketch.SketchBlock` (sketch mode)
-    or ``(C, Q, W)`` packed uint64 signature planes plus a ``(C, Q)``
-    presence mask (bit mode). One arriving window is then: a boolean
-    expiry compaction, a broadcast ``np.minimum`` / bulk bitwise OR, one
-    vectorized similarity kernel, and a mask-driven match emission —
-    with counter accounting identical to the oracle's.
+    Live candidates are rows of two meta vectors, ``start_window`` and
+    ``start_frame`` (a candidate's length in windows is derived as
+    ``window.index - start_window + 1``). Their per-query state depends
+    on the representation:
+
+    * **bit mode** — a *pair store*: one entry per (candidate, query)
+      signature the oracle would hold, as ``pair_start (P,)`` (the
+      candidate's start window), ``pair_col (P,)`` (the query column) and
+      packed ``pair_ge``/``pair_lt (P, W)`` uint64 planes, in no
+      particular order. A window costs work in the live pairs ``P`` and
+      the ``C × R`` adoption grid of its ``R`` related queries, never in
+      ``C × Q``.
+    * **sketch mode** — a ``(C, K)``
+      :class:`~repro.minhash.sketch.SketchBlock` plus a dense ``(C, Q)``
+      relevance mask.
+
+    Counter accounting is identical to the oracle's.
     """
 
     def __init__(self, context: EvalContext) -> None:
@@ -57,18 +69,18 @@ class ColumnarSequentialEngine:
 
     def _alloc(self, columns: QueryColumns) -> None:
         ctx = self.context
-        num_queries = len(columns.qids)
-        width = plane_words(ctx.config.num_hashes)
         self._qids = columns.qids
         self.start_window = np.empty(0, dtype=np.int64)
         self.start_frame = np.empty(0, dtype=np.int64)
         if ctx.is_bit:
-            self.presence = np.empty((0, num_queries), dtype=bool)
-            self.ge = np.empty((0, num_queries, width), dtype=np.uint64)
-            self.lt = np.empty((0, num_queries, width), dtype=np.uint64)
+            width = plane_words(ctx.config.num_hashes)
+            self.pair_start = np.empty(0, dtype=np.int64)
+            self.pair_col = np.empty(0, dtype=np.int64)
+            self.pair_ge = np.empty((0, width), dtype=np.uint64)
+            self.pair_lt = np.empty((0, width), dtype=np.uint64)
         else:
             self.block = SketchBlock.empty(ctx.queries.family.fingerprint)
-            self.relevant = np.empty((0, num_queries), dtype=bool)
+            self.relevant = np.empty((0, len(columns.qids)), dtype=bool)
 
     def _sync_columns(self) -> QueryColumns:
         """Adopt the current query-column layout, remapping live state."""
@@ -79,19 +91,21 @@ class ColumnarSequentialEngine:
             self._alloc(columns)
             return columns
         old_idx, new_idx = column_remap(self._qids, columns.qids)
-        rows = len(self.start_window)
-        num_queries = len(columns.qids)
         if self.context.is_bit:
-            width = self.ge.shape[2]
-            presence = np.zeros((rows, num_queries), dtype=bool)
-            ge = np.zeros((rows, num_queries, width), dtype=np.uint64)
-            lt = np.zeros((rows, num_queries, width), dtype=np.uint64)
-            presence[:, new_idx] = self.presence[:, old_idx]
-            ge[:, new_idx] = self.ge[:, old_idx]
-            lt[:, new_idx] = self.lt[:, old_idx]
-            self.presence, self.ge, self.lt = presence, ge, lt
+            # Move every pair to its query's new column; the pairs of
+            # vanished queries drop.
+            remap = np.full(len(self._qids), -1, dtype=np.int64)
+            remap[old_idx] = new_idx
+            moved = remap[self.pair_col]
+            kept = moved >= 0
+            self.pair_start = self.pair_start[kept]
+            self.pair_col = moved[kept]
+            self.pair_ge = self.pair_ge[kept]
+            self.pair_lt = self.pair_lt[kept]
         else:
-            relevant = np.zeros((rows, num_queries), dtype=bool)
+            relevant = np.zeros(
+                (len(self.start_window), len(columns.qids)), dtype=bool
+            )
             relevant[:, new_idx] = self.relevant[:, old_idx]
             self.relevant = relevant
         self._qids = columns.qids
@@ -113,7 +127,7 @@ class ColumnarSequentialEngine:
     def resident_signatures(self) -> int:
         """Bit signatures currently held in ``C_L``."""
         if self.context.is_bit:
-            return int(np.count_nonzero(self.presence))
+            return int(self.pair_col.shape[0])
         return 0
 
     @property
@@ -129,12 +143,13 @@ class ColumnarSequentialEngine:
         """Fold one basic window into the columnar ``C_L``.
 
         Phase accounting: expiry of over-λL candidates runs under the
-        ``prune`` timer, candidate extension (signature ORs / sketch
-        merges, including their inline Lemma 2 pruning) under
-        ``combine``, and fresh-candidate scoring plus per-window stats
-        sampling under ``match_emit``. The numpy kernel sections inside
-        ``combine`` additionally run under ``phase.combine.bitops`` (bit
-        mode) or ``phase.combine.sketch`` (sketch mode) sub-timers.
+        ``prune`` timer, candidate extension (signature ORs and
+        adoptions / sketch merges, including their inline Lemma 2
+        pruning) under ``combine``, and fresh-candidate scoring plus
+        per-window stats sampling under ``match_emit``. The numpy kernel
+        sections inside ``combine`` additionally run under
+        ``phase.combine.bitops`` (bit mode) or ``phase.combine.sketch``
+        (sketch mode) sub-timers.
         """
         ctx = self.context
         columns = self._sync_columns()
@@ -147,9 +162,8 @@ class ColumnarSequentialEngine:
             # rows form a prefix and compaction is a slice (a view), not
             # a fancy-index copy.
             expired = int(
-                np.searchsorted(
-                    self.start_window,
-                    window.index + 1 - ctx.global_max_windows,
+                self.start_window.searchsorted(
+                    window.index + 1 - ctx.global_max_windows
                 )
             )
             if expired:
@@ -158,12 +172,22 @@ class ColumnarSequentialEngine:
 
         with ctx.phase("combine"):
             if ctx.is_bit:
-                self._extend_bit_block(payload, columns, matches)
+                present = payload.present.nonzero()[0]
+                self._extend_pairs(payload, present, columns, matches)
             else:
                 self._extend_sketch_block(payload, columns, matches)
 
         with ctx.phase("match_emit"):
-            self._append_and_evaluate_fresh(payload, columns, matches)
+            if ctx.is_bit:
+                self._append_fresh_pairs(payload, present, columns, matches)
+            else:
+                self._append_fresh_sketch(payload, columns, matches)
+            self.start_window = np.concatenate(
+                [self.start_window, (window.index,)]
+            )
+            self.start_frame = np.concatenate(
+                [self.start_frame, (window.start_frame,)]
+            )
             registry = ctx.registry
             registry.inc("engine.windows_processed")
             registry.observe(
@@ -176,97 +200,125 @@ class ColumnarSequentialEngine:
         return matches
 
     def _compact(self, expired: int) -> None:
+        # The pairs of the expired rows stay until the next cap filter
+        # (_extend_pairs): their age exceeds every per-query cap.
         self.start_window = self.start_window[expired:]
         self.start_frame = self.start_frame[expired:]
-        if self.context.is_bit:
-            self.presence = self.presence[expired:]
-            self.ge = self.ge[expired:]
-            self.lt = self.lt[expired:]
-        else:
+        if not self.context.is_bit:
             self.block.values = self.block.values[expired:]
             self.relevant = self.relevant[expired:]
 
-    def _emit_block(
-        self,
-        emit: np.ndarray,
-        similarity: np.ndarray,
-        start_frames: np.ndarray,
-        columns: QueryColumns,
-        window_index: int,
-        end_frame: int,
-        matches: List[Match],
-    ) -> None:
-        """Materialise Match events from a ``(C, Q)`` emission mask."""
-        rows, cols = np.nonzero(emit)
-        qids = columns.qids
-        for row, col in zip(rows.tolist(), cols.tolist()):
-            matches.append(
-                Match(
-                    qid=qids[col],
-                    window_index=window_index,
-                    start_frame=int(start_frames[row]),
-                    end_frame=end_frame,
-                    similarity=float(similarity[row, col]),
-                )
-            )
-
-    def _extend_bit_block(
+    def _extend_pairs(
         self,
         payload: WindowPayload,
+        present: np.ndarray,
         columns: QueryColumns,
         matches: List[Match],
     ) -> None:
-        """All candidates' signature ORs / adoptions as bulk bitwise ops.
+        """Every live pair's signature OR, every adoption, one Lemma 2.
 
         Mirrors the oracle's ``_extend_bit`` pair for pair: the per-query
         λL cap filters first (dropped pairs touch no counter), tracked
         pairs OR with the window planes (one ``signature_combines`` each,
-        lazy window encodes charged per column), window-only pairs adopt
-        the window signature, and Lemma 2 prunes the results in bulk.
+        lazy window encodes charged per column), every (live candidate,
+        ``present`` column) pair not yet tracked adopts the window
+        signature, and Lemma 2 prunes the results in bulk.
         """
         ctx = self.context
         window = payload.window
         num_hashes = ctx.config.num_hashes
-        ages = window.index - self.start_window + 1
-        cap = ages[:, np.newaxis] <= columns.max_windows
-        combined = self.presence & cap
-        ctx.window_planes(
-            payload, needed=combined.any(axis=0) & ~payload.present
+        caps = columns.max_windows
+        # The cap test ``index - start + 1 <= cap`` also drops the pairs
+        # of rows expired this window.
+        tracked = window.index - self.pair_start < caps[self.pair_col]
+        start = self.pair_start[tracked]
+        col = self.pair_col[tracked]
+        ctx.registry.inc("engine.signature_combines", int(col.shape[0]))
+        if col.shape[0]:
+            needed = np.zeros(len(columns.qids), dtype=bool)
+            needed[col] = True
+            ctx.window_planes(payload, needed=needed)
+
+        # Adoption grid: live rows × present columns under the cap, less
+        # the cells a tracked pair already holds.
+        adopt = (window.index - self.start_window)[:, np.newaxis] < (
+            caps[present]
         )
-        adopted = ~self.presence & cap & payload.present
-        ctx.registry.inc(
-            "engine.signature_combines", int(np.count_nonzero(combined))
-        )
+        slot = np.full(len(columns.qids), -1, dtype=np.int64)
+        slot[present] = np.arange(present.shape[0])
+        held = slot[col]
+        on_present = held >= 0
+        adopt[
+            self.start_window.searchsorted(start[on_present]),
+            held[on_present],
+        ] = False
+        rows, slots = np.nonzero(adopt)
+        num_tracked = col.shape[0]
+        start = np.concatenate([start, self.start_window[rows]])
+        col = np.concatenate([col, present[slots]])
+
+        # Row gathers go through take / compress: on (P, W) planes they
+        # are several times cheaper than fancy or boolean indexing.
         with ctx.phase("combine.bitops"):
-            present = combined | adopted
-            combined3 = combined[:, :, np.newaxis]
-            present3 = present[:, :, np.newaxis]
-            ge, lt = self.ge, self.lt
-            # In place: zero every row not continued this window (this
-            # also clears rows pruned on an earlier window), then OR the
-            # window planes into every tracked-or-adopting row.
-            np.multiply(ge, combined3, out=ge)
-            np.multiply(lt, combined3, out=lt)
-            np.bitwise_or(ge, payload.ge, out=ge, where=present3)
-            np.bitwise_or(lt, payload.lt, out=lt, where=present3)
+            ge = payload.ge.take(col, axis=0)
+            lt = payload.lt.take(col, axis=0)
+            ge[:num_tracked] |= self.pair_ge.compress(tracked, axis=0)
+            lt[:num_tracked] |= self.pair_lt.compress(tracked, axis=0)
             n1 = popcount_planes(lt)
             if ctx.config.prune:
-                prunable = present & lemma2_prunable(
+                prunable = lemma2_prunable(
                     n1, num_hashes, ctx.config.threshold
                 )
                 pruned = int(np.count_nonzero(prunable))
                 if pruned:
                     ctx.registry.inc("engine.signature_prunes", pruned)
-                    present &= ~prunable
+                    kept = ~prunable
+                    start, col, n1 = start[kept], col[kept], n1[kept]
+                    ge = ge.compress(kept, axis=0)
+                    lt = lt.compress(kept, axis=0)
             similarity = 1.0 - (
                 (num_hashes - popcount_planes(ge)) + n1
             ) / num_hashes
-            emit = present & (similarity >= ctx.config.threshold)
-        self.presence = present
-        self._emit_block(
-            emit, similarity, self.start_frame, columns,
-            window.index, window.end_frame, matches,
-        )
+            hits = (similarity >= ctx.config.threshold).nonzero()[0]
+        self.pair_start, self.pair_col = start, col
+        self.pair_ge, self.pair_lt = ge, lt
+        if hits.size:
+            self._emit_pairs(
+                start[hits], col[hits], similarity[hits], columns,
+                window, matches,
+            )
+
+    def _emit_pairs(
+        self,
+        start: np.ndarray,
+        col: np.ndarray,
+        similarity: np.ndarray,
+        columns: QueryColumns,
+        window: BasicWindow,
+        matches: List[Match],
+    ) -> None:
+        """Materialise Match events in the oracle's (start, column) order.
+
+        The store is unordered, so only the emitted pairs are sorted.
+        """
+        qids = columns.qids
+        order = np.argsort(start * len(qids) + col)
+        start_frames = self.start_frame[
+            self.start_window.searchsorted(start[order])
+        ]
+        for column, start_frame, value in zip(
+            col[order].tolist(), start_frames.tolist(),
+            similarity[order].tolist(),
+        ):
+            matches.append(
+                Match(
+                    qid=qids[column],
+                    window_index=window.index,
+                    start_frame=start_frame,
+                    end_frame=window.end_frame,
+                    similarity=value,
+                )
+            )
 
     def _extend_sketch_block(
         self,
@@ -292,60 +344,83 @@ class ColumnarSequentialEngine:
             similarity = self.block.similarity_matrix(columns.matrix)
             emit = active & (similarity >= ctx.config.threshold)
         self.relevant = active
-        self._emit_block(
-            emit, similarity, self.start_frame, columns,
-            window.index, window.end_frame, matches,
-        )
+        rows, cols = np.nonzero(emit)
+        if rows.size:
+            self._emit_pairs(
+                self.start_window[rows], cols, similarity[rows, cols],
+                columns, window, matches,
+            )
 
-    def _append_and_evaluate_fresh(
+    def _append_fresh_pairs(
+        self,
+        payload: WindowPayload,
+        present: np.ndarray,
+        columns: QueryColumns,
+        matches: List[Match],
+    ) -> None:
+        """Score the length-1 candidate and store its ``present`` pairs."""
+        num_hashes = self.context.config.num_hashes
+        ge = payload.ge.take(present, axis=0)
+        lt = payload.lt.take(present, axis=0)
+        n1 = popcount_planes(lt)
+        similarity = 1.0 - (
+            (num_hashes - popcount_planes(ge)) + n1
+        ) / num_hashes
+        self._emit_fresh(
+            present, similarity, columns, payload.window, matches
+        )
+        self.pair_start = np.concatenate([
+            self.pair_start, np.full(present.shape[0], payload.window.index)
+        ])
+        self.pair_col = np.concatenate([self.pair_col, present])
+        self.pair_ge = np.concatenate([self.pair_ge, ge])
+        self.pair_lt = np.concatenate([self.pair_lt, lt])
+
+    def _append_fresh_sketch(
         self,
         payload: WindowPayload,
         columns: QueryColumns,
         matches: List[Match],
     ) -> None:
-        """Open, score and append the length-1 candidate at this window."""
+        """Score the length-1 candidate on its relevant queries."""
         ctx = self.context
         window = payload.window
-        num_hashes = ctx.config.num_hashes
-        qids = columns.qids
-        if ctx.is_bit:
-            n1 = popcount_planes(payload.lt)
-            similarity = 1.0 - (
-                (num_hashes - popcount_planes(payload.ge)) + n1
-            ) / num_hashes
-            emit = payload.present & (similarity >= ctx.config.threshold)
-            self.presence = np.concatenate(
-                [self.presence, payload.present[np.newaxis, :]]
-            )
-            self.ge = np.concatenate([self.ge, payload.ge[np.newaxis, :, :]])
-            self.lt = np.concatenate([self.lt, payload.lt[np.newaxis, :, :]])
-        else:
-            relevant = payload.related_mask
-            ctx.registry.inc(
-                "engine.sketch_comparisons", int(np.count_nonzero(relevant))
-            )
-            equal = np.count_nonzero(
-                window.sketch.values[np.newaxis, :] == columns.matrix, axis=1
-            )
-            similarity = equal / num_hashes
-            emit = relevant & (similarity >= ctx.config.threshold)
-            self.block.append(window.sketch)
-            self.relevant = np.concatenate(
-                [self.relevant, relevant[np.newaxis, :]]
-            )
-        for column in np.flatnonzero(emit).tolist():
+        relevant = payload.related_mask
+        ctx.registry.inc(
+            "engine.sketch_comparisons", int(np.count_nonzero(relevant))
+        )
+        equal = np.count_nonzero(
+            window.sketch.values[np.newaxis, :] == columns.matrix, axis=1
+        )
+        similarity = equal / ctx.config.num_hashes
+        related = np.flatnonzero(relevant)
+        self._emit_fresh(
+            related, similarity[related], columns, window, matches
+        )
+        self.block.append(window.sketch)
+        self.relevant = np.concatenate(
+            [self.relevant, relevant[np.newaxis, :]]
+        )
+
+    def _emit_fresh(
+        self,
+        cols: np.ndarray,
+        similarity: np.ndarray,
+        columns: QueryColumns,
+        window: BasicWindow,
+        matches: List[Match],
+    ) -> None:
+        """Match events of the length-1 candidate, in column order."""
+        hits = similarity >= self.context.config.threshold
+        for column, value in zip(
+            cols[hits].tolist(), similarity[hits].tolist()
+        ):
             matches.append(
                 Match(
-                    qid=qids[column],
+                    qid=columns.qids[column],
                     window_index=window.index,
                     start_frame=window.start_frame,
                     end_frame=window.end_frame,
-                    similarity=float(similarity[column]),
+                    similarity=value,
                 )
             )
-        self.start_window = np.concatenate(
-            [self.start_window, (window.index,)]
-        )
-        self.start_frame = np.concatenate(
-            [self.start_frame, (window.start_frame,)]
-        )

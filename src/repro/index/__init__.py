@@ -10,11 +10,11 @@ yields their bit signatures as a by-product.
 """
 
 from repro.index.hq import HashQueryIndex, IndexEntry
-from repro.index.probe import RelatedQuery, probe_index
+from repro.index.probe import RelatedQueries, probe_index
 
 __all__ = [
     "HashQueryIndex",
     "IndexEntry",
-    "RelatedQuery",
+    "RelatedQueries",
     "probe_index",
 ]

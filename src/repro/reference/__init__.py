@@ -15,7 +15,7 @@ from repro.core.detector import StreamingDetector
 from repro.reference.context import ReferenceContext, ReferencePayload
 from repro.reference.engine_geometric import GeometricEngine
 from repro.reference.engine_sequential import SequentialEngine
-from repro.reference.probe import probe_index_reference
+from repro.reference.probe import probe_index_reference, related_view
 
 __all__ = [
     "GeometricEngine",
@@ -24,6 +24,7 @@ __all__ = [
     "ReferencePayload",
     "SequentialEngine",
     "probe_index_reference",
+    "related_view",
 ]
 
 

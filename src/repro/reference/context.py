@@ -5,7 +5,9 @@ plus the instrumented pair-at-a-time primitives the scalar engines are
 written in — sketch similarity and combination (the ``C_comp`` /
 ``C_comb`` of Eq. (4)), signature encode and OR, the per-(window, query)
 memoised lazy encode — and a window payload that keeps its per-query
-artefacts as dicts and sets keyed by qid.
+artefacts as dicts and sets keyed by qid, filled by the literal Figure 5
+walk (:func:`~repro.reference.probe.probe_index_reference`) rather than
+the production probe.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from typing import Dict, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.context import EvalContext
-from repro.index.probe import probe_index
 from repro.minhash.sketch import Sketch
 from repro.minhash.windows import BasicWindow
+from repro.reference.probe import probe_index_reference
 from repro.signature.bitsig import BitSignature
 from repro.signature.pruning import violates_lemma2
 
@@ -136,7 +138,7 @@ class ReferenceContext(EvalContext):
         # the bits the oracle computes for itself; it never reads them.
         if self.index is not None:
             self.registry.inc("engine.index_probes")
-            related_list = probe_index(
+            related_list = probe_index_reference(
                 window.sketch,
                 self.index,
                 self.config.threshold,

@@ -13,16 +13,24 @@ detector built from the same queries and configuration. The
 partial-window buffer and gap state are not a worker's: the service's
 front end, which cuts the stream into windows, checkpoints them.
 
-Both engines are covered, each stored as the arrays it already holds:
+Both engines are covered. The on-disk layout is the dense one every
+``repro.ckpt/5`` checkpoint has always had; the Sequential bit store is
+sparse in memory, dense on disk:
 
 ===========  ========================  ===================================
 order        on-disk ``kind``          state
 ===========  ========================  ===================================
 Sequential   ``columnar-sequential``   start/frame vectors + ``(C, Q)``
                                        presence and ``(C, Q, W)`` planes
-                                       / ``(C, K)`` sketch block
+                                       (the pair store scattered densely,
+                                       gathered back under ``presence``
+                                       on restore) / ``(C, K)`` sketch
+                                       block
 Geometric    ``columnar-geometric``    ``_ColumnarSegment`` ladder
 ===========  ========================  ===================================
+
+Planes under ``presence == False`` are ignored on restore, so a
+checkpoint whose dense store kept stale planes there resumes the same.
 
 The test-only oracle in ``repro.reference`` is never checkpointed: its
 engines are refused here, as is a snapshot whose ``kind`` names one.
@@ -135,9 +143,16 @@ def _columnar_sequential_state(engine: ColumnarSequentialEngine) -> Dict:
         "eng_start_frame": engine.start_frame.copy(),
     }
     if engine.context.is_bit:
-        state["eng_presence"] = engine.presence.copy()
-        state["eng_ge"] = engine.ge.copy()
-        state["eng_lt"] = engine.lt.copy()
+        rows = np.searchsorted(engine.start_window, engine.pair_start)
+        cells = (len(engine.start_window), len(engine._qids))
+        width = engine.pair_ge.shape[1]
+        presence = np.zeros(cells, dtype=bool)
+        presence[rows, engine.pair_col] = True
+        state["eng_presence"] = presence
+        for name, planes in (("ge", engine.pair_ge), ("lt", engine.pair_lt)):
+            dense = np.zeros(cells + (width,), dtype=np.uint64)
+            dense[rows, engine.pair_col] = planes
+            state[f"eng_{name}"] = dense
     else:
         state["eng_block"] = engine.block.values.copy()
         state["eng_relevant"] = engine.relevant.copy()
@@ -152,9 +167,11 @@ def _restore_columnar_sequential(
     engine.start_window = state["eng_start_window"].astype(np.int64)
     engine.start_frame = state["eng_start_frame"].astype(np.int64)
     if engine.context.is_bit:
-        engine.presence = state["eng_presence"].astype(bool)
-        engine.ge = state["eng_ge"].astype(np.uint64)
-        engine.lt = state["eng_lt"].astype(np.uint64)
+        rows, cols = np.nonzero(state["eng_presence"])
+        engine.pair_start = engine.start_window[rows]
+        engine.pair_col = cols.astype(np.int64)
+        engine.pair_ge = state["eng_ge"][rows, cols].astype(np.uint64)
+        engine.pair_lt = state["eng_lt"][rows, cols].astype(np.uint64)
     else:
         engine.block.values = state["eng_block"].astype(np.int64)
         engine.relevant = state["eng_relevant"].astype(bool)

@@ -62,7 +62,8 @@ def pack_bool_planes(flags: np.ndarray) -> np.ndarray:
 
     Bit ``r`` of the flat K-bit plane is ``flags[..., r]``, matching the
     ``np.packbits(..., bitorder="little")`` / ``int.from_bytes`` layout
-    used by the scalar :meth:`BitSignature` constructors.
+    used by the scalar :meth:`BitSignature` constructors. Zero leading
+    rows (``(0, K)`` flags) pack to a ``(0, W)`` array.
     """
     packed = np.packbits(flags, axis=-1, bitorder="little")
     pad = (-packed.shape[-1]) % 8
@@ -71,15 +72,25 @@ def pack_bool_planes(flags: np.ndarray) -> np.ndarray:
             [packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)],
             axis=-1,
         )
-    packed = np.ascontiguousarray(packed)
-    return packed.view("<u8").reshape(flags.shape[:-1] + (-1,))
+    # Viewing the contiguous last axis as uint64 already yields
+    # ``(..., W)``; no reshape, so an empty leading axis stays legal.
+    return np.ascontiguousarray(packed).view("<u8")
 
 
 if hasattr(np, "bitwise_count"):
 
     def popcount_planes(planes: np.ndarray) -> np.ndarray:
-        """Per-plane popcount: sums ``(..., W)`` words to ``(...,)`` ints."""
-        return np.bitwise_count(planes).sum(axis=-1, dtype=np.int64)
+        """Per-plane popcount: sums ``(..., W)`` words to ``(...,)`` ints.
+
+        The W word slices are added one by one: W is a handful, and a
+        strided ``sum(axis=-1)`` over a short last axis costs several
+        times the ``bitwise_count`` itself.
+        """
+        counts = np.bitwise_count(planes)
+        total = counts[..., 0].astype(np.int64)
+        for word in range(1, counts.shape[-1]):
+            total += counts[..., word]
+        return total
 
 else:  # pragma: no cover - exercised only on numpy < 2.0
     _BYTE_POPCOUNT = np.array(

@@ -43,10 +43,10 @@ def _assert_equivalent(index, family, live):
     rebuilt = _rebuilt(family, live)
     rebuilt.check_invariants()
     assert index.canonical_state() == rebuilt.canonical_state()
-    # Every bottom-row column walks up to the column of its own query.
-    index.warm_caches()
-    for qid in live:
-        column = index.last_row_column_of(qid)
+    # Every bottom-row column walks up to the query its down chain reached.
+    last_row = index.qid_matrix[NUM_HASHES - 1].tolist()
+    assert sorted(last_row) == sorted(live)
+    for column, qid in enumerate(last_row):
         assert index.query_of_column(NUM_HASHES - 1, column).qid == qid
 
 
