@@ -157,8 +157,10 @@ class SequentialEngine:
         candidate from this window on — an optimistic but sound start,
         as the matching suffix exists as its own candidate too. Lemma 2
         and the per-query length cap prune pairs as they are produced,
-        cascading exactly as Section V-B requires: a pruned pair can
-        never reappear on any extension of this candidate.
+        cascading as Section V-B requires: a pruned signature is dropped
+        for good, and the query can only come back through a later
+        window's own relation — adopted again from that window's bits
+        alone, by the same suffix argument.
         """
         ctx = self.context
         window = payload.window
