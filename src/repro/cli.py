@@ -82,7 +82,11 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_detector_args(parser: argparse.ArgumentParser) -> None:
-    """Detector-configuration options shared by demo/stats."""
+    """Detector-configuration options shared by demo/stats/serve/gateway.
+
+    ``--representation`` is not among them: serving runs bit signatures
+    only, so demo and stats add it themselves (a sketch run executes on
+    the oracle, see :func:`~repro.evaluation.runner.run_detector`)."""
     parser.add_argument("--hashes", type=int, default=400, metavar="K")
     parser.add_argument("--threshold", type=float, default=0.7,
                         metavar="DELTA")
@@ -90,8 +94,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                         metavar="W")
     parser.add_argument("--order", choices=("sequential", "geometric"),
                         default="sequential")
-    parser.add_argument("--representation", choices=("bit", "sketch"),
-                        default="bit")
     parser.add_argument("--no-index", action="store_true")
 
 
@@ -109,6 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(demo)
     _add_detector_args(demo)
+    demo.add_argument("--representation", choices=("bit", "sketch"),
+                      default="bit")
     demo.add_argument("--metrics-out", metavar="PATH", default=None,
                       help="write the run's JSON metrics snapshot here")
 
@@ -128,6 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(stats)
     _add_detector_args(stats)
+    stats.add_argument("--representation", choices=("bit", "sketch"),
+                       default="bit")
     stats.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write the JSON snapshot here instead of stdout")
     stats.add_argument("--no-timers", action="store_true",
@@ -376,7 +382,9 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
         threshold=args.threshold,
         window_seconds=args.window_seconds,
         order=CombinationOrder(args.order),
-        representation=Representation(args.representation),
+        representation=Representation(
+            getattr(args, "representation", Representation.BIT.value)
+        ),
         use_index=not args.no_index,
     )
 
@@ -524,6 +532,7 @@ def _parse_archive_retain(spec: str) -> dict:
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.archive import SketchArchive
     from repro.core.query import QuerySet
+    from repro.errors import ServeError
     from repro.evaluation.metrics import score_matches
     from repro.minhash.family import MinHashFamily
     from repro.persistence import load_query_set
@@ -538,6 +547,10 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
+    if args.batch_chunks < 1:
+        # The service refuses it too; checked here before the chaos
+        # horizon below divides by it.
+        raise ServeError(f"batch_chunks must be >= 1, got {args.batch_chunks}")
     supervise = args.supervise or args.chaos is not None
     if supervise and args.backend == "serial":
         print("--supervise/--chaos require --backend process",
@@ -583,7 +596,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.chaos:
         # Chaos positions count stream messages per worker: one per
         # WindowBatch.
-        per_worker = max(1, -(-len(chunks) // max(1, args.batch_chunks)))
+        per_worker = max(1, -(-len(chunks) // args.batch_chunks))
         try:
             if args.chaos.startswith("seed:"):
                 chaos_plan = ChaosPlan.generate(

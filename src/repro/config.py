@@ -58,6 +58,13 @@ class Representation(enum.Enum):
     relationship signature per (candidate, query) pair and combines them
     with bitwise OR (Section V-A) — cheaper per operation and prunable via
     Lemma 2.
+
+    ``BIT`` is what the production engines, the service and the gateway
+    run. ``SKETCH`` is the paper's baseline: it runs on the oracle,
+    ``repro.reference.ReferenceDetector``, which
+    :func:`~repro.evaluation.runner.run_detector` picks for it, so the
+    paper benches and ``repro demo``/``repro stats`` can time it; a
+    ``StreamingDetector`` or ``DetectionService`` refuses it.
     """
 
     SKETCH = "sketch"
@@ -128,7 +135,9 @@ class DetectorConfig:
     order:
         Sequential or Geometric combination order.
     representation:
-        Sketch vectors or bit-vector signatures.
+        Bit-vector signatures (production) or sketch vectors (the
+        paper's baseline, run only by the oracle; see
+        :class:`Representation`).
     use_index:
         Whether the Hash-Query query index of Section V-C is used to find
         relevant queries (otherwise every query is compared).

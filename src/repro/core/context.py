@@ -11,10 +11,12 @@ and a window's planes are laid out only when the engine reaches it,
 with the columns its tracked pairs need encoded then (the lazy encode).
 The planes are compared against this layout's ``QueryColumns.matrix``,
 so the index keeps no second copy of the query sketches. Routing it through this class is what makes the engines' cost
-profiles measurable (see :class:`~repro.core.monitor.EngineStats`). The
-one-window, one-pair-at-a-time primitives of the paper's prose (sketch
-similarity, signature OR, the memoised lazy encode) are the oracle's:
-``repro.reference`` adds them on top of this class.
+profiles measurable (see :class:`~repro.core.monitor.EngineStats`).
+Production payloads are bit signatures only. The one-window,
+one-pair-at-a-time primitives of the paper's prose (sketch similarity
+and combination, signature OR, the memoised lazy encode) and the
+sketch representation itself are the oracle's: ``repro.reference``
+adds them on top of this class.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config import DetectorConfig, Representation
+from repro.config import DetectorConfig
 from repro.core.monitor import EngineStats
 from repro.core.query import QuerySet
 from repro.errors import DetectionError
@@ -63,9 +65,9 @@ class BlockPayload:
     """A block of basic windows plus its packed per-query artefacts.
 
     ``related[b]`` marks the queries window ``b`` brings into play: the
-    probe's ``R_L`` with the index, every query without it, less — in bit
-    mode — the columns whose window signature fails Lemma 2. In bit mode
-    the window-vs-query signature planes come in one of two forms:
+    probe's ``R_L`` with the index, every query without it, less the
+    columns whose window signature fails Lemma 2. The window-vs-query
+    signature planes come in one of two forms:
     ``planes``, the no-index encode's dense ``(B, Q, W)`` pair, valid on
     every cell; or ``probed``, the probe's sparse rows, valid on the
     related cells only. :meth:`EvalContext.window_planes` reads either.
@@ -167,11 +169,6 @@ class EvalContext:
         """
         return self.registry.phase(f"phase.{name}")
 
-    @property
-    def is_bit(self) -> bool:
-        """Whether the bit-signature representation is active."""
-        return self.config.representation is Representation.BIT
-
     # ------------------------------------------------------------------
     # block payload construction
     # ------------------------------------------------------------------
@@ -184,19 +181,19 @@ class EvalContext:
         """Compare a block of arriving windows against the query population.
 
         With the index, one probe yields every window's related queries
-        and (in bit mode) their signatures; without it, every query is
-        compared, in one batched encode. Runs under the ``probe`` phase
+        and their signatures; without it, every query is compared, in
+        one batched encode. Runs under the ``probe`` phase
         timer either way (payload construction is the probe stage of the
         pipeline).
 
         ``planes`` optionally carries precomputed ``(ge, lt)`` packed
         plane arrays of shape ``(B, Q, W)`` in sorted-qid column order
-        (the sketch-once serving front end). The no-index bit path
+        (the sketch-once serving front end). The no-index path
         substitutes them for its encode — with accounting identical to
         the self-encoding reference, since the encode *was* performed,
         just once upstream instead of once per shard. The index path
         ignores them (the probe, not a full encode, is its accounted
-        operation), as does the sketch representation.
+        operation).
         """
         with self.phase("probe"):
             return self._block_payload(block, planes)
@@ -211,7 +208,7 @@ class EvalContext:
         Counter parity with ``ReferenceContext._window_payload``, which
         builds one payload per window, is load-bearing (the equivalence
         suite asserts it): per window, the index path charges one probe,
-        and the no-index bit path one ``signature_encodes`` per
+        and the no-index path one ``signature_encodes`` per
         subscribed query and one ``signature_prunes`` per window-level
         Lemma 2 casualty.
         """
@@ -228,12 +225,10 @@ class EvalContext:
                 self.index,
                 columns.matrix,
                 self.config.threshold,
-                prune=self.config.prune and self.is_bit,
+                prune=self.config.prune,
             )
             mask = np.zeros((num_windows, num_queries), dtype=bool)
             mask[probed.windows, probed.columns] = True
-            if not self.is_bit:
-                return BlockPayload(block=block, related=mask)
             # Rows ascend by window: one search finds every window's run.
             offsets = probed.windows.searchsorted(
                 np.arange(num_windows + 1)
@@ -242,11 +237,6 @@ class EvalContext:
                 block=block, related=mask, probed=probed, offsets=offsets
             )
 
-        if not self.is_bit:
-            return BlockPayload(
-                block=block,
-                related=np.ones((num_windows, num_queries), dtype=bool),
-            )
         if planes is None:
             planes = encode_planes_many(block.sketch_values, columns.matrix)
         # else: the sketch-once front end's rows (already copied per

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import CombinationOrder, DetectorConfig
+from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.context import EvalContext
 from repro.core.engine_geometric import ColumnarGeometricEngine
 from repro.core.engine_sequential import ColumnarSequentialEngine
@@ -41,7 +41,11 @@ class StreamingDetector:
     Parameters
     ----------
     config:
-        Engine configuration (K, δ, w, λ, order, representation, index).
+        Engine configuration (K, δ, w, λ, order, index). The production
+        engines hold bit signatures only: a ``SKETCH`` configuration
+        raises :class:`~repro.errors.DetectionError` (the sketch
+        representation runs on the oracle,
+        ``repro.reference.ReferenceDetector``).
     queries:
         The subscribed continuous queries; their sketches must come from
         the same hash family the stream windows will be sketched with.
@@ -61,14 +65,15 @@ class StreamingDetector:
         (see :meth:`set_cap_hint` and ``docs/serving.md``).
     """
 
-    #: What a detector is built from. The test-only oracle,
-    #: ``repro.reference.ReferenceDetector``, differs in these and in
-    #: nothing else.
+    #: What a detector is built from and which representations it
+    #: runs. The oracle, ``repro.reference.ReferenceDetector``, differs
+    #: in these and in nothing else.
     context_class = EvalContext
     engine_classes = {
         CombinationOrder.SEQUENTIAL: ColumnarSequentialEngine,
         CombinationOrder.GEOMETRIC: ColumnarGeometricEngine,
     }
+    representations = (Representation.BIT,)
 
     def __init__(
         self,
@@ -82,6 +87,12 @@ class StreamingDetector:
             raise DetectionError(
                 f"keyframes_per_second must be positive, "
                 f"got {keyframes_per_second}"
+            )
+        if config.representation not in self.representations:
+            raise DetectionError(
+                f"{type(self).__name__} does not run the "
+                f"{config.representation.value} representation; it runs "
+                "on the oracle, repro.reference.ReferenceDetector"
             )
         self.config = config
         self.queries = queries
@@ -142,8 +153,8 @@ class StreamingDetector:
         signature planes — ``(ge, lt)`` uint64 arrays of shape
         ``(B, Q, W)`` in this detector's sorted-qid column order (the
         sketch-once serving front end). They are substituted for the
-        block encode in the no-index bit path with identical accounting;
-        the index and sketch paths ignore them.
+        block encode in the no-index path with identical accounting;
+        the index path ignores them.
         """
         if not len(block):
             return []

@@ -38,32 +38,26 @@ class _ColumnarSegment:
 
     ``size`` adjacent windows spanning ``start_frame..end_frame``; the
     per-query state is a ``(Q,)`` presence mask with ``(Q, W)`` packed
-    signature planes (bit mode) or a ``(Q,)`` relevance mask (sketch
-    mode).
+    signature planes.
     """
 
-    __slots__ = ("size", "start_frame", "end_frame", "sketch_values",
-                 "presence", "ge", "lt", "relevant")
+    __slots__ = ("size", "start_frame", "end_frame", "presence", "ge", "lt")
 
     def __init__(
         self,
         size: int,
         start_frame: int,
         end_frame: int,
-        sketch_values: np.ndarray,
-        presence: Optional[np.ndarray],
-        ge: Optional[np.ndarray],
-        lt: Optional[np.ndarray],
-        relevant: Optional[np.ndarray],
+        presence: np.ndarray,
+        ge: np.ndarray,
+        lt: np.ndarray,
     ) -> None:
         self.size = size
         self.start_frame = start_frame
         self.end_frame = end_frame
-        self.sketch_values = sketch_values
         self.presence = presence
         self.ge = ge
         self.lt = lt
-        self.relevant = relevant
 
 
 class ColumnarGeometricEngine:
@@ -89,19 +83,14 @@ class ColumnarGeometricEngine:
         old_idx, new_idx = column_remap(self._qids, columns.qids)
         num_queries = len(columns.qids)
         for segment in self.segments:
-            if self.context.is_bit:
-                width = segment.ge.shape[1]
-                presence = np.zeros(num_queries, dtype=bool)
-                ge = np.zeros((num_queries, width), dtype=np.uint64)
-                lt = np.zeros((num_queries, width), dtype=np.uint64)
-                presence[new_idx] = segment.presence[old_idx]
-                ge[new_idx] = segment.ge[old_idx]
-                lt[new_idx] = segment.lt[old_idx]
-                segment.presence, segment.ge, segment.lt = presence, ge, lt
-            else:
-                relevant = np.zeros(num_queries, dtype=bool)
-                relevant[new_idx] = segment.relevant[old_idx]
-                segment.relevant = relevant
+            width = segment.ge.shape[1]
+            presence = np.zeros(num_queries, dtype=bool)
+            ge = np.zeros((num_queries, width), dtype=np.uint64)
+            lt = np.zeros((num_queries, width), dtype=np.uint64)
+            presence[new_idx] = segment.presence[old_idx]
+            ge[new_idx] = segment.ge[old_idx]
+            lt[new_idx] = segment.lt[old_idx]
+            segment.presence, segment.ge, segment.lt = presence, ge, lt
         self._qids = columns.qids
         return columns
 
@@ -120,11 +109,7 @@ class ColumnarGeometricEngine:
     @property
     def resident_signatures(self) -> int:
         """Bit signatures currently held in the ladder."""
-        if self.context.is_bit:
-            return int(
-                sum(np.count_nonzero(s.presence) for s in self.segments)
-            )
-        return 0
+        return int(sum(np.count_nonzero(s.presence) for s in self.segments))
 
     def process_batch(self, payload: BlockPayload) -> List[List[Match]]:
         """Fold a block of basic windows into the ladder, window by
@@ -134,8 +119,7 @@ class ColumnarGeometricEngine:
         own score, the carry merges) runs under the ``combine`` timer,
         λL expiry under ``prune``, and the suffix-accumulation scoring
         plus stats sampling under ``match_emit``. The bulk plane merges
-        additionally run under the ``phase.combine.bitops`` /
-        ``phase.combine.sketch`` sub-timers.
+        additionally run under the ``phase.combine.bitops`` sub-timer.
         """
         columns = self._sync_columns()
         return [
@@ -153,28 +137,21 @@ class ColumnarGeometricEngine:
         matches: List[Match] = []
 
         with ctx.phase("combine"):
-            if ctx.is_bit:
-                # Segment invariant: non-present plane rows are zero, so
-                # merges adopt one-sided signatures with a plain OR. The
-                # payload's planes may hold data for window-level-pruned
-                # columns — mask them out here.
-                live = related[:, np.newaxis]
-                zero = np.uint64(0)
-                window_ge, window_lt = ctx.window_planes(payload, t)
-                fresh_ge = np.where(live, window_ge, zero)
-                fresh_lt = np.where(live, window_lt, zero)
-            else:
-                fresh_ge = fresh_lt = None
+            # Segment invariant: non-present plane rows are zero, so
+            # merges adopt one-sided signatures with a plain OR. The
+            # payload's planes may hold data for window-level-pruned
+            # columns — mask them out here.
+            live = related[:, np.newaxis]
+            zero = np.uint64(0)
+            window_ge, window_lt = ctx.window_planes(payload, t)
             start_frame = int(block.starts[t])
             fresh = _ColumnarSegment(
                 size=1,
                 start_frame=start_frame,
                 end_frame=start_frame + int(block.frames[t]),
-                sketch_values=block.sketch_values[t],
-                presence=related if ctx.is_bit else None,
-                ge=fresh_ge,
-                lt=fresh_lt,
-                relevant=None if ctx.is_bit else related,
+                presence=related,
+                ge=np.where(live, window_ge, zero),
+                lt=np.where(live, window_lt, zero),
             )
             self._score_block(fresh, columns, window_index, matches)
             self.segments.append(fresh)
@@ -184,7 +161,7 @@ class ColumnarGeometricEngine:
             ):
                 newer = self.segments.pop()
                 older = self.segments.pop()
-                self.segments.append(self._merge_block(older, newer, columns))
+                self.segments.append(self._merge_block(older, newer))
 
         with ctx.phase("prune"):
             total = sum(segment.size for segment in self.segments)
@@ -205,7 +182,7 @@ class ColumnarGeometricEngine:
                     suffix = segment
                     already_scored = segment.size == 1
                 else:
-                    suffix = self._merge_block(segment, suffix, columns)
+                    suffix = self._merge_block(segment, suffix)
                     already_scored = False
                 if not already_scored:
                     self._score_block(suffix, columns, window_index, matches)
@@ -224,66 +201,46 @@ class ColumnarGeometricEngine:
     # ------------------------------------------------------------------
 
     def _merge_block(
-        self,
-        older: _ColumnarSegment,
-        newer: _ColumnarSegment,
-        columns: QueryColumns,
+        self, older: _ColumnarSegment, newer: _ColumnarSegment
     ) -> _ColumnarSegment:
-        """Combine two adjacent segments with bulk plane/sketch kernels.
+        """Combine two adjacent segments with bulk plane kernels.
 
         Counter parity with the oracle's ``_merge``: one
         ``signature_combines`` per both-sides pair, adoption is free, and
-        Lemma 2 prunes the merged pairs in bulk (bit mode); one
-        ``sketch_combines`` per merge (sketch mode).
+        Lemma 2 prunes the merged pairs in bulk.
         """
         ctx = self.context
         num_hashes = ctx.config.num_hashes
-        if ctx.is_bit:
-            combined = older.presence & newer.presence
-            ctx.registry.inc(
-                "engine.signature_combines", int(np.count_nonzero(combined))
-            )
-            with ctx.phase("combine.bitops"):
-                # Non-present rows are zero (segment invariant), so the
-                # plain OR simultaneously merges both-sides pairs and
-                # adopts one-sided ones.
-                present = older.presence | newer.presence
-                ge = older.ge | newer.ge
-                lt = older.lt | newer.lt
-                if ctx.config.prune:
-                    prunable = present & lemma2_prunable(
-                        popcount_planes(lt), num_hashes, ctx.config.threshold
-                    )
-                    pruned = int(np.count_nonzero(prunable))
-                    if pruned:
-                        ctx.registry.inc("engine.signature_prunes", pruned)
-                        present = present & ~prunable
-                        live = present[:, np.newaxis]
-                        zero = np.uint64(0)
-                        ge = np.where(live, ge, zero)
-                        lt = np.where(live, lt, zero)
-            return _ColumnarSegment(
-                size=older.size + newer.size,
-                start_frame=older.start_frame,
-                end_frame=newer.end_frame,
-                sketch_values=newer.sketch_values,
-                presence=present,
-                ge=ge,
-                lt=lt,
-                relevant=None,
-            )
-        ctx.registry.inc("engine.sketch_combines")
-        with ctx.phase("combine.sketch"):
-            values = np.minimum(older.sketch_values, newer.sketch_values)
+        combined = older.presence & newer.presence
+        ctx.registry.inc(
+            "engine.signature_combines", int(np.count_nonzero(combined))
+        )
+        with ctx.phase("combine.bitops"):
+            # Non-present rows are zero (segment invariant), so the
+            # plain OR simultaneously merges both-sides pairs and
+            # adopts one-sided ones.
+            present = older.presence | newer.presence
+            ge = older.ge | newer.ge
+            lt = older.lt | newer.lt
+            if ctx.config.prune:
+                prunable = present & lemma2_prunable(
+                    popcount_planes(lt), num_hashes, ctx.config.threshold
+                )
+                pruned = int(np.count_nonzero(prunable))
+                if pruned:
+                    ctx.registry.inc("engine.signature_prunes", pruned)
+                    present = present & ~prunable
+                    live = present[:, np.newaxis]
+                    zero = np.uint64(0)
+                    ge = np.where(live, ge, zero)
+                    lt = np.where(live, lt, zero)
         return _ColumnarSegment(
             size=older.size + newer.size,
             start_frame=older.start_frame,
             end_frame=newer.end_frame,
-            sketch_values=values,
-            presence=None,
-            ge=None,
-            lt=None,
-            relevant=older.relevant | newer.relevant,
+            presence=present,
+            ge=ge,
+            lt=lt,
         )
 
     def _score_block(
@@ -296,25 +253,15 @@ class ColumnarGeometricEngine:
         """Score one (possibly transient) segment against all queries."""
         ctx = self.context
         num_hashes = ctx.config.num_hashes
-        cap = segment.size <= columns.max_windows
-        if ctx.is_bit:
-            n1 = popcount_planes(segment.lt)
-            similarity = 1.0 - (
-                (num_hashes - popcount_planes(segment.ge)) + n1
-            ) / num_hashes
-            emit = segment.presence & cap & (
-                similarity >= ctx.config.threshold
-            )
-        else:
-            active = segment.relevant & cap
-            ctx.registry.inc(
-                "engine.sketch_comparisons", int(np.count_nonzero(active))
-            )
-            equal = np.count_nonzero(
-                segment.sketch_values[np.newaxis, :] == columns.matrix, axis=1
-            )
-            similarity = equal / num_hashes
-            emit = active & (similarity >= ctx.config.threshold)
+        n1 = popcount_planes(segment.lt)
+        similarity = 1.0 - (
+            (num_hashes - popcount_planes(segment.ge)) + n1
+        ) / num_hashes
+        emit = (
+            segment.presence
+            & (segment.size <= columns.max_windows)
+            & (similarity >= ctx.config.threshold)
+        )
         qids = columns.qids
         for column in np.flatnonzero(emit).tolist():
             matches.append(

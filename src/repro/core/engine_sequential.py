@@ -11,12 +11,13 @@ candidate is opened at ``t``. This is the accuracy-first order: all
 structure-of-arrays form and takes a whole block of windows per call:
 the block's expiry is one search, its fresh candidates' rows are laid
 out once, and each window is a handful of numpy kernels instead of
-Python-level per-pair operations (see ``docs/performance.md``). In bit
-mode the per-query state is a sparse *pair store* — only the
+Python-level per-pair operations (see ``docs/performance.md``). The
+per-query state is a sparse *pair store* of bit signatures — only the
 (candidate, query) signatures that are live after the λL cap and
 Lemma 2 exist — so a window's cost follows the live pairs and the
-window's related queries, not ``C × Q``. The one-window, one-candidate-at-a-time form of
-the same semantics is the oracle, ``repro.reference.SequentialEngine``;
+window's related queries, not ``C × Q``. The one-window,
+one-candidate-at-a-time form of the same semantics — in both
+representations — is the oracle, ``repro.reference.SequentialEngine``;
 ``tests/test_engine_reference.py`` holds the two to identical matches
 and counters.
 """
@@ -30,7 +31,6 @@ import numpy as np
 from repro.core.columnar import column_remap
 from repro.core.context import BlockPayload, EvalContext, QueryColumns
 from repro.core.results import Match
-from repro.minhash.sketch import SketchBlock
 from repro.signature.bitsig import plane_words, popcount_planes
 from repro.signature.pruning import lemma2_prunable
 
@@ -42,19 +42,13 @@ class ColumnarSequentialEngine:
 
     Live candidates are rows of two meta vectors, ``start_window`` and
     ``start_frame`` (a candidate's length in windows is derived as
-    ``index - start_window + 1``). Their per-query state depends on the
-    representation:
-
-    * **bit mode** — a *pair store*: one entry per (candidate, query)
-      signature the oracle would hold, as ``pair_start (P,)`` (the
-      candidate's start window), ``pair_col (P,)`` (the query column) and
-      packed ``pair_ge``/``pair_lt (P, W)`` uint64 planes, in no
-      particular order. A window costs work in the live pairs ``P`` and
-      the ``C × R`` adoption grid of its ``R`` related queries, never in
-      ``C × Q``.
-    * **sketch mode** — a ``(C, K)``
-      :class:`~repro.minhash.sketch.SketchBlock` plus a dense ``(C, Q)``
-      relevance mask.
+    ``index - start_window + 1``). Their per-query state is a *pair
+    store*: one entry per (candidate, query) signature the oracle would
+    hold, as ``pair_start (P,)`` (the candidate's start window),
+    ``pair_col (P,)`` (the query column) and packed ``pair_ge``/``pair_lt
+    (P, W)`` uint64 planes, in no particular order. A window costs work
+    in the live pairs ``P`` and the ``C × R`` adoption grid of its ``R``
+    related queries, never in ``C × Q``.
 
     Counter accounting is identical to the oracle's.
     """
@@ -69,19 +63,14 @@ class ColumnarSequentialEngine:
     # ------------------------------------------------------------------
 
     def _alloc(self, columns: QueryColumns) -> None:
-        ctx = self.context
         self._qids = columns.qids
         self.start_window = np.empty(0, dtype=np.int64)
         self.start_frame = np.empty(0, dtype=np.int64)
-        if ctx.is_bit:
-            width = plane_words(ctx.config.num_hashes)
-            self.pair_start = np.empty(0, dtype=np.int64)
-            self.pair_col = np.empty(0, dtype=np.int64)
-            self.pair_ge = np.empty((0, width), dtype=np.uint64)
-            self.pair_lt = np.empty((0, width), dtype=np.uint64)
-        else:
-            self.block = SketchBlock.empty(ctx.queries.family.fingerprint)
-            self.relevant = np.empty((0, len(columns.qids)), dtype=bool)
+        width = plane_words(self.context.config.num_hashes)
+        self.pair_start = np.empty(0, dtype=np.int64)
+        self.pair_col = np.empty(0, dtype=np.int64)
+        self.pair_ge = np.empty((0, width), dtype=np.uint64)
+        self.pair_lt = np.empty((0, width), dtype=np.uint64)
 
     def _sync_columns(self) -> QueryColumns:
         """Adopt the current query-column layout, remapping live state."""
@@ -92,23 +81,16 @@ class ColumnarSequentialEngine:
             self._alloc(columns)
             return columns
         old_idx, new_idx = column_remap(self._qids, columns.qids)
-        if self.context.is_bit:
-            # Move every pair to its query's new column; the pairs of
-            # vanished queries drop.
-            remap = np.full(len(self._qids), -1, dtype=np.int64)
-            remap[old_idx] = new_idx
-            moved = remap[self.pair_col]
-            kept = moved >= 0
-            self.pair_start = self.pair_start[kept]
-            self.pair_col = moved[kept]
-            self.pair_ge = self.pair_ge[kept]
-            self.pair_lt = self.pair_lt[kept]
-        else:
-            relevant = np.zeros(
-                (len(self.start_window), len(columns.qids)), dtype=bool
-            )
-            relevant[:, new_idx] = self.relevant[:, old_idx]
-            self.relevant = relevant
+        # Move every pair to its query's new column; the pairs of
+        # vanished queries drop.
+        remap = np.full(len(self._qids), -1, dtype=np.int64)
+        remap[old_idx] = new_idx
+        moved = remap[self.pair_col]
+        kept = moved >= 0
+        self.pair_start = self.pair_start[kept]
+        self.pair_col = moved[kept]
+        self.pair_ge = self.pair_ge[kept]
+        self.pair_lt = self.pair_lt[kept]
         self._qids = columns.qids
         return columns
 
@@ -127,9 +109,7 @@ class ColumnarSequentialEngine:
     @property
     def resident_signatures(self) -> int:
         """Bit signatures currently held in ``C_L``."""
-        if self.context.is_bit:
-            return int(self.pair_col.shape[0])
-        return 0
+        return int(self.pair_col.shape[0])
 
     @property
     def num_candidates(self) -> int:
@@ -151,12 +131,11 @@ class ColumnarSequentialEngine:
         — how far λL expiry has reached at each window — is one search.
 
         Phase accounting: that search runs under the ``prune`` timer;
-        the window-by-window extension (signature ORs and adoptions /
-        sketch merges, their Lemma 2 pruning, the fresh candidate's
-        scoring) under ``combine``, with its numpy kernels in the
-        ``phase.combine.bitops`` (bit mode) or ``phase.combine.sketch``
-        (sketch mode) sub-timers; the per-window stats sampling under
-        ``match_emit``.
+        the window-by-window extension (signature ORs and adoptions,
+        their Lemma 2 pruning, the fresh candidate's scoring) under
+        ``combine``, with its numpy kernels in the
+        ``phase.combine.bitops`` sub-timer; the per-window stats
+        sampling under ``match_emit``.
         """
         ctx = self.context
         columns = self._sync_columns()
@@ -175,13 +154,8 @@ class ColumnarSequentialEngine:
         with ctx.phase("combine"):
             for t in range(len(block)):
                 rows = slice(low[t], live + t + 1)
-                if ctx.is_bit:
-                    self._extend_pairs(payload, t, starts, frames, rows,
-                                       columns, per_window[t])
-                else:
-                    dropped = low[t] - (low[t - 1] if t else 0)
-                    self._extend_sketch(payload, t, starts, frames, rows,
-                                        dropped, columns, per_window[t])
+                self._extend_pairs(payload, t, starts, frames, rows,
+                                   columns, per_window[t])
                 resident[t] = self.resident_signatures
         self.start_window = starts[low[-1]:]
         self.start_frame = frames[low[-1]:]
@@ -286,71 +260,6 @@ class ColumnarSequentialEngine:
                 start[hits], col[hits], similarity[hits], starts, frames,
                 columns, payload, t, matches,
             )
-
-    def _extend_sketch(
-        self,
-        payload: BlockPayload,
-        t: int,
-        starts: np.ndarray,
-        frames: np.ndarray,
-        rows: slice,
-        dropped: int,
-        columns: QueryColumns,
-        matches: List[Match],
-    ) -> None:
-        """Window ``t``'s sketch merges and re-scores, then the fresh
-        candidate's score (sketch mode); ``dropped`` rows expired since
-        the previous window leave the block first."""
-        ctx = self.context
-        window_values = payload.block.sketch_values[t]
-        related = payload.related[t]
-        if dropped:
-            self.block.values = self.block.values[dropped:]
-            self.relevant = self.relevant[dropped:]
-        extended = starts[rows][:-1]
-        with ctx.phase("combine.sketch"):
-            np.minimum(
-                self.block.values, window_values[np.newaxis, :],
-                out=self.block.values,
-            )
-        ctx.registry.inc("engine.sketch_combines", extended.shape[0])
-        self.relevant |= related
-        ages = int(payload.block.indices[t]) - extended + 1
-        active = self.relevant & (
-            ages[:, np.newaxis] <= columns.max_windows
-        )
-        fresh = related.nonzero()[0]
-        ctx.registry.inc(
-            "engine.sketch_comparisons",
-            int(np.count_nonzero(active)) + fresh.shape[0],
-        )
-        with ctx.phase("combine.sketch"):
-            similarity = self.block.similarity_matrix(columns.matrix)
-            hit_rows, hit_cols = np.nonzero(
-                active & (similarity >= ctx.config.threshold)
-            )
-        self.relevant = active
-        fresh_similarity = np.count_nonzero(
-            window_values[np.newaxis, :] == columns.matrix.take(fresh, axis=0),
-            axis=1,
-        ) / ctx.config.num_hashes
-        fresh_hits = fresh_similarity >= ctx.config.threshold
-        if hit_rows.size or fresh_hits.any():
-            self._emit(
-                np.concatenate([
-                    extended.take(hit_rows),
-                    np.full(int(np.count_nonzero(fresh_hits)), starts[rows][-1]),
-                ]),
-                np.concatenate([hit_cols, fresh[fresh_hits]]),
-                np.concatenate([
-                    similarity[hit_rows, hit_cols], fresh_similarity[fresh_hits]
-                ]),
-                starts, frames, columns, payload, t, matches,
-            )
-        self.block.values = np.concatenate(
-            [self.block.values, window_values[np.newaxis, :]]
-        )
-        self.relevant = np.concatenate([self.relevant, related[np.newaxis, :]])
 
     def _emit(
         self,

@@ -19,7 +19,7 @@ the evaluation runner and the examples do.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -219,35 +219,3 @@ class LiveMonitor:
             return []
         tail, self._pending = self._pending, np.empty(0, dtype=np.int64)
         return self.detector.process_cell_ids(tail)
-
-    # ------------------------------------------------------------------
-    # checkpoint support
-    # ------------------------------------------------------------------
-
-    def buffer_state(self) -> Tuple[np.ndarray, bool, int]:
-        """``(pending cell ids, flushed, skip_remaining)`` — the
-        monitor's restorable state, captured for checkpointing
-        (``repro.serve``)."""
-        return self._pending.copy(), self._flushed, self._skip_remaining
-
-    def restore_buffer(
-        self,
-        pending: np.ndarray,
-        flushed: bool,
-        skip_remaining: int = 0,
-    ) -> None:
-        """Reinstate a :meth:`buffer_state` snapshot on a fresh monitor."""
-        pending = np.asarray(pending, dtype=np.int64).copy()
-        skip_remaining = int(skip_remaining)
-        if skip_remaining < 0:
-            raise DetectionError(
-                f"skip_remaining cannot be negative ({skip_remaining})"
-            )
-        if skip_remaining and pending.shape[0]:
-            raise DetectionError(
-                "corrupt monitor snapshot: pending frames alongside an "
-                "unfinished gap window"
-            )
-        self._pending = pending
-        self._flushed = bool(flushed)
-        self._skip_remaining = skip_remaining

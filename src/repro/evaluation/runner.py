@@ -20,7 +20,7 @@ from repro.obs.registry import MetricsRegistry
 
 import numpy as np
 
-from repro.config import DetectorConfig, FingerprintConfig
+from repro.config import DetectorConfig, FingerprintConfig, Representation
 from repro.core.detector import StreamingDetector
 from repro.core.live import LiveMonitor
 from repro.core.monitor import EngineStats
@@ -160,6 +160,12 @@ def run_detector(
     in the paper; the stopwatch covers stream windowing, sketching, index
     probing and candidate maintenance.
 
+    The configuration picks the detector: ``BIT`` runs on the production
+    :class:`~repro.core.detector.StreamingDetector`, ``SKETCH`` — the
+    paper's baseline, which production does not run — on the oracle,
+    ``repro.reference.ReferenceDetector``. Both report the same counters,
+    so a sweep's sketch and bit lines stay comparable in counted work.
+
     Parameters
     ----------
     registry:
@@ -172,7 +178,12 @@ def run_detector(
     queries = QuerySet.from_cell_ids(
         prepared.query_cell_ids, prepared.query_frames, family
     )
-    detector = StreamingDetector(
+    detector_class = StreamingDetector
+    if config.representation is Representation.SKETCH:
+        from repro.reference import ReferenceDetector
+
+        detector_class = ReferenceDetector
+    detector = detector_class(
         config=config,
         queries=queries,
         keyframes_per_second=prepared.keyframes_per_second,

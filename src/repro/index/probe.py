@@ -24,7 +24,7 @@ estimated similarity is 0, so it cannot satisfy any threshold δ > 0.
 over the index's :attr:`~repro.index.hq.HashQueryIndex.keys` (all K
 binary searches of every window of a block at once) and returns them as
 one :class:`RelatedQueries`; the literal walk, element by element, is
-the test-only executable specification in ``repro.reference.probe``,
+the executable specification in ``repro.reference.probe``,
 and ``tests/test_index.py`` asserts the two agree as ``(qid, ge, lt)``
 sets.
 """

@@ -5,11 +5,9 @@ cell ids, tagged with its family fingerprint. Combination (Property 1 of
 the paper) is coordinate-wise minimum; similarity estimation is the
 fraction of coordinate-wise equal values.
 
-:class:`SketchBlock` is the structure-of-arrays counterpart used by the
-columnar engines: ``C`` sketches stored as one ``(C, K)`` int64 matrix,
-so extending every live candidate with an arriving window is a single
-broadcast ``np.minimum`` and scoring all (candidate, query) pairs is one
-vectorized equality count (see ``docs/performance.md``).
+:class:`SketchBlock` is the structure-of-arrays counterpart: a block of
+arriving windows' sketches as one ``(B, K)`` int64 matrix, the unit the
+Hash-Query index probes in one pass (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -105,13 +103,10 @@ class Sketch:
 
 
 class SketchBlock:
-    """``C`` same-family sketches as one ``(C, K)`` int64 matrix.
+    """``B`` same-family sketches as one ``(B, K)`` int64 matrix.
 
-    The columnar engines keep every live candidate's sketch as one row of
-    this block, replacing ``C`` Python-level :meth:`Sketch.combine` calls
-    per window with a single broadcast minimum and ``C × Q`` similarity
-    evaluations with one equality-count kernel; a block of arriving
-    windows' sketches is one too, the unit the index probes.
+    A block of arriving windows' sketches, checked once for width, which
+    the index probes in one pass instead of ``B`` per-window walks.
     """
 
     __slots__ = ("values", "family")
@@ -119,33 +114,10 @@ class SketchBlock:
     def __init__(self, values: np.ndarray, family: Tuple[int, int, int]) -> None:
         if values.ndim != 2 or values.shape[1] != family[0]:
             raise SketchError(
-                f"sketch block must be (C, K={family[0]}), got {values.shape}"
+                f"sketch block must be (B, K={family[0]}), got {values.shape}"
             )
         self.values = values
         self.family = family
 
-    @classmethod
-    def empty(cls, family: Tuple[int, int, int]) -> "SketchBlock":
-        """A block with zero rows."""
-        return cls(np.empty((0, family[0]), dtype=np.int64), family)
-
     def __len__(self) -> int:
         return int(self.values.shape[0])
-
-    def equal_count_matrix(self, query_matrix: np.ndarray) -> np.ndarray:
-        """``(C, Q)`` matrix of coordinate-wise equal-value counts.
-
-        ``query_matrix`` is the ``(Q, K)`` stack of query sketch values;
-        entry ``[c, q]`` is ``N_e`` of row ``c`` against query ``q`` —
-        dividing by ``K`` gives the Jaccard estimate of
-        :meth:`Sketch.similarity` bit-for-bit (same float64 division).
-        """
-        return np.count_nonzero(
-            self.values[:, np.newaxis, :] == query_matrix[np.newaxis, :, :],
-            axis=2,
-        )
-
-    def similarity_matrix(self, query_matrix: np.ndarray) -> np.ndarray:
-        """``(C, Q)`` float64 similarity estimates vs the query stack."""
-        num_hashes = self.family[0]
-        return self.equal_count_matrix(query_matrix) / num_hashes

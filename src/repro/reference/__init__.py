@@ -1,12 +1,16 @@
 """Executable specification: the paper's algorithms, one pair at a time.
 
-Test-only: nothing under ``src/repro/`` outside this package imports it
-(a test asserts so). The scalar Sequential and Geometric engines, the
-dict-and-set window payload they consume and the literal row-by-row
-ProbeIndex walk are the oracle the production (columnar, batched) code
-is held to, match for match and counter for counter
-(``tests/test_engine_reference.py``, ``tests/test_index.py``). The
-oracle is never sharded, supervised, backfilled or checkpointed —
+The scalar Sequential and Geometric engines, the dict-and-set window
+payload they consume and the literal row-by-row ProbeIndex walk are the
+oracle the production (columnar, batched) code is held to, match for
+match and counter for counter (``tests/test_engine_reference.py``,
+``tests/test_index.py``). The oracle also runs the paper's baseline
+representation, Section IV's min-hash sketch vectors, which production
+does not: :func:`repro.evaluation.runner.run_detector` routes a
+``SKETCH`` configuration here, so the paper benches' sketch lines time
+the paper's algorithm. Nothing else outside this package imports it
+(a test asserts so), and ``import repro`` does not load it. The oracle
+is never sharded, supervised, backfilled or checkpointed —
 ``repro.serve`` refuses it.
 """
 
@@ -14,7 +18,7 @@ from typing import List
 
 import numpy as np
 
-from repro.config import CombinationOrder
+from repro.config import CombinationOrder, Representation
 from repro.core.detector import StreamingDetector
 from repro.core.results import Match
 from repro.minhash.sketch import Sketch
@@ -39,7 +43,8 @@ class ReferenceDetector(StreamingDetector):
     """A :class:`StreamingDetector` built from the scalar engines.
 
     Only what it is built from differs — and that it takes a block one
-    window at a time — so a test drives oracle and production through
+    window at a time and also runs the sketch representation — so a
+    test drives oracle and production through
     the same ``process_batch`` / ``process_window`` / ``process_cell_ids``
     / ``subscribe`` / ``unsubscribe`` / ``acknowledge_gap`` calls and
     compares matches and counters.
@@ -50,6 +55,7 @@ class ReferenceDetector(StreamingDetector):
         CombinationOrder.SEQUENTIAL: SequentialEngine,
         CombinationOrder.GEOMETRIC: GeometricEngine,
     }
+    representations = tuple(Representation)
 
     def _detect(self, block: WindowBlock, planes) -> List[List[Match]]:
         # ``planes`` (the serving front end's precomputed encode) carry

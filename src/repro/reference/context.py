@@ -17,6 +17,7 @@ from typing import Dict, Set
 
 import numpy as np
 
+from repro.config import Representation
 from repro.core.context import EvalContext
 from repro.minhash.sketch import Sketch
 from repro.minhash.windows import BasicWindow
@@ -57,6 +58,12 @@ class ReferencePayload:
 
 class ReferenceContext(EvalContext):
     """``EvalContext`` with the scalar primitives and the dict payload."""
+
+    @property
+    def is_bit(self) -> bool:
+        """Whether the bit-signature representation is active (the
+        oracle also runs the paper's sketch baseline)."""
+        return self.config.representation is Representation.BIT
 
     @property
     def all_qids(self) -> Set[int]:

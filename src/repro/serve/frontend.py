@@ -11,8 +11,8 @@ place that knows it: the service buffers the chunk stream exactly like
 a single-process :class:`~repro.core.live.LiveMonitor` (whole basic
 windows cut at the same boundaries, a partial tail only at flush),
 sketches every ready window of a chunk batch in **one**
-:meth:`~repro.minhash.family.MinHashFamily.sketch_many` pass, and — in
-bit mode without the index — encodes the packed window-vs-query
+:meth:`~repro.minhash.family.MinHashFamily.sketch_many` pass, and —
+without the index — encodes the packed window-vs-query
 signature planes for the *full* sorted query population in one
 broadcasted :func:`~repro.signature.bitsig.encode_planes_many` kernel.
 The product is a :class:`WindowBatch`: the batch's
@@ -49,7 +49,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import DetectorConfig, Representation
+from repro.config import DetectorConfig
 from repro.errors import ServeError
 from repro.minhash.family import MinHashFamily
 from repro.minhash.windows import WindowBlock, build_window_block
@@ -85,8 +85,8 @@ class WindowBatch:
         length (partial tails travel as :class:`TailWindow` at flush).
     plane_qids:
         The sorted qid tuple the plane rows are laid out against, or
-        ``None`` when planes were not precomputed (index or sketch
-        mode). Workers map their shard's qids to rows through this.
+        ``None`` when planes were not precomputed (index mode).
+        Workers map their shard's qids to rows through this.
     ge, lt:
         ``(nw, Q, W)`` packed uint64 window-vs-query signature planes
         (``None`` alongside ``plane_qids``).
@@ -155,8 +155,8 @@ class StreamFrontend:
     ----------
     config:
         The shared detector configuration; decides whether signature
-        planes are precomputed (bit representation without the index —
-        the index path probes per shard, the sketch path needs none).
+        planes are precomputed (without the index — the index path
+        probes per shard).
     family:
         The service's min-hash family (the queries' family).
     window_frames:
@@ -177,10 +177,7 @@ class StreamFrontend:
         self.family = family
         self.window_frames = int(window_frames)
         self.registry = registry
-        self.precompute_planes = (
-            config.representation is Representation.BIT
-            and not config.use_index
-        )
+        self.precompute_planes = not config.use_index
         self._pending = np.empty(0, dtype=np.int64)
         self._flushed = False
         self.windows_emitted = 0

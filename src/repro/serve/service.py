@@ -42,7 +42,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.archive import BackfillEngine, SketchArchive
-from repro.config import DetectorConfig
+from repro.config import DetectorConfig, Representation
 from repro.core.query import Query, QuerySet
 from repro.core.results import Match
 from repro.errors import ServeError
@@ -112,7 +112,10 @@ class DetectionService:
     Parameters
     ----------
     config:
-        Detector configuration shared by every worker.
+        Detector configuration shared by every worker. Workers run the
+        production engines, which hold bit signatures only: a
+        ``SKETCH`` configuration raises :class:`~repro.errors.ServeError`
+        before any worker starts.
     queries:
         The full subscription set; the planner partitions it.
     keyframes_per_second:
@@ -138,7 +141,7 @@ class DetectionService:
         How many consecutive chunks share one ``WindowBatch`` (one
         sketch pass, one queue hop per worker; on the process backend
         the batch arrays travel through a shared-memory ring,
-        :mod:`repro.serve.shm`).
+        :mod:`repro.serve.shm`). Must be at least 1.
     archive:
         Optional :class:`~repro.archive.SketchArchive`. When given,
         every basic window's sketch is retained as the front end emits
@@ -196,6 +199,14 @@ class DetectionService:
         if queue_capacity < 1:
             raise ServeError(
                 f"queue_capacity must be >= 1, got {queue_capacity}"
+            )
+        if batch_chunks < 1:
+            raise ServeError(f"batch_chunks must be >= 1, got {batch_chunks}")
+        if config.representation is not Representation.BIT:
+            raise ServeError(
+                "the service runs the bit representation only; "
+                f"{config.representation.value} runs on the oracle, "
+                "repro.reference.ReferenceDetector, which is never served"
             )
         if supervisor is not None and backend == "serial":
             raise ServeError(
@@ -265,7 +276,7 @@ class DetectionService:
             # horizon; keep it so restored candidate ages stay legal.
             self.cap_hint = _checkpoint.cap_hint
 
-        self.batch_chunks = max(1, int(batch_chunks))
+        self.batch_chunks = int(batch_chunks)
         self.frontend = StreamFrontend(
             config=config,
             family=self._family,

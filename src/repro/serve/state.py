@@ -14,7 +14,7 @@ partial-window buffer and gap state are not a worker's: the service's
 front end, which cuts the stream into windows, checkpoints them.
 
 Both engines are covered. The on-disk layout is the dense one every
-``repro.ckpt/5`` checkpoint has always had; the Sequential bit store is
+``repro.ckpt/5`` checkpoint has always had; the Sequential store is
 sparse in memory, dense on disk:
 
 ===========  ========================  ===================================
@@ -24,15 +24,19 @@ Sequential   ``columnar-sequential``   start/frame vectors + ``(C, Q)``
                                        presence and ``(C, Q, W)`` planes
                                        (the pair store scattered densely,
                                        gathered back under ``presence``
-                                       on restore) / ``(C, K)`` sketch
-                                       block
-Geometric    ``columnar-geometric``    ``_ColumnarSegment`` ladder
+                                       on restore)
+Geometric    ``columnar-geometric``    ``_ColumnarSegment`` ladder: sizes,
+                                       frame spans, ``(S, Q)`` presence
+                                       and ``(S, Q, W)`` planes
 ===========  ========================  ===================================
 
 Planes under ``presence == False`` are ignored on restore, so a
 checkpoint whose dense store kept stale planes there resumes the same.
+Production engines hold bit signatures only, so the sketch-mode keys
+older snapshots may carry (``eng_block``, ``eng_relevant``,
+``eng_seg_sketch``) are neither written nor read.
 
-The test-only oracle in ``repro.reference`` is never checkpointed: its
+The oracle in ``repro.reference`` is never checkpointed: its
 engines are refused here, as is a snapshot whose ``kind`` names one.
 """
 
@@ -142,20 +146,16 @@ def _columnar_sequential_state(engine: ColumnarSequentialEngine) -> Dict:
         "eng_start_window": engine.start_window.copy(),
         "eng_start_frame": engine.start_frame.copy(),
     }
-    if engine.context.is_bit:
-        rows = np.searchsorted(engine.start_window, engine.pair_start)
-        cells = (len(engine.start_window), len(engine._qids))
-        width = engine.pair_ge.shape[1]
-        presence = np.zeros(cells, dtype=bool)
-        presence[rows, engine.pair_col] = True
-        state["eng_presence"] = presence
-        for name, planes in (("ge", engine.pair_ge), ("lt", engine.pair_lt)):
-            dense = np.zeros(cells + (width,), dtype=np.uint64)
-            dense[rows, engine.pair_col] = planes
-            state[f"eng_{name}"] = dense
-    else:
-        state["eng_block"] = engine.block.values.copy()
-        state["eng_relevant"] = engine.relevant.copy()
+    rows = np.searchsorted(engine.start_window, engine.pair_start)
+    cells = (len(engine.start_window), len(engine._qids))
+    width = engine.pair_ge.shape[1]
+    presence = np.zeros(cells, dtype=bool)
+    presence[rows, engine.pair_col] = True
+    state["eng_presence"] = presence
+    for name, planes in (("ge", engine.pair_ge), ("lt", engine.pair_lt)):
+        dense = np.zeros(cells + (width,), dtype=np.uint64)
+        dense[rows, engine.pair_col] = planes
+        state[f"eng_{name}"] = dense
     return state
 
 
@@ -166,26 +166,20 @@ def _restore_columnar_sequential(
     _check_qids(engine._qids, state["eng_qids"])
     engine.start_window = state["eng_start_window"].astype(np.int64)
     engine.start_frame = state["eng_start_frame"].astype(np.int64)
-    if engine.context.is_bit:
-        rows, cols = np.nonzero(state["eng_presence"])
-        engine.pair_start = engine.start_window[rows]
-        engine.pair_col = cols.astype(np.int64)
-        engine.pair_ge = state["eng_ge"][rows, cols].astype(np.uint64)
-        engine.pair_lt = state["eng_lt"][rows, cols].astype(np.uint64)
-    else:
-        engine.block.values = state["eng_block"].astype(np.int64)
-        engine.relevant = state["eng_relevant"].astype(bool)
+    rows, cols = np.nonzero(state["eng_presence"])
+    engine.pair_start = engine.start_window[rows]
+    engine.pair_col = cols.astype(np.int64)
+    engine.pair_ge = state["eng_ge"][rows, cols].astype(np.uint64)
+    engine.pair_lt = state["eng_lt"][rows, cols].astype(np.uint64)
 
 
 def _columnar_geometric_state(engine: ColumnarGeometricEngine) -> Dict:
     engine._sync_columns()
     segments = engine.segments
-    is_bit = engine.context.is_bit
-    num_hashes = engine.context.config.num_hashes
     count = len(segments)
     num_queries = len(engine._qids)
-    width = plane_words(num_hashes)
-    state = {
+    width = plane_words(engine.context.config.num_hashes)
+    return {
         "eng_qids": np.asarray(engine._qids, dtype=np.int64),
         "eng_seg_size": np.asarray(
             [s.size for s in segments], dtype=np.int64
@@ -196,25 +190,16 @@ def _columnar_geometric_state(engine: ColumnarGeometricEngine) -> Dict:
         "eng_seg_end": np.asarray(
             [s.end_frame for s in segments], dtype=np.int64
         ),
-        "eng_seg_sketch": np.asarray(
-            [s.sketch_values for s in segments], dtype=np.int64
-        ).reshape(count, num_hashes),
-    }
-    if is_bit:
-        state["eng_presence"] = np.asarray(
+        "eng_presence": np.asarray(
             [s.presence for s in segments], dtype=bool
-        ).reshape(count, num_queries)
-        state["eng_ge"] = np.asarray(
+        ).reshape(count, num_queries),
+        "eng_ge": np.asarray(
             [s.ge for s in segments], dtype=np.uint64
-        ).reshape(count, num_queries, width)
-        state["eng_lt"] = np.asarray(
+        ).reshape(count, num_queries, width),
+        "eng_lt": np.asarray(
             [s.lt for s in segments], dtype=np.uint64
-        ).reshape(count, num_queries, width)
-    else:
-        state["eng_relevant"] = np.asarray(
-            [s.relevant for s in segments], dtype=bool
-        ).reshape(count, num_queries)
-    return state
+        ).reshape(count, num_queries, width),
+    }
 
 
 def _restore_columnar_geometric(
@@ -222,28 +207,17 @@ def _restore_columnar_geometric(
 ) -> None:
     engine._sync_columns()
     _check_qids(engine._qids, state["eng_qids"])
-    is_bit = engine.context.is_bit
-    segments: List[_ColumnarSegment] = []
-    for row in range(len(state["eng_seg_size"])):
-        segments.append(
-            _ColumnarSegment(
-                size=int(state["eng_seg_size"][row]),
-                start_frame=int(state["eng_seg_start"][row]),
-                end_frame=int(state["eng_seg_end"][row]),
-                sketch_values=state["eng_seg_sketch"][row].astype(np.int64),
-                presence=(
-                    state["eng_presence"][row].astype(bool) if is_bit else None
-                ),
-                ge=state["eng_ge"][row].astype(np.uint64) if is_bit else None,
-                lt=state["eng_lt"][row].astype(np.uint64) if is_bit else None,
-                relevant=(
-                    None
-                    if is_bit
-                    else state["eng_relevant"][row].astype(bool)
-                ),
-            )
+    engine.segments = [
+        _ColumnarSegment(
+            size=int(state["eng_seg_size"][row]),
+            start_frame=int(state["eng_seg_start"][row]),
+            end_frame=int(state["eng_seg_end"][row]),
+            presence=state["eng_presence"][row].astype(bool),
+            ge=state["eng_ge"][row].astype(np.uint64),
+            lt=state["eng_lt"][row].astype(np.uint64),
         )
-    engine.segments = segments
+        for row in range(len(state["eng_seg_size"]))
+    ]
 
 
 def _check_qids(current: tuple, recorded: np.ndarray) -> None:

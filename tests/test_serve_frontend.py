@@ -122,17 +122,13 @@ def test_planes_match_per_window_encoder():
         assert np.array_equal(batch.lt[row], lt)
 
 
-def test_no_planes_in_index_or_sketch_mode():
-    for config in (
-        _config(use_index=True),
-        _config(representation=Representation.SKETCH, use_index=False),
-    ):
-        frontend, _, _ = _frontend(config=config)
-        batch = frontend.build(
-            [np.arange(WINDOW_FRAMES, dtype=np.int64)], base_seq=0
-        )
-        assert batch.plane_qids is None
-        assert batch.ge is None and batch.lt is None
+def test_no_planes_in_index_mode():
+    frontend, _, _ = _frontend(config=_config(use_index=True))
+    batch = frontend.build(
+        [np.arange(WINDOW_FRAMES, dtype=np.int64)], base_seq=0
+    )
+    assert batch.plane_qids is None
+    assert batch.ge is None and batch.lt is None
 
 
 def test_empty_batch_keeps_shapes():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import CombinationOrder, DetectorConfig
+from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.query import QuerySet
 from repro.core.results import Match
 from repro.errors import ServeError
@@ -295,11 +295,36 @@ class TestPutWithPolicy:
 def test_service_rejects_queue_capacity_below_one(family):
     """``multiprocessing.Queue(0)`` is unbounded: a zero capacity would
     make ``block`` never block and the lossy policies never drop, so the
-    service refuses it before any worker exists."""
+    service refuses it before any worker exists. A batch of fewer than
+    one chunk is refused the same way, not silently run as one."""
     with pytest.raises(ServeError, match="queue_capacity must be >= 1, got 0"):
         DetectionService(
             DetectorConfig(num_hashes=32), _query_set(family, [10, 20]),
             2.0, backend="process", queue_capacity=0,
+        )
+    with pytest.raises(ServeError, match="batch_chunks must be >= 1, got 0"):
+        DetectionService(
+            DetectorConfig(num_hashes=32), _query_set(family, [10, 20]),
+            2.0, backend="process", batch_chunks=0,
+        )
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_service_refuses_sketch_before_any_worker_starts(
+    family, backend, monkeypatch
+):
+    """Workers run the bit-only production engines, so a sketch
+    configuration is a typed refusal raised before an executor exists."""
+
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr("repro.serve.service.SerialExecutor", no_executor)
+    monkeypatch.setattr("repro.serve.service.ProcessExecutor", no_executor)
+    config = DetectorConfig(num_hashes=32, representation=Representation.SKETCH)
+    with pytest.raises(ServeError, match="bit representation only"):
+        DetectionService(
+            config, _query_set(family, [10, 20]), 2.0, backend=backend,
         )
 
 
