@@ -45,6 +45,13 @@ backpressure policy surfaces on the wire exactly as documented in
   loss is reported as a counted ``drop`` notice (``gateway.drops``)
   that also refunds the credit.
 
+The service thread coalesces what is already waiting: with a chunk it
+takes every chunk queued behind it (up to the credit window, stopping
+at the first control message) into one
+:meth:`~repro.ingest.session.StreamSession.process_chunks` call, so a
+run of small chunks pays one shard round trip. It never waits to fill
+a batch. Acks, credits and drops stay per chunk.
+
 Watch flow control mirrors it from the client side: the watcher grants
 credits (HELLO, then ``credit`` frames); the server never has more
 unacknowledged match frames in flight than granted.
@@ -70,7 +77,7 @@ import pathlib
 import secrets
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,6 +104,10 @@ __all__ = ["GatewayHandle", "GatewayServer"]
 _ENCODED_META_FIELDS = (
     "width", "height", "block_size", "quality", "gop_size", "num_frames"
 )
+
+
+def _is_chunk(message) -> bool:
+    return message[0] == "chunk"
 
 
 @dataclass
@@ -330,17 +341,27 @@ class GatewayServer:
                 message[1].set()
                 continue
             if kind == "chunk":
-                chunk = message[1]
-                num_matches = 0
-                error: Optional[str] = None
-                try:
-                    num_matches = len(self._session.process_chunk(chunk))
-                    self._last_done_seq = max(self._last_done_seq, chunk.seq)
-                except ReproError as exc:
-                    error = str(exc)
-                self._call_soon(
-                    self._on_chunk_done, chunk.seq, num_matches, error
-                )
+                # Coalesce, never wait: every chunk already queued behind
+                # this one (up to the credit window, stopping at the
+                # first control message) shares one session call.
+                chunks = [message[1]] + [
+                    queued[1]
+                    for queued in self._pending.take_ready(
+                        self.credit_window - 1, _is_chunk
+                    )
+                ]
+                outcomes = self._session.process_chunks(chunks)
+                done = []
+                for chunk, outcome in zip(chunks, outcomes):
+                    error: Optional[str] = None
+                    if outcome.error is None:
+                        self._last_done_seq = max(
+                            self._last_done_seq, chunk.seq
+                        )
+                    else:
+                        error = str(outcome.error)
+                    done.append((chunk.seq, len(outcome.matches), error))
+                self._call_soon(self._on_chunks_done, done)
                 continue
             if kind == "end":
                 error = None
@@ -431,12 +452,16 @@ class GatewayServer:
     # event-loop callbacks fed by the service thread
     # ------------------------------------------------------------------
 
-    def _on_chunk_done(
-        self, seq: int, num_matches: int, error: Optional[str]
+    def _on_chunks_done(
+        self, done: List[Tuple[int, int, Optional[str]]]
     ) -> None:
-        self._inflight -= 1
-        conn = self._ingest_conn
-        if conn is not None and not conn.closed:
+        """Ack (or ``chunk_error``) each chunk of one session call, in
+        seq order, one credit apiece."""
+        for seq, num_matches, error in done:
+            self._inflight -= 1
+            conn = self._ingest_conn
+            if conn is None or conn.closed:
+                continue
             if conn.credits == 0:
                 # The client was starved while this chunk cooked; the
                 # refund below un-starves it.

@@ -10,6 +10,14 @@ gaps included), sharded detection, the canonical match stream, the
 archive and the checkpoint. By default a session builds a serial,
 one-worker service of its own; the gateway passes its shared one.
 
+:meth:`StreamSession.process_chunks` is the one chunk path: it takes
+the chunks a caller already holds (the gateway passes every chunk
+queued behind the one it took) and ships their surviving cell ids in
+as few service calls as the stream's gaps allow, so a run of small
+chunks pays the shards' round trip once. Dedupe, decode, the
+degradation policy and every per-chunk result stay per chunk;
+:meth:`~StreamSession.process_chunk` is its one-chunk form.
+
 The session's own :class:`~repro.obs.registry.MetricsRegistry` holds
 the ``ingest.*`` series (sessions never share one); ``engine.*`` lives
 in the service's shards. The frame-accounting contract, which the chaos
@@ -28,14 +36,14 @@ sequence number seen plus one, lost chunks included).
 from __future__ import annotations
 
 import pathlib
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.config import DetectorConfig
 from repro.core.query import QuerySet
 from repro.core.results import Match
-from repro.errors import IngestError
+from repro.errors import IngestError, ReproError
 from repro.features.pipeline import FingerprintExtractor
 from repro.ingest.decoder import DegradationPolicy, ResilientDecoder
 from repro.ingest.sources import StreamChunk
@@ -43,11 +51,62 @@ from repro.obs.registry import MetricsRegistry
 from repro.serve.checkpoint import CheckpointManager, ServiceCheckpoint
 from repro.serve.service import DetectionService
 
-__all__ = ["StreamSession"]
+__all__ = ["ChunkOutcome", "StreamSession"]
+
+
+class ChunkOutcome(NamedTuple):
+    """What one chunk of :meth:`StreamSession.process_chunks` produced:
+    its merged matches, or the error it raised (``matches`` is then
+    empty)."""
+
+    matches: List[Match]
+    error: Optional[ReproError] = None
+
+
+class _ServiceRun:
+    """Cell-id arrays collected for one service call, each tagged with
+    the chunk it came from, plus the per-chunk results."""
+
+    def __init__(self, service: DetectionService, num_chunks: int) -> None:
+        self.service = service
+        self.matches: List[List[Match]] = [[] for _ in range(num_chunks)]
+        self.errors: List[Optional[ReproError]] = [None] * num_chunks
+        self._arrays: List[np.ndarray] = []
+        self._owners: List[int] = []
+
+    def add(self, owner: int, cell_ids: np.ndarray) -> None:
+        self._arrays.append(cell_ids)
+        self._owners.append(owner)
+
+    def skip(self, frames: int) -> None:
+        """A gap on the window clock: it lands after every array
+        collected so far, so they ship first."""
+        self.ship()
+        self.service.skip_frames(frames)
+
+    def ship(self) -> None:
+        """One ``run_chunks`` call for the arrays collected so far; a
+        failed call is the error of every chunk it carried."""
+        if not self._arrays:
+            return
+        arrays, owners = self._arrays, self._owners
+        self._arrays, self._owners = [], []
+        try:
+            per_array = self.service.run_chunks(arrays)
+        except ReproError as error:
+            for owner in owners:
+                self.errors[owner] = error
+            return
+        for owner, matches in zip(owners, per_array):
+            self.matches[owner].extend(matches)
 
 
 class StreamSession:
     """One stream's seq-dedupe, decode and degradation stage.
+
+    Feed it with :meth:`process_chunks` (a list of consecutive chunks,
+    one service call for the lot where no gap intervenes) or
+    :meth:`process_chunk` (one chunk).
 
     Parameters
     ----------
@@ -140,40 +199,82 @@ class StreamSession:
     def process_chunk(self, chunk: StreamChunk) -> List[Match]:
         """Feed one chunk; returns the matches it produced.
 
-        Out-of-order and duplicate deliveries (sequence number below
-        the stream position) are dropped and counted. A sequence gap is
-        acknowledged before the chunk is processed so the window clock
-        never drifts past real content.
+        :meth:`process_chunks` of one chunk; the chunk's error, if any,
+        is raised.
         """
-        if chunk.stream_id != self.stream_id:
-            raise IngestError(
-                f"session for stream {self.stream_id} received a chunk "
-                f"of stream {chunk.stream_id}"
-            )
-        inc = self.registry.inc
-        service = self.service
-        gap_chunks = chunk.seq - service.chunks_ingested
-        if gap_chunks < 0:
-            inc("ingest.chunks_duplicate")
-            return []
-        if gap_chunks:
-            inc("ingest.chunks_missing", gap_chunks)
-            if self.chunk_keyframes_hint > 0:
-                missing = gap_chunks * self.chunk_keyframes_hint
-                inc("ingest.frames_missing", missing)
-                service.skip_frames(missing)
-        inc("ingest.chunks_processed")
-        try:
-            matches = self._feed(chunk)
-        finally:
-            # One service chunk or several (one per surviving segment),
-            # the stream position moves past this sequence number.
-            service.chunks_ingested = chunk.seq + 1
-        if matches:
-            inc("ingest.matches", len(matches))
-        return matches
+        outcome = self.process_chunks([chunk])[0]
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.matches
 
-    def _feed(self, chunk: StreamChunk) -> List[Match]:
+    def process_chunks(
+        self, chunks: Sequence[StreamChunk]
+    ) -> List[ChunkOutcome]:
+        """Feed consecutive chunks in as few service calls as possible;
+        one :class:`ChunkOutcome` per chunk.
+
+        Every per-chunk step stays per chunk: out-of-order and
+        duplicate deliveries (sequence number below the stream
+        position) are dropped and counted; a sequence gap is
+        acknowledged before the chunk is processed, so the window
+        clock never drifts past real content; each chunk is decoded
+        and put through the degradation policy on its own. The cell
+        ids that survive join one run, shipped with one
+        :meth:`DetectionService.run_chunks
+        <repro.serve.DetectionService.run_chunks>` call; only a gap on
+        the clock (a lost chunk under ``chunk_keyframes_hint``, a
+        damaged stretch under ``skip_window``) ships the run collected
+        so far first. A chunk's :class:`~repro.errors.ReproError`
+        becomes its outcome and the next chunk goes on, so the outcomes
+        equal those of a loop of :meth:`process_chunk` that catches
+        each chunk's error.
+        """
+        run = _ServiceRun(self.service, len(chunks))
+        inc = self.registry.inc
+        position = self.service.chunks_ingested
+        try:
+            for index, chunk in enumerate(chunks):
+                if chunk.stream_id != self.stream_id:
+                    run.errors[index] = IngestError(
+                        f"session for stream {self.stream_id} received a "
+                        f"chunk of stream {chunk.stream_id}"
+                    )
+                    continue
+                gap_chunks = chunk.seq - position
+                if gap_chunks < 0:
+                    inc("ingest.chunks_duplicate")
+                    continue
+                try:
+                    if gap_chunks:
+                        inc("ingest.chunks_missing", gap_chunks)
+                        if self.chunk_keyframes_hint > 0:
+                            missing = gap_chunks * self.chunk_keyframes_hint
+                            inc("ingest.frames_missing", missing)
+                            run.skip(missing)
+                    inc("ingest.chunks_processed")
+                    # Fed whole or not, the stream position moves past
+                    # this sequence number.
+                    position = chunk.seq + 1
+                    self._feed(chunk, index, run)
+                except ReproError as error:
+                    run.errors[index] = error
+            run.ship()
+        finally:
+            self.service.chunks_ingested = position
+        outcomes = [
+            ChunkOutcome(matches, None) if error is None
+            else ChunkOutcome([], error)
+            for matches, error in zip(run.matches, run.errors)
+        ]
+        for outcome in outcomes:
+            if outcome.matches:
+                inc("ingest.matches", len(outcome.matches))
+        return outcomes
+
+    def _feed(
+        self, chunk: StreamChunk, index: int, run: _ServiceRun
+    ) -> None:
+        """Decode one chunk and put its surviving cell ids on ``run``."""
         inc = self.registry.inc
         with self.registry.phase("phase.ingest_decode"):
             decoded = self.decoder.decode_chunk(chunk)
@@ -194,7 +295,6 @@ class StreamSession:
                 f"under the fail policy"
             )
 
-        service = self.service
         if self.policy is DegradationPolicy.ZERO_FILL:
             filled = decoded.expected_keyframes - decoded.keyframes_decoded
             ids = np.full(
@@ -204,18 +304,17 @@ class StreamSession:
                 ids[start : start + segment_ids.shape[0]] = segment_ids
             if filled:
                 inc("ingest.frames_filled", filled)
-            return service.run([ids], flush=False)
+            run.add(index, ids)
+            return
         # SKIP_WINDOW: each hole in the chunk is a gap on the clock.
-        matches: List[Match] = []
         position = 0
         for start, segment_ids in decoded.segments:
             if start > position:
-                service.skip_frames(start - position)
-            matches.extend(service.run([segment_ids], flush=False))
+                run.skip(start - position)
+            run.add(index, segment_ids)
             position = start + segment_ids.shape[0]
         if position < decoded.expected_keyframes:
-            service.skip_frames(decoded.expected_keyframes - position)
-        return matches
+            run.skip(decoded.expected_keyframes - position)
 
     def finish(self) -> List[Match]:
         """Flush the trailing partial window at end of stream."""

@@ -33,7 +33,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.errors import ServeError
 
@@ -134,6 +134,26 @@ class BoundedChannel:
             item = self._items.popleft()
             self._not_full.notify()
             return item
+
+    def take_ready(
+        self, limit: int, accept: Callable[[object], bool]
+    ) -> List[object]:
+        """Pop up to ``limit`` head items while ``accept`` holds for
+        each; never blocks (an empty or refused head returns what was
+        taken so far).
+
+        The gateway's service thread coalesces the chunks already
+        queued behind the one it took, and stops at the first control
+        message so ordering with it is unchanged.
+        """
+        taken: List[object] = []
+        with self._lock:
+            items = self._items
+            while items and len(taken) < limit and accept(items[0]):
+                taken.append(items.popleft())
+            if taken:
+                self._not_full.notify(len(taken))
+        return taken
 
     def peek(self) -> Optional[object]:
         """The oldest item without removing it (None when empty).

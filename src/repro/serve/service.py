@@ -519,9 +519,10 @@ class DetectionService:
     def process_chunk(self, cell_ids: np.ndarray) -> List[Match]:
         """Feed one chunk to every worker; return its merged matches.
 
-        Lock-step: broadcasts the chunk, waits for every shard's batch,
-        merges into canonical order. Use :meth:`run` for pipelined
-        ingestion of many chunks.
+        Lock-step: one :meth:`run` of one chunk, a barrier that waits
+        for every shard's reply. A caller holding several chunks saves
+        a round trip per chunk by passing them to :meth:`run` (or
+        :meth:`run_chunks`) together.
         """
         return self.run([cell_ids], flush=False)
 
@@ -530,14 +531,32 @@ class DetectionService:
         chunks: Sequence[np.ndarray],
         flush: bool = True,
     ) -> List[Match]:
-        """Pipelined ingestion of a chunk sequence.
+        """Pipelined ingestion of a chunk sequence; the merged matches.
 
-        Chunks are broadcast as fast as the backpressure policy admits
-        (workers run up to ``queue_capacity`` chunks behind the
-        producer); replies are then drained and merged chunk-by-chunk,
-        so the returned stream — and :attr:`matches` — is in canonical
+        :meth:`run_chunks` with its per-chunk lists flattened, so the
+        returned stream — and :attr:`matches` — is in canonical
         single-process order. With ``flush=True`` the final partial
         window is processed too and the stream is closed.
+        """
+        merged = [
+            match
+            for matches in self.run_chunks(chunks)
+            for match in matches
+        ]
+        if flush:
+            merged.extend(self.flush())
+        return merged
+
+    def run_chunks(self, chunks: Sequence[np.ndarray]) -> List[List[Match]]:
+        """Ingest consecutive chunks in one call; one match list each.
+
+        Chunks are cut into batches of ``batch_chunks`` and broadcast as
+        fast as the backpressure policy admits (workers run up to
+        ``queue_capacity`` batches behind the producer); replies are
+        then drained and merged chunk by chunk in canonical order. The
+        whole call is one barrier, however many chunks it carries: a
+        list of chunks costs the shard round trip once, not per chunk,
+        and its per-chunk lists equal those of one call per chunk.
         """
         self._require_open()
         if self.frontend.flushed:
@@ -545,11 +564,9 @@ class DetectionService:
         chunk_arrays = [
             np.asarray(chunk, dtype=np.int64) for chunk in chunks
         ]
-        merged = self._run_sketch_once(chunk_arrays)
+        per_chunk = self._run_sketch_once(chunk_arrays)
         self.chunks_ingested += len(chunk_arrays)
-        if flush:
-            merged.extend(self.flush())
-        return merged
+        return per_chunk
 
     def skip_frames(self, count: int) -> None:
         """Acknowledge ``count`` stream frames that will never arrive.
@@ -573,7 +590,7 @@ class DetectionService:
 
     def _run_sketch_once(
         self, chunk_arrays: List[np.ndarray]
-    ) -> List[Match]:
+    ) -> List[List[Match]]:
         """Sketch-once protocol: build each batch once, fan out payloads.
 
         The front end cuts and sketches the windows of ``batch_chunks``
@@ -582,6 +599,12 @@ class DetectionService:
         process backend). Replies arrive in order per worker, so the
         oldest outstanding batch is always the next drainable one —
         which is also how ring slots are freed under pressure.
+
+        A batch that completes no window and carries no gap (its
+        chunks' frames only filled the front end's buffer) has nothing
+        for a shard to do: it is counted but neither published nor
+        sent, and its chunks merge as empty lists. Returns one merged
+        match list per chunk.
         """
         num_workers = self.num_workers
         registry = self.registry
@@ -629,10 +652,23 @@ class DetectionService:
         for base in range(0, max(1, len(chunk_arrays)), self.batch_chunks):
             group = chunk_arrays[base : base + self.batch_chunks]
             batch = self.frontend.build(group, base)
+            registry.inc("serve.chunks_ingested", len(group))
+            registry.inc("serve.transport.chunks", len(group))
+            if not (
+                batch.num_windows
+                or batch.windows_skipped
+                or batch.frames_skipped
+            ):
+                # Counted as delivered, so a chunk's per-worker
+                # accounting does not depend on how it was batched.
+                for worker_id in range(num_workers):
+                    registry.inc(
+                        f"serve.chunks_delivered.w{worker_id}", len(group)
+                    )
+                continue
             if self._archive is not None:
                 self._archive_batch(batch)
             registry.inc("serve.transport.batches")
-            registry.inc("serve.transport.chunks", len(group))
             registry.inc("serve.transport.windows", batch.num_windows)
             slot: Optional[int] = None
             if self._ring is not None:
@@ -677,7 +713,6 @@ class DetectionService:
                     )
                     if stolen_slot is not None:
                         self._ring.release(stolen_slot, worker_id)
-            registry.inc("serve.chunks_ingested", len(group))
         for worker_id in range(num_workers):
             while outstanding[worker_id]:
                 drain_one(worker_id)
@@ -687,18 +722,18 @@ class DetectionService:
         self,
         results: List[Dict[int, List[Match]]],
         num_chunks: int,
-    ) -> List[Match]:
-        merged: List[Match] = []
-        for seq in range(num_chunks):
-            merged.extend(
-                self.collector.merge(
-                    [
-                        self._drop_phantoms(results[w].get(seq, []))
-                        for w in range(self.num_workers)
-                    ]
-                )
+    ) -> List[List[Match]]:
+        """One canonical merge per chunk, in stream order (a chunk no
+        shard replied for merges as an empty list)."""
+        return [
+            self.collector.merge(
+                [
+                    self._drop_phantoms(results[w].get(seq, []))
+                    for w in range(self.num_workers)
+                ]
             )
-        return merged
+            for seq in range(num_chunks)
+        ]
 
     def _drop_phantoms(self, matches: List[Match]) -> List[Match]:
         """Suppress a backfilled query's live matches whose candidate

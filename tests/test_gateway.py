@@ -118,11 +118,16 @@ def _reference_run(workload=_workload, degrade=DegradationPolicy.ZERO_FILL):
 
 def _stable_metrics(snapshot: dict) -> dict:
     """The deterministic counters only — timing-dependent backpressure
-    and shared-memory-wait counts differ run to run by design."""
+    and shared-memory-wait counts differ run to run by design, and so
+    does the batch count, which follows how many chunks were queued
+    when the gateway's service thread took them."""
     return {
         name: value
         for name, value in snapshot["counters"].items()
-        if not any(s in name for s in ("backpressure", "shm", "wait"))
+        if not any(
+            s in name
+            for s in ("backpressure", "shm", "wait", "transport.batches")
+        )
     }
 
 
@@ -221,23 +226,112 @@ def test_watch_resume_continues_without_replay_or_loss():
 
 
 class _StalledSession:
-    """Holds the service thread inside process_chunk until released."""
+    """Holds the service thread inside process_chunks until released."""
 
     def __init__(self, server):
         self.gate = threading.Event()
         self.entered = threading.Event()
+        self.calls = []  # chunks per session call
         self._server = server
 
     def install(self):
         session = self._server._session
-        original = session.process_chunk
+        original = session.process_chunks
 
-        def stalled(chunk):
+        def stalled(chunks):
+            self.calls.append(len(chunks))
             self.entered.set()
             assert self.gate.wait(timeout=30), "test gate never released"
-            return original(chunk)
+            return original(chunks)
 
-        session.process_chunk = stalled
+        session.process_chunks = stalled
+
+
+def _chunk_matches():
+    """Each chunk's match count when chunks go one call at a time."""
+    _, _, chunks = _workload()
+    service = make_service(backend="serial")
+    session = StreamSession(0, service=service)
+    try:
+        return [
+            len(session.process_chunk(StreamChunk(0, seq, chunk)))
+            for seq, chunk in enumerate(chunks)
+        ]
+    finally:
+        service.close()
+
+
+def test_queued_chunks_share_one_session_call():
+    """Chunks queued behind a busy service thread go through one session
+    call, as ceil(N / batch_chunks) transport batches; the acks still
+    come one per chunk in seq order with the uncoalesced ``matches``
+    counts, and the watched stream is the reference."""
+    reference, _ = _reference_run()
+    expected = _chunk_matches()
+    assert any(expected), "chunks must carry matches to be a real test"
+    _, _, chunks = _workload()
+    service = make_service()
+    server = GatewayServer(service, credits=8)
+    handle = server.run_in_thread()
+    stall = None
+    try:
+        watcher = WatchClient("127.0.0.1", handle.port, credits=1 << 16)
+        client = IngestClient("127.0.0.1", handle.port)
+        stall = _StalledSession(server)
+        stall.install()
+
+        client.push(0, chunks[0])
+        assert stall.entered.wait(timeout=10)
+        queued = server.credit_window - 1
+        for seq in range(1, 1 + queued):
+            client.push(seq, chunks[seq])
+        deadline = time.monotonic() + 10
+        while len(server._pending) < queued:
+            assert time.monotonic() < deadline, "chunks never queued"
+            time.sleep(0.01)
+        batches = service.registry.counter("serve.transport.batches")
+        stall.gate.set()
+        client.drain()
+        assert stall.calls == [1, queued]
+        assert service.registry.counter("serve.transport.batches") - \
+            batches == 1 + -(-queued // service.batch_chunks)
+
+        for seq in range(1 + queued, len(chunks)):
+            client.push(seq, chunks[seq])
+        total = client.end()
+        assert list(client.acked) == list(range(len(chunks)))
+        assert list(client.acked.values()) == expected
+
+        watched = [_match_tuple(event) for event in watcher.matches()]
+        assert watched == reference
+        assert total == len(reference)
+        watcher.close()
+        client.close()
+    finally:
+        if stall is not None:
+            stall.gate.set()
+        handle.stop(drain=False, flush=False)
+        service.close()
+
+
+def test_lone_chunk_is_acked_at_once():
+    """An idle gateway ships a lone chunk without waiting for company."""
+    expected = _chunk_matches()
+    _, _, chunks = _workload()
+    service = make_service()
+    handle = GatewayServer(service, credits=8).run_in_thread()
+    try:
+        client = IngestClient("127.0.0.1", handle.port)
+        client.push(0, chunks[0])
+        drained = threading.Thread(target=client.drain, daemon=True)
+        drained.start()
+        drained.join(timeout=10)
+        assert not drained.is_alive(), "the lone chunk was never acked"
+        assert client.acked == {0: expected[0]}
+        client.close()
+    finally:
+        handle.stop(drain=False, flush=False)
+        service.close()
 
 
 @pytest.mark.parametrize(

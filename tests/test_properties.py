@@ -3,9 +3,11 @@
 These run the full detector on randomly generated cell-id streams and
 assert the invariants the design guarantees:
 
-* an exact copy of a query, inserted anywhere, is always detected at the
-  paper's rule-compliant position (no false negatives for verbatim
-  copies);
+* an exact copy of a query is detected at the paper's rule-compliant
+  position whenever the best window-aligned candidate's exact Jaccard
+  clears δ by the estimator's Hoeffding margin (a copy straddling
+  window boundaries may have no candidate that close to the query,
+  and then a K-hash estimate may fall under δ);
 * match records are structurally sane (spans inside the stream,
   similarities in [0, 1], positions monotone per candidate length cap);
 * the exact Jaccard similarity and the bit-signature estimate agree for
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.baselines.membership import jaccard_similarity
 from repro.config import CombinationOrder, DetectorConfig, Representation
@@ -24,6 +26,7 @@ from repro.core.detector import StreamingDetector
 from repro.core.query import QuerySet
 from repro.core.results import merge_matches
 from repro.minhash.family import MinHashFamily
+from repro.minhash.theory import false_negative_probability
 from repro.reference import ReferenceDetector
 from repro.signature.bitsig import BitSignature
 
@@ -49,14 +52,41 @@ def _detector(query_ids, num_frames, threshold=0.7, **config_overrides):
     return StreamingDetector(config, queries, 1.0)
 
 
+#: Tolerated chance that a copy whose best candidate clears δ by the
+#: Hoeffding margin is still missed (theory.false_negative_probability).
+MISS_PROBABILITY = 1e-3
+
+
+def _best_candidate_jaccard(stream, copy_ids, window_frames, max_windows):
+    """Exact Jaccard of the query with its closest candidate: a run of
+    at most ``max_windows`` whole basic windows."""
+    query = set(copy_ids.tolist())
+    num_windows = len(stream) // window_frames
+    best = 0.0
+    for first in range(num_windows):
+        for last in range(first + 1, min(num_windows, first + max_windows) + 1):
+            cells = set(stream[first * window_frames : last * window_frames]
+                        .tolist())
+            best = max(best, len(query & cells) / len(query | cells))
+    return best
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     offset=st.integers(min_value=0, max_value=120),
     copy_frames=st.integers(min_value=30, max_value=80),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_exact_copy_always_detected(offset, copy_frames, seed):
-    """A verbatim copy at any alignment is found (rule-compliant position)."""
+# A 30-frame copy straddling three 10-frame windows: its best candidate
+# has Jaccard 0.76, within the margin, and K = 128 misses it.
+@example(offset=94, copy_frames=30, seed=2166)
+def test_exact_copy_detected_within_the_estimators_error(
+    offset, copy_frames, seed
+):
+    """A verbatim copy is found at a rule-compliant position whenever
+    its best window-aligned candidate clears δ by the Hoeffding margin
+    (miss bound ``MISS_PROBABILITY``); any match it does get obeys the
+    position rule."""
     rng = np.random.default_rng(seed)
     copy_ids = np.arange(1000, 1000 + copy_frames)
     head = rng.integers(100_000, 900_000, size=offset)
@@ -65,10 +95,21 @@ def test_exact_copy_always_detected(offset, copy_frames, seed):
 
     detector = _detector(copy_ids, copy_frames)
     matches = detector.process_cell_ids(stream)
-    assert matches, "exact copy must be detected"
     w = detector.window_frames
+    config = detector.config
+    jaccard = _best_candidate_jaccard(
+        stream, copy_ids, w, detector.context.global_max_windows
+    )
+    miss_bound = false_negative_probability(
+        jaccard, config.threshold, config.num_hashes
+    )
+    if miss_bound <= MISS_PROBABILITY:
+        assert matches, (
+            f"exact copy missed although its best candidate's Jaccard "
+            f"{jaccard:.3f} bounds a miss at {miss_bound:.2g}"
+        )
     begin, end = offset, offset + copy_frames
-    assert any(
+    assert not matches or any(
         begin + w <= m.position_frame <= end + w for m in matches
     ), "at least one match must satisfy the paper's position rule"
 

@@ -514,3 +514,57 @@ def test_checkpoint_restore_loses_nothing(order, tmp_path):
         assert merged_a[name] == merged_b[name], name
     uninterrupted.close()
     resumed.close()
+
+
+def test_sub_window_chunks_send_no_empty_batches():
+    """3-frame chunks on 5-frame windows, with a gap: a batch that
+    completes no window and carries no gap reaches no shard, yet the
+    process service's stream and engine counters equal the serial
+    service's and the oracle's."""
+    rng = np.random.default_rng(29)
+    family = MinHashFamily(num_hashes=NUM_HASHES, seed=6)
+    cells = {qid: rng.integers(0, CELL_SPACE, size=20) for qid in range(4)}
+    frames = {qid: 20 for qid in cells}
+    stream = rng.integers(0, CELL_SPACE, size=120)
+    stream[30:50] = cells[1]
+    stream[78:98] = cells[3]
+    chunks = [stream[start : start + 3] for start in range(0, 120, 3)]
+    gap_after, gap_frames = 20, 7
+    config = _config(0.3)
+
+    oracle = ReferenceDetector(
+        config, QuerySet.from_cell_ids(cells, frames, family),
+        KEYFRAMES_PER_SECOND,
+    )
+    monitor = LiveMonitor(oracle)
+    expected = []
+    for position, chunk in enumerate(chunks):
+        expected.extend(monitor.push_cell_ids(chunk))
+        if position == gap_after:
+            monitor.skip_frames(gap_frames)
+    expected.extend(monitor.flush())
+    assert expected, "the workload must produce matches"
+
+    def run(backend, num_workers):
+        service = DetectionService(
+            config, QuerySet.from_cell_ids(cells, frames, family),
+            KEYFRAMES_PER_SECOND, num_workers=num_workers,
+            backend=backend, batch_chunks=1,
+        )
+        for position, chunk in enumerate(chunks):
+            service.process_chunk(chunk)
+            if position == gap_after:
+                service.skip_frames(gap_frames)
+        service.flush()
+        return service
+
+    key = canonical_sort_key(config.order)
+    for service in (run("serial", 1), run("process", 2)):
+        with service:
+            counters = service.metrics_snapshot()["counters"]
+            assert counters["serve.transport.chunks"] == len(chunks)
+            assert counters["serve.transport.batches"] < len(chunks)
+            assert [_match_key(m) for m in service.matches] == [
+                _match_key(m) for m in sorted(expected, key=key)
+            ]
+            _assert_counters(oracle, service)
