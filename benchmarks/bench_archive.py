@@ -207,9 +207,8 @@ def bench_seal_recover(num_hashes, num_windows, segment_windows,
                        scratch):
     """Append-and-seal a synthetic stream, then re-open the directory."""
     rng = np.random.default_rng(BENCH_SEED)
-    fingerprint = MinHashFamily(
-        num_hashes=num_hashes, seed=BENCH_SEED
-    ).fingerprint
+    family = MinHashFamily(num_hashes=num_hashes, seed=BENCH_SEED)
+    fingerprint = family.fingerprint
     directory = Path(scratch) / "seal"
     archive = SketchArchive(
         fingerprint, num_hashes,
@@ -225,8 +224,9 @@ def bench_seal_recover(num_hashes, num_windows, segment_windows,
             indices,
             indices * window_frames,
             np.full(count, window_frames, dtype=np.int64),
-            rng.integers(0, 2**62, size=(count, num_hashes),
-                         dtype=np.int64),
+            # Any value a sketch of the family can hold: [0, prime].
+            rng.integers(0, family.prime, size=(count, num_hashes),
+                         dtype=np.int64, endpoint=True),
         )
     archive.seal_open_run()
     seal_elapsed = time.perf_counter() - start

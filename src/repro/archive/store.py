@@ -60,9 +60,12 @@ def _segment_name(first_index: int, num_windows: int) -> str:
 def _payload_crc(
     starts: np.ndarray, frames: np.ndarray, sketch_values: np.ndarray
 ) -> int:
-    crc = zlib.crc32(np.ascontiguousarray(starts).tobytes())
-    crc = zlib.crc32(np.ascontiguousarray(frames).tobytes(), crc)
-    crc = zlib.crc32(np.ascontiguousarray(sketch_values).tobytes(), crc)
+    """CRC32 over the payload widened to int64, whatever its stored
+    dtype: a narrow segment and an int64 one of the same windows
+    share it."""
+    crc = 0
+    for array in (starts, frames, sketch_values):
+        crc = zlib.crc32(np.ascontiguousarray(array, dtype=np.int64), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -125,7 +128,14 @@ class SegmentStore:
         family_fingerprint: Tuple[int, int, int],
         sealed_at: Optional[float] = None,
     ) -> SegmentInfo:
-        """Atomically write one contiguous run as a segment file."""
+        """Atomically write one contiguous run as a segment file.
+
+        The file is a stored (not deflated) npz: sketch values are
+        near-random, so deflate saved little and cost most of the seal.
+        They are stored in the narrowest unsigned type that holds the
+        family's prime (the empty-set sentinel), ``uint32`` for the
+        default ``2³¹ − 1``; a value outside ``[0, prime]`` is refused.
+        """
         starts = np.asarray(starts, dtype=np.int64)
         frames = np.asarray(frames, dtype=np.int64)
         sketch_values = np.asarray(sketch_values, dtype=np.int64)
@@ -136,6 +146,14 @@ class SegmentStore:
             raise ArchiveError(
                 f"segment arrays disagree on window count: starts {num}, "
                 f"frames {frames.shape}, sketches {sketch_values.shape}"
+            )
+        prime = int(family_fingerprint[2])
+        if sketch_values.size and (
+            sketch_values.min() < 0 or sketch_values.max() > prime
+        ):
+            raise ArchiveError(
+                f"sketch values outside [0, {prime}] do not belong to "
+                "the archive's family"
             )
         for info in self._segments:
             if (
@@ -152,7 +170,7 @@ class SegmentStore:
             "first_index": np.asarray([first_index], dtype=np.int64),
             "starts": starts,
             "frames": frames,
-            "sketch_values": sketch_values,
+            "sketch_values": sketch_values.astype(np.min_scalar_type(prime)),
             "family": np.asarray(family_fingerprint, dtype=np.int64),
             "sealed_at": np.asarray([when], dtype=np.float64),
             "crc": np.asarray(
@@ -161,7 +179,7 @@ class SegmentStore:
             ),
         }
         path = self.directory / _segment_name(first_index, num)
-        atomic_savez(path, payload)
+        atomic_savez(path, payload, compressed=False)
         info = SegmentInfo(
             path=path,
             first_index=int(first_index),

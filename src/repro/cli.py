@@ -51,6 +51,7 @@ import json
 import signal
 import sys
 import time
+from itertools import accumulate
 from typing import List, Optional, Sequence
 
 from repro.codec.gop import decode_dc_coefficients, encode_video
@@ -532,7 +533,6 @@ def _parse_archive_retain(spec: str) -> dict:
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.archive import SketchArchive
     from repro.core.query import QuerySet
-    from repro.errors import ServeError
     from repro.evaluation.metrics import score_matches
     from repro.minhash.family import MinHashFamily
     from repro.persistence import load_query_set
@@ -547,10 +547,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         print("--resume requires --checkpoint-dir", file=sys.stderr)
         return 2
-    if args.batch_chunks < 1:
-        # The service refuses it too; checked here before the chaos
-        # horizon below divides by it.
-        raise ServeError(f"batch_chunks must be >= 1, got {args.batch_chunks}")
     supervise = args.supervise or args.chaos is not None
     if supervise and args.backend == "serial":
         print("--supervise/--chaos require --backend process",
@@ -595,8 +591,17 @@ def _command_serve(args: argparse.Namespace) -> int:
     chaos_plan = None
     if args.chaos:
         # Chaos positions count stream messages per worker: one per
-        # WindowBatch.
-        per_worker = max(1, -(-len(chunks) // args.batch_chunks))
+        # WindowBatch. Each chunk below is its own call, so its own
+        # batch, and a batch is sent only when its frames complete a
+        # window (the stream has no gaps).
+        window_frames = max(
+            1, round(args.window_seconds * prepared.keyframes_per_second)
+        )
+        ends = list(accumulate(len(chunk) for chunk in chunks))
+        per_worker = max(1, sum(
+            end // window_frames > start // window_frames
+            for start, end in zip([0] + ends, ends)
+        ))
         try:
             if args.chaos.startswith("seed:"):
                 chaos_plan = ChaosPlan.generate(

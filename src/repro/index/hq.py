@@ -14,23 +14,27 @@ is what an up-walk terminates on. Binary search over a row finds the
 entries equal to a probe value; the up/down chains recover the rest of
 that query's sketch without ever touching non-relevant queries.
 
-Queries can be subscribed and unsubscribed online; insertion/removal at a
-position shifts the tail of a row, so the neighbouring rows' pointers that
-cross the shifted region are patched (the "up and down should also be
-updated" maintenance from Section V-C.1).
+The record is two ``(K, m)`` arrays and a map: :attr:`values`, every
+row's values in sorted order; :attr:`qid_matrix`, the query id at every
+position (an up-walk's destination, known ahead of time); and each
+query's length in windows. Queries are subscribed and unsubscribed
+online (Section V-C.1) with array operations: :meth:`insert` finds every
+row's insertion point with one ``searchsorted`` over :attr:`keys` and
+scatters one new column into ``(K, m+1)``; :meth:`remove` drops the
+query's ``K`` cells. The paper's "up and down should also be updated"
+maintenance is implicit: the pointers are a function of
+:attr:`qid_matrix`.
 
-The production probe (:func:`~repro.index.probe.probe_index`) reads two
-flat views of the same rows instead of walking them: :attr:`keys`, every
-row's values as one sorted ``row << 32 | value`` array, and
-:attr:`qid_matrix`, the query id at every position (the up-walks done
-ahead of time). :meth:`build` sets both straight from its sorted
-matrices; insert/remove drop them, and they are rebuilt on next use. The
-literal pointer walk of Figure 5 is ``repro.reference.probe``.
+The production probe (:func:`~repro.index.probe.probe_index`) reads the
+arrays and :attr:`keys`, every row's values as one sorted
+``row << 32 | value`` array. The ⟨value, up, down⟩ triples of Figure 4
+(:attr:`rows`, :class:`IndexEntry`) are a view derived from the arrays
+on first access after a change and cached until the next one; only the
+literal pointer walk of Figure 5, ``repro.reference.probe``, reads them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -57,12 +61,6 @@ def _check_key_range(sketch: Union[Sketch, SketchBlock]) -> None:
             f"the index keys values below 2**{_KEY_SHIFT}; the sketch's "
             f"family prime {prime} does not fit"
         )
-
-
-def _row_keys(row_values: np.ndarray) -> np.ndarray:
-    """Flatten a row-sorted ``(K, m)`` value matrix into ascending keys."""
-    rows = np.arange(row_values.shape[0], dtype=np.int64)[:, np.newaxis]
-    return ((rows << _KEY_SHIFT) | row_values).ravel()
 
 
 @dataclass
@@ -93,18 +91,16 @@ class HashQueryIndex:
         if num_hashes <= 0:
             raise IndexError_(f"num_hashes must be positive, got {num_hashes}")
         self.num_hashes = num_hashes
-        self.rows: List[List[IndexEntry]] = [[] for _ in range(num_hashes)]
-        # Parallel sorted value lists per row, kept in lockstep with
-        # ``rows`` so probes can binary-search without attribute access.
-        self._row_values: List[List[int]] = [[] for _ in range(num_hashes)]
-        # The probe's flat views (see :attr:`keys`, :attr:`qid_matrix`,
-        # :attr:`sorted_qids`): denormalised, built lazily, dropped by
-        # any structural change. The structure of record remains the
-        # pointer-linked rows.
+        # The record: row-sorted values, the query at every position,
+        # and every query's length.
+        self._values = np.empty((num_hashes, 0), dtype=np.int64)
+        self._qid_matrix = np.empty((num_hashes, 0), dtype=np.int64)
+        self._lengths: Dict[int, int] = {}
+        # Views derived from the record on first use, dropped by every
+        # change: the probe's keys and sorted qids, the oracle's triples.
         self._keys: Optional[np.ndarray] = None
-        self._qid_matrix: Optional[np.ndarray] = None
         self._sorted_qids: Optional[np.ndarray] = None
-        self._length_cache: Optional[Dict[int, int]] = None
+        self._rows: Optional[List[List[IndexEntry]]] = None
 
     # ------------------------------------------------------------------
     # construction / maintenance
@@ -146,66 +142,38 @@ class HashQueryIndex:
             _check_key_range(sketches[qid])
 
         index = cls(first.num_hashes)
-        num_queries = len(qids)
         # (m, K) value matrix, query row order matching ``qids``.
         values = np.stack([sketches[qid].values for qid in qids])
         # Each (m, K) temporary is dropped as soon as it is used up: the
         # bulk build is the set-up's memory peak.
         orders = np.argsort(values, axis=0, kind="stable")  # (m, K): rank -> query
         # (K, m): row i's values in column order, and each column's query.
-        row_values = np.take_along_axis(values, orders, axis=0).T
-        row_queries = orders.T
-        del values
-
-        # Column position of each query per row.
-        positions = np.empty_like(orders)  # (m, K): query -> rank
-        ranks = np.arange(num_queries)
-        for i in range(index.num_hashes):
-            positions[orders[:, i], i] = ranks
-        unset = [-1] * num_queries
-        for i in range(index.num_hashes):
-            column_queries = row_queries[i]
-            ups = positions[column_queries, i - 1].tolist() if i else unset
-            downs = (
-                positions[column_queries, i + 1].tolist()
-                if i + 1 < index.num_hashes
-                else unset
-            )
-            index._row_values[i] = row_values[i].tolist()
-            index.rows[i] = [
-                IndexEntry(value=value, up=up, down=down)
-                for value, up, down in zip(index._row_values[i], ups, downs)
-            ]
-        del positions
-        for entry, query_index in zip(index.rows[0], row_queries[0].tolist()):
-            entry.qid = qids[query_index]
-            entry.length_windows = lengths_windows[entry.qid]
-
-        # The probe's flat views, straight from the sorted matrices: no
-        # pointer walk is needed while the layout is the bulk one.
-        index._keys = _row_keys(row_values)
-        del row_values
-        index._sorted_qids = np.asarray(qids, dtype=np.int64)
-        index._qid_matrix = np.ascontiguousarray(
-            index._sorted_qids[row_queries]
+        index._values = np.ascontiguousarray(
+            np.take_along_axis(values, orders, axis=0).T
         )
+        del values
+        index._sorted_qids = np.asarray(qids, dtype=np.int64)
+        index._qid_matrix = np.ascontiguousarray(index._sorted_qids[orders.T])
+        index._lengths = {qid: int(lengths_windows[qid]) for qid in qids}
         return index
 
     @property
     def num_queries(self) -> int:
         """Number of currently subscribed queries."""
-        return len(self.rows[0])
+        return int(self._values.shape[1])
 
     @property
     def query_ids(self) -> List[int]:
         """Subscribed query ids (in row-0 value order)."""
-        return [entry.qid for entry in self.rows[0] if entry.qid is not None]
+        return self._qid_matrix[0].tolist()
 
     def insert(self, qid: int, sketch: Sketch, length_windows: int) -> None:
         """Subscribe a query online.
 
-        Inserts one triple into every row at its value-sorted position and
-        patches every pointer that crosses a shifted region.
+        Every row gains the query's value at its ``bisect_right``
+        position — after any equal values — found for all rows by one
+        ``searchsorted`` over :attr:`keys`; one boolean mask scatters
+        the old cells and the new column into ``(K, m+1)``.
         """
         if sketch.num_hashes != self.num_hashes:
             raise IndexError_(
@@ -217,59 +185,38 @@ class HashQueryIndex:
                 f"length_windows must be positive, got {length_windows}"
             )
         _check_key_range(sketch)
-        if any(entry.qid == qid for entry in self.rows[0]):
+        if qid in self._lengths:
             raise IndexError_(f"query {qid} is already subscribed")
 
-        previous_position = -1
-        for i in range(self.num_hashes):
-            value = int(sketch.values[i])
-            position = bisect_right(self._row_values[i], value)
-            entry = IndexEntry(value=value, up=previous_position)
-            if i == 0:
-                entry.qid = qid
-                entry.length_windows = length_windows
-            # Pointers in the row above that land at or past the insertion
-            # point now refer to shifted columns.
-            if i > 0:
-                for above in self.rows[i - 1]:
-                    if above.down >= position:
-                        above.down += 1
-                self.rows[i - 1][previous_position].down = position
-            # Pointers in the row below still reference this row's old
-            # layout; shift the crossers.
-            if i + 1 < self.num_hashes:
-                for below in self.rows[i + 1]:
-                    if below.up >= position:
-                        below.up += 1
-            self.rows[i].insert(position, entry)
-            self._row_values[i].insert(position, value)
-            previous_position = position
+        num_queries = self.num_queries
+        rows = np.arange(self.num_hashes)
+        columns = (
+            self.keys.searchsorted(self.targets(sketch), "right")
+            - rows * num_queries
+        )
+        new = np.zeros((self.num_hashes, num_queries + 1), dtype=bool)
+        new[rows, columns] = True
+        old = ~new
+        values = np.empty(new.shape, dtype=np.int64)
+        values[new] = sketch.values
+        values[old] = self._values.ravel()
+        qid_matrix = np.empty(new.shape, dtype=np.int64)
+        qid_matrix[new] = qid
+        qid_matrix[old] = self._qid_matrix.ravel()
+        self._values = values
+        self._qid_matrix = qid_matrix
+        self._lengths[qid] = int(length_windows)
         self._invalidate_caches()
 
     def remove(self, qid: int) -> None:
-        """Unsubscribe a query online (inverse pointer maintenance)."""
-        position = -1
-        for column, entry in enumerate(self.rows[0]):
-            if entry.qid == qid:
-                position = column
-                break
-        if position < 0:
+        """Unsubscribe a query online: drop its cell from every row."""
+        if qid not in self._lengths:
             raise IndexError_(f"query {qid} is not subscribed")
-
-        for i in range(self.num_hashes):
-            entry = self.rows[i][position]
-            next_position = entry.down
-            del self.rows[i][position]
-            del self._row_values[i][position]
-            if i > 0:
-                for above in self.rows[i - 1]:
-                    if above.down > position:
-                        above.down -= 1
-            if i + 1 < self.num_hashes:
-                for below in self.rows[i + 1]:
-                    if below.up > position:
-                        below.up -= 1
-            position = next_position
+        keep = self._qid_matrix != qid
+        shape = (self.num_hashes, self.num_queries - 1)
+        self._values = self._values[keep].reshape(shape)
+        self._qid_matrix = self._qid_matrix[keep].reshape(shape)
+        del self._lengths[qid]
         self._invalidate_caches()
 
     # ------------------------------------------------------------------
@@ -278,19 +225,23 @@ class HashQueryIndex:
 
     def _invalidate_caches(self) -> None:
         self._keys = None
-        self._qid_matrix = None
         self._sorted_qids = None
-        self._length_cache = None
+        self._rows = None
 
     def length_of(self, qid: int) -> int:
-        """Query length in windows, from the row-0 entries (memoised)."""
-        if self._length_cache is None:
-            self._length_cache = {
-                entry.qid: entry.length_windows for entry in self.rows[0]
-            }
-        if qid not in self._length_cache:
+        """Query length in windows."""
+        if qid not in self._lengths:
             raise IndexError_(f"query {qid} is not subscribed")
-        return self._length_cache[qid]
+        return self._lengths[qid]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every row's values in column order, ``(K, m)`` int64.
+
+        Rows are value-sorted; the query at ``(i, c)`` is
+        ``qid_matrix[i, c]``.
+        """
+        return self._values
 
     @property
     def keys(self) -> np.ndarray:
@@ -304,11 +255,8 @@ class HashQueryIndex:
         and :meth:`targets` refuse a family whose prime does not.
         """
         if self._keys is None:
-            self._keys = _row_keys(
-                np.asarray(self._row_values, dtype=np.int64).reshape(
-                    self.num_hashes, self.num_queries
-                )
-            )
+            rows = np.arange(self.num_hashes, dtype=np.int64)[:, np.newaxis]
+            self._keys = ((rows << _KEY_SHIFT) | self._values).ravel()
         return self._keys
 
     def targets(self, sketches: Union[Sketch, SketchBlock]) -> np.ndarray:
@@ -339,9 +287,7 @@ class HashQueryIndex:
         ``np.searchsorted(sorted_qids, qids)`` is the qid → column table.
         """
         if self._sorted_qids is None:
-            self._sorted_qids = np.sort(
-                np.asarray(self.query_ids, dtype=np.int64)
-            )
+            self._sorted_qids = np.sort(self._qid_matrix[0])
         return self._sorted_qids
 
     def warm_caches(self) -> None:
@@ -350,31 +296,66 @@ class HashQueryIndex:
         The paper min-hashes query sequences offline; the flat views the
         probe reads belong to the same offline phase. Calling this after
         build/insert/remove keeps the online probe path free of one-time
-        construction costs. After :meth:`build` all three are already
-        set; after insert/remove :attr:`qid_matrix` costs one pass over
-        the down chains.
+        construction costs: one vectorised pass each for :attr:`keys`
+        and :attr:`sorted_qids`.
         """
         _ = self.keys
-        _ = self.qid_matrix
         _ = self.sorted_qids
 
     @property
     def qid_matrix(self) -> np.ndarray:
         """Per-row column -> query id map, shape ``(K, m)``.
 
-        Materialised by following every down-chain once; equivalent to
-        performing the probe's up-walks ahead of time. Its ``ravel()``
-        is the qid of every :attr:`keys` entry.
+        Equivalent to performing the probe's up-walks ahead of time. Its
+        ``ravel()`` is the qid of every :attr:`keys` entry.
         """
-        if self._qid_matrix is None:
-            qids = np.empty((self.num_hashes, self.num_queries), dtype=np.int64)
-            for root_column, root in enumerate(self.rows[0]):
-                column = root_column
-                for i in range(self.num_hashes):
-                    qids[i, column] = root.qid
-                    column = self.rows[i][column].down
-            self._qid_matrix = qids
         return self._qid_matrix
+
+    @property
+    def rows(self) -> List[List[IndexEntry]]:
+        """The ⟨value, up, down⟩ triples of Figure 4, row by row.
+
+        Derived from the arrays on first access after a change and
+        cached until the next: ``up``/``down`` of a cell are the columns
+        of the same query in the rows above and below. Row-0 entries
+        carry the query id and length. Read by the reference walk only.
+        """
+        if self._rows is None:
+            self._rows = self._derive_rows()
+        return self._rows
+
+    def _derive_rows(self) -> List[List[IndexEntry]]:
+        num_hashes, num_queries = self._values.shape
+        # ranks[i, c]: the query at (i, c) as a position in sorted_qids;
+        # columns[i, r]: the column of the rank-r query on row i.
+        ranks = self.sorted_qids.searchsorted(self._qid_matrix)
+        columns = np.empty_like(ranks)
+        np.put_along_axis(
+            columns,
+            ranks,
+            np.broadcast_to(np.arange(num_queries), ranks.shape),
+            axis=1,
+        )
+        unset = np.full((1, num_queries), -1, dtype=np.int64)
+        ups = np.concatenate(
+            [unset, np.take_along_axis(columns[:-1], ranks[1:], axis=1)]
+        )
+        downs = np.concatenate(
+            [np.take_along_axis(columns[1:], ranks[:-1], axis=1), unset]
+        )
+        rows = [
+            [
+                IndexEntry(value=value, up=up, down=down)
+                for value, up, down in zip(
+                    self._values[i].tolist(), ups[i].tolist(), downs[i].tolist()
+                )
+            ]
+            for i in range(num_hashes)
+        ]
+        for entry, qid in zip(rows[0], self._qid_matrix[0].tolist()):
+            entry.qid = qid
+            entry.length_windows = self._lengths[qid]
+        return rows
 
     # ------------------------------------------------------------------
     # lookups
@@ -388,10 +369,11 @@ class HashQueryIndex:
         """
         if not 0 <= row < self.num_hashes:
             raise IndexError_(f"row {row} outside [0, {self.num_hashes})")
-        values = self._row_values[row]
-        lo = bisect_left(values, value)
-        hi = bisect_right(values, value)
-        return range(lo, hi)
+        values = self._values[row]
+        return range(
+            int(values.searchsorted(value, "left")),
+            int(values.searchsorted(value, "right")),
+        )
 
     def walk_up_to_root(self, row: int, column: int) -> List[int]:
         """Follow ``up`` pointers from (row, column) to row 0.
@@ -402,15 +384,16 @@ class HashQueryIndex:
         """
         if not 0 <= row < self.num_hashes:
             raise IndexError_(f"row {row} outside [0, {self.num_hashes})")
-        if not 0 <= column < len(self.rows[row]):
+        if not 0 <= column < self.num_queries:
             raise IndexError_(
-                f"column {column} outside row {row} of size {len(self.rows[row])}"
+                f"column {column} outside row {row} of size {self.num_queries}"
             )
+        rows = self.rows
         columns = [0] * (row + 1)
         columns[row] = column
         current = column
         for i in range(row, 0, -1):
-            current = self.rows[i][current].up
+            current = rows[i][current].up
             columns[i - 1] = current
         return columns
 
@@ -421,16 +404,12 @@ class HashQueryIndex:
 
     def sketch_values_of(self, qid: int) -> np.ndarray:
         """Recover a query's full sketch by a down-walk (Section V-C.1)."""
-        position = -1
-        for column, entry in enumerate(self.rows[0]):
-            if entry.qid == qid:
-                position = column
-                break
-        if position < 0:
+        if qid not in self._lengths:
             raise IndexError_(f"query {qid} is not subscribed")
+        position = int(np.flatnonzero(self._qid_matrix[0] == qid)[0])
         values = np.empty(self.num_hashes, dtype=np.int64)
-        for i in range(self.num_hashes):
-            entry = self.rows[i][position]
+        for i, row in enumerate(self.rows):
+            entry = row[position]
             values[i] = entry.value
             position = entry.down
         return values
@@ -457,32 +436,49 @@ class HashQueryIndex:
     def check_invariants(self) -> None:
         """Validate structural invariants (used by tests).
 
-        * every row is value-sorted and has one entry per query;
-        * up/down chains are mutually inverse;
-        * row-0 entries carry distinct query ids.
+        * the arrays are ``(K, m)``, every row value-sorted and holding
+          each subscribed query exactly once;
+        * the length map names exactly the subscribed queries;
+        * cached views equal a fresh derivation, and the derived
+          up/down chains are mutually inverse.
         """
-        m = self.num_queries
-        seen_qids = set()
-        for entry in self.rows[0]:
-            if entry.qid is None:
-                raise IndexError_("row-0 entry without a query id")
-            if entry.qid in seen_qids:
-                raise IndexError_(f"duplicate query id {entry.qid} in row 0")
-            seen_qids.add(entry.qid)
-        for i, row in enumerate(self.rows):
-            if len(row) != m:
+        shape = (self.num_hashes, len(self._lengths))
+        for name, array in (
+            ("values", self._values),
+            ("qid_matrix", self._qid_matrix),
+        ):
+            if array.shape != shape:
                 raise IndexError_(
-                    f"row {i} has {len(row)} entries, expected {m}"
+                    f"{name} has shape {array.shape}, expected {shape}"
                 )
-            if self._row_values[i] != [e.value for e in row]:
-                raise IndexError_(f"row {i} value cache out of sync")
-            for column in range(1, m):
-                if row[column - 1].value > row[column].value:
-                    raise IndexError_(f"row {i} is not sorted at column {column}")
-            for column, entry in enumerate(row):
-                if i + 1 < self.num_hashes:
-                    below = self.rows[i + 1][entry.down]
-                    if below.up != column:
+        row_zero = self._qid_matrix[0].tolist()
+        if len(set(row_zero)) != len(row_zero):
+            raise IndexError_("duplicate query id in row 0")
+        if set(row_zero) != set(self._lengths):
+            raise IndexError_("row-0 query ids differ from the length map")
+        expected = np.sort(self._qid_matrix[0])
+        if not (np.sort(self._qid_matrix, axis=1) == expected).all():
+            raise IndexError_("a row does not hold every query exactly once")
+        unsorted = np.argwhere(np.diff(self._values, axis=1) < 0)
+        if unsorted.size:
+            row, column = unsorted[0].tolist()
+            raise IndexError_(f"row {row} is not sorted at column {column + 1}")
+        cached = (self._keys, self._sorted_qids, self._rows)
+        self._invalidate_caches()
+        for name, old, new in (
+            ("keys", cached[0], self.keys),
+            ("sorted_qids", cached[1], self.sorted_qids),
+        ):
+            if old is not None and not np.array_equal(old, new):
+                raise IndexError_(f"cached {name} out of step with the arrays")
+        if cached[2] is not None and cached[2] != self.rows:
+            raise IndexError_("cached rows out of step with the arrays")
+        for i, row in enumerate(self.rows):
+            if [entry.value for entry in row] != self._values[i].tolist():
+                raise IndexError_(f"row {i} triples disagree with the values")
+            if i + 1 < self.num_hashes:
+                for column, entry in enumerate(row):
+                    if self.rows[i + 1][entry.down].up != column:
                         raise IndexError_(
                             f"down/up pointer mismatch at row {i}, column {column}"
                         )

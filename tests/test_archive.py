@@ -7,6 +7,9 @@ test_backfill.py.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
+
 import numpy as np
 import pytest
 
@@ -145,6 +148,81 @@ def test_store_compact_merges_contiguous_runts(tmp_path):
     # The merged file round-trips with a fresh CRC.
     starts, frames, values = store.load(store.segments[0])
     np.testing.assert_array_equal(starts, np.arange(8) * 5)
+
+
+def _stored_crc(info):
+    with np.load(info.path) as archive:
+        return int(archive["crc"][0])
+
+
+def test_store_reads_deflated_int64_segments(tmp_path):
+    """Segments written before seals were stored narrow (deflated, int64
+    sketch values) recover and load unchanged; their CRC is the one a
+    seal of the same windows records today."""
+    _, starts, frames, values = _rows(0, 5)
+    crc = 0
+    for array in (starts, frames, values):
+        crc = zlib.crc32(array.tobytes(), crc)
+    (tmp_path / "old").mkdir()
+    atomic_savez(tmp_path / "old" / "seg-0000000000-000005.npz", {
+        "format": np.asarray([ARCHIVE_FORMAT]),
+        "first_index": np.asarray([0], dtype=np.int64),
+        "starts": starts,
+        "frames": frames,
+        "sketch_values": values,
+        "family": np.asarray(FP, dtype=np.int64),
+        "sealed_at": np.asarray([1.0]),
+        "crc": np.asarray([crc & 0xFFFFFFFF], dtype=np.int64),
+    })
+    old = SegmentStore(tmp_path / "old")
+    [info] = old.recover()
+    assert info.num_windows == 5 and info.sealed_at == 1.0
+    got_starts, got_frames, got_values = old.load(info)
+    np.testing.assert_array_equal(got_starts, starts)
+    np.testing.assert_array_equal(got_frames, frames)
+    np.testing.assert_array_equal(got_values, values)
+    assert got_values.dtype == np.int64
+    fresh = SegmentStore(tmp_path / "new").seal(0, starts, frames, values, FP)
+    assert _stored_crc(fresh) == _stored_crc(info) == crc & 0xFFFFFFFF
+
+
+def test_default_family_seal_is_stored_uint32(tmp_path):
+    _, starts, frames, values = _rows(0, 4)
+    values[0, 0] = FAMILY.prime  # the empty-set sentinel fits
+    info = SegmentStore(tmp_path).seal(0, starts, frames, values, FP)
+    with zipfile.ZipFile(info.path) as archive:
+        assert {m.compress_type for m in archive.infolist()} == {
+            zipfile.ZIP_STORED
+        }
+    with np.load(info.path) as archive:
+        assert archive["sketch_values"].dtype == np.uint32
+    np.testing.assert_array_equal(SegmentStore(tmp_path).load(info)[2], values)
+
+
+@pytest.mark.parametrize("bad", [-1, FAMILY.prime + 1])
+def test_seal_refuses_values_outside_the_family(tmp_path, bad):
+    _, starts, frames, values = _rows(0, 3)
+    values[1, 2] = bad
+    with pytest.raises(ArchiveError, match="outside"):
+        SegmentStore(tmp_path).seal(0, starts, frames, values, FP)
+    assert not list(tmp_path.iterdir())
+
+
+def test_wide_prime_family_round_trips(tmp_path):
+    prime = (1 << 61) - 1
+    fingerprint = (K, 3, prime)
+    _, starts, frames, _ = _rows(0, 4)
+    values = np.random.default_rng(9).integers(
+        0, prime, size=(4, K), dtype=np.int64
+    )
+    values[3, 0] = prime
+    store = SegmentStore(tmp_path)
+    info = store.seal(0, starts, frames, values, fingerprint)
+    with np.load(info.path) as archive:
+        assert archive["sketch_values"].dtype == np.uint64
+    [recovered] = SegmentStore(tmp_path).recover()
+    np.testing.assert_array_equal(store.load(recovered)[2], values)
+    assert store.family_fingerprint(recovered) == fingerprint
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,25 @@ class TestCommands:
         assert resumed.splitlines()[-1] == full
 
     @pytest.mark.slow
+    def test_seeded_chaos_fires_with_sub_window_chunks(self, capsys):
+        """2 s chunks on 5 s windows: most chunks complete no window and
+        send no batch, so the seeded horizon must count only those that
+        do, or the drawn event lands past the last message."""
+        assert main([
+            "serve", "--stream", "vs1", "--queries", "2",
+            "--stream-seconds", "120", "--hashes", "64",
+            "--chunk-seconds", "2", "--batch-chunks", "1",
+            "--workers", "2", "--backend", "process",
+            "--chaos", "seed:3", "--recovery-deadline", "1.0",
+        ]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary.startswith("supervisor: ")
+        counters = dict(
+            field.split("=") for field in summary.split()[1:]
+        )
+        assert int(counters["restarts"]) >= 1
+
+    @pytest.mark.slow
     def test_sweep_runs(self, capsys):
         exit_code = main(
             ["sweep", "threshold", "0.5", "0.9", "--stream", "vs1",
