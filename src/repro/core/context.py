@@ -6,17 +6,18 @@ in frames, per-query candidate caps, the Lemma 2 bound), the optional
 Hash-Query index, and the instrumented payload construction — one probe
 or one batched encode per *block* of windows. Without the index the
 block's ``(B, Q, W)`` planes are encoded whole; with it, the probe's
-:class:`~repro.index.probe.RelatedQueries` rows are kept as they arrive
-and a window's planes are laid out only when the engine reaches it,
-with the columns its tracked pairs need encoded then (the lazy encode).
-The planes are compared against this layout's ``QueryColumns.matrix``,
-so the index keeps no second copy of the query sketches. Routing it through this class is what makes the engines' cost
-profiles measurable (see :class:`~repro.core.monitor.EngineStats`).
-Production payloads are bit signatures only. The one-window,
-one-pair-at-a-time primitives of the paper's prose (sketch similarity
-and combination, signature OR, the memoised lazy encode) and the
-sketch representation itself are the oracle's: ``repro.reference``
-adds them on top of this class.
+:class:`~repro.index.probe.RelatedQueries` rows are kept as one stacked
+plane table with a ``(B, Q)`` row map, and the planes of any other
+(window, column) cell an engine needs are encoded when it asks, for all
+of a block's cells in one call (the lazy encode). The planes are
+compared against this layout's ``QueryColumns.matrix``, so the index
+keeps no second copy of the query sketches. Routing it through this
+class is what makes the engines' cost profiles measurable (see
+:class:`~repro.core.monitor.EngineStats`). Production payloads are bit
+signatures only. The one-window, one-pair-at-a-time primitives of the
+paper's prose (sketch similarity and combination, signature OR, the
+memoised lazy encode) and the sketch representation itself are the
+oracle's: ``repro.reference`` adds them on top of this class.
 """
 
 from __future__ import annotations
@@ -31,19 +32,23 @@ from repro.core.monitor import EngineStats
 from repro.core.query import QuerySet
 from repro.errors import DetectionError
 from repro.index.hq import HashQueryIndex
-from repro.index.probe import RelatedQueries, probe_index
+from repro.index.probe import probe_index
 from repro.minhash.sketch import SketchBlock
 from repro.minhash.windows import WindowBlock
 from repro.obs.registry import MetricsRegistry
 from repro.signature.bitsig import (
-    encode_planes,
     encode_planes_many,
+    pack_bool_planes,
     plane_words,
     popcount_planes,
 )
 from repro.signature.pruning import lemma2_prunable
 
 __all__ = ["BlockPayload", "EvalContext", "QueryColumns"]
+
+#: Most block cells one lazy-encode compare covers: bounds its
+#: ``(cells, K)`` temporaries however many cells a pass asks for.
+_ENCODE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,9 @@ class QueryColumns:
     """
 
     qids: Tuple[int, ...]
-    matrix: np.ndarray  #: ``(Q, K)`` int64 query sketch values
+    #: ``(Q, K)`` query sketch values: uint32 with the index, whose keys
+    #: already hold every value below 2**32, int64 without it
+    matrix: np.ndarray
     max_windows: np.ndarray  #: ``(Q,)`` int64 per-query λL caps
 
 
@@ -67,19 +74,36 @@ class BlockPayload:
     ``related[b]`` marks the queries window ``b`` brings into play: the
     probe's ``R_L`` with the index, every query without it, less the
     columns whose window signature fails Lemma 2. The window-vs-query
-    signature planes come in one of two forms:
-    ``planes``, the no-index encode's dense ``(B, Q, W)`` pair, valid on
-    every cell; or ``probed``, the probe's sparse rows, valid on the
-    related cells only. :meth:`EvalContext.window_planes` reads either.
+    signature planes come in one of two forms: ``planes``, the no-index
+    encode's dense ``(B, Q, W)`` pair, valid on every cell; or the
+    probe's rows, valid on the related cells only, kept as ``cells`` —
+    their ``(ge, lt)`` planes stacked ``(R + 1, 2, W)``, a zero row
+    last — and ``rows``, the ``(B, Q)`` map from a cell to its row of
+    ``cells`` (``-1``, the zero row, off ``R_L``).
+    :meth:`EvalContext.window_planes` and :meth:`EvalContext.cell_planes`
+    read either form.
     """
 
     block: WindowBlock
     related: np.ndarray  #: ``(B, Q)`` bool
     planes: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    probed: Optional[RelatedQueries] = None
-    #: ``(B + 1,)``: window ``b``'s rows of ``probed`` are
-    #: ``offsets[b]`` to ``offsets[b + 1]``
-    offsets: Optional[np.ndarray] = None
+    cells: Optional[np.ndarray] = None
+    rows: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.block)
+
+    def __getitem__(self, windows: slice) -> "BlockPayload":
+        """The payload of a run of the block's windows (views)."""
+        return BlockPayload(
+            block=self.block[windows],
+            related=self.related[windows],
+            planes=None if self.planes is None else (
+                self.planes[0][windows], self.planes[1][windows]
+            ),
+            cells=self.cells,
+            rows=None if self.rows is None else self.rows[windows],
+        )
 
 
 class EvalContext:
@@ -147,6 +171,8 @@ class EvalContext:
             matrix = np.stack(
                 [self.queries.get(qid).sketch.values for qid in qids]
             )
+            if self.index is not None:
+                matrix = matrix.astype(np.uint32)
             caps = np.array(
                 [self.max_windows[qid] for qid in qids], dtype=np.int64
             )
@@ -227,14 +253,17 @@ class EvalContext:
                 self.config.threshold,
                 prune=self.config.prune,
             )
-            mask = np.zeros((num_windows, num_queries), dtype=bool)
-            mask[probed.windows, probed.columns] = True
-            # Rows ascend by window: one search finds every window's run.
-            offsets = probed.windows.searchsorted(
-                np.arange(num_windows + 1)
+            count = len(probed)
+            cells = np.zeros(
+                (count + 1, 2, plane_words(self.config.num_hashes)),
+                dtype=np.uint64,
             )
+            cells[:count, 0] = probed.ge
+            cells[:count, 1] = probed.lt
+            rows = np.full((num_windows, num_queries), -1, dtype=np.int32)
+            rows[probed.windows, probed.columns] = np.arange(count)
             return BlockPayload(
-                block=block, related=mask, probed=probed, offsets=offsets
+                block=block, related=rows >= 0, cells=cells, rows=rows
             )
 
         if planes is None:
@@ -257,36 +286,68 @@ class EvalContext:
         return BlockPayload(block=block, related=related, planes=planes)
 
     def window_planes(
-        self,
-        payload: BlockPayload,
-        t: int,
-        lazy: Optional[np.ndarray] = None,
+        self, payload: BlockPayload, t: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Window ``t``'s ``(Q, W)`` planes, valid on its related columns
-        and on the ``lazy`` ones.
-
-        ``lazy`` lists columns the window does not relate but a tracked
-        pair needs. Each is charged one ``signature_encodes`` — the
-        oracle's per-(window, query) memoised encode — even where the
-        no-index planes already hold its bits; the index path encodes
-        just those columns here, one window at a time, so its encode
-        work follows the live pairs.
-        """
-        if lazy is not None and lazy.size:
-            self.registry.inc("engine.signature_encodes", int(lazy.size))
+        (zero on the others with the index)."""
         if payload.planes is not None:
             return payload.planes[0][t], payload.planes[1][t]
-        shape = (len(payload.related[t]), plane_words(self.config.num_hashes))
-        ge = np.zeros(shape, dtype=np.uint64)
-        lt = np.zeros(shape, dtype=np.uint64)
-        probed = payload.probed
-        rows = slice(payload.offsets[t], payload.offsets[t + 1])
-        columns = probed.columns[rows]
-        ge[columns] = probed.ge[rows]
-        lt[columns] = probed.lt[rows]
-        if lazy is not None and lazy.size:
-            ge[lazy], lt[lazy] = encode_planes(
-                payload.block.sketch_values[t],
-                self.query_columns().matrix.take(lazy, axis=0),
-            )
-        return ge, lt
+        planes = payload.cells.take(payload.rows[t], axis=0)
+        return planes[:, 0], planes[:, 1]
+
+    def cell_planes(
+        self,
+        payload: BlockPayload,
+        windows: np.ndarray,
+        cols: np.ndarray,
+        at: np.ndarray,
+        size: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(ge, lt)`` planes ``(size, 2, W)`` holding block cell
+        ``(windows[i], cols[i])``'s at row ``at[i]`` and zeros elsewhere
+        (``windows`` ascending), and which of the cells the block does
+        not relate.
+
+        ``lt`` is exact on every cell, ``ge`` on the related ones. With
+        the index an unrelated cell's ``lt`` is encoded here — all of
+        the block's asked cells in one call, a window's at a time and at
+        most ``_ENCODE_CELLS`` per compare, so no temporary outgrows
+        that — and its ``ge`` set equal to it. That is exact when the
+        window shares no min-hash value with the query; the other way
+        off ``R_L`` is failing Lemma 2 on ``lt`` alone, after which any
+        OR holding it fails too, so that ``ge`` is never read. Charges
+        no counter: what the oracle charges for a lazy encode is the
+        caller's to count.
+        """
+        if payload.planes is not None:
+            ge, lt = payload.planes
+            out = np.zeros((size, 2, ge.shape[-1]), dtype=np.uint64)
+            out[at, 0] = ge[windows, cols]
+            out[at, 1] = lt[windows, cols]
+            return out, ~payload.related[windows, cols]
+        rows = payload.rows[windows, cols]
+        # One gather lays out the grid: rows off the cells take the
+        # table's zero row, its last.
+        grid = np.full(size, -1, dtype=rows.dtype)
+        grid[at] = rows
+        out = payload.cells.take(grid, axis=0)
+        unrelated = rows < 0
+        miss = unrelated.nonzero()[0]
+        if miss.size:
+            matrix = self.query_columns().matrix
+            values = payload.block.sketch_values.astype(matrix.dtype)
+            cols = cols[miss]
+            at = at[miss]
+            # A window's cells share its row of values: compare against
+            # it broadcast, a window (and at most _ENCODE_CELLS) at once.
+            cuts = windows[miss].searchsorted(
+                np.arange(values.shape[0] + 1)
+            ).tolist()
+            for t in range(values.shape[0]):
+                for lo in range(cuts[t], cuts[t + 1], _ENCODE_CELLS):
+                    part = slice(lo, min(lo + _ENCODE_CELLS, cuts[t + 1]))
+                    lt = pack_bool_planes(
+                        values[t] < matrix.take(cols[part], axis=0)
+                    )
+                    out[at[part]] = lt[:, np.newaxis]
+        return out, unrelated

@@ -105,9 +105,13 @@ def probe_index(
     order — the engines pass their ``QueryColumns.matrix``, so the index
     keeps no second copy.
     """
-    values = np.atleast_2d(sketches.values)
-    num_hashes = values.shape[1]
     targets = index.targets(sketches)
+    # In the matrix's dtype (``targets`` has checked that the family's
+    # values fit below 2**32), so the compares promote nothing.
+    values = np.atleast_2d(sketches.values).astype(
+        query_matrix.dtype, copy=False
+    )
+    num_hashes = values.shape[1]
     keys = index.keys
     sorted_qids = index.sorted_qids
     if query_matrix.shape[0] != sorted_qids.shape[0]:

@@ -14,17 +14,19 @@ partial-window buffer and gap state are not a worker's: the service's
 front end, which cuts the stream into windows, checkpoints them.
 
 Both engines are covered. The on-disk layout is the dense one every
-``repro.ckpt/5`` checkpoint has always had; the Sequential store is
-sparse in memory, dense on disk:
+``repro.ckpt/5`` checkpoint has always had; the Sequential store is a
+class table in memory, dense pairs on disk:
 
 ===========  ========================  ===================================
 order        on-disk ``kind``          state
 ===========  ========================  ===================================
 Sequential   ``columnar-sequential``   start/frame vectors + ``(C, Q)``
                                        presence and ``(C, Q, W)`` planes
-                                       (the pair store scattered densely,
-                                       gathered back under ``presence``
-                                       on restore)
+                                       (each class's in-cap members
+                                       scattered densely with its
+                                       planes; on restore the present
+                                       pairs regroup into classes by
+                                       equal ``(column, ge, lt)``)
 Geometric    ``columnar-geometric``    ``_ColumnarSegment`` ladder: sizes,
                                        frame spans, ``(S, Q)`` presence
                                        and ``(S, Q, W)`` planes
@@ -146,15 +148,17 @@ def _columnar_sequential_state(engine: ColumnarSequentialEngine) -> Dict:
         "eng_start_window": engine.start_window.copy(),
         "eng_start_frame": engine.start_frame.copy(),
     }
-    rows = np.searchsorted(engine.start_window, engine.pair_start)
+    rows, classes = engine.live_pairs()
+    cols = engine.class_col[classes]
     cells = (len(engine.start_window), len(engine._qids))
-    width = engine.pair_ge.shape[1]
     presence = np.zeros(cells, dtype=bool)
-    presence[rows, engine.pair_col] = True
+    presence[rows, cols] = True
     state["eng_presence"] = presence
-    for name, planes in (("ge", engine.pair_ge), ("lt", engine.pair_lt)):
-        dense = np.zeros(cells + (width,), dtype=np.uint64)
-        dense[rows, engine.pair_col] = planes
+    for plane, name in enumerate(("ge", "lt")):
+        dense = np.zeros(
+            cells + (engine.class_planes.shape[2],), dtype=np.uint64
+        )
+        dense[rows, cols] = engine.class_planes[classes, plane]
         state[f"eng_{name}"] = dense
     return state
 
@@ -167,10 +171,32 @@ def _restore_columnar_sequential(
     engine.start_window = state["eng_start_window"].astype(np.int64)
     engine.start_frame = state["eng_start_frame"].astype(np.int64)
     rows, cols = np.nonzero(state["eng_presence"])
-    engine.pair_start = engine.start_window[rows]
-    engine.pair_col = cols.astype(np.int64)
-    engine.pair_ge = state["eng_ge"][rows, cols].astype(np.uint64)
-    engine.pair_lt = state["eng_lt"][rows, cols].astype(np.uint64)
+    # Pairs of one column holding one signature are one class, wherever
+    # their rows lie: a class's members need not be one run of starts.
+    # (Two classes that came to hold equal signatures merge, which
+    # changes nothing: from here on they OR the same planes.)
+    keys = np.concatenate(
+        [
+            cols.astype(np.uint64)[:, np.newaxis],
+            state["eng_ge"][rows, cols].astype(np.uint64),
+            state["eng_lt"][rows, cols].astype(np.uint64),
+        ],
+        axis=1,
+    )
+    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    members = [0] * unique.shape[0]
+    for row, number in zip(rows.tolist(), inverse.tolist()):
+        members[number] |= 1 << row
+    # A class's adoption window is its newest member's start.
+    adopt = np.full(unique.shape[0], -1, dtype=np.int64)
+    np.maximum.at(adopt, inverse, engine.start_window[rows])
+    engine.class_col = unique[:, 0].astype(np.int64)
+    engine.class_adopt = adopt
+    engine.class_planes = unique[:, 1:].reshape(
+        -1, 2, engine.class_planes.shape[2]
+    ).copy()
+    engine.class_members = members
 
 
 def _columnar_geometric_state(engine: ColumnarGeometricEngine) -> Dict:

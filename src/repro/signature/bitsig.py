@@ -82,11 +82,14 @@ if hasattr(np, "bitwise_count"):
     def popcount_planes(planes: np.ndarray) -> np.ndarray:
         """Per-plane popcount: sums ``(..., W)`` words to ``(...,)`` ints.
 
-        The W word slices are added one by one: W is a handful, and a
-        strided ``sum(axis=-1)`` over a short last axis costs several
-        times the ``bitwise_count`` itself.
+        On more than a thousand words the W word slices are added one
+        by one: W is a handful, and a strided ``sum(axis=-1)`` over a
+        short last axis costs several times the ``bitwise_count``
+        itself. Below that the one reduction is cheaper than W calls.
         """
         counts = np.bitwise_count(planes)
+        if counts.size <= 1024:
+            return counts.sum(axis=-1, dtype=np.int64)
         total = counts[..., 0].astype(np.int64)
         for word in range(1, counts.shape[-1]):
             total += counts[..., word]

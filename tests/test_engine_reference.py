@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CombinationOrder, DetectorConfig, Representation
+from repro.core import engine_sequential
 from repro.core.detector import StreamingDetector
 from repro.core.query import Query, QuerySet
 from repro.errors import DetectionError
@@ -318,3 +319,181 @@ def test_sketch_representation_runs_on_the_oracle_only(order):
     oracle.process_cell_ids(rng.integers(0, 60, size=40))
     assert oracle.stats.sketch_combines > 0
     assert oracle.stats.signature_combines == 0
+
+
+# ----------------------------------------------------------------------
+# the Sequential class table: the shapes its pass must get right
+# ----------------------------------------------------------------------
+
+
+def _class_table_shapes(engine, before):
+    """Per class, its live pairs after a block, and which hard shapes
+    the production class table holds: a class whose members are not one
+    run of candidate rows (its column re-adopted after an older class
+    was pruned while a newer one lived on), a class that lost members to
+    its λL cap and lives on, and member rows past one 64-bit word."""
+    rows, classes = engine.live_pairs()
+    live = {}
+    split = False
+    for number, (col, adopt) in enumerate(
+        zip(engine.class_col.tolist(), engine.class_adopt.tolist())
+    ):
+        mine = rows[classes == number]
+        live[(col, adopt)] = mine.size
+        split |= bool(mine.size) and mine[-1] - mine[0] + 1 != mine.size
+    shrunk = any(0 < n < before.get(key, 0) for key, n in live.items())
+    wide = any(m.bit_length() > 64 for m in engine.class_members)
+    return live, {"split": split, "shrunk": shrunk, "wide": wide}
+
+
+def _run_class_table(config, plan, window_frames, seed=1, actions=()):
+    """Oracle and production over one stream cut into ``plan``'s blocks,
+    with ``actions`` (block number, subscribe/unsubscribe, qid) applied
+    after their block; returns both and the shapes production held."""
+    rng = np.random.default_rng(seed)
+    family = MinHashFamily(num_hashes=NUM_HASHES, seed=seed)
+    span = (36, 48) if window_frames == 1 else (20, 40)
+    queries = {q: rng.integers(0, 60, size=int(rng.integers(*span)))
+               for q in range(9)}
+    frames = {q: len(cells) for q, cells in queries.items()}
+    stream = rng.integers(0, 60, size=window_frames * sum(plan))
+    stream[window_frames * 3:][: frames[2]] = queries[2]  # a planted copy
+    block = build_window_block(stream, window_frames, family)
+    kps = window_frames / config.window_seconds
+    detectors = [
+        cls(config, QuerySet.from_cell_ids(
+            {q: queries[q] for q in range(8)}, frames, family
+        ), kps)
+        for cls in (ReferenceDetector, StreamingDetector)
+    ]
+    seen = dict.fromkeys(("split", "shrunk", "wide"), False)
+    live = {}
+    first = 0
+    for number, size in enumerate(plan):
+        for detector in detectors:
+            detector.process_batch(block[first:first + size])
+        first += size
+        live, shapes = _class_table_shapes(detectors[1].engine, live)
+        seen = {k: seen[k] or shapes[k] for k in seen}
+        for at, kind, qid in actions:
+            if at != number:
+                continue
+            for detector in detectors:
+                if kind == "subscribe":
+                    distinct = np.unique(queries[qid])
+                    detector.subscribe(Query(
+                        qid=qid, cell_ids=distinct, num_frames=frames[qid],
+                        sketch=family.sketch(distinct),
+                    ))
+                else:
+                    detector.unsubscribe(qid)
+    return detectors[0], detectors[1], seen
+
+
+PRUNE_INDEX_MODES = [
+    pytest.param(use_index, prune,
+                 id=f"{'idx' if use_index else 'noidx'}-"
+                    f"{'prune' if prune else 'noprune'}")
+    for use_index in (True, False)
+    for prune in (True, False)
+]
+
+
+@pytest.mark.parametrize("use_index,prune", PRUNE_INDEX_MODES)
+@pytest.mark.parametrize("plan", [
+    pytest.param([1] * 60, id="B1"),
+    pytest.param([8] * 8, id="B8"),
+    pytest.param([70, 5], id="B70"),  # cut at MAX_BLOCK_WINDOWS
+])
+def test_class_table_matches_reference(use_index, prune, plan):
+    """Split classes (a column re-adopted after its older class was
+    pruned while a newer class of it lives on, so two free row ranges
+    join one class) and cap expiry inside a living class, for every
+    block size, with and without the index and Lemma 2, in the oracle's
+    order. Only pruning frees rows for a split; without the index and
+    Lemma 2 every window relates every query, so each class holds its
+    fresh row alone and nothing is left to expire inside one."""
+    config = DetectorConfig(
+        num_hashes=NUM_HASHES, threshold=0.5, window_seconds=WINDOW_SECONDS,
+        use_index=use_index, prune=prune,
+    )
+    reference, columnar, seen = _run_class_table(
+        config, plan, window_frames=5, seed=2
+    )
+    assert seen["split"] == prune
+    assert seen["shrunk"] == (use_index or prune)
+    assert [*map(_match_key, columnar.matches)] == [
+        *map(_match_key, reference.matches)
+    ]
+    _assert_equivalent(reference, columnar)
+
+
+@pytest.mark.parametrize("use_index,prune", PRUNE_INDEX_MODES)
+def test_class_table_wider_than_a_word(use_index, prune):
+    """A λL cap of over 64 windows: candidate rows — and so member
+    bitsets — wider than one machine word."""
+    config = DetectorConfig(
+        num_hashes=NUM_HASHES, threshold=0.75, window_seconds=0.5,
+        use_index=use_index, prune=prune,
+    )
+    reference, columnar, seen = _run_class_table(
+        config, [8] * 13 + [6], window_frames=1
+    )
+    assert seen["wide"] and columnar.engine.num_candidates > 64
+    assert [*map(_match_key, columnar.matches)] == [
+        *map(_match_key, reference.matches)
+    ]
+    _assert_equivalent(reference, columnar)
+
+
+@pytest.mark.parametrize("use_index", [True, False])
+def test_class_table_churn_and_exact_tie(use_index):
+    """A subscribe and an unsubscribe between blocks, at a threshold the
+    similarity hits exactly (every similarity is a multiple of 1/K)."""
+    threshold = 16 / NUM_HASHES
+    config = DetectorConfig(
+        num_hashes=NUM_HASHES, threshold=threshold,
+        window_seconds=WINDOW_SECONDS, use_index=use_index,
+    )
+    reference, columnar, _ = _run_class_table(
+        config, [3, 1, 6, 8, 2, 8], window_frames=5, seed=2,
+        actions=[(1, "subscribe", 8), (3, "unsubscribe", 2),
+                 (4, "unsubscribe", 8)],
+    )
+    assert any(m.similarity == threshold for m in columnar.matches)
+    assert [*map(_match_key, columnar.matches)] == [
+        *map(_match_key, reference.matches)
+    ]
+    _assert_equivalent(reference, columnar)
+
+
+@pytest.mark.parametrize("use_index,prune", PRUNE_INDEX_MODES)
+def test_class_table_halves_blocks_past_the_grid_bound(
+    monkeypatch, use_index, prune
+):
+    """A block whose ``(window, class)`` grid would pass ``GRID_CELLS``
+    is cut in halves, down to one window, and still folds exactly as
+    the oracle does."""
+    monkeypatch.setattr(engine_sequential, "GRID_CELLS", 24)
+    passes = []
+    original = engine_sequential.ColumnarSequentialEngine._pass
+
+    def counted(self, payload, *args):
+        passes.append(len(payload.block))
+        return original(self, payload, *args)
+
+    monkeypatch.setattr(
+        engine_sequential.ColumnarSequentialEngine, "_pass", counted
+    )
+    config = DetectorConfig(
+        num_hashes=NUM_HASHES, threshold=0.5, window_seconds=WINDOW_SECONDS,
+        use_index=use_index, prune=prune,
+    )
+    reference, columnar, _ = _run_class_table(
+        config, [16, 16, 8], window_frames=5, seed=2
+    )
+    assert sum(passes) == 40 and len(passes) > 3 and 1 in passes
+    assert [*map(_match_key, columnar.matches)] == [
+        *map(_match_key, reference.matches)
+    ]
+    _assert_equivalent(reference, columnar)

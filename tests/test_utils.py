@@ -15,6 +15,7 @@ from repro.utils.bitops import (
     count_ones,
     count_zeros_in_low_bits,
     low_mask,
+    popcount,
 )
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.stats import RunningStats, mean, percentile
@@ -100,6 +101,10 @@ class TestBitops:
     @given(st.integers(min_value=0, max_value=(1 << 200) - 1))
     def test_count_ones_matches_bin(self, value):
         assert count_ones(value) == bin(value).count("1")
+
+    @given(st.integers(min_value=0, max_value=(1 << 200) - 1))
+    def test_popcount_matches_count_ones(self, value):
+        assert popcount(value) == count_ones(value)
 
     @given(
         st.integers(min_value=0, max_value=(1 << 128) - 1),
