@@ -36,7 +36,6 @@ from repro.codec.gop import (
     decode_dc_coefficients,
     decode_video,
     encode_video,
-    walk_dc_record,
 )
 from repro.codec.motion import compensate, motion_search
 from repro.codec.resync import (
@@ -77,7 +76,6 @@ __all__ = [
     "resilient_dc_scan",
     "resync_to_next_gop",
     "split_into_blocks",
-    "walk_dc_record",
     "zigzag_indices",
     "zigzag_order",
     "zigzag_restore",

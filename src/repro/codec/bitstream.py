@@ -39,7 +39,7 @@ of a chunk in a few array passes instead of one call per value.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,9 +55,15 @@ __all__ = [
 
 MAGIC = b"RVC1"
 
-#: Longest varint :func:`decode_uvarints` takes: 9 x 7 = 63 bits fit its
-#: int64 arrays. ``read_uvarint`` itself accepts up to 11 bytes.
+#: Longest varint :meth:`BitstreamReader.read_uvarint` takes: 11 x 7 =
+#: 77 bits. :func:`decode_uvarints` marks longer ones broken.
+_MAX_VARINT_BYTES = 11
+
+#: Longest varint decoded in :func:`decode_uvarints`' int64 array pass:
+#: 9 x 7 = 63 bits. The 10- and 11-byte ones are decoded one by one.
 _MAX_ARRAY_VARINT_BYTES = 9
+
+_INT64_MAX = (1 << 63) - 1
 
 _CONTINUATION_BYTES = bytes(range(0x80, 0x100))
 
@@ -175,25 +181,28 @@ class BitstreamReader:
         """Consume one signed (zig-zag) varint."""
         return _zigzag_decode_int(self.read_uvarint())
 
-    def skip_uvarints(self, count: int) -> None:
-        """Skip ``count`` varints without decoding their values."""
-        for _ in range(count):
-            self.read_uvarint()
-
 
 class Uvarints(NamedTuple):
     """Every varint of a byte run, as :func:`decode_uvarints` returns it.
 
     Nearly all varints of a real stream are one byte long, so the values
     are kept one byte each and the few longer ones listed on the side.
+    Varint ``i`` ends at the ``i``-th byte below 0x80 of the run.
     """
 
     #: Per varint, in stream order: its value when it is one byte long
     #: (so below 0x80), :attr:`LONG` otherwise.
     small: bytearray
-    #: Indices (ascending) and values of the longer varints.
+    #: Indices (ascending) and values of the longer varints. A value past
+    #: the int64 range (only a 10- or 11-byte varint holds one) reads as
+    #: the int64 maximum here and exactly in :attr:`huge`.
     long_at: np.ndarray
     long_values: np.ndarray
+    #: Index -> exact value of the varints past the int64 range.
+    huge: Dict[int, int]
+    #: Indices (ascending) of the varints over 11 bytes, which
+    #: ``read_uvarint`` refuses: a record that covers one is corrupt.
+    broken: List[int]
 
     LONG = 0xFF
 
@@ -209,16 +218,18 @@ class Uvarints(NamedTuple):
         ]
         return values
 
+    def value(self, index: int) -> int:
+        """The value of the long varint at ``index`` (as :meth:`take`)."""
+        return int(self.long_values[self.long_at.searchsorted(index)])
+
 
 def decode_uvarints(data: bytes, offset: int = 0) -> Uvarints:
     """Decode the varints of ``data[offset:]`` in a few array passes.
 
     Entry ``i`` of the result is what the ``i``-th consecutive
     :meth:`BitstreamReader.read_uvarint` call from ``offset`` would
-    return. Decoding stops where that reader would stop, at an
-    unterminated tail, and also before the first varint longer than 9
-    bytes (the reader takes up to 11), whose value would not fit an
-    int64.
+    return, or, for a varint over 11 bytes, where that call raises
+    (:attr:`Uvarints.broken`). An unterminated tail is no varint.
     """
     body = np.frombuffer(data, dtype=np.uint8, offset=offset)
     # Dropping the continuation bytes leaves each varint's last byte,
@@ -234,16 +245,29 @@ def decode_uvarints(data: bytes, offset: int = 0) -> Uvarints:
     tail = np.diff(run, append=continuation_at.size)
     at = first - run
     last = first + tail
-    undecodable = np.flatnonzero(
-        (last >= body.size) | (tail >= _MAX_ARRAY_VARINT_BYTES)
-    )
-    if undecodable.size:
-        stop = undecodable[0]
-        del small[at[stop]:]
-        first, tail, at, last = first[:stop], tail[:stop], at[:stop], last[:stop]
-    values = body[last].astype(np.int64) << (7 * tail)
-    for k in range(int(tail.max(initial=0))):
-        rows = np.flatnonzero(tail > k)
+    if last.size and last[-1] >= body.size:
+        # Continuation bytes up to the end: an unterminated tail.
+        first, tail, at, last = first[:-1], tail[:-1], at[:-1], last[:-1]
+    short = np.minimum(tail, _MAX_ARRAY_VARINT_BYTES - 1)
+    values = body[last].astype(np.int64) << (7 * short)
+    for k in range(int(short.max(initial=0))):
+        rows = np.flatnonzero(short > k)
         values[rows] |= (body[first[rows] + k] & 0x7F).astype(np.int64) << (7 * k)
+    huge: Dict[int, int] = {}
+    broken: List[int] = []
+    for row in np.flatnonzero(tail >= _MAX_ARRAY_VARINT_BYTES).tolist():
+        index = int(at[row])
+        if tail[row] >= _MAX_VARINT_BYTES:
+            broken.append(index)
+            values[row] = _INT64_MAX
+            continue
+        start = offset + int(first[row])
+        value = 0
+        for k, byte in enumerate(data[start : offset + int(last[row]) + 1]):
+            value |= (byte & 0x7F) << (7 * k)
+        if value > _INT64_MAX:
+            huge[index] = value
+            value = _INT64_MAX
+        values[row] = value
     np.frombuffer(small, dtype=np.uint8)[at] = Uvarints.LONG
-    return Uvarints(small, at, values)
+    return Uvarints(small, at, values, huge, broken)

@@ -18,14 +18,16 @@ Two decoders are provided:
   performs an inverse DCT. For an orthonormal N x N DCT the dequantised
   DC relates to the block mean as ``DC = N * mean``, which is all the
   fingerprint needs. A byte-aligned stream is scanned a chunk at a time
-  (:func:`_scan_dc_levels`: every varint decoded in one array pass, then
-  one hop per block); :func:`walk_dc_record`, the record-at-a-time
-  walker, serves exp-Golomb streams and the resync scanner
-  (:mod:`repro.codec.resync`) that damaged chunks go to.
+  (:class:`_VarintRecords`: every varint decoded in one array pass, then
+  one hop per block in varint-index space); an exp-Golomb stream is
+  walked a record at a time (:class:`_GolombRecords`). The resync
+  scanner (:mod:`repro.codec.resync`) that damaged chunks go to walks
+  the same two.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -34,6 +36,8 @@ import numpy as np
 from repro.codec.bitstream import (
     BitstreamReader,
     BitstreamWriter,
+    Uvarints,
+    _zigzag_decode_int,
     decode_uvarints,
 )
 from repro.codec.blocks import assemble_blocks, pad_to_blocks, split_into_blocks
@@ -55,7 +59,6 @@ __all__ = [
     "decode_dc_coefficients",
     "decode_video",
     "encode_video",
-    "walk_dc_record",
 ]
 
 
@@ -129,22 +132,6 @@ def _decode_levels(reader: BitstreamReader, block_size: int) -> np.ndarray:
     for position in range(keep):
         scan[position] = reader.read_svarint()
     return zigzag_restore(scan, block_size)
-
-
-def _skip_block_keep_dc(reader: BitstreamReader) -> int:
-    """Read only the DC level of a block record, skipping the AC tail."""
-    keep = reader.read_uvarint()
-    if keep < 1:
-        raise BitstreamError("block record with zero stored values")
-    dc = reader.read_svarint()
-    reader.skip_uvarints(keep - 1)
-    return dc
-
-
-def _skip_block(reader: BitstreamReader) -> None:
-    """Skip a whole block record without decoding any level."""
-    keep = reader.read_uvarint()
-    reader.skip_uvarints(keep)
 
 
 def encode_video(
@@ -368,60 +355,65 @@ def _read_dc_layout(
 
 
 _INTRA, _MOTION = b"I"[0], b"M"[0]
+_FRAME_TYPES = b"IPM"
 
 
-def _scan_dc_levels(
-    data: bytes, offset: int, num_frames: int, num_blocks: int
-) -> Tuple[List[int], np.ndarray]:
-    """DC levels of every I frame of a byte-aligned body, in one scan.
+class _VarintRecords:
+    """A byte-aligned body as one varint sequence, walked in index space.
 
-    Equivalent to ``num_frames`` calls of :func:`walk_dc_record` from
-    ``offset``, without a call per varint: :func:`decode_uvarints`
-    decodes the whole body, then the records are hopped in *varint-index*
-    space (a block record spans ``1 + n_values`` varints, two more with a
-    motion vector) noting where each I block's DC sits. Returns the frame
-    indices of the I records and their ``(len(indices), num_blocks)``
-    int64 levels.
+    :func:`decode_uvarints` decodes every varint of the body at once;
+    a record is then hopped in *varint-index* space -- a block record
+    spans ``1 + n_values`` varints, two more with a motion vector --
+    noting where each I block's DC sits, with every check the serial
+    reader makes: type byte, block count, ``n_values >= 1`` in an I
+    block, records running past the last complete varint, and varints
+    over 11 bytes. The type bytes are below 0x80, so a record starting
+    at any type byte -- the stream's next one, or a resync candidate --
+    reads exactly the varints of this one parse from there on.
 
-    Raises :class:`BitstreamError` whenever the serial walk would — wrong
-    type byte or block count, an I block with no values, records running
-    past the last complete varint — and also when the records hold a
-    varint over 9 bytes, which the serial reader takes up to 11: success
-    proves the serial walk succeeds with the same values, failure only
-    that the chunk needs the serial path.
+    :func:`_scan_dc_levels` walks the records from the body's first
+    varint; :func:`~repro.codec.resync.resilient_dc_scan` walks them
+    from byte offsets (:meth:`walk_at`) and resynchronises with
+    :meth:`resync`, over the same decode.
     """
-    varints = decode_uvarints(data, offset)
-    steps, long = varints.small, varints.LONG
-    keyframes: List[int] = []
-    dc_at: List[int] = []
-    at = 0
-    frame_index = 0
-    try:
-        for frame_index in range(num_frames):
-            kind = steps[at]
-            if kind not in b"IPM":  # a long varint is no type byte either
-                raise BitstreamError(
-                    f"frame {frame_index}: unknown frame type byte {kind:#04x}"
-                )
-            claimed = steps[at + 1]
+
+    def __init__(self, data: bytes, offset: int, num_blocks: int) -> None:
+        self.data = data
+        self.offset = offset
+        self.num_blocks = num_blocks
+        self.varints = decode_uvarints(data, offset)
+        self.steps = self.varints.small
+        self._ends: Optional[np.ndarray] = None
+        self._candidates: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def walk(self, kind: int, at: int, dc_at: List[int]) -> int:
+        """Hop one record of type ``kind`` whose block count is varint
+        ``at``; returns the index one past its last varint.
+
+        Appends the varint index of every I block's DC level to
+        ``dc_at``. Raises :class:`BitstreamError` where the serial
+        reader would.
+        """
+        varints, steps, long = self.varints, self.steps, Uvarints.LONG
+        num_blocks = self.num_blocks
+        start = at
+        try:
+            claimed = steps[at]
             if claimed == long:
-                claimed = int(varints.take([at + 1])[0])
+                claimed = varints.value(at)
             if claimed != num_blocks:
                 raise BitstreamError(
-                    f"frame {frame_index}: expected {num_blocks} blocks, "
-                    f"record claims {claimed}"
+                    f"expected {num_blocks} blocks, record claims {claimed}"
                 )
-            at += 2
+            at += 1
             if kind == _INTRA:
-                keyframes.append(frame_index)
                 for _ in range(num_blocks):
                     keep = steps[at]
                     if keep == long:
-                        keep = int(varints.take([at])[0])
-                    if keep < 1:
+                        keep = varints.value(at)
+                    if not keep:
                         raise BitstreamError(
-                            f"frame {frame_index}: block record with zero "
-                            "stored values"
+                            "block record with zero stored values"
                         )
                     dc_at.append(at + 1)
                     at += 1 + keep
@@ -434,64 +426,172 @@ def _scan_dc_levels(
                 for _ in range(num_blocks):
                     keep = steps[at]
                     if keep == long:
-                        keep = int(varints.take([at])[0])
+                        keep = varints.value(at)
                     at += 1 + keep + lead
                 at -= lead
-    except IndexError:
-        at = len(steps) + 1
-    if at > len(steps):
-        raise BitstreamError(
-            f"frame {frame_index}: records run past the last decodable "
-            "varint (the stream is truncated, or holds one over 9 bytes)"
-        )
-    levels = varints.take(dc_at)
-    levels = (levels >> 1) ^ -(levels & 1)  # zig-zag -> signed
-    return keyframes, levels.reshape(len(keyframes), num_blocks)
+        except IndexError:
+            at = len(steps) + 1
+        if at > len(steps):
+            raise BitstreamError(
+                "record runs past the last complete varint (the stream is "
+                "truncated)"
+            )
+        broken = varints.broken
+        if broken and bisect_left(broken, start) < bisect_left(broken, at):
+            raise BitstreamError("varint longer than 11 bytes; corrupt stream")
+        return at
+
+    def levels(self, dc_at: List[int]) -> np.ndarray:
+        """The signed DC levels at ``dc_at``, as float64."""
+        values = self.varints.take(dc_at)
+        levels = ((values >> 1) ^ -(values & 1)).astype(np.float64)
+        huge = self.varints.huge
+        if huge:
+            for row, index in enumerate(dc_at):
+                if index in huge:
+                    levels[row] = float(_zigzag_decode_int(huge[index]))
+        return levels
+
+    # -- byte offsets: the resync scanner's view ------------------------
+
+    @property
+    def ends(self) -> np.ndarray:
+        """Absolute byte offset of every varint's last byte."""
+        if self._ends is None:
+            body = np.frombuffer(self.data, dtype=np.uint8, offset=self.offset)
+            self._ends = np.flatnonzero(body < 0x80) + self.offset
+        return self._ends
+
+    def walk_at(self, position: int) -> Tuple[int, Optional[np.ndarray], int]:
+        """Walk the record whose type byte is at byte ``position``:
+        ``(type byte, DC levels of an I frame or None, next position)``."""
+        kind = self.data[position]
+        if kind not in _FRAME_TYPES:
+            raise BitstreamError(f"unknown frame type byte {kind:#04x}")
+        ends = self.ends
+        dc_at: List[int] = []
+        # A type byte is below 0x80: it ends varint ``searchsorted``.
+        end = self.walk(kind, int(ends.searchsorted(position)) + 1, dc_at)
+        levels = self.levels(dc_at) if kind == _INTRA else None
+        return kind, levels, int(ends[end - 1]) + 1
+
+    def resync(self, position: int) -> Optional[int]:
+        """Byte offset of the first ``I`` byte at or after ``position``
+        from which a whole I record parses, or ``None``."""
+        if self._candidates is None:
+            body = np.frombuffer(self.data, dtype=np.uint8, offset=self.offset)
+            found = np.flatnonzero(body == _INTRA) + self.offset
+            count_at = self.ends.searchsorted(found) + 1
+            inside = count_at < len(self.steps)
+            found, count_at = found[inside], count_at[inside]
+            # Only a candidate whose block count is right can parse.
+            right = self.varints.take(count_at) == self.num_blocks
+            self._candidates = (found[right], count_at[right])
+        found, count_at = self._candidates
+        first = int(found.searchsorted(position))
+        for candidate, at in zip(
+            found[first:].tolist(), count_at[first:].tolist()
+        ):
+            try:
+                self.walk(_INTRA, at, [])
+            except BitstreamError:
+                continue
+            return candidate
+        return None
 
 
-def walk_dc_record(
-    reader: BitstreamReader,
-    num_blocks: int,
-    entropy: bool,
-) -> Tuple[bytes, Optional[List[int]]]:
-    """Walk exactly one frame record from the reader's current position.
+def _scan_dc_levels(
+    data: bytes, offset: int, num_frames: int, num_blocks: int
+) -> Tuple[List[int], np.ndarray]:
+    """DC levels of every I frame of a byte-aligned body, in one scan.
 
-    Returns ``(frame_type, dc_levels)`` where ``dc_levels`` is the list
-    of per-block DC levels for an I frame and ``None`` for a skipped
-    predicted frame. Raises :class:`BitstreamError` if the record is
-    malformed, truncated, or its block count disagrees with
-    ``num_blocks`` — the primitive both the partial decoder and the
-    resync scanner (:mod:`repro.codec.resync`) are built on.
+    Exactly ``num_frames`` serial record walks from ``offset``, without
+    a call per varint: the records are hopped in varint-index space
+    (:class:`_VarintRecords`). Returns the frame indices of the I
+    records and their ``(len(indices), num_blocks)`` float64 levels;
+    raises :class:`BitstreamError` where the serial walk would.
     """
-    frame_type = reader.read_bytes(1)
-    if frame_type not in (b"I", b"P", b"M"):
-        raise BitstreamError(f"unknown frame type {frame_type!r}")
-    claimed = reader.read_uvarint()
-    if claimed != num_blocks:
-        raise BitstreamError(
-            f"expected {num_blocks} blocks, record claims {claimed}"
-        )
-    if frame_type == b"I":
-        dc_levels: List[int] = []
-        if entropy:
-            payload = reader.read_bytes(reader.read_uvarint())
+    records = _VarintRecords(data, offset, num_blocks)
+    steps, walk = records.steps, records.walk
+    keyframes: List[int] = []
+    dc_at: List[int] = []
+    at = 0
+    for frame_index in range(num_frames):
+        if at >= len(steps):
+            raise BitstreamError(
+                f"frame {frame_index}: records run past the last complete "
+                "varint (the stream is truncated)"
+            )
+        kind = steps[at]
+        if kind not in _FRAME_TYPES:  # a long varint is no type byte
+            raise BitstreamError(
+                f"frame {frame_index}: unknown frame type byte {kind:#04x}"
+            )
+        try:
+            at = walk(kind, at + 1, dc_at)
+        except BitstreamError as error:
+            raise BitstreamError(f"frame {frame_index}: {error}") from error
+        if kind == _INTRA:
+            keyframes.append(frame_index)
+    return keyframes, records.levels(dc_at).reshape(len(keyframes), num_blocks)
+
+
+class _GolombRecords:
+    """An exp-Golomb body walked a record at a time.
+
+    Each record's payload is prefixed by its byte length, so a predicted
+    frame is one seek; an I frame's payload is walked block by block
+    for its DC levels. Same byte-offset interface as
+    :class:`_VarintRecords`, for the resync scanner.
+    """
+
+    def __init__(self, data: bytes, num_blocks: int) -> None:
+        self.data = data
+        self.num_blocks = num_blocks
+        self.reader = BitstreamReader(data)
+
+    def walk_at(self, position: int) -> Tuple[int, Optional[np.ndarray], int]:
+        """Walk the record at byte ``position``: ``(type byte, DC levels
+        of an I frame or None, next position)``."""
+        reader = self.reader
+        reader.seek(position)
+        frame_type = reader.read_bytes(1)
+        if frame_type not in (b"I", b"P", b"M"):
+            raise BitstreamError(f"unknown frame type {frame_type!r}")
+        claimed = reader.read_uvarint()
+        if claimed != self.num_blocks:
+            raise BitstreamError(
+                f"expected {self.num_blocks} blocks, record claims {claimed}"
+            )
+        payload = reader.read_bytes(reader.read_uvarint())
+        levels = None
+        if frame_type == b"I":
             bit_reader = BitReader(payload)
-            for _ in range(num_blocks):
-                dc_levels.append(skip_block_scan_keep_dc(bit_reader))
-        else:
-            for _ in range(num_blocks):
-                dc_levels.append(_skip_block_keep_dc(reader))
-        return frame_type, dc_levels
-    if entropy:
-        # The payload-length prefix is the slice resync marker: a
-        # predicted frame is skipped in one seek.
-        reader.read_bytes(reader.read_uvarint())
-    else:
-        for _ in range(num_blocks):
-            if frame_type == b"M":
-                reader.skip_uvarints(2)  # the block's motion vector
-            _skip_block(reader)
-    return frame_type, None
+            levels = np.asarray(
+                [
+                    skip_block_scan_keep_dc(bit_reader)
+                    for _ in range(self.num_blocks)
+                ],
+                dtype=np.float64,
+            )
+        return frame_type[0], levels, reader.position
+
+    def resync(self, position: int) -> Optional[int]:
+        """Byte offset of the first ``I`` byte at or after ``position``
+        from which a whole I record parses, or ``None``."""
+        data = self.data
+        while True:
+            candidate = data.find(b"I", position)
+            if candidate < 0:
+                return None
+            try:
+                kind, _levels, _end = self.walk_at(candidate)
+            except BitstreamError:
+                pass
+            else:
+                if kind == _INTRA:
+                    return candidate
+            position = candidate + 1
 
 
 def decode_video(encoded: EncodedVideo) -> np.ndarray:
@@ -585,10 +685,10 @@ def decode_dc_coefficients(
     goes through :func:`_scan_dc_levels` whole, so its grids are views of
     one ``(keyframes, grid_rows, grid_cols)`` array and a malformed
     record raises :class:`BitstreamError` before the first grid is
-    yielded; nothing is re-walked here — a caller that wants what is
-    left of a damaged stream hands it to
-    :func:`repro.codec.resync.resilient_dc_scan`. An exp-Golomb body is
-    walked record by record (its P frames are one seek each already).
+    yielded; a caller that wants what is left of a damaged stream hands
+    it to :func:`repro.codec.resync.resilient_dc_scan`. An exp-Golomb
+    body is walked record by record (its P frames are one seek each
+    already).
     """
     reader = BitstreamReader(encoded.data)
     (grid_rows, grid_cols, _gop_size, num_frames, dc_quant_step,
@@ -599,21 +699,17 @@ def decode_dc_coefficients(
         keyframes, levels = _scan_dc_levels(
             encoded.data, reader.position, num_frames, num_blocks
         )
-        dc_grids = (
-            levels.astype(np.float64).reshape(-1, grid_rows, grid_cols)
-            * dc_quant_step
-        )
+        dc_grids = levels.reshape(-1, grid_rows, grid_cols) * dc_quant_step
         yield from zip(keyframes, dc_grids)
         return
+    records = _GolombRecords(encoded.data, num_blocks)
+    position = reader.position
     for frame_index in range(num_frames):
         try:
-            frame_type, dc_levels = walk_dc_record(reader, num_blocks, entropy)
+            kind, levels, position = records.walk_at(position)
         except BitstreamError as error:
             raise BitstreamError(f"frame {frame_index}: {error}") from error
-        if frame_type == b"I":
-            assert dc_levels is not None
-            dc_grid = (
-                np.asarray(dc_levels, dtype=np.float64).reshape(grid_rows, grid_cols)
-                * dc_quant_step
+        if kind == _INTRA:
+            yield frame_index, (
+                levels.reshape(grid_rows, grid_cols) * dc_quant_step
             )
-            yield frame_index, dc_grid

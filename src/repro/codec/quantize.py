@@ -12,6 +12,8 @@ scaling follows the convention popularised by libjpeg.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.errors import CodecError
@@ -34,8 +36,12 @@ _BASE_LUMINANCE = np.array(
 )
 
 
+@functools.lru_cache(maxsize=64)
 def quantization_matrix(quality: int, block_size: int = 8) -> np.ndarray:
     """Return the quantisation matrix for the given JPEG-style quality.
+
+    The matrix is computed once per ``(quality, block_size)`` and shared,
+    read-only: every chunk's header asks for it.
 
     Parameters
     ----------
@@ -60,6 +66,7 @@ def quantization_matrix(quality: int, block_size: int = 8) -> np.ndarray:
     if block_size != 8:
         idx = np.minimum((np.arange(block_size) * 8) // block_size, 7)
         table = table[np.ix_(idx, idx)]
+    table.setflags(write=False)
     return table
 
 

@@ -5,9 +5,8 @@ after it, so a naive decoder loses the rest of the stream. Real MPEG
 decoders recover by scanning forward to the next start code; the toy
 codec has no start codes, but every I frame record begins with the byte
 ``b"I"`` followed by a block-count varint that must equal the grid size —
-a strong enough predicate to probe candidate offsets with
-:func:`repro.codec.gop.walk_dc_record` and accept the first offset whose
-record parses cleanly.
+a strong enough predicate to probe candidate offsets and accept the
+first one from which a whole I-frame record parses.
 
 Two layers are provided:
 
@@ -22,6 +21,14 @@ Two layers are provided:
   decoded DC grids together with enough anchoring information for the
   caller to keep its window clock aligned.
 
+Both walk the records the strict decoder walks. A byte-aligned body is
+decoded once into varints and hopped in varint-index space
+(:class:`~repro.codec.gop._VarintRecords`): a resync candidate is an
+``I`` byte, which is below 0x80 and so ends a varint, and the record
+read from it is made of exactly the varints of that one parse. An
+exp-Golomb body is walked a record at a time
+(:class:`~repro.codec.gop._GolombRecords`).
+
 Frame-index anchoring: the segment that starts at the stream head is
 anchored at frame 0. After a resync the absolute frame index of the
 recovered record is unknown (the toy format stores no frame numbers), so
@@ -35,12 +42,18 @@ GOP structure before the anchor is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Union
 
 import numpy as np
 
 from repro.codec.bitstream import BitstreamReader
-from repro.codec.gop import EncodedVideo, _read_dc_layout, walk_dc_record
+from repro.codec.gop import (
+    _INTRA,
+    EncodedVideo,
+    _GolombRecords,
+    _read_dc_layout,
+    _VarintRecords,
+)
 from repro.errors import BitstreamError, CodecError
 
 __all__ = ["DCSegment", "ResilientScanResult", "resilient_dc_scan",
@@ -58,26 +71,19 @@ def resync_to_next_gop(
 
     Returns the byte offset at which a complete I-frame record parses, or
     ``None`` if no such offset exists before the end of ``data``. Probing
-    is exact, not heuristic: a candidate offset is accepted only if
-    :func:`walk_dc_record` walks a full I record from it without error,
-    so a stray ``0x49`` byte inside coefficient data cannot cause a false
-    lock unless it is followed by an entire well-formed record.
+    is exact, not heuristic: a candidate offset is accepted only if a
+    full I record walks from it without error, so a stray ``0x49`` byte
+    inside coefficient data cannot cause a false lock unless it is
+    followed by an entire well-formed record.
     """
-    reader = BitstreamReader(data)
-    position = max(0, offset)
-    while True:
-        candidate = data.find(b"I", position)
-        if candidate < 0:
-            return None
-        reader.seek(candidate)
-        try:
-            frame_type, dc_levels = walk_dc_record(reader, num_blocks, entropy)
-        except BitstreamError:
-            pass
-        else:
-            if frame_type == b"I" and dc_levels is not None:
-                return candidate
-        position = candidate + 1
+    offset = max(0, offset)
+    if offset >= len(data):
+        return None
+    records: Union[_VarintRecords, _GolombRecords] = (
+        _GolombRecords(data, num_blocks) if entropy
+        else _VarintRecords(data, offset, num_blocks)
+    )
+    return records.resync(offset)
 
 
 @dataclass
@@ -121,7 +127,7 @@ class ResilientScanResult:
 
 def _validate_anchor(
     anchor: int,
-    frame_types: List[bytes],
+    frame_types: List[int],
     gop_size: int,
 ) -> bool:
     """Check that records starting at ``anchor`` match the I/P cadence."""
@@ -129,7 +135,7 @@ def _validate_anchor(
         return False
     for offset, frame_type in enumerate(frame_types):
         is_intra_slot = (anchor + offset) % gop_size == 0
-        if is_intra_slot != (frame_type == b"I"):
+        if is_intra_slot != (frame_type == _INTRA):
             return False
     return True
 
@@ -164,16 +170,21 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
         raise BitstreamError(f"unreadable header: {error}") from error
     num_blocks = grid_rows * grid_cols
     expected_keyframes = encoded.num_keyframes
+    records: Union[_VarintRecords, _GolombRecords] = (
+        _GolombRecords(data, num_blocks) if entropy
+        else _VarintRecords(data, reader.position, num_blocks)
+    )
+    position = reader.position
 
     segments: List[DCSegment] = []
-    segment_types: List[List[bytes]] = []
+    segment_types: List[List[int]] = []
     decode_errors = 0
     resyncs = 0
     bytes_skipped = 0
     reached_end = False
 
     segment = DCSegment(kf_slots=[])
-    frame_types: List[bytes] = []
+    frame_types: List[int] = []
     records_walked = 0
     keyframes_decoded = 0
 
@@ -183,12 +194,12 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
             segment_types.append(frame_types)
 
     while records_walked < num_frames:
-        if reader.exhausted:
+        if position >= len(data):
             reached_end = True
             break
-        record_start = reader.position
+        record_start = position
         try:
-            frame_type, dc_levels = walk_dc_record(reader, num_blocks, entropy)
+            frame_type, dc_levels, position = records.walk_at(position)
         except CodecError:
             decode_errors += 1
             close_segment()
@@ -198,20 +209,18 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
                 # Everything recoverable is in hand; don't chase ghosts
                 # in a corrupted tail.
                 break
-            next_gop = resync_to_next_gop(
-                data, record_start + 1, num_blocks=num_blocks, entropy=entropy
-            )
+            next_gop = records.resync(record_start + 1)
             if next_gop is None:
                 bytes_skipped += len(data) - record_start
                 break
             bytes_skipped += next_gop - record_start
-            reader.seek(next_gop)
+            position = next_gop
             resyncs += 1
             continue
         segment.record_count += 1
         records_walked += 1
         frame_types.append(frame_type)
-        if frame_type == b"I":
+        if frame_type == _INTRA:
             if keyframes_decoded >= expected_keyframes:
                 # More I frames than the metadata promises: the walk has
                 # drifted into corrupted territory that happens to parse.
@@ -224,15 +233,12 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
                 frame_types = []
                 break
             assert dc_levels is not None
-            grid = (
-                np.asarray(dc_levels, dtype=np.float64)
-                .reshape(grid_rows, grid_cols)
-                * dc_quant_step
+            segment.dc_grids.append(
+                dc_levels.reshape(grid_rows, grid_cols) * dc_quant_step
             )
-            segment.dc_grids.append(grid)
             keyframes_decoded += 1
     else:
-        reached_end = reader.exhausted
+        reached_end = position >= len(data)
 
     close_segment()
 
@@ -241,7 +247,7 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
     if segments and segments[0].kf_slots is not None:
         slots = []
         for offset, frame_type in enumerate(segment_types[0]):
-            if frame_type == b"I":
+            if frame_type == _INTRA:
                 slots.append(offset // gop_size)
         segments[0].kf_slots = slots
 
@@ -259,7 +265,7 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
         if _validate_anchor(anchor, tail_types, gop_size):
             slots = []
             for offset, frame_type in enumerate(tail_types):
-                if frame_type == b"I":
+                if frame_type == _INTRA:
                     slots.append((anchor + offset) // gop_size)
             # Anchoring is only trusted when it doesn't collide with the
             # anchored head segment.

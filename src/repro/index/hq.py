@@ -100,7 +100,12 @@ class HashQueryIndex:
         # change: the probe's keys and sorted qids, the oracle's triples.
         self._keys: Optional[np.ndarray] = None
         self._sorted_qids: Optional[np.ndarray] = None
+        self._key_columns: Optional[np.ndarray] = None
         self._rows: Optional[List[List[IndexEntry]]] = None
+        # Row ``i``'s key bits, ``i << 32``: fixed by K alone.
+        self._row_keys = (
+            np.arange(num_hashes, dtype=np.int64) << _KEY_SHIFT
+        )
 
     # ------------------------------------------------------------------
     # construction / maintenance
@@ -226,6 +231,7 @@ class HashQueryIndex:
     def _invalidate_caches(self) -> None:
         self._keys = None
         self._sorted_qids = None
+        self._key_columns = None
         self._rows = None
 
     def length_of(self, qid: int) -> int:
@@ -255,8 +261,9 @@ class HashQueryIndex:
         and :meth:`targets` refuse a family whose prime does not.
         """
         if self._keys is None:
-            rows = np.arange(self.num_hashes, dtype=np.int64)[:, np.newaxis]
-            self._keys = ((rows << _KEY_SHIFT) | self._values).ravel()
+            self._keys = (
+                self._row_keys[:, np.newaxis] | self._values
+            ).ravel()
         return self._keys
 
     def targets(self, sketches: Union[Sketch, SketchBlock]) -> np.ndarray:
@@ -275,8 +282,7 @@ class HashQueryIndex:
                 f"K={self.num_hashes}"
             )
         _check_key_range(sketches)
-        rows = np.arange(self.num_hashes, dtype=np.int64)
-        return ((rows << _KEY_SHIFT) | values).ravel()
+        return (self._row_keys | values).ravel()
 
     @property
     def sorted_qids(self) -> np.ndarray:
@@ -290,17 +296,33 @@ class HashQueryIndex:
             self._sorted_qids = np.sort(self._qid_matrix[0])
         return self._sorted_qids
 
+    @property
+    def key_columns(self) -> np.ndarray:
+        """The query column of every :attr:`keys` entry, ``(K·m,)`` int32.
+
+        Entry ``i·m + c`` is the position of ``qid_matrix[i, c]`` in
+        :attr:`sorted_qids`: the probe's qid → column lookup, done once
+        per change instead of once per probe.
+        """
+        if self._key_columns is None:
+            self._key_columns = (
+                self.sorted_qids.searchsorted(self._qid_matrix.ravel())
+                .astype(np.int32)
+            )
+        return self._key_columns
+
     def warm_caches(self) -> None:
         """Materialise the probe's views (offline, like index construction).
 
         The paper min-hashes query sequences offline; the flat views the
         probe reads belong to the same offline phase. Calling this after
         build/insert/remove keeps the online probe path free of one-time
-        construction costs: one vectorised pass each for :attr:`keys`
-        and :attr:`sorted_qids`.
+        construction costs: one vectorised pass each for :attr:`keys`,
+        :attr:`sorted_qids` and :attr:`key_columns`.
         """
         _ = self.keys
         _ = self.sorted_qids
+        _ = self.key_columns
 
     @property
     def qid_matrix(self) -> np.ndarray:
@@ -463,11 +485,12 @@ class HashQueryIndex:
         if unsorted.size:
             row, column = unsorted[0].tolist()
             raise IndexError_(f"row {row} is not sorted at column {column + 1}")
-        cached = (self._keys, self._sorted_qids, self._rows)
+        cached = (self._keys, self._sorted_qids, self._rows, self._key_columns)
         self._invalidate_caches()
         for name, old, new in (
             ("keys", cached[0], self.keys),
             ("sorted_qids", cached[1], self.sorted_qids),
+            ("key_columns", cached[3], self.key_columns),
         ):
             if old is not None and not np.array_equal(old, new):
                 raise IndexError_(f"cached {name} out of step with the arrays")

@@ -89,9 +89,10 @@ def probe_index(
        would sit, at once (the K BinarySearch steps, B times); a second,
        over the targets that occur only, finds their equal runs' ends
        (EqualSearch).
-    2. The runs' query ids (``qid_matrix.ravel()``) map to columns
-       through the sorted-qid table; a (window, column) mask
-       de-duplicates queries equal on several rows.
+    2. The runs' query columns are read off the index's
+       :attr:`~repro.index.hq.HashQueryIndex.key_columns`; a
+       (window, column) mask de-duplicates queries equal on several
+       rows.
     3. One compare + pack of each window against its related queries'
        rows of ``query_matrix`` gives both planes.
 
@@ -139,7 +140,7 @@ def probe_index(
     hit = np.zeros((values.shape[0], sorted_qids.shape[0]), dtype=bool)
     hit[
         np.repeat(found // num_hashes, counts),
-        sorted_qids.searchsorted(index.qid_matrix.ravel()[positions]),
+        index.key_columns[positions],
     ] = True
     windows, columns = hit.nonzero()
     probed = values.take(windows, axis=0)
@@ -147,6 +148,7 @@ def probe_index(
     lt = pack_bool_planes(probed < related)
     if prune:
         keep = popcount_planes(lt) <= lemma2_bound(index.num_hashes, threshold)
+    if prune and not keep.all():
         windows = windows[keep]
         columns = columns[keep]
         probed = probed.compress(keep, axis=0)

@@ -5,10 +5,10 @@ into per-keyframe cell ids without ever letting a codec failure escape.
 A chunk is first offered to the normal partial decoder
 (:meth:`~repro.features.pipeline.FingerprintExtractor.cell_ids_from_encoded`),
 which for the byte-aligned format is one array scan that either proves
-the whole chunk sound or raises without having walked anything; a chunk
-it rejects is walked once, record by record, by
-:func:`~repro.codec.resync.resilient_dc_scan`, which recovers every GOP
-that still parses and reports where the damage was.
+the whole chunk sound or raises before yielding anything; a chunk it
+rejects goes to :func:`~repro.codec.resync.resilient_dc_scan`, which
+hops the same records in varint-index space, recovers every GOP that
+still parses and reports where the damage was.
 
 The output is positional: a list of ``(keyframe_slot, cell_ids)``
 segments, where ``keyframe_slot`` counts key frames from the start of

@@ -105,7 +105,8 @@ def _header_length(data: bytes) -> int:
     reader = BitstreamReader(data)
     try:
         reader.read_magic()
-        reader.skip_uvarints(8)
+        for _ in range(8):
+            reader.read_uvarint()
     except BitstreamError:
         return min(len(data), 4)
     return reader.position

@@ -20,32 +20,48 @@ instead of silent garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from itertools import accumulate
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SketchError
-from repro.minhash.sketch import Sketch
+from repro.minhash.sketch import Sketch, SketchBlock
 from repro.utils.rng import make_rng
 
 __all__ = ["MinHashFamily", "MERSENNE_PRIME_31"]
 
 MERSENNE_PRIME_31 = (1 << 31) - 1
 
+#: Moduli must stay below this: the hashes ``a·m(x) + b`` (``a, b < p``,
+#: ``m(x) < 2**31``) then fit int64, and the values fit the HQ index's
+#: 32 key bits.
+_PRIME_LIMIT = 1 << 32
+
+
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+_LOW_31 = np.uint64(0x7FFFFFFE)
+
 
 def _mix_bits(values: np.ndarray) -> np.ndarray:
     """Splitmix64 finalizer: a fixed, seedless avalanche permutation.
 
     Decorrelates structured element sets before the per-function linear
-    hashes. Input int64 >= 0; output int64 in [0, 2^31).
+    hashes. Input int64 >= 0; output int64 in [0, 2^31). The uint64
+    array arithmetic wraps modulo 2^64, which is the finalizer's.
     """
-    with np.errstate(over="ignore"):
-        z = values.astype(np.uint64)
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return (z & np.uint64(0x7FFFFFFE)).astype(np.int64)
+    z = values.astype(np.uint64)
+    z += _GOLDEN
+    z ^= z >> _SHIFTS[0]
+    z *= _MIX_1
+    z ^= z >> _SHIFTS[1]
+    z *= _MIX_2
+    z ^= z >> _SHIFTS[2]
+    z &= _LOW_31
+    return z.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -59,7 +75,8 @@ class MinHashFamily:
     seed:
         Seed from which all multipliers/offsets derive.
     prime:
-        Field modulus; must exceed every element ever hashed.
+        Field modulus; must exceed every element ever hashed, and stay
+        below ``2**32`` so the int64 hashing cannot overflow.
     """
 
     num_hashes: int
@@ -73,6 +90,12 @@ class MinHashFamily:
             raise SketchError(f"num_hashes must be positive, got {self.num_hashes}")
         if self.prime <= 2:
             raise SketchError(f"prime must exceed 2, got {self.prime}")
+        if self.prime >= _PRIME_LIMIT:
+            # Past it a·m(x) + b would wrap int64 silently.
+            raise SketchError(
+                f"prime must be below 2**32 so hashing stays in int64, "
+                f"got {self.prime}"
+            )
         rng = make_rng(self.seed, "minhash-family")
         a = rng.integers(1, self.prime, size=self.num_hashes, dtype=np.int64)
         b = rng.integers(0, self.prime, size=self.num_hashes, dtype=np.int64)
@@ -151,39 +174,43 @@ class MinHashFamily:
         ).min(axis=1)
         return Sketch(values=values, family=self.fingerprint)
 
-    def sketch_many(self, element_arrays: Sequence[np.ndarray]) -> List[Sketch]:
+    def sketch_many(self, element_arrays: Sequence[np.ndarray]) -> SketchBlock:
         """K-min-hash sketches of many element sets in one hashing pass.
 
         All arrays are validated, concatenated and hashed as a single
         ``(K, N)`` matrix, then reduced to per-set minima with one
         segmented reduction — the batched form `StreamingDetector` uses
-        to sketch every basic window of a chunk at once. Empty sets yield
-        the :meth:`empty_sketch` values, exactly as :meth:`sketch`.
+        to sketch every basic window of a chunk at once. Returns the
+        ``(B, K)`` :class:`~repro.minhash.sketch.SketchBlock`; row ``i``
+        is :meth:`sketch` of ``element_arrays[i]`` (an empty set's row
+        holds the :meth:`empty_sketch` values).
 
         Elements are assumed distinct *within each array* (the windowing
         layer passes ``np.unique`` output); duplicates would still be
         correct, only redundant work.
         """
-        fingerprint = self.fingerprint
-        if not element_arrays:
-            return []
         checked = [self._checked_int64(ids) for ids in element_arrays]
-        lengths = np.array([ids.size for ids in checked], dtype=np.int64)
-        nonempty = lengths > 0
-        values = np.full(
-            (len(checked), self.num_hashes), self.prime, dtype=np.int64
-        )
-        if nonempty.any():
-            mixed = _mix_bits(np.concatenate([c for c in checked if c.size]))
-            hashed = (
-                self._a[:, np.newaxis] * mixed[np.newaxis, :]
-                + self._b[:, np.newaxis]
-            ) % self.prime
-            offsets = np.zeros(int(nonempty.sum()), dtype=np.int64)
-            np.cumsum(lengths[nonempty][:-1], out=offsets[1:])
-            minima = np.minimum.reduceat(hashed, offsets, axis=1)
-            values[nonempty] = minima.T
-        return [Sketch._raw(row, fingerprint) for row in values]
+        nonempty = [row for row, ids in enumerate(checked) if ids.size]
+        if not nonempty:
+            values = np.full(
+                (len(checked), self.num_hashes), self.prime, dtype=np.int64
+            )
+            return SketchBlock(values, self.fingerprint)
+        mixed = _mix_bits(np.concatenate([checked[row] for row in nonempty]))
+        hashed = self._a[:, np.newaxis] * mixed
+        hashed += self._b[:, np.newaxis]
+        hashed %= self.prime
+        # Each set's first column: a running total of the sizes.
+        offsets = [0, *accumulate(checked[row].size for row in nonempty[:-1])]
+        minima = np.minimum.reduceat(hashed, offsets, axis=1).T
+        if len(nonempty) == len(checked):
+            values = np.ascontiguousarray(minima)
+        else:
+            values = np.full(
+                (len(checked), self.num_hashes), self.prime, dtype=np.int64
+            )
+            values[nonempty] = minima
+        return SketchBlock(values, self.fingerprint)
 
     def empty_sketch(self) -> Sketch:
         """The identity sketch: every coordinate at the +inf sentinel.

@@ -179,15 +179,9 @@ def build_window_block(
         np.unique(ids[offset : offset + window_frames])
         for offset in offsets.tolist()
     ]
-    if distinct:
-        sketch_values = np.stack(
-            [sketch.values for sketch in family.sketch_many(distinct)]
-        )
-    else:
-        sketch_values = np.empty((0, family.num_hashes), dtype=np.int64)
     return WindowBlock(
         indices=first_index + np.arange(len(distinct), dtype=np.int64),
         starts=first_frame + offsets,
         frames=np.minimum(window_frames, total - offsets),
-        sketch_values=sketch_values,
+        sketch_values=family.sketch_many(distinct).values,
     )

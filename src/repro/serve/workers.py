@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -260,9 +260,12 @@ class ShardWorker:
         # Worker-owned copies: a shared-memory row would be overwritten
         # when the producer reuses the slot. ``take`` copies the shard's
         # plane rows out of the batch planes.
-        block = replace(
-            batch.block,
-            sketch_values=np.array(batch.block.sketch_values, dtype=np.int64),
+        shipped = batch.block
+        block = WindowBlock(
+            indices=shipped.indices,
+            starts=shipped.starts,
+            frames=shipped.frames,
+            sketch_values=np.array(shipped.sketch_values, dtype=np.int64),
         )
         rows = self._plane_rows(batch.plane_qids)
         planes = None

@@ -123,6 +123,15 @@ class TestQuantization:
         assert table.shape == (4, 4)
         assert (table >= 1.0).all()
 
+    def test_cached_and_read_only(self):
+        """Every chunk header asks for the matrix: it is built once per
+        (quality, block size) and shared, so nobody may write to it."""
+        table = quantization_matrix(75, 8)
+        assert quantization_matrix(75, 8) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
     def test_quantize_dequantize_bounded_error(self):
         rng = np.random.default_rng(4)
         coefficients = rng.uniform(-500, 500, size=(8, 8))

@@ -19,7 +19,6 @@ from repro.codec.gop import (
     _read_header,
     decode_dc_coefficients,
     encode_video,
-    walk_dc_record,
 )
 from repro.codec.resync import (
     resilient_dc_scan,
@@ -27,6 +26,7 @@ from repro.codec.resync import (
 )
 from repro.errors import BitstreamError, CodecError
 from repro.video.synth import ClipSynthesizer
+from tests.test_codec_array_scan import walk_dc_record
 
 
 def _encoded(seconds=4.0, gop_size=6, entropy=False, seed=7):

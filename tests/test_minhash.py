@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.membership import jaccard_similarity
 from repro.errors import SketchError
-from repro.minhash.family import MERSENNE_PRIME_31, MinHashFamily
+from repro.core.query import QuerySet
+from repro.minhash.family import MERSENNE_PRIME_31, MinHashFamily, _mix_bits
+from repro.persistence import query_set_from_mapping, query_set_payload
 from repro.minhash.sketch import Sketch
 from repro.minhash.windows import iter_basic_windows
 
@@ -48,6 +50,29 @@ class TestMinHashFamily:
             MinHashFamily(num_hashes=0)
         with pytest.raises(SketchError):
             MinHashFamily(num_hashes=4, prime=1)
+
+    def test_rejects_a_prime_whose_hashes_overflow_int64(self):
+        """``a·m(x) + b`` is int64 arithmetic: with p = 2**61 − 1 it wraps
+        and the values stop being ``(a·m(x) + b) mod p``. Such a family
+        is refused, built or loaded back; the largest prime below 2**32
+        hashes exactly."""
+        for prime in ((1 << 61) - 1, 1 << 32):
+            with pytest.raises(SketchError, match="below 2"):
+                MinHashFamily(num_hashes=4, prime=prime)
+        family = MinHashFamily(num_hashes=8, seed=3, prime=(1 << 32) - 5)
+        ids = np.array([0, 1, 977, 123456789], dtype=np.int64)
+        mixed = _mix_bits(ids).tolist()
+        want = [
+            [(int(a) * m + int(b)) % family.prime for m in mixed]
+            for a, b in zip(family._a, family._b)
+        ]
+        assert family.hash_values(ids).tolist() == want
+        payload = query_set_payload(
+            QuerySet.from_cell_ids({1: ids}, {1: 4}, family)
+        )
+        payload["family_prime"] = np.array([(1 << 61) - 1])
+        with pytest.raises(SketchError):
+            query_set_from_mapping(payload)
 
     def test_sketch_duplicates_ignored(self):
         family = MinHashFamily(num_hashes=16, seed=1)
