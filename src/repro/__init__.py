@@ -3,9 +3,10 @@
 A complete, self-contained reproduction of Yan, Ooi & Zhou (ICDE 2008):
 min-hash sketches over grid-pyramid frame signatures, bit-vector
 comparison signatures with Lemma-2 pruning, the Hash-Query continuous-
-query index, Sequential/Geometric candidate maintenance, the Seq and Warp
-baselines, and a synthetic-video substrate (toy MPEG codec, content
-generator, editing attacks) standing in for the paper's real videos.
+query index, Sequential (and, on the oracle, Geometric) candidate
+maintenance, the Seq and Warp baselines, and a synthetic-video substrate
+(toy MPEG codec, content generator, editing attacks) standing in for the
+paper's real videos.
 
 Quickstart
 ----------

@@ -7,10 +7,8 @@ builds a **single-query** :class:`~repro.core.detector.StreamingDetector`
 and replays the archived windows ``[live_start - N, live_start)``
 through it, exactly as a live worker would have — same
 :meth:`~repro.core.detector.StreamingDetector.process_batch` entry, one
-archived block per call, same columnar kernels, same Lemma 2 pruning;
-in bit/no-index mode the detector re-encodes the planes from the
-archived sketches with :func:`~repro.signature.bitsig.encode_planes_many`
-(the kernel the live front end uses).
+archived block per call, same index probe, same columnar kernels, same
+Lemma 2 pruning.
 
 **Why a single-query replay is exact.** In the sharded service a
 query's match stream depends only on its own candidate state, except

@@ -10,14 +10,13 @@ gap) it is **sealed** to the :class:`~repro.archive.store.SegmentStore`
 as an immutable ``repro.arch/1`` file, keeping resident memory bounded
 by one open segment regardless of stream length.
 
-The packed window-vs-query bitplanes the front end also computes are
-deliberately *not* archived: they are laid out against the currently
-subscribed query matrix and are useless to a query that arrives later.
-The :class:`~repro.archive.backfill.BackfillEngine` re-encodes planes
-for its own query set from the archived sketches with the same
-:func:`~repro.signature.bitsig.encode_planes_many` kernel — one call
-per segment — so probing archived windows exercises bit-for-bit the
-columnar path live windows take (see ``docs/archive.md``).
+Only sketches are archived: window-vs-query signatures are relative to
+the queries subscribed at the time and useless to a query that arrives
+later. The :class:`~repro.archive.backfill.BackfillEngine` probes the
+archived sketches for its own query set through the same
+``StreamingDetector.process_batch`` — one call per segment — so probing
+archived windows exercises bit-for-bit the columnar path live windows
+take (see ``docs/archive.md``).
 
 **Watermark.** ``next_index`` is the next basic-window index the
 archive expects. :meth:`append` silently drops rows below it, which

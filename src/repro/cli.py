@@ -85,17 +85,25 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     """Detector-configuration options shared by demo/stats/serve/gateway.
 
-    ``--representation`` is not among them: serving runs bit signatures
-    only, so demo and stats add it themselves (a sketch run executes on
-    the oracle, see :func:`~repro.evaluation.runner.run_detector`)."""
+    The engine choice is not among them: serving runs one configuration
+    (Sequential, bit, indexed), so only demo and stats take
+    :func:`_add_engine_args`."""
     parser.add_argument("--hashes", type=int, default=400, metavar="K")
     parser.add_argument("--threshold", type=float, default=0.7,
                         metavar="DELTA")
     parser.add_argument("--window-seconds", type=float, default=5.0,
                         metavar="W")
+
+
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """Engine options of demo/stats, which run through
+    :func:`~repro.evaluation.runner.run_detector` (a Geometric or
+    sketch run executes on the oracle)."""
     parser.add_argument("--order", choices=("sequential", "geometric"),
                         default="sequential")
     parser.add_argument("--no-index", action="store_true")
+    parser.add_argument("--representation", choices=("bit", "sketch"),
+                        default="bit")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,8 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(demo)
     _add_detector_args(demo)
-    demo.add_argument("--representation", choices=("bit", "sketch"),
-                      default="bit")
+    _add_engine_args(demo)
     demo.add_argument("--metrics-out", metavar="PATH", default=None,
                       help="write the run's JSON metrics snapshot here")
 
@@ -133,8 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_workload_args(stats)
     _add_detector_args(stats)
-    stats.add_argument("--representation", choices=("bit", "sketch"),
-                       default="bit")
+    _add_engine_args(stats)
     stats.add_argument("--metrics-out", metavar="PATH", default=None,
                        help="write the JSON snapshot here instead of stdout")
     stats.add_argument("--no-timers", action="store_true",
@@ -382,11 +388,9 @@ def _detector_config(args: argparse.Namespace) -> DetectorConfig:
         num_hashes=args.hashes,
         threshold=args.threshold,
         window_seconds=args.window_seconds,
-        order=CombinationOrder(args.order),
-        representation=Representation(
-            getattr(args, "representation", Representation.BIT.value)
-        ),
-        use_index=not args.no_index,
+        order=CombinationOrder(getattr(args, "order", "sequential")),
+        representation=Representation(getattr(args, "representation", "bit")),
+        use_index=not getattr(args, "no_index", False),
     )
 
 

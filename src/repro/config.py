@@ -43,7 +43,10 @@ class CombinationOrder(enum.Enum):
 
     ``GEOMETRIC`` maintains only O(log) dyadic-length candidates using the
     cascade of Figure 2 — O(log(λL/w)) combinations per window at the cost
-    of possible false negatives from skipped alignments.
+    of possible false negatives from skipped alignments. It runs on the
+    oracle, ``repro.reference.ReferenceDetector``, which
+    :func:`~repro.evaluation.runner.run_detector` picks for it; a
+    ``StreamingDetector`` or ``DetectionService`` refuses it.
     """
 
     SEQUENTIAL = "sequential"

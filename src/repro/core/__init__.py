@@ -2,11 +2,12 @@
 
 The engine consumes a stream of per-key-frame cell ids, chops it into
 basic windows, sketches each window, and maintains a candidate-sequence
-list ``C_L`` under either Sequential or Geometric combination order. Each
-candidate is continuously scored against the subscribed queries — via raw
-sketch comparison or via bit-vector signatures, with or without the
-Hash-Query index — and every candidate whose estimated similarity reaches
-δ is reported as a detected copy.
+list ``C_L`` in Sequential combination order. Each candidate is
+continuously scored against the subscribed queries via bit-vector
+signatures, with or without the Hash-Query index, and every candidate
+whose estimated similarity reaches δ is reported as a detected copy. The
+paper's Geometric order and raw sketch comparison run on the oracle,
+``repro.reference``.
 
 Public entry point: :class:`~repro.core.detector.StreamingDetector`.
 """

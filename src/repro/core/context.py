@@ -1,11 +1,11 @@
-"""Shared state and primitive operations of the two engine orders.
+"""Shared state and primitive operations of the engines.
 
-:class:`EvalContext` owns everything the Sequential and Geometric engines
-both need: the query set, configuration-derived constants (window length
-in frames, per-query candidate caps, the Lemma 2 bound), the optional
-Hash-Query index, and the instrumented payload construction — one probe
-or one batched encode per *block* of windows. Without the index the
-block's ``(B, Q, W)`` planes are encoded whole; with it, the probe's
+:class:`EvalContext` owns everything an engine needs: the query set,
+configuration-derived constants (window length in frames, per-query
+candidate caps, the Lemma 2 bound), the optional Hash-Query index, and
+the instrumented payload construction — one probe or one batched encode
+per *block* of windows. Without the index the block's ``(B, Q, W)``
+planes are encoded whole; with it, the probe's
 :class:`~repro.index.probe.RelatedQueries` rows are kept as one stacked
 plane table with a ``(B, Q)`` row map, and the planes of any other
 (window, column) cell an engine needs are encoded when it asks, for all
@@ -80,8 +80,7 @@ class BlockPayload:
     their ``(ge, lt)`` planes stacked ``(R + 1, 2, W)``, a zero row
     last — and ``rows``, the ``(B, Q)`` map from a cell to its row of
     ``cells`` (``-1``, the zero row, off ``R_L``).
-    :meth:`EvalContext.window_planes` and :meth:`EvalContext.cell_planes`
-    read either form.
+    :meth:`EvalContext.cell_planes` reads either form.
     """
 
     block: WindowBlock
@@ -199,11 +198,7 @@ class EvalContext:
     # block payload construction
     # ------------------------------------------------------------------
 
-    def block_payload(
-        self,
-        block: WindowBlock,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> BlockPayload:
+    def block_payload(self, block: WindowBlock) -> BlockPayload:
         """Compare a block of arriving windows against the query population.
 
         With the index, one probe yields every window's related queries
@@ -211,24 +206,11 @@ class EvalContext:
         one batched encode. Runs under the ``probe`` phase
         timer either way (payload construction is the probe stage of the
         pipeline).
-
-        ``planes`` optionally carries precomputed ``(ge, lt)`` packed
-        plane arrays of shape ``(B, Q, W)`` in sorted-qid column order
-        (the sketch-once serving front end). The no-index path
-        substitutes them for its encode — with accounting identical to
-        the self-encoding reference, since the encode *was* performed,
-        just once upstream instead of once per shard. The index path
-        ignores them (the probe, not a full encode, is its accounted
-        operation).
         """
         with self.phase("probe"):
-            return self._block_payload(block, planes)
+            return self._block_payload(block)
 
-    def _block_payload(
-        self,
-        block: WindowBlock,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> BlockPayload:
+    def _block_payload(self, block: WindowBlock) -> BlockPayload:
         """Packed-plane payload with the oracle's exact accounting.
 
         Counter parity with ``ReferenceContext._window_payload``, which
@@ -266,10 +248,7 @@ class EvalContext:
                 block=block, related=rows >= 0, cells=cells, rows=rows
             )
 
-        if planes is None:
-            planes = encode_planes_many(block.sketch_values, columns.matrix)
-        # else: the sketch-once front end's rows (already copied per
-        # shard), identical bits to the local encode.
+        planes = encode_planes_many(block.sketch_values, columns.matrix)
         self.registry.inc("engine.signature_encodes", num_windows * num_queries)
         if self.config.prune:
             prunable = lemma2_prunable(
@@ -284,16 +263,6 @@ class EvalContext:
         else:
             related = np.ones((num_windows, num_queries), dtype=bool)
         return BlockPayload(block=block, related=related, planes=planes)
-
-    def window_planes(
-        self, payload: BlockPayload, t: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Window ``t``'s ``(Q, W)`` planes, valid on its related columns
-        (zero on the others with the index)."""
-        if payload.planes is not None:
-            return payload.planes[0][t], payload.planes[1][t]
-        planes = payload.cells.take(payload.rows[t], axis=0)
-        return planes[:, 0], planes[:, 1]
 
     def cell_planes(
         self,

@@ -2,8 +2,8 @@
 
 :class:`StreamingDetector` wires the pieces of Sections IV-V together for
 one stream: it sketches basic windows, consults the Hash-Query index when
-configured, feeds the Sequential or Geometric engine, and accumulates
-match events and statistics — a block of windows per call
+configured, feeds the Sequential engine, and accumulates match events and
+statistics — a block of windows per call
 (:meth:`StreamingDetector.process_batch`). Queries can be subscribed and
 unsubscribed while the stream is running, mirroring the paper's online
 index maintenance.
@@ -11,13 +11,12 @@ index maintenance.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.context import EvalContext
-from repro.core.engine_geometric import ColumnarGeometricEngine
 from repro.core.engine_sequential import ColumnarSequentialEngine
 from repro.core.monitor import EngineStats
 from repro.core.query import Query, QuerySet
@@ -42,10 +41,11 @@ class StreamingDetector:
     ----------
     config:
         Engine configuration (K, δ, w, λ, order, index). The production
-        engines hold bit signatures only: a ``SKETCH`` configuration
-        raises :class:`~repro.errors.DetectionError` (the sketch
-        representation runs on the oracle,
-        ``repro.reference.ReferenceDetector``).
+        engine runs the Sequential order on bit signatures, with the
+        index or without it: a ``GEOMETRIC`` or ``SKETCH`` configuration
+        raises :class:`~repro.errors.DetectionError` (both run on the
+        oracle, ``repro.reference.ReferenceDetector``, which
+        :func:`~repro.evaluation.runner.run_detector` picks for them).
     queries:
         The subscribed continuous queries; their sketches must come from
         the same hash family the stream windows will be sketched with.
@@ -65,14 +65,12 @@ class StreamingDetector:
         (see :meth:`set_cap_hint` and ``docs/serving.md``).
     """
 
-    #: What a detector is built from and which representations it
-    #: runs. The oracle, ``repro.reference.ReferenceDetector``, differs
-    #: in these and in nothing else.
+    #: What a detector is built from and which orders and
+    #: representations it runs. The oracle,
+    #: ``repro.reference.ReferenceDetector``, differs in these and in
+    #: nothing else.
     context_class = EvalContext
-    engine_classes = {
-        CombinationOrder.SEQUENTIAL: ColumnarSequentialEngine,
-        CombinationOrder.GEOMETRIC: ColumnarGeometricEngine,
-    }
+    engine_classes = {CombinationOrder.SEQUENTIAL: ColumnarSequentialEngine}
     representations = (Representation.BIT,)
 
     def __init__(
@@ -88,12 +86,16 @@ class StreamingDetector:
                 f"keyframes_per_second must be positive, "
                 f"got {keyframes_per_second}"
             )
-        if config.representation not in self.representations:
-            raise DetectionError(
-                f"{type(self).__name__} does not run the "
-                f"{config.representation.value} representation; it runs "
-                "on the oracle, repro.reference.ReferenceDetector"
-            )
+        for kind, value, runs in (
+            ("order", config.order, self.engine_classes),
+            ("representation", config.representation, self.representations),
+        ):
+            if value not in runs:
+                raise DetectionError(
+                    f"{type(self).__name__} does not run the "
+                    f"{value.value} {kind}; it runs on the oracle, "
+                    "repro.reference.ReferenceDetector"
+                )
         self.config = config
         self.queries = queries
         self.keyframes_per_second = keyframes_per_second
@@ -136,11 +138,7 @@ class StreamingDetector:
         their true length, never as a full ``w``)."""
         return self.context.stats.frames_processed
 
-    def process_batch(
-        self,
-        block: WindowBlock,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> List[List[Match]]:
+    def process_batch(self, block: WindowBlock) -> List[List[Match]]:
         """Feed a block of pre-sketched basic windows; one match list per
         window.
 
@@ -148,13 +146,6 @@ class StreamingDetector:
         engine pass cover the whole block — cut into runs of at most
         :data:`MAX_BLOCK_WINDOWS` — so the fixed cost of a call is paid
         once per block rather than once per window.
-
-        ``planes`` optionally supplies precomputed packed window-vs-query
-        signature planes — ``(ge, lt)`` uint64 arrays of shape
-        ``(B, Q, W)`` in this detector's sorted-qid column order (the
-        sketch-once serving front end). They are substituted for the
-        block encode in the no-index path with identical accounting;
-        the index path ignores them.
         """
         if not len(block):
             return []
@@ -165,35 +156,23 @@ class StreamingDetector:
             stats.partial_windows += partial
         per_window: List[List[Match]] = []
         for first in range(0, len(block), MAX_BLOCK_WINDOWS):
-            rows = slice(first, first + MAX_BLOCK_WINDOWS)
-            part = None if planes is None else (planes[0][rows], planes[1][rows])
-            per_window += self._detect(block[rows], part)
+            per_window += self._detect(block[first:first + MAX_BLOCK_WINDOWS])
         for matches in per_window:
             self.matches.extend(matches)
         return per_window
 
-    def _detect(
-        self,
-        block: WindowBlock,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]],
-    ) -> List[List[Match]]:
-        payload = self.context.block_payload(block, planes=planes)
+    def _detect(self, block: WindowBlock) -> List[List[Match]]:
+        payload = self.context.block_payload(block)
         return self.engine.process_batch(payload)
 
-    def process_window(
-        self,
-        window: BasicWindow,
-        planes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    ) -> List[Match]:
+    def process_window(self, window: BasicWindow) -> List[Match]:
         """Feed one pre-sketched basic window: a one-row
-        :meth:`process_batch` (``planes``, if given, are ``(Q, W)``)."""
-        if planes is not None:
-            planes = (planes[0][np.newaxis], planes[1][np.newaxis])
+        :meth:`process_batch`."""
         block = WindowBlock.single(
             window.index, window.start_frame, window.num_frames,
             window.sketch.values,
         )
-        return self.process_batch(block, planes)[0]
+        return self.process_batch(block)[0]
 
     def process_cell_ids(
         self, cell_ids: Sequence[int] | np.ndarray

@@ -20,7 +20,7 @@ from repro.obs.registry import MetricsRegistry
 
 import numpy as np
 
-from repro.config import DetectorConfig, FingerprintConfig, Representation
+from repro.config import DetectorConfig, FingerprintConfig
 from repro.core.detector import StreamingDetector
 from repro.core.live import LiveMonitor
 from repro.core.monitor import EngineStats
@@ -160,11 +160,13 @@ def run_detector(
     in the paper; the stopwatch covers stream windowing, sketching, index
     probing and candidate maintenance.
 
-    The configuration picks the detector: ``BIT`` runs on the production
-    :class:`~repro.core.detector.StreamingDetector`, ``SKETCH`` — the
-    paper's baseline, which production does not run — on the oracle,
+    The configuration picks the detector: Sequential on bit signatures,
+    with the index or without it, runs on the production
+    :class:`~repro.core.detector.StreamingDetector`; the ``GEOMETRIC``
+    order and the ``SKETCH`` representation — the paper's alternatives,
+    which production does not run — on the oracle,
     ``repro.reference.ReferenceDetector``. Both report the same counters,
-    so a sweep's sketch and bit lines stay comparable in counted work.
+    so a sweep's lines stay comparable in counted work.
 
     Parameters
     ----------
@@ -179,7 +181,10 @@ def run_detector(
         prepared.query_cell_ids, prepared.query_frames, family
     )
     detector_class = StreamingDetector
-    if config.representation is Representation.SKETCH:
+    if (
+        config.order not in StreamingDetector.engine_classes
+        or config.representation not in StreamingDetector.representations
+    ):
         from repro.reference import ReferenceDetector
 
         detector_class = ReferenceDetector

@@ -4,11 +4,12 @@ The scalar Sequential and Geometric engines, the dict-and-set window
 payload they consume and the literal row-by-row ProbeIndex walk are the
 oracle the production (columnar, batched) code is held to, match for
 match and counter for counter (``tests/test_engine_reference.py``,
-``tests/test_index.py``). The oracle also runs the paper's baseline
-representation, Section IV's min-hash sketch vectors, which production
-does not: :func:`repro.evaluation.runner.run_detector` routes a
-``SKETCH`` configuration here, so the paper benches' sketch lines time
-the paper's algorithm. Nothing else outside this package imports it
+``tests/test_index.py``). The oracle also runs what production does
+not: the Geometric order (Section IV-A, Figure 2) and the paper's
+baseline representation, Section IV's min-hash sketch vectors.
+:func:`repro.evaluation.runner.run_detector` routes a ``GEOMETRIC`` or
+``SKETCH`` configuration here, so the paper benches' Geometric and
+sketch lines time the paper's algorithms. Nothing else outside this package imports it
 (a test asserts so), and ``import repro`` does not load it. The oracle
 is never sharded, supervised, backfilled or checkpointed —
 ``repro.serve`` refuses it.
@@ -43,8 +44,8 @@ class ReferenceDetector(StreamingDetector):
     """A :class:`StreamingDetector` built from the scalar engines.
 
     Only what it is built from differs — and that it takes a block one
-    window at a time and also runs the sketch representation — so a
-    test drives oracle and production through
+    window at a time and also runs the Geometric order and the sketch
+    representation — so a test drives oracle and production through
     the same ``process_batch`` / ``process_window`` / ``process_cell_ids``
     / ``subscribe`` / ``unsubscribe`` / ``acknowledge_gap`` calls and
     compares matches and counters.
@@ -57,9 +58,7 @@ class ReferenceDetector(StreamingDetector):
     }
     representations = tuple(Representation)
 
-    def _detect(self, block: WindowBlock, planes) -> List[List[Match]]:
-        # ``planes`` (the serving front end's precomputed encode) carry
-        # the bits the oracle computes for itself; it never reads them.
+    def _detect(self, block: WindowBlock) -> List[List[Match]]:
         fingerprint = self.queries.family.fingerprint
         per_window = []
         for row in range(len(block)):

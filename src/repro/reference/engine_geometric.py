@@ -1,9 +1,11 @@
 """Geometric combination order, the scalar oracle (Section IV-A, Figure 2).
 
-The binary-counter ladder of ``_Segment`` objects with per-qid signature
-dicts and relevant sets, merged and scored one query at a time.
-:class:`~repro.core.engine_geometric.ColumnarGeometricEngine` is the
-production form of the same semantics.
+Instead of every suffix, only O(log) candidates of dyadic lengths are
+kept: a binary-counter ladder of ``_Segment`` objects with per-qid
+signature dicts and relevant sets, merged and scored one query at a
+time. It is the only Geometric engine: production runs Sequential, and
+:func:`~repro.evaluation.runner.run_detector` sends a ``GEOMETRIC``
+configuration here.
 """
 
 from __future__ import annotations

@@ -2,16 +2,12 @@
 
 Each worker emits the matches of *its* queries in the single-process
 engine's emission order; qids across shards interleave arbitrarily. The
-collector restores the canonical order of the columnar engines, which is
-a pure function of the match coordinates:
-
-* **Sequential** order emits, per window, candidates by ascending
-  ``start_frame`` (the columnar store appends in arrival order and the
-  fresh length-1 candidate — the largest start — last), ties by
-  ascending qid (column order).
-* **Geometric** order emits, per window, the just-arrived window first
-  and then the ladder's suffix accumulations newest-first — strictly
-  *descending* ``start_frame`` — ties by ascending qid.
+collector restores the canonical order of the Sequential engine (the
+only one the service runs), which is a pure function of the match
+coordinates: per window, candidates by ascending ``start_frame`` (the
+columnar store appends in arrival order and the fresh length-1
+candidate — the largest start — last), ties by ascending qid (column
+order).
 
 ``(window_index, start_frame, qid)`` uniquely identifies a match (an
 engine scores each candidate/query pair at most once per window), so
@@ -22,29 +18,16 @@ single-process stream bit-for-bit (see ``docs/serving.md``).
 from __future__ import annotations
 
 import threading
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.config import CombinationOrder
 from repro.core.results import Match
 
 __all__ = ["MatchCollector", "canonical_sort_key"]
 
 
-def canonical_sort_key(
-    order: CombinationOrder,
-) -> Callable[[Match], Tuple[int, int, int]]:
-    """The engine order's deterministic match sort key."""
-    if order is CombinationOrder.SEQUENTIAL:
-        return lambda match: (
-            match.window_index,
-            match.start_frame,
-            match.qid,
-        )
-    return lambda match: (
-        match.window_index,
-        -match.start_frame,
-        match.qid,
-    )
+def canonical_sort_key(match: Match) -> Tuple[int, int, int]:
+    """The Sequential engine's deterministic match sort key."""
+    return (match.window_index, match.start_frame, match.qid)
 
 
 class MatchCollector:
@@ -65,9 +48,7 @@ class MatchCollector:
     order for reporting.
     """
 
-    def __init__(self, order: CombinationOrder) -> None:
-        self.order = order
-        self._key = canonical_sort_key(order)
+    def __init__(self) -> None:
         self.matches: List[Match] = []
         self.retro: List[Match] = []
         self._retro_lock = threading.Lock()
@@ -75,7 +56,8 @@ class MatchCollector:
     def merge(self, batches: Sequence[List[Match]]) -> List[Match]:
         """Merge one chunk's per-shard batches; return them in order."""
         merged = sorted(
-            (match for batch in batches for match in batch), key=self._key
+            (match for batch in batches for match in batch),
+            key=canonical_sort_key,
         )
         self.matches.extend(merged)
         return merged
@@ -94,7 +76,7 @@ class MatchCollector:
     def combined(self) -> List[Match]:
         """Live + retro in one globally canonical stream."""
         with self._retro_lock:
-            return sorted(self.matches + self.retro, key=self._key)
+            return sorted(self.matches + self.retro, key=canonical_sort_key)
 
     def restore(self, matches: Sequence[Match]) -> None:
         """Reinstate a previously collected stream (checkpoint resume)."""

@@ -11,14 +11,11 @@ place that knows it: the service buffers the chunk stream exactly like
 a single-process :class:`~repro.core.live.LiveMonitor` (whole basic
 windows cut at the same boundaries, a partial tail only at flush),
 sketches every ready window of a chunk batch in **one**
-:meth:`~repro.minhash.family.MinHashFamily.sketch_many` pass, and —
-without the index — encodes the packed window-vs-query
-signature planes for the *full* sorted query population in one
-broadcasted :func:`~repro.signature.bitsig.encode_planes_many` kernel.
-The product is a :class:`WindowBatch`: the batch's
-:class:`~repro.minhash.windows.WindowBlock` — the detector's own input —
-plus planes a worker can slice per shard (rows by qid), so no
-stream-side math is redone.
+:meth:`~repro.minhash.family.MinHashFamily.sketch_many` pass. The
+product is a :class:`WindowBatch`: the batch's
+:class:`~repro.minhash.windows.WindowBlock` — the detector's own input,
+which every worker probes against its shard's index — so no stream-side
+math is redone.
 
 Window coordinates inside a batch are **absolute** (the front end owns
 the stream clock), so a worker that never sees a batch — lossy
@@ -34,31 +31,24 @@ sacrificed windows and frames ride in-band on the next
 :class:`WindowBatch` (``windows_skipped`` / ``frames_skipped``), so
 every shard acknowledges the gap at the same point of its stream.
 
-Bit-for-bit equivalence: the per-window sketch values, the plane bits,
-the processing order and every engine counter are identical to the
-single-process oracle — a ``StreamingDetector`` behind a
+Bit-for-bit equivalence: the per-window sketch values, the processing
+order and every engine counter are identical to the single-process
+reference — a ``StreamingDetector`` behind a
 :class:`~repro.core.live.LiveMonitor` — over the same stream; the
-golden-equivalence suite checks the service against it in every mode,
-order and engine.
+golden-equivalence suite checks the service against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.config import DetectorConfig
 from repro.errors import ServeError
 from repro.minhash.family import MinHashFamily
 from repro.minhash.windows import WindowBlock, build_window_block
 from repro.obs.registry import MetricsRegistry
-from repro.signature.bitsig import (
-    encode_planes,
-    encode_planes_many,
-    plane_words,
-)
 
 __all__ = ["StreamFrontend", "TailWindow", "WindowBatch"]
 
@@ -83,13 +73,6 @@ class WindowBatch:
         The batch's ``nw`` sketched windows
         (:class:`~repro.minhash.windows.WindowBlock`), every one of full
         length (partial tails travel as :class:`TailWindow` at flush).
-    plane_qids:
-        The sorted qid tuple the plane rows are laid out against, or
-        ``None`` when planes were not precomputed (index mode).
-        Workers map their shard's qids to rows through this.
-    ge, lt:
-        ``(nw, Q, W)`` packed uint64 window-vs-query signature planes
-        (``None`` alongside ``plane_qids``).
     windows_skipped, frames_skipped:
         The gap acknowledged since the previous batch: windows the
         clock advanced over without sketching, and frames lost to them
@@ -100,9 +83,6 @@ class WindowBatch:
     base_seq: int
     chunk_windows: np.ndarray
     block: WindowBlock
-    plane_qids: Optional[Tuple[int, ...]] = None
-    ge: Optional[np.ndarray] = None
-    lt: Optional[np.ndarray] = None
     windows_skipped: int = 0
     frames_skipped: int = 0
 
@@ -118,16 +98,13 @@ class WindowBatch:
     def nbytes(self) -> int:
         """Total payload bytes (transport accounting)."""
         block = self.block
-        total = (
+        return (
             self.chunk_windows.nbytes
             + block.indices.nbytes
             + block.starts.nbytes
             + block.frames.nbytes
             + block.sketch_values.nbytes
         )
-        if self.ge is not None:
-            total += self.ge.nbytes + self.lt.nbytes
-        return total
 
 
 @dataclass(frozen=True)
@@ -135,17 +112,14 @@ class TailWindow:
     """The stream's final (possibly partial) window, built at flush.
 
     Same artefacts as one :class:`WindowBatch` row, but for a single
-    window: ``sketch_values`` is ``(K,)`` and the planes are ``(Q, W)``.
-    Small enough to travel inline on any backend.
+    window: ``sketch_values`` is ``(K,)``. Small enough to travel inline
+    on any backend.
     """
 
     index: int
     start_frame: int
     num_frames: int
     sketch_values: np.ndarray
-    plane_qids: Optional[Tuple[int, ...]] = None
-    ge: Optional[np.ndarray] = None
-    lt: Optional[np.ndarray] = None
 
 
 class StreamFrontend:
@@ -153,10 +127,6 @@ class StreamFrontend:
 
     Parameters
     ----------
-    config:
-        The shared detector configuration; decides whether signature
-        planes are precomputed (without the index — the index path
-        probes per shard).
     family:
         The service's min-hash family (the queries' family).
     window_frames:
@@ -168,16 +138,13 @@ class StreamFrontend:
 
     def __init__(
         self,
-        config: DetectorConfig,
         family: MinHashFamily,
         window_frames: int,
         registry: MetricsRegistry,
     ) -> None:
-        self.config = config
         self.family = family
         self.window_frames = int(window_frames)
         self.registry = registry
-        self.precompute_planes = not config.use_index
         self._pending = np.empty(0, dtype=np.int64)
         self._flushed = False
         self.windows_emitted = 0
@@ -187,28 +154,6 @@ class StreamFrontend:
         self.skip_remaining = 0
         # The gap not yet shipped on a batch: windows, frames.
         self._gap = [0, 0]
-        self._qids: Tuple[int, ...] = ()
-        self._matrix: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    # query layout
-    # ------------------------------------------------------------------
-
-    def set_queries(self, queries) -> None:
-        """Refresh the plane layout after construction or churn.
-
-        ``queries`` maps qid → :class:`~repro.core.query.Query`; the
-        plane rows follow sorted-qid order, matching every shard's
-        :meth:`~repro.core.context.EvalContext.query_columns` layout so
-        workers slice rows by a simple qid → row lookup.
-        """
-        if not self.precompute_planes:
-            return
-        qids = tuple(sorted(queries))
-        self._qids = qids
-        self._matrix = np.stack(
-            [queries[qid].sketch.values for qid in qids]
-        )
 
     # ------------------------------------------------------------------
     # stream clock / buffer
@@ -315,7 +260,7 @@ class StreamFrontend:
     def build(
         self, chunks: Sequence[np.ndarray], base_seq: int
     ) -> WindowBatch:
-        """Sketch (and encode) every whole window the chunks complete.
+        """Sketch every whole window the chunks complete.
 
         Chunks are appended to the pending buffer in order (less any
         frames a gap still swallows); each one records how many whole
@@ -368,25 +313,11 @@ class StreamFrontend:
         num_windows = len(block)
         self.windows_emitted += num_windows
         self.frames_emitted += num_windows * window_frames
-        plane_qids: Optional[Tuple[int, ...]] = None
-        ge = lt = None
-        if self.precompute_planes and self._matrix is not None:
-            plane_qids = self._qids
-            if num_windows:
-                ge, lt = encode_planes_many(block.sketch_values, self._matrix)
-            else:
-                width = plane_words(self.config.num_hashes)
-                shape = (0, len(plane_qids), width)
-                ge = np.zeros(shape, dtype=np.uint64)
-                lt = np.zeros(shape, dtype=np.uint64)
         (windows_skipped, frames_skipped), self._gap = self._gap, [0, 0]
         return WindowBatch(
             base_seq=int(base_seq),
             chunk_windows=np.asarray(counts, dtype=np.int64),
             block=block,
-            plane_qids=plane_qids,
-            ge=ge,
-            lt=lt,
             windows_skipped=windows_skipped,
             frames_skipped=frames_skipped,
         )
@@ -408,19 +339,11 @@ class StreamFrontend:
             values = build_window_block(
                 tail, self.window_frames, self.family
             ).sketch_values[0]
-            plane_qids: Optional[Tuple[int, ...]] = None
-            ge = lt = None
-            if self.precompute_planes and self._matrix is not None:
-                plane_qids = self._qids
-                ge, lt = encode_planes(values, self._matrix)
             window = TailWindow(
                 index=self.windows_emitted,
                 start_frame=self.frames_emitted,
                 num_frames=int(tail.shape[0]),
                 sketch_values=values,
-                plane_qids=plane_qids,
-                ge=ge,
-                lt=lt,
             )
             self.windows_emitted += 1
             self.frames_emitted += window.num_frames

@@ -2,7 +2,7 @@
 
 Query sharding follows the large-scale video-search pattern (partition
 the reference/query set, broadcast the stream, merge centrally): because
-all candidate state in both engine orders is keyed per query, giving
+all of the engine's candidate state is keyed per query, giving
 each worker a disjoint subset of the queries preserves per-shard
 detection semantics exactly — the union of the shard outputs is the
 single-process output.

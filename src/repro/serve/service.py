@@ -42,13 +42,14 @@ from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from repro.archive import BackfillEngine, SketchArchive
-from repro.config import DetectorConfig, Representation
+from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.query import Query, QuerySet
 from repro.core.results import Match
 from repro.errors import ServeError
 from repro.obs.export import snapshot
 from repro.obs.merge import merge_snapshots
 from repro.obs.registry import MetricsRegistry
+from repro.persistence import require_config_match
 from repro.serve.chaos import ChaosPlan
 from repro.serve.checkpoint import CheckpointManager, ServiceCheckpoint
 from repro.serve.collector import MatchCollector
@@ -101,6 +102,19 @@ class QueryInfo:
     status: str = "active"
 
 
+def _require_served(config: DetectorConfig) -> None:
+    """Refuse every configuration but the one the service runs."""
+    served = (CombinationOrder.SEQUENTIAL, Representation.BIT, True)
+    if (config.order, config.representation, config.use_index) != served:
+        raise ServeError(
+            "the service runs the sequential order, bit representation "
+            f"only, with the index; order={config.order.value}, "
+            f"representation={config.representation.value}, "
+            f"use_index={config.use_index} runs through "
+            "repro.evaluation.runner.run_detector"
+        )
+
+
 #: Per-worker bound on shutdown waits — close() must terminate even
 #: when a worker is alive but wedged.
 _CLOSE_TIMEOUT_SECONDS = 10.0
@@ -112,10 +126,11 @@ class DetectionService:
     Parameters
     ----------
     config:
-        Detector configuration shared by every worker. Workers run the
-        production engines, which hold bit signatures only: a
-        ``SKETCH`` configuration raises :class:`~repro.errors.ServeError`
-        before any worker starts.
+        Detector configuration shared by every worker. The service runs
+        one configuration, the Sequential order on bit signatures with
+        the index: any other raises :class:`~repro.errors.ServeError`
+        before any worker starts (it runs through
+        :func:`~repro.evaluation.runner.run_detector`).
     queries:
         The full subscription set; the planner partitions it.
     keyframes_per_second:
@@ -202,12 +217,7 @@ class DetectionService:
             )
         if batch_chunks < 1:
             raise ServeError(f"batch_chunks must be >= 1, got {batch_chunks}")
-        if config.representation is not Representation.BIT:
-            raise ServeError(
-                "the service runs the bit representation only; "
-                f"{config.representation.value} runs on the oracle, "
-                "repro.reference.ReferenceDetector, which is never served"
-            )
+        _require_served(config)
         if supervisor is not None and backend == "serial":
             raise ServeError(
                 "supervision needs workers that can die independently; "
@@ -229,7 +239,7 @@ class DetectionService:
         self.registry = (
             registry if registry is not None else MetricsRegistry()
         )
-        self.collector = MatchCollector(config.order)
+        self.collector = MatchCollector()
         self.chunks_ingested = 0
         self.epoch = 0
         self._closed = False
@@ -278,12 +288,10 @@ class DetectionService:
 
         self.batch_chunks = int(batch_chunks)
         self.frontend = StreamFrontend(
-            config=config,
             family=self._family,
             window_frames=self.window_frames,
             registry=self.registry,
         )
-        self.frontend.set_queries(self._queries)
         if _checkpoint is not None:
             self.frontend.restore(
                 _checkpoint.frontend_pending,
@@ -420,15 +428,26 @@ class DetectionService:
         assignment, counters, candidate state and collected matches:
         re-feeding the stream from ``chunks_ingested`` yields exactly
         the match stream an uninterrupted run would have produced.
+
+        A checkpoint of a configuration the service does not run (an
+        older build served the Geometric order and no-index) raises
+        :class:`~repro.errors.ServeError` before any worker starts;
+        otherwise an ``expected_config`` that differs from the recorded
+        one raises :class:`~repro.errors.PersistenceError`.
         """
         if isinstance(source, ServiceCheckpoint):
-            checkpoint = source
+            checkpoint, path = source, None
         elif isinstance(source, CheckpointManager):
-            checkpoint = source.load(expected_config=expected_config)
+            path = source.latest()
+            checkpoint = source.load(path)
         else:
             path = pathlib.Path(source)
-            manager = CheckpointManager(path.parent)
-            checkpoint = manager.load(path, expected_config=expected_config)
+            checkpoint = CheckpointManager(path.parent).load(path)
+        _require_served(checkpoint.config)
+        if expected_config is not None:
+            require_config_match(
+                checkpoint.config, expected_config, source=f"checkpoint {path}"
+            )
         merged: List[Query] = []
         for shard in checkpoint.worker_queries:
             merged.extend(shard.get(qid) for qid in shard.query_ids)
@@ -760,8 +779,8 @@ class DetectionService:
             # nothing and re-seals nothing.
             return []
         self._deliver_gap()
-        # The tail is sketched (and plane-encoded) once, service side;
-        # it is small, so it travels inline on any backend.
+        # The tail is sketched once, service side; it is small, so it
+        # travels inline on any backend.
         tail = self.frontend.flush_tail()
         self._archive_tail(tail)
         message = ("flush", tail)
@@ -947,7 +966,6 @@ class DetectionService:
         self._shard_qids[target].add(query.qid)
         self._queries[query.qid] = query
         self._caps[query.qid] = cap
-        self.frontend.set_queries(self._queries)
         if backfill and self._backfill is not None:
             # live_start: every window below the stream clock was
             # processed live *without* this query (the lifecycle
@@ -983,7 +1001,6 @@ class DetectionService:
         self._shard_qids[worker_id].discard(qid)
         del self._queries[qid]
         del self._caps[qid]
-        self.frontend.set_queries(self._queries)
         if self._backfill is not None:
             self._backfill.cancel(qid)
         self.registry.inc("serve.queries.unsubscribed")

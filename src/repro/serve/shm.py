@@ -18,9 +18,8 @@ Slot lifecycle (producer side, :class:`ShmBatchRing`):
 * The service releases one reference per worker reply — or immediately
   for a shed/stolen delivery. A slot is reusable once its count is
   zero, which is safe because workers copy what they keep: the sketch
-  matrix is copied on receipt and plane rows are fancy-indexed (which
-  copies) down to the shard's qids, so no view into the slot survives
-  the handling of its message.
+  matrix is copied on receipt, so no view into the slot survives the
+  handling of its message.
 * When every slot is busy the producer drains one worker reply first
   (workers reply into unbounded outboxes, so this cannot deadlock);
   each such wait is counted as ``serve.transport.shm_waits``.
@@ -64,7 +63,7 @@ _BLOCK_FIELDS = ("indices", "starts", "frames", "sketch_values")
 
 #: The WindowBatch arrays that travel through shared memory, the block
 #: flattened into its fields, in the order they are laid out in a slot.
-_ARRAY_FIELDS = ("chunk_windows", *_BLOCK_FIELDS, "ge", "lt")
+_ARRAY_FIELDS = ("chunk_windows", *_BLOCK_FIELDS)
 
 
 def shm_available() -> bool:
@@ -141,8 +140,6 @@ class BatchDescriptor:
         outstanding batches without reading the slot back.
     num_chunks:
         Mirror of :attr:`WindowBatch.num_chunks` (drop accounting).
-    plane_qids:
-        The plane row layout (inline — it is a small tuple of ints).
     windows_skipped, frames_skipped:
         Mirrors of the batch's in-band gap (inline scalars).
     fields:
@@ -155,7 +152,6 @@ class BatchDescriptor:
     name: str
     base_seq: int
     num_chunks: int
-    plane_qids: Optional[Tuple[int, ...]]
     fields: Tuple[Tuple[str, str, Tuple[int, ...], int], ...]
     total_bytes: int
     windows_skipped: int = 0
@@ -246,11 +242,9 @@ class ShmBatchRing:
         arrays: List[Tuple[str, np.ndarray]] = []
         for field_name in _ARRAY_FIELDS:
             owner = batch.block if field_name in _BLOCK_FIELDS else batch
-            value = getattr(owner, field_name)
-            if value is not None:
-                arrays.append(
-                    (field_name, np.ascontiguousarray(value))
-                )
+            arrays.append(
+                (field_name, np.ascontiguousarray(getattr(owner, field_name)))
+            )
         total = sum(array.nbytes for _, array in arrays)
         slot = self._free_slot()
         while slot is None:
@@ -281,7 +275,6 @@ class ShmBatchRing:
             name=slot.shm.name,
             base_seq=batch.base_seq,
             num_chunks=batch.num_chunks,
-            plane_qids=batch.plane_qids,
             fields=tuple(fields),
             total_bytes=total,
             windows_skipped=batch.windows_skipped,
@@ -383,9 +376,7 @@ class ShmBatchReader:
         the worker copies anything it retains (see module docstring).
         """
         shm = self._segment(descriptor)
-        values: Dict[str, Optional[np.ndarray]] = {
-            name: None for name in _ARRAY_FIELDS
-        }
+        values: Dict[str, np.ndarray] = {}
         for field_name, dtype, shape, offset in descriptor.fields:
             count = int(np.prod(shape, dtype=np.int64))
             values[field_name] = np.frombuffer(
@@ -395,9 +386,6 @@ class ShmBatchReader:
             base_seq=descriptor.base_seq,
             chunk_windows=values["chunk_windows"],
             block=WindowBlock(**{name: values[name] for name in _BLOCK_FIELDS}),
-            plane_qids=descriptor.plane_qids,
-            ge=values["ge"],
-            lt=values["lt"],
             windows_skipped=descriptor.windows_skipped,
             frames_skipped=descriptor.frames_skipped,
         )

@@ -1,7 +1,7 @@
 """Snapshot / restore of one worker's full detector state.
 
 A checkpointed worker must resume *exactly* where it stopped: the same
-live candidates (or ladder segments), the same per-(candidate, query)
+live candidates, the same per-(candidate, query)
 signatures, and the same counters, distributions and timers — so that
 the post-restore match stream and the final metrics are bit-for-bit
 what an uninterrupted run would have produced. :func:`worker_state`
@@ -13,33 +13,24 @@ detector built from the same queries and configuration. The
 partial-window buffer and gap state are not a worker's: the service's
 front end, which cuts the stream into windows, checkpoints them.
 
-Both engines are covered. The on-disk layout is the dense one every
-``repro.ckpt/5`` checkpoint has always had; the Sequential store is a
-class table in memory, dense pairs on disk:
-
-===========  ========================  ===================================
-order        on-disk ``kind``          state
-===========  ========================  ===================================
-Sequential   ``columnar-sequential``   start/frame vectors + ``(C, Q)``
-                                       presence and ``(C, Q, W)`` planes
-                                       (each class's in-cap members
-                                       scattered densely with its
-                                       planes; on restore the present
-                                       pairs regroup into classes by
-                                       equal ``(column, ge, lt)``)
-Geometric    ``columnar-geometric``    ``_ColumnarSegment`` ladder: sizes,
-                                       frame spans, ``(S, Q)`` presence
-                                       and ``(S, Q, W)`` planes
-===========  ========================  ===================================
+The service runs one engine, Sequential, so there is one state
+``kind``, ``columnar-sequential``, in the dense on-disk layout every
+``repro.ckpt/5`` checkpoint has always had. The store is a class table
+in memory and dense pairs on disk: start/frame vectors, ``(C, Q)``
+presence and ``(C, Q, W)`` planes (each class's in-cap members
+scattered densely with its planes; on restore the present pairs
+regroup into classes by equal ``(column, ge, lt)``).
 
 Planes under ``presence == False`` are ignored on restore, so a
 checkpoint whose dense store kept stale planes there resumes the same.
-Production engines hold bit signatures only, so the sketch-mode keys
+The production engine holds bit signatures only, so the sketch-mode keys
 older snapshots may carry (``eng_block``, ``eng_relevant``,
 ``eng_seg_sketch``) are neither written nor read.
 
 The oracle in ``repro.reference`` is never checkpointed: its
-engines are refused here, as is a snapshot whose ``kind`` names one.
+engines are refused here, as is a snapshot whose ``kind`` names one —
+or names ``columnar-geometric``, the ladder older builds wrote (the
+Geometric order now runs on the oracle only).
 """
 
 from __future__ import annotations
@@ -49,14 +40,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.detector import StreamingDetector
-from repro.core.engine_geometric import (
-    ColumnarGeometricEngine,
-    _ColumnarSegment,
-)
 from repro.core.engine_sequential import ColumnarSequentialEngine
 from repro.errors import ServeError
 from repro.obs.registry import MetricsRegistry
-from repro.signature.bitsig import plane_words
 
 __all__ = ["restore_worker_state", "worker_state"]
 
@@ -133,8 +119,6 @@ def _restore_registry(
 def _engine_kind(engine) -> str:
     if isinstance(engine, ColumnarSequentialEngine):
         return "columnar-sequential"
-    if isinstance(engine, ColumnarGeometricEngine):
-        return "columnar-geometric"
     raise ServeError(f"unknown engine type {type(engine).__name__}")
 
 
@@ -199,53 +183,6 @@ def _restore_columnar_sequential(
     engine.class_members = members
 
 
-def _columnar_geometric_state(engine: ColumnarGeometricEngine) -> Dict:
-    engine._sync_columns()
-    segments = engine.segments
-    count = len(segments)
-    num_queries = len(engine._qids)
-    width = plane_words(engine.context.config.num_hashes)
-    return {
-        "eng_qids": np.asarray(engine._qids, dtype=np.int64),
-        "eng_seg_size": np.asarray(
-            [s.size for s in segments], dtype=np.int64
-        ),
-        "eng_seg_start": np.asarray(
-            [s.start_frame for s in segments], dtype=np.int64
-        ),
-        "eng_seg_end": np.asarray(
-            [s.end_frame for s in segments], dtype=np.int64
-        ),
-        "eng_presence": np.asarray(
-            [s.presence for s in segments], dtype=bool
-        ).reshape(count, num_queries),
-        "eng_ge": np.asarray(
-            [s.ge for s in segments], dtype=np.uint64
-        ).reshape(count, num_queries, width),
-        "eng_lt": np.asarray(
-            [s.lt for s in segments], dtype=np.uint64
-        ).reshape(count, num_queries, width),
-    }
-
-
-def _restore_columnar_geometric(
-    engine: ColumnarGeometricEngine, state: Dict[str, np.ndarray]
-) -> None:
-    engine._sync_columns()
-    _check_qids(engine._qids, state["eng_qids"])
-    engine.segments = [
-        _ColumnarSegment(
-            size=int(state["eng_seg_size"][row]),
-            start_frame=int(state["eng_seg_start"][row]),
-            end_frame=int(state["eng_seg_end"][row]),
-            presence=state["eng_presence"][row].astype(bool),
-            ge=state["eng_ge"][row].astype(np.uint64),
-            lt=state["eng_lt"][row].astype(np.uint64),
-        )
-        for row in range(len(state["eng_seg_size"]))
-    ]
-
-
 def _check_qids(current: tuple, recorded: np.ndarray) -> None:
     if tuple(int(qid) for qid in recorded) != tuple(current):
         raise ServeError(
@@ -263,20 +200,16 @@ def _check_qids(current: tuple, recorded: np.ndarray) -> None:
 def worker_state(detector: StreamingDetector) -> Dict[str, np.ndarray]:
     """Flatten one worker's restorable state into numpy arrays.
 
-    Covers: the engine's candidate/ladder state and the full metrics
+    Covers: the engine's candidate state and the full metrics
     registry (counters, gauges, distributions, timers — the stream clock
     ``stream.frames_processed`` and window counter live here). Matches
     already emitted are *not* part of the state: they were delivered to
     the caller before the snapshot was taken.
     """
     kind = _engine_kind(detector.engine)
-    if kind == "columnar-sequential":
-        engine_state = _columnar_sequential_state(detector.engine)
-    else:
-        engine_state = _columnar_geometric_state(detector.engine)
     return {
         "kind": np.asarray([kind]),
-        **engine_state,
+        **_columnar_sequential_state(detector.engine),
         **_registry_state(detector.registry),
     }
 
@@ -297,8 +230,5 @@ def restore_worker_state(
             f"checkpointed engine kind {kind!r} does not match the "
             f"configured engine {expected!r}"
         )
-    if kind == "columnar-sequential":
-        _restore_columnar_sequential(detector.engine, state)
-    else:
-        _restore_columnar_geometric(detector.engine, state)
+    _restore_columnar_sequential(detector.engine, state)
     _restore_registry(detector.registry, state)

@@ -44,13 +44,11 @@ whose replies it keeps.
 (``windows_skipped`` / ``frames_skipped``, see
 :meth:`~repro.serve.frontend.StreamFrontend.skip_frames`) on its
 detector's clock, then runs the whole batch through its detector as one
-:class:`~repro.minhash.windows.WindowBlock` — one probe (or one plane
-slice) and one engine pass, not one per window. It copies the small
+:class:`~repro.minhash.windows.WindowBlock` — one probe of its shard's
+index and one engine pass, not one per window. It copies the small
 ``(nw, K)`` sketch matrix once (a shared-memory row must not outlive
-its message, so the rows must be worker-owned) and, when
-planes were precomputed, takes its shard's plane rows out of the
-``(nw, Q, W)`` arrays by qid in one copy. The reply carries one match
-list per chunk of the batch so the service can merge per stream
+its message, so the rows must be worker-owned). The reply carries one
+match list per chunk of the batch so the service can merge per stream
 sequence.
 ``batch_shm`` is the same payload delivered as a shared-memory
 descriptor; no view into the segment survives the message. ``flush``
@@ -153,7 +151,6 @@ class ShardWorker:
         )
         self.epoch = int(spec.epoch)
         self._shm_reader = None
-        self._plane_rows_cache: Optional[Tuple[Tuple, np.ndarray]] = None
         if spec.state is not None:
             restore_worker_state(self.detector, spec.state)
 
@@ -219,37 +216,6 @@ class ShardWorker:
             self._shm_reader = ShmBatchReader()
         return self._shm_reader.read(descriptor)
 
-    def _plane_rows(
-        self, plane_qids: Optional[Tuple[int, ...]]
-    ) -> Optional[np.ndarray]:
-        """Map this shard's sorted qids to rows of the batch planes.
-
-        Cached on ``(plane layout, shard layout)`` — either side changes
-        only at a lifecycle barrier, so the mapping is computed once per
-        epoch, not once per batch.
-        """
-        if plane_qids is None:
-            return None
-        shard_qids = self.detector.context.query_columns().qids
-        key = (plane_qids, shard_qids)
-        if (
-            self._plane_rows_cache is not None
-            and self._plane_rows_cache[0] == key
-        ):
-            return self._plane_rows_cache[1]
-        position = {qid: row for row, qid in enumerate(plane_qids)}
-        try:
-            rows = np.asarray(
-                [position[qid] for qid in shard_qids], dtype=np.intp
-            )
-        except KeyError as error:
-            raise ValueError(
-                f"batch planes are missing query {error}; the front "
-                "end's query layout is behind this shard's"
-            )
-        self._plane_rows_cache = (key, rows)
-        return rows
-
     def _process_batch(self, batch: WindowBatch) -> List[List[Match]]:
         """Run the batch's windows in one engine pass; one match list
         per chunk."""
@@ -257,9 +223,8 @@ class ShardWorker:
         if batch.windows_skipped or batch.frames_skipped:
             detector.acknowledge_gap(batch.windows_skipped)
             detector.stats.frames_skipped += batch.frames_skipped
-        # Worker-owned copies: a shared-memory row would be overwritten
-        # when the producer reuses the slot. ``take`` copies the shard's
-        # plane rows out of the batch planes.
+        # A worker-owned copy: a shared-memory row would be overwritten
+        # when the producer reuses the slot.
         shipped = batch.block
         block = WindowBlock(
             indices=shipped.indices,
@@ -267,11 +232,7 @@ class ShardWorker:
             frames=shipped.frames,
             sketch_values=np.array(shipped.sketch_values, dtype=np.int64),
         )
-        rows = self._plane_rows(batch.plane_qids)
-        planes = None
-        if rows is not None:
-            planes = (batch.ge.take(rows, axis=1), batch.lt.take(rows, axis=1))
-        per_window = detector.process_batch(block, planes=planes)
+        per_window = detector.process_batch(block)
         per_chunk: List[List[Match]] = []
         position = 0
         for count in batch.chunk_windows.tolist():
@@ -288,11 +249,7 @@ class ShardWorker:
             tail.index, tail.start_frame, tail.num_frames,
             np.array(tail.sketch_values, dtype=np.int64),
         )
-        rows = self._plane_rows(tail.plane_qids)
-        planes = None
-        if rows is not None:
-            planes = (tail.ge[rows][np.newaxis], tail.lt[rows][np.newaxis])
-        return self.detector.process_batch(block, planes=planes)[0]
+        return self.detector.process_batch(block)[0]
 
     def release_resources(self) -> None:
         """Detach transport attachments (worker shutdown)."""

@@ -128,9 +128,9 @@ def encode_planes_many(
     Compares ``(nw, K)`` window min-hash values against a ``(Q, K)``
     query-value matrix and returns ``(ge, lt)`` planes of shape
     ``(nw, Q, W)`` — row ``i`` equals ``encode_planes(window_matrix[i],
-    query_matrix)`` bit for bit. This is the sketch-once front end's
-    kernel: one broadcasted compare + pack covers every (window, query)
-    pair of a chunk batch, so per-shard workers never re-encode.
+    query_matrix)`` bit for bit. This is the no-index engine's kernel:
+    one broadcasted compare + pack covers every (window, query) pair of
+    a block.
     """
     ge = pack_bool_planes(window_matrix[:, np.newaxis, :] <= query_matrix)
     lt = pack_bool_planes(window_matrix[:, np.newaxis, :] < query_matrix)

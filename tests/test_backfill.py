@@ -5,9 +5,8 @@ backfill is *indistinguishable* from having subscribed at stream start:
 over the overlap, the combined retro + live match stream is bit-for-bit
 (same matches, same similarities, same canonical order) what a service
 that carried the query from chunk 0 reports. This suite drives
-hypothesis workloads through every engine mode (both combination
-orders, index on/off, in the bit representation the service runs) and
-shard counts 1/2/5,
+hypothesis workloads through the configuration the service runs
+(Sequential, bit, with the index) and shard counts 1/2/5,
 checks the process executor, and kills a service *mid-backfill* to prove a checkpoint
 resume loses no retro matches and duplicates none.
 """
@@ -37,12 +36,9 @@ SHARD_COUNTS = (1, 2, 5)
 LATE_QID = 100
 DEEP_BACKFILL = 10**6  # clamped to the archive's retained range
 
-ALL_MODES = [
-    pytest.param(order, Representation.BIT, use_index,
-                 id=f"{order.value}-bit-{'idx' if use_index else 'noidx'}")
-    for order in CombinationOrder
-    for use_index in (False, True)
-]
+#: The one configuration the service runs.
+SERVED = [pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, True,
+                       id="sequential-bit-idx")]
 
 
 def _config(order, representation, use_index, threshold):
@@ -160,11 +156,11 @@ def _late_subscribe(config, family, queries, frames, late_cells,
 
 
 # ----------------------------------------------------------------------
-# columnar engines, every mode, shards 1/2/5
+# the served configuration, shards 1/2/5
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
+@pytest.mark.parametrize("order,representation,use_index", SERVED)
 @settings(max_examples=6, deadline=None)
 @given(workload=backfill_workloads())
 def test_late_subscribe_backfill_equals_from_start(
@@ -202,7 +198,7 @@ def test_backfill_across_executor_backends(backend):
             chunk[: late_cells.size] = late_cells
         chunks.append(chunk)
     config = _config(
-        CombinationOrder.SEQUENTIAL, Representation.BIT, False, 0.3
+        CombinationOrder.SEQUENTIAL, Representation.BIT, True, 0.3
     )
     reference = _from_start(
         config, family, queries, frames, late_cells, 30, chunks
@@ -223,11 +219,7 @@ def test_backfill_across_executor_backends(backend):
     "order,representation,use_index",
     [
         pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT,
-                     False, id="seq-bit-noidx"),
-        pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT,
                      True, id="seq-bit-idx"),
-        pytest.param(CombinationOrder.GEOMETRIC, Representation.BIT,
-                     False, id="geo-bit-noidx"),
     ],
 )
 @settings(max_examples=5, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,6 +76,20 @@ class TestCommands:
 
     def test_serve_resume_requires_checkpoint_dir(self, capsys):
         assert main(["serve", "--resume"]) == 2
+
+    def test_only_demo_and_stats_choose_the_engine(self, capsys, tmp_path):
+        """Serving runs one configuration; ``stats`` still runs any
+        (Geometric on the oracle, through run_detector)."""
+        for argv in (["serve", "--order", "geometric"],
+                     ["gateway", "--no-index"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+        out = tmp_path / "metrics.json"
+        assert main(["stats", "--order", "geometric", "--stream", "vs1",
+                     "--queries", "2", "--stream-seconds", "120",
+                     "--hashes", "64", "--metrics-out", str(out)]) == 0
+        counters = json.loads(out.read_text())["counters"]
+        assert counters["engine.windows_processed"] > 0
 
     @pytest.mark.slow
     def test_serve_stop_and_resume(self, capsys, tmp_path):

@@ -163,11 +163,11 @@ class TestVariantEquivalence:
             prune=prune,
             threshold=0.55,
         )
-        # Production runs bit signatures only; sketch runs on the oracle.
-        detector_class = (
-            StreamingDetector if representation is Representation.BIT
-            else ReferenceDetector
+        # Production runs Sequential on bit signatures; the oracle the rest.
+        production = (order, representation) == (
+            CombinationOrder.SEQUENTIAL, Representation.BIT
         )
+        detector_class = StreamingDetector if production else ReferenceDetector
         detector = detector_class(config, queries, KF_RATE)
         return detector.process_cell_ids(ids)
 
@@ -229,7 +229,11 @@ class TestVariantEquivalence:
         def run(order):
             family = MinHashFamily(num_hashes=128, seed=11)
             qs = _make_queries(family, {0: (1000, 1040, 40)})
-            detector = StreamingDetector(_config(order=order), qs, KF_RATE)
+            detector_class = (
+                StreamingDetector if order is CombinationOrder.SEQUENTIAL
+                else ReferenceDetector
+            )
+            detector = detector_class(_config(order=order), qs, KF_RATE)
             return {
                 (m.qid, m.start_frame, m.end_frame)
                 for m in detector.process_cell_ids(ids)
@@ -299,7 +303,7 @@ class TestExpiry:
 
     def test_geometric_total_size_bounded(self, wide_family, rng):
         queries = _make_queries(wide_family, {0: (1000, 1040, 40)})
-        detector = StreamingDetector(
+        detector = ReferenceDetector(
             _config(order=CombinationOrder.GEOMETRIC), queries, KF_RATE
         )
         detector.process_cell_ids(_filler(rng, 500))

@@ -1,4 +1,7 @@
-"""White-box tests of the engine internals (ladder structure, stats)."""
+"""White-box tests of the engine internals (ladder structure, stats).
+
+The Geometric ladder is the oracle's (``repro.reference``): production
+runs the Sequential order only."""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import pytest
 
 from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core.detector import StreamingDetector
-from repro.core.engine_geometric import ColumnarGeometricEngine
 from repro.core.monitor import EngineStats
 from repro.core.query import QuerySet
 from repro.minhash.family import MinHashFamily
@@ -18,7 +20,7 @@ KF_RATE = 1.0
 
 def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.BIT,
               window_seconds=10.0, num_query_frames=200,
-              detector_cls=StreamingDetector):
+              detector_cls=ReferenceDetector):
     family = MinHashFamily(num_hashes=64, seed=2)
     queries = QuerySet.from_cell_ids(
         {0: np.arange(1000, 1100)}, {0: num_query_frames}, family
@@ -39,7 +41,7 @@ class TestGeometricLadder:
         of n (while under the expiry cap)."""
         detector = _detector()
         engine = detector.engine
-        assert type(engine) is ColumnarGeometricEngine
+        assert type(engine) is GeometricEngine
         for n in range(1, 14):
             detector.process_cell_ids(rng.integers(0, 500, size=10))
             sizes = [segment.size for segment in engine.segments]
@@ -49,11 +51,10 @@ class TestGeometricLadder:
             assert sorted(sizes) == sorted(expected), (n, sizes)
 
     def test_reference_ladder_has_the_same_shape(self, rng):
-        """The oracle's ladder, once: binary-counter sizes, strictly
-        decreasing toward the tail, contiguous in frames."""
-        detector = _detector(detector_cls=ReferenceDetector)
+        """The whole ladder after every window: binary-counter sizes,
+        strictly decreasing toward the tail, contiguous in frames."""
+        detector = _detector()
         engine = detector.engine
-        assert type(engine) is GeometricEngine
         for n in range(1, 14):
             detector.process_cell_ids(rng.integers(0, 500, size=10))
             sizes = [segment.size for segment in engine.segments]
@@ -111,6 +112,7 @@ class TestEngineStatsAccounting:
         detector = _detector(
             order=CombinationOrder.SEQUENTIAL,
             representation=Representation.BIT,
+            detector_cls=StreamingDetector,
         )
         detector.process_cell_ids(rng.integers(0, 500, size=200))
         assert detector.stats.sketch_combines == 0
@@ -120,7 +122,6 @@ class TestEngineStatsAccounting:
         detector = _detector(
             order=CombinationOrder.SEQUENTIAL,
             representation=Representation.SKETCH,
-            detector_cls=ReferenceDetector,
         )
         detector.process_cell_ids(rng.integers(0, 500, size=200))
         assert detector.stats.signature_combines == 0

@@ -8,10 +8,11 @@ the same counters — including ``signature_prunes`` and
 This suite drives a :class:`StreamingDetector` and a
 :class:`ReferenceDetector` through the same randomized workloads
 (hypothesis) covering mid-stream subscribe/unsubscribe, partial tail
-windows and threshold edge cases, for both combination orders and
-with the Hash-Query index on and off, in the bit representation:
-production runs no other. The sketch representation is the oracle's
-alone, so a ``StreamingDetector`` refuses it (tested here).
+windows and threshold edge cases, with the Hash-Query index on and off,
+in the Sequential order and the bit representation: production runs no
+other. The Geometric order and the sketch representation are the
+oracle's alone; the refusal matrix at the end pins down which layer
+runs what.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ from repro.config import CombinationOrder, DetectorConfig, Representation
 from repro.core import engine_sequential
 from repro.core.detector import StreamingDetector
 from repro.core.query import Query, QuerySet
-from repro.errors import DetectionError
+from repro.errors import DetectionError, ServeError
+from repro.evaluation.runner import PreparedWorkload, run_detector
 from repro.minhash.family import MinHashFamily
 from repro.minhash.windows import WindowBlock, build_window_block
 from repro.reference import ReferenceDetector
+from repro.serve import DetectionService
+from repro.workloads.groundtruth import GroundTruth
 
 CELL_SPACE = 500  # small id space -> plenty of sketch collisions
 NUM_HASHES = 32
@@ -36,9 +40,8 @@ WINDOW_SECONDS = 2.5
 KEYFRAMES_PER_SECOND = 2.0  # w = 5 key frames
 
 ALL_MODES = [
-    pytest.param(order, Representation.BIT, use_index,
-                 id=f"{order.value}-bit-{'idx' if use_index else 'noidx'}")
-    for order in CombinationOrder
+    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, use_index,
+                 id=f"sequential-bit-{'idx' if use_index else 'noidx'}")
     for use_index in (False, True)
 ]
 
@@ -215,9 +218,7 @@ def test_columnar_exact_threshold_tie(order, representation, use_index):
         _assert_equivalent(reference, columnar)
 
 
-@pytest.mark.parametrize("order,representation,use_index", [
-    mode for mode in ALL_MODES if mode.values[0] is CombinationOrder.SEQUENTIAL
-])
+@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
 def test_columnar_emission_order(order, representation, use_index):
     """Within a window, Sequential matches come in the oracle's order —
     candidate start, then query column — on a stream where windows emit
@@ -240,8 +241,7 @@ def test_block_cuts_match_reference(order, representation, use_index, monkeypatc
     """One engine pass per block: any cut of the stream into blocks —
     single windows, a gap between two blocks, a subscribe between two, a
     block relating no query while pairs are live, blocks longer than one
-    pass — gives the oracle's matches (in its order, for Sequential) and
-    counters."""
+    pass — gives the oracle's matches (in its order) and counters."""
     monkeypatch.setattr("repro.core.detector.MAX_BLOCK_WINDOWS", 7)
     rng = np.random.default_rng(31)
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=6)
@@ -275,14 +275,13 @@ def test_block_cuts_match_reference(order, representation, use_index, monkeypatc
                 detector.subscribe(Query(qid=5, cell_ids=distinct, num_frames=frames[5],
                                          sketch=family.sketch(distinct)))
     reference, columnar = detectors
-    if order is CombinationOrder.SEQUENTIAL:
-        assert [*map(_match_key, columnar.matches)] == [*map(_match_key, reference.matches)]
+    assert [*map(_match_key, columnar.matches)] == [*map(_match_key, reference.matches)]
     _assert_equivalent(reference, columnar)
 
 
 @pytest.mark.parametrize("order,representation", [
-    pytest.param(order, Representation.BIT, id=f"{order.value}-bit")
-    for order in CombinationOrder
+    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT,
+                 id="sequential-bit")
 ])
 def test_columnar_partial_tail_window(order, representation):
     """A stream ending mid-window produces identical state and matches."""
@@ -300,25 +299,47 @@ def test_columnar_partial_tail_window(order, representation):
     _assert_equivalent(reference, columnar)
 
 
-@pytest.mark.parametrize("order", list(CombinationOrder))
-def test_sketch_representation_runs_on_the_oracle_only(order):
-    """Production refuses the sketch representation with a typed error;
-    the oracle runs it and reports sketch work only."""
+@pytest.mark.parametrize("use_index", [True, False], ids=["idx", "noidx"])
+@pytest.mark.parametrize("representation", list(Representation),
+                         ids=lambda r: r.value)
+@pytest.mark.parametrize("order", list(CombinationOrder),
+                         ids=lambda o: o.value)
+def test_refusal_matrix(order, representation, use_index):
+    """Production detects Sequential on bit signatures, with the index or
+    without; the service runs it with the index only; ``run_detector``
+    runs all eight, on the oracle where production has no engine, with
+    the oracle's matches and counters."""
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
     rng = np.random.default_rng(8)
-    queries = QuerySet.from_cell_ids(
-        {0: rng.integers(0, 60, size=20)}, {0: 20}, family
-    )
+    query = rng.integers(0, 60, size=20)
+    stream = np.concatenate([rng.integers(0, 60, size=40), query])
     config = DetectorConfig(
         num_hashes=NUM_HASHES, window_seconds=WINDOW_SECONDS, order=order,
-        representation=Representation.SKETCH,
+        representation=representation, use_index=use_index, threshold=0.5,
     )
-    with pytest.raises(DetectionError, match="sketch representation"):
-        StreamingDetector(config, queries, KEYFRAMES_PER_SECOND)
+    queries = QuerySet.from_cell_ids({0: query}, {0: 20}, family)
+    production = (order, representation) == (
+        CombinationOrder.SEQUENTIAL, Representation.BIT
+    )
+    if not production:
+        with pytest.raises(DetectionError, match="runs on the oracle"):
+            StreamingDetector(config, queries, KEYFRAMES_PER_SECOND)
+    if not (production and use_index):
+        with pytest.raises(ServeError, match="run_detector"):
+            DetectionService(config, queries, KEYFRAMES_PER_SECOND)
     oracle = ReferenceDetector(config, queries, KEYFRAMES_PER_SECOND)
-    oracle.process_cell_ids(rng.integers(0, 60, size=40))
-    assert oracle.stats.sketch_combines > 0
-    assert oracle.stats.signature_combines == 0
+    oracle.process_cell_ids(stream)
+    result = run_detector(PreparedWorkload(
+        stream_cell_ids=stream, query_cell_ids={0: query},
+        query_frames={0: 20}, ground_truth=GroundTruth([], len(stream)),
+        keyframes_per_second=KEYFRAMES_PER_SECOND, fingerprint=None,
+        prepare_seconds=0.0,
+    ), config, family_seed=3)
+    assert oracle.matches
+    assert [*map(_match_key, result.matches)] == [
+        *map(_match_key, oracle.matches)
+    ]
+    assert result.metrics["counters"] == dict(oracle.registry.counters())
 
 
 # ----------------------------------------------------------------------

@@ -46,8 +46,10 @@ def _detector(query_ids, num_frames, threshold=0.7, **config_overrides):
     )
     defaults.update(config_overrides)
     config = DetectorConfig(**defaults)
-    # Production runs bit signatures only; sketch runs on the oracle.
-    if config.representation is Representation.SKETCH:
+    # Production runs Sequential on bit signatures; the oracle the rest.
+    if (config.order, config.representation) != (
+        CombinationOrder.SEQUENTIAL, Representation.BIT
+    ):
         return ReferenceDetector(config, queries, 1.0)
     return StreamingDetector(config, queries, 1.0)
 

@@ -2,13 +2,12 @@
 
 The serving subsystem promises that sharding is *transparent*: for any
 shard count, the merged match stream is bit-for-bit the single-process
-detector's (same matches, same canonical order for the columnar
-engines), stream-scoped counters replicate per shard, query-scoped
-counters sum to the serial values, and a mid-stream checkpoint/restore
-loses zero matches. This suite drives randomized workloads (hypothesis)
-with subscribe/unsubscribe churn through 1, 2 and 5 shards for both
-combination orders in the bit representation (the only one the service
-runs), and with the index on and off; a backend smoke test covers the
+detector's (same matches, same canonical order), stream-scoped counters
+replicate per shard, query-scoped counters sum to the serial values, and
+a mid-stream checkpoint/restore loses zero matches. This suite drives
+randomized workloads (hypothesis) with subscribe/unsubscribe churn
+through 1, 2 and 5 shards in the one configuration the service runs
+(Sequential, bit, with the index); a backend smoke test covers the
 process executor.
 """
 
@@ -40,12 +39,9 @@ WINDOW_SECONDS = 2.5
 KEYFRAMES_PER_SECOND = 2.0  # w = 5 key frames
 SHARD_COUNTS = (1, 2, 5)
 
-ALL_MODES = [
-    pytest.param(order, Representation.BIT, use_index,
-                 id=f"{order.value}-bit-{'idx' if use_index else 'noidx'}")
-    for order in CombinationOrder
-    for use_index in (False, True)
-]
+#: The one configuration the service runs.
+SERVED = [pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, True,
+                       id="sequential-bit-idx")]
 
 #: Stream-scoped counters: every shard processes the identical stream,
 #: so these must equal the serial value (not sum to it).
@@ -170,7 +166,7 @@ def _run_service(config, family, queries, frames, chunks, actions,
     return service, applied
 
 
-@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
+@pytest.mark.parametrize("order,representation,use_index", SERVED)
 @settings(max_examples=10, deadline=None)
 @given(workload=workloads())
 def test_sharded_equals_serial(order, representation, use_index, workload):
@@ -189,9 +185,8 @@ def test_sharded_equals_serial(order, representation, use_index, workload):
             config, family, queries, frames, chunks, applied
         )
         # Bit-for-bit stream: same matches in the canonical order.
-        key = canonical_sort_key(order)
         assert [
-            _match_key(m) for m in sorted(ref_matches, key=key)
+            _match_key(m) for m in sorted(ref_matches, key=canonical_sort_key)
         ] == [_match_key(m) for m in service.matches]
         _assert_counters(ref_detector, service)
         service.close()
@@ -199,16 +194,12 @@ def test_sharded_equals_serial(order, representation, use_index, workload):
 
 @pytest.mark.parametrize(
     "representation,use_index",
-    [
-        # "columnar-": the ids these cases have always had.
-        pytest.param(Representation.BIT, i,
-                     id=f"columnar-bit-{'idx' if i else 'noidx'}")
-        for i in (False, True)
-    ],
+    # "columnar-": the id this case has always had.
+    [pytest.param(Representation.BIT, True, id="columnar-bit-idx")],
 )
 def test_sketch_once_all_engines(representation, use_index):
-    """The engines accept precomputed payloads with the index on and
-    off and reproduce the serial stream."""
+    """Workers fed the front end's sketched batches reproduce the
+    serial stream and its counters."""
     rng = np.random.default_rng(67)
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=6)
     cells = {qid: rng.integers(0, CELL_SPACE, size=25) for qid in range(4)}
@@ -315,7 +306,7 @@ def _run_service_with_kill_resume(config, family, queries, frames, chunks,
     return service, applied
 
 
-@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
+@pytest.mark.parametrize("order,representation,use_index", SERVED)
 @settings(max_examples=5, deadline=None)
 @given(workload=workloads())
 def test_kill_resume_mid_churn_equals_serial(
@@ -342,9 +333,9 @@ def test_kill_resume_mid_churn_equals_serial(
             ref_detector, ref_matches = _serial_with_actions(
                 config, family, queries, frames, chunks, applied
             )
-            key = canonical_sort_key(order)
             assert [
-                _match_key(m) for m in sorted(ref_matches, key=key)
+                _match_key(m)
+                for m in sorted(ref_matches, key=canonical_sort_key)
             ] == [_match_key(m) for m in service.matches]
             _assert_counters(ref_detector, service)
             service.close()
@@ -362,8 +353,7 @@ def test_resume_carries_partial_buffer(tmp_path):
     # at the first two barriers.
     chunks = [rng.integers(0, CELL_SPACE, size=13) for _ in range(4)]
     chunks[1][0:13] = cells[2][5:18]
-    config = _config(0.2, representation=Representation.BIT,
-                     use_index=False)
+    config = _config(0.2)
     detector = StreamingDetector(
         config, QuerySet.from_cell_ids(cells, frames, family),
         KEYFRAMES_PER_SECOND,
@@ -393,7 +383,11 @@ def test_resume_carries_partial_buffer(tmp_path):
     resumed.close()
 
 
-@pytest.mark.parametrize("order,representation,use_index", ALL_MODES)
+@pytest.mark.parametrize("order,representation,use_index", [
+    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, use_index,
+                 id=f"sequential-bit-{'idx' if use_index else 'noidx'}")
+    for use_index in (False, True)
+])
 @settings(max_examples=10, deadline=None)
 @given(workload=workloads())
 def test_scalar_matches_columnar_under_churn(
@@ -474,7 +468,7 @@ def test_backends_match_serial(backend):
     ]
 
 
-@pytest.mark.parametrize("order", list(CombinationOrder))
+@pytest.mark.parametrize("order", [CombinationOrder.SEQUENTIAL])
 def test_checkpoint_restore_loses_nothing(order, tmp_path):
     """Mid-stream snapshot + restore reproduces the uninterrupted run."""
     rng = np.random.default_rng(31)
@@ -558,13 +552,12 @@ def test_sub_window_chunks_send_no_empty_batches():
         service.flush()
         return service
 
-    key = canonical_sort_key(config.order)
     for service in (run("serial", 1), run("process", 2)):
         with service:
             counters = service.metrics_snapshot()["counters"]
             assert counters["serve.transport.chunks"] == len(chunks)
             assert counters["serve.transport.batches"] < len(chunks)
             assert [_match_key(m) for m in service.matches] == [
-                _match_key(m) for m in sorted(expected, key=key)
+                _match_key(m) for m in sorted(expected, key=canonical_sort_key)
             ]
             _assert_counters(oracle, service)

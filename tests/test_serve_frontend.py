@@ -2,8 +2,8 @@
 
 The golden-equivalence suite (``test_serve_equivalence.py``) proves the
 sketch-once service end-to-end; this file pins the pieces it is built
-from: :class:`StreamFrontend`'s window cut, absolute stream clock and
-plane layout, the :class:`WindowBatch` shape invariants, the worker's
+from: :class:`StreamFrontend`'s window cut and absolute stream clock,
+the :class:`WindowBatch` shape invariants, the worker's
 batch protocol, and the :class:`ShmBatchRing` slot lifecycle
 (publish / read / release / growth / exhaustion).
 """
@@ -28,7 +28,6 @@ from repro.serve import (
     shm_available,
 )
 from repro.serve.workers import ShardWorker, WorkerSpec
-from repro.signature.bitsig import encode_planes
 
 CELL_SPACE = 300
 NUM_HASHES = 16
@@ -45,7 +44,6 @@ def _config(**overrides):
         threshold=0.3,
         window_seconds=2.5,  # w = 5 at 2 key frames / second
         representation=Representation.BIT,
-        use_index=False,
     )
     merged.update(overrides)
     return DetectorConfig(**merged)
@@ -58,29 +56,25 @@ def _queries(family, num=4, seed=7, size=20):
     return QuerySet.from_cell_ids(cells, frames, family)
 
 
-def _frontend(config=None, family=None, queries=None):
-    config = config or _config()
+def _frontend(family=None):
     family = family or _family()
     frontend = StreamFrontend(
-        config=config,
         family=family,
         window_frames=WINDOW_FRAMES,
         registry=MetricsRegistry(),
     )
-    qs = queries or _queries(family)
-    frontend.set_queries({qid: qs.get(qid) for qid in qs.query_ids})
-    return frontend, family, qs
+    return frontend, family
 
 
 # ----------------------------------------------------------------------
-# StreamFrontend: window cut, stream clock, plane layout
+# StreamFrontend: window cut, stream clock
 # ----------------------------------------------------------------------
 
 
 def test_build_cuts_windows_like_the_monitor():
     """Ragged chunks produce the same windows (same sketches, same
     absolute coordinates) as one offline pass over the concatenation."""
-    frontend, family, _ = _frontend()
+    frontend, family = _frontend()
     rng = np.random.default_rng(0)
     chunks = [rng.integers(0, CELL_SPACE, size=n) for n in (7, 4, 9, 10)]
     batch_a = frontend.build(chunks[:2], base_seq=0)
@@ -104,47 +98,19 @@ def test_build_cuts_windows_like_the_monitor():
     assert set(batch_a.block.frames.tolist()) == {WINDOW_FRAMES}
 
 
-def test_planes_match_per_window_encoder():
-    """The broadcasted plane kernel equals per-window encode_planes for
-    every window x sorted-qid row."""
-    frontend, family, qs = _frontend()
-    rng = np.random.default_rng(1)
-    batch = frontend.build(
-        [rng.integers(0, CELL_SPACE, size=15)], base_seq=0
-    )
-    assert batch.plane_qids == tuple(sorted(qs.query_ids))
-    matrix = np.stack(
-        [qs.get(qid).sketch.values for qid in batch.plane_qids]
-    )
-    for row in range(batch.num_windows):
-        ge, lt = encode_planes(batch.block.sketch_values[row], matrix)
-        assert np.array_equal(batch.ge[row], ge)
-        assert np.array_equal(batch.lt[row], lt)
-
-
-def test_no_planes_in_index_mode():
-    frontend, _, _ = _frontend(config=_config(use_index=True))
-    batch = frontend.build(
-        [np.arange(WINDOW_FRAMES, dtype=np.int64)], base_seq=0
-    )
-    assert batch.plane_qids is None
-    assert batch.ge is None and batch.lt is None
-
-
 def test_empty_batch_keeps_shapes():
     """A chunk too short to complete a window yields a well-formed
     zero-window batch (the shm writer and workers rely on the shapes)."""
-    frontend, _, qs = _frontend()
+    frontend, _ = _frontend()
     batch = frontend.build([np.arange(3, dtype=np.int64)], base_seq=0)
     assert batch.num_windows == 0
     assert batch.chunk_windows.tolist() == [0]
     assert batch.block.sketch_values.shape == (0, NUM_HASHES)
-    assert batch.ge.shape[:2] == (0, len(qs))
     assert frontend.pending_frames == 3
 
 
 def test_flush_tail_and_terminal_state():
-    frontend, family, qs = _frontend()
+    frontend, family = _frontend()
     frontend.build([np.arange(8, dtype=np.int64)], base_seq=0)
     tail = frontend.flush_tail()
     assert tail is not None
@@ -152,11 +118,6 @@ def test_flush_tail_and_terminal_state():
     assert tail.num_frames == 3
     expected = family.sketch(np.unique(np.arange(5, 8))).values
     assert np.array_equal(tail.sketch_values, expected)
-    matrix = np.stack(
-        [qs.get(qid).sketch.values for qid in tail.plane_qids]
-    )
-    ge, lt = encode_planes(tail.sketch_values, matrix)
-    assert np.array_equal(tail.ge, ge) and np.array_equal(tail.lt, lt)
     assert frontend.flushed
     assert frontend.flush_tail() is None  # idempotent
     with pytest.raises(ServeError):
@@ -164,20 +125,20 @@ def test_flush_tail_and_terminal_state():
 
 
 def test_flush_on_boundary_returns_none():
-    frontend, _, _ = _frontend()
+    frontend, _ = _frontend()
     frontend.build([np.arange(WINDOW_FRAMES, dtype=np.int64)], base_seq=0)
     assert frontend.flush_tail() is None
     assert frontend.flushed
 
 
 def test_state_restore_roundtrip():
-    frontend, _, _ = _frontend()
+    frontend, _ = _frontend()
     frontend.build([np.arange(13, dtype=np.int64)], base_seq=0)
     pending, flushed, windows, frames, skip = frontend.state()
     assert pending.tolist() == [10, 11, 12]
     assert (flushed, windows, frames, skip) == (False, 2, 10, 0)
 
-    other, _, _ = _frontend()
+    other, _ = _frontend()
     other.restore(pending, flushed, windows, frames, skip)
     batch = other.build([np.arange(2, dtype=np.int64)], base_seq=2)
     assert batch.block.indices.tolist() == [2]
@@ -229,34 +190,13 @@ def test_batch_reply_splits_per_chunk():
     reference = _reference_monitor(config, _queries(family))
     per_chunk = [reference.push_cell_ids(chunk) for chunk in chunks]
 
-    frontend, _, _ = _frontend(config=config, family=family)
+    frontend, _ = _frontend(family)
     batch = frontend.build(chunks, base_seq=0)
     worker = _worker(config, _queries(family))
     kind, _, base_seq, match_lists = worker.handle(("batch", batch))
     assert (kind, base_seq) == ("matches_batch", 0)
     assert len(match_lists) == 3
     assert match_lists == per_chunk
-
-
-def test_batch_with_unknown_plane_qid_fails_loudly():
-    config = _config()
-    family = _family()
-    frontend = StreamFrontend(
-        config=config,
-        family=family,
-        window_frames=WINDOW_FRAMES,
-        registry=MetricsRegistry(),
-    )
-    other = _queries(family, num=2, seed=99)
-    frontend.set_queries({qid: other.get(qid) for qid in other.query_ids})
-    batch = frontend.build(
-        [np.arange(WINDOW_FRAMES, dtype=np.int64)], base_seq=0
-    )
-    shard = _queries(family, num=6)  # qids 0..5; layout only has 0..1
-    worker = _worker(config, shard)
-    reply = worker.handle(("batch", batch))
-    assert reply[0] == "error"
-    assert "missing query" in reply[2]
 
 
 def test_extended_flush_carries_the_tail():
@@ -273,7 +213,7 @@ def test_extended_flush_carries_the_tail():
     ref_matches = reference.flush()
     assert ref_matches
 
-    frontend, _, _ = _frontend(config=config, family=family)
+    frontend, _ = _frontend(family)
     batch = frontend.build([stream], base_seq=0)
     worker = _worker(config, _queries(family))
     worker.handle(("batch", batch))
@@ -298,7 +238,7 @@ needs_shm = pytest.mark.skipif(
 
 
 def _batch(num_chunks=2, seed=11):
-    frontend, _, _ = _frontend()
+    frontend, _ = _frontend()
     rng = np.random.default_rng(seed)
     return frontend.build(
         [rng.integers(0, CELL_SPACE, size=12) for _ in range(num_chunks)],
@@ -308,17 +248,11 @@ def _batch(num_chunks=2, seed=11):
 
 def _assert_batches_equal(a, b):
     assert a.base_seq == b.base_seq
-    assert a.plane_qids == b.plane_qids
-    pairs = [(a, b, field) for field in ("chunk_windows", "ge", "lt")] + [
-        (a.block, b.block, field)
-        for field in ("indices", "starts", "frames", "sketch_values")
-    ]
-    for one, other, field in pairs:
-        left, right = getattr(one, field), getattr(other, field)
-        if left is None:
-            assert right is None
-        else:
-            assert np.array_equal(left, right), field
+    assert np.array_equal(a.chunk_windows, b.chunk_windows)
+    for field in ("indices", "starts", "frames", "sketch_values"):
+        assert np.array_equal(
+            getattr(a.block, field), getattr(b.block, field)
+        ), field
 
 
 @needs_shm

@@ -16,7 +16,7 @@ Regression anchors for the online-maintenance bug sweep:
 
 from __future__ import annotations
 
-from dataclasses import astuple as _match_key
+from dataclasses import astuple as _match_key, replace
 import numpy as np
 import pytest
 
@@ -46,9 +46,10 @@ NUM_HASHES = 32
 WINDOW_SECONDS = 2.5
 KEYFRAMES_PER_SECOND = 2.0  # w = 5 key frames
 
+#: The one configuration the service runs (and checkpoints).
 ENGINE_MODES = [
-    pytest.param(order, Representation.BIT, id=f"{order.value}-bit")
-    for order in CombinationOrder
+    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT,
+                 id="sequential-bit")
 ]
 
 
@@ -153,20 +154,58 @@ def test_worker_state_sees_subscribe_immediately(order, representation):
 
 
 def test_the_oracle_is_never_checkpointed():
-    """Two engine kinds are checkpointable, both production: a snapshot
-    naming a scalar kind (an older build could write one) is refused,
-    and so is a :class:`ReferenceDetector` handed to ``worker_state``."""
+    """One engine kind is checkpointable, production's Sequential: a
+    snapshot naming a scalar kind or the Geometric ladder (older builds
+    wrote both) is refused, and so is a :class:`ReferenceDetector`
+    handed to ``worker_state``."""
     family, cells, frames, rng = _fixture()
     queries = QuerySet.from_cell_ids(cells, frames, family)
     detector = StreamingDetector(_config(), queries, KEYFRAMES_PER_SECOND)
     state = worker_state(detector)
     assert str(state["kind"][0]) == "columnar-sequential"
-    state["kind"] = np.asarray(["scalar-sequential"])
-    with pytest.raises(ServeError, match="'scalar-sequential'"):
-        restore_worker_state(detector, state)
+    for kind in ("scalar-sequential", "columnar-geometric"):
+        state["kind"] = np.asarray([kind])
+        with pytest.raises(ServeError, match=f"'{kind}'"):
+            restore_worker_state(detector, state)
     oracle = ReferenceDetector(_config(), queries, KEYFRAMES_PER_SECOND)
     with pytest.raises(ServeError, match="unknown engine type"):
         worker_state(oracle)
+
+
+@pytest.mark.parametrize("old", [
+    {"order": CombinationOrder.GEOMETRIC}, {"use_index": False},
+], ids=["geometric", "noidx"])
+def test_checkpoint_of_an_unserved_configuration_is_refused(
+    old, tmp_path, monkeypatch
+):
+    """A ``repro.ckpt/5`` of a configuration older builds served —
+    Geometric (with ``columnar-geometric`` worker state) or no-index —
+    is refused with a typed error naming ``run_detector`` before any
+    worker starts, whether or not the caller expects that config."""
+    family, cells, frames, rng = _fixture()
+    manager = CheckpointManager(tmp_path)
+    with DetectionService(
+        _config(), QuerySet.from_cell_ids(cells, frames, family),
+        KEYFRAMES_PER_SECOND, num_workers=2,
+    ) as service:
+        service.run([rng.integers(0, CELL_SPACE, size=20)], flush=False)
+        checkpoint = manager.load(service.checkpoint(manager))
+    checkpoint.config = replace(checkpoint.config, **old)
+    if "order" in old:
+        for state in checkpoint.worker_states:
+            state["kind"] = np.asarray(["columnar-geometric"])
+    path = manager.save(checkpoint)
+
+    def no_executor(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr("repro.serve.service.SerialExecutor", no_executor)
+    monkeypatch.setattr("repro.serve.service.ProcessExecutor", no_executor)
+    for expected in (None, checkpoint.config, _config()):
+        with pytest.raises(ServeError, match="run_detector"):
+            DetectionService.restore(
+                path, expected_config=expected, backend="process"
+            )
 
 
 @pytest.mark.parametrize("use_index", [True, False])
@@ -288,10 +327,16 @@ def test_unsubscribe_leaves_no_trace_in_snapshots(order, representation):
     assert 1 not in detector.queries.query_ids
 
 
-@pytest.mark.parametrize("order,representation", ENGINE_MODES)
+@pytest.mark.parametrize("order,representation", ENGINE_MODES + [
+    pytest.param(CombinationOrder.GEOMETRIC, Representation.BIT,
+                 id="geometric-bit"),
+])
 def test_resubscribe_same_qid_starts_clean(order, representation):
     """Unsubscribe + re-subscribe of the same qid behaves exactly like a
-    detector that subscribed the fresh query at the same boundary."""
+    detector that subscribed the fresh query at the same boundary (the
+    Geometric ladder is the oracle's)."""
+    detector_cls = (ReferenceDetector if order is CombinationOrder.GEOMETRIC
+                    else StreamingDetector)
     family, cells, frames, rng = _fixture()
     config = _config(order, representation)
     chunks = [rng.integers(0, CELL_SPACE, size=30) for _ in range(4)]
@@ -300,9 +345,7 @@ def test_resubscribe_same_qid_starts_clean(order, representation):
     replacement = _query(family, 1, cells[2] + 3, 22)
 
     def drive(initial, boundary_ops):
-        detector = StreamingDetector(
-            config, initial, KEYFRAMES_PER_SECOND
-        )
+        detector = detector_cls(config, initial, KEYFRAMES_PER_SECOND)
         monitor = LiveMonitor(detector)
         matches = []
         for index, chunk in enumerate(chunks):

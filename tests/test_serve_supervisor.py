@@ -311,9 +311,6 @@ class _Batch:
         self.base_seq = base_seq
         self.chunk_windows = np.asarray([1], dtype=np.int64)
         self.block = WindowBlock.single(0, 0, 5, np.zeros(NUM_HASHES))
-        self.plane_qids = None
-        self.ge = None
-        self.lt = None
         self.num_chunks = 1
         self.windows_skipped = self.frames_skipped = 0
 
