@@ -172,7 +172,7 @@ def resilient_dc_scan(encoded: EncodedVideo) -> ResilientScanResult:
     expected_keyframes = encoded.num_keyframes
     records: Union[_VarintRecords, _GolombRecords] = (
         _GolombRecords(data, num_blocks) if entropy
-        else _VarintRecords(data, reader.position, num_blocks)
+        else _VarintRecords.of(data, reader.position, num_blocks)
     )
     position = reader.position
 

@@ -47,8 +47,9 @@ from repro.signature.pruning import lemma2_prunable
 __all__ = ["BlockPayload", "EvalContext", "QueryColumns"]
 
 #: Most block cells one lazy-encode compare covers: bounds its
-#: ``(cells, K)`` temporaries however many cells a pass asks for.
-_ENCODE_CELLS = 4096
+#: ``(cells, K)`` temporaries, in cache (1,149 cells at K = 256 took
+#: ≈ 230 µs in slices of 256, ≈ 340 µs in one).
+_ENCODE_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -65,26 +66,32 @@ class QueryColumns:
     #: already hold every value below 2**32, int64 without it
     matrix: np.ndarray
     max_windows: np.ndarray  #: ``(Q,)`` int64 per-query λL caps
+    #: distinct caps ascending, and each column's position among them
+    cap_values: np.ndarray
+    cap_index: np.ndarray
 
 
 @dataclass
 class BlockPayload:
     """A block of basic windows plus its packed per-query artefacts.
 
-    ``related[b]`` marks the queries window ``b`` brings into play: the
-    probe's ``R_L`` with the index, every query without it, less the
-    columns whose window signature fails Lemma 2. The window-vs-query
-    signature planes come in one of two forms: ``planes``, the no-index
-    encode's dense ``(B, Q, W)`` pair, valid on every cell; or the
-    probe's rows, valid on the related cells only, kept as ``cells`` —
-    their ``(ge, lt)`` planes stacked ``(R + 1, 2, W)``, a zero row
-    last — and ``rows``, the ``(B, Q)`` map from a cell to its row of
-    ``cells`` (``-1``, the zero row, off ``R_L``).
-    :meth:`EvalContext.cell_planes` reads either form.
+    ``born`` lists the (window, column) cells the block brings into
+    play, as ``(windows, columns)`` in that order: the probe's ``R_L``
+    with the index, every query without it, less the columns whose
+    window signature fails Lemma 2. The window-vs-query signature
+    planes come in one of two forms: ``planes``, the no-index encode's
+    dense ``(B, Q, W)`` pair, valid on every cell, with ``related`` its
+    ``(B, Q)`` mask of the born cells; or the probe's rows, valid on the
+    related cells only, kept as ``cells`` — their ``(ge, lt)`` planes
+    stacked ``(R + 1, 2, W)``, a zero row last — and ``rows``, the
+    ``(B, Q)`` map from a cell to its row of ``cells`` (``-1``, the zero
+    row, off ``R_L``). :meth:`EvalContext.cell_planes` reads either
+    form.
     """
 
     block: WindowBlock
-    related: np.ndarray  #: ``(B, Q)`` bool
+    born: Tuple[np.ndarray, np.ndarray]
+    related: Optional[np.ndarray] = None  #: ``(B, Q)`` bool, no index
     planes: Optional[Tuple[np.ndarray, np.ndarray]] = None
     cells: Optional[np.ndarray] = None
     rows: Optional[np.ndarray] = None
@@ -94,9 +101,13 @@ class BlockPayload:
 
     def __getitem__(self, windows: slice) -> "BlockPayload":
         """The payload of a run of the block's windows (views)."""
+        run = range(len(self))[windows]
+        born_t, born_col = self.born
+        lo, hi = born_t.searchsorted((run.start, run.stop)).tolist()
         return BlockPayload(
             block=self.block[windows],
-            related=self.related[windows],
+            related=None if self.related is None else self.related[windows],
+            born=(born_t[lo:hi] - run.start, born_col[lo:hi]),
             planes=None if self.planes is None else (
                 self.planes[0][windows], self.planes[1][windows]
             ),
@@ -175,8 +186,10 @@ class EvalContext:
             caps = np.array(
                 [self.max_windows[qid] for qid in qids], dtype=np.int64
             )
+            cap_values, cap_index = np.unique(caps, return_inverse=True)
             self._query_columns_cache = QueryColumns(
-                qids=qids, matrix=matrix, max_windows=caps
+                qids=qids, matrix=matrix, max_windows=caps,
+                cap_values=cap_values, cap_index=cap_index.reshape(-1),
             )
         return self._query_columns_cache
 
@@ -245,7 +258,8 @@ class EvalContext:
             rows = np.full((num_windows, num_queries), -1, dtype=np.int32)
             rows[probed.windows, probed.columns] = np.arange(count)
             return BlockPayload(
-                block=block, related=rows >= 0, cells=cells, rows=rows
+                block=block, born=(probed.windows, probed.columns),
+                cells=cells, rows=rows,
             )
 
         planes = encode_planes_many(block.sketch_values, columns.matrix)
@@ -262,61 +276,53 @@ class EvalContext:
             related = ~prunable
         else:
             related = np.ones((num_windows, num_queries), dtype=bool)
-        return BlockPayload(block=block, related=related, planes=planes)
+        return BlockPayload(
+            block=block, related=related, born=related.nonzero(),
+            planes=planes,
+        )
 
     def cell_planes(
-        self,
-        payload: BlockPayload,
-        windows: np.ndarray,
-        cols: np.ndarray,
-        at: np.ndarray,
-        size: int,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Stacked ``(ge, lt)`` planes ``(size, 2, W)`` holding block cell
-        ``(windows[i], cols[i])``'s at row ``at[i]`` and zeros elsewhere
-        (``windows`` ascending), and which of the cells the block does
-        not relate.
+        self, payload: BlockPayload, cols: np.ndarray, entries: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Stacked ``(ge, lt)`` planes ``(B * G, 2, W)`` of a block's
+        ``(window, class)`` grid, class ``g`` being of query column
+        ``cols[g]``: the window's planes at the ``(B, G)`` ``entries``
+        and zeros elsewhere. Also returns which entries the block does
+        not relate, and which of those still hold zeros — ``None`` when
+        the payload is dense — for :meth:`encode_cells` to fill.
 
-        ``lt`` is exact on every cell, ``ge`` on the related ones. With
-        the index an unrelated cell's ``lt`` is encoded here — all of
-        the block's asked cells in one call, a window's at a time and at
-        most ``_ENCODE_CELLS`` per compare, so no temporary outgrows
-        that — and its ``ge`` set equal to it. That is exact when the
-        window shares no min-hash value with the query; the other way
-        off ``R_L`` is failing Lemma 2 on ``lt`` alone, after which any
-        OR holding it fails too, so that ``ge`` is never read. Charges
-        no counter: what the oracle charges for a lazy encode is the
-        caller's to count.
+        ``lt`` is exact on every entry, ``ge`` on the related ones: a
+        lazily encoded cell's ``ge`` is its ``lt``, exact when the window
+        shares no min-hash value with the query; the other way off
+        ``R_L`` is failing Lemma 2 on ``lt`` alone, after which any OR
+        holding it fails too, so that ``ge`` is never read. Charges no
+        counter: a lazy encode is the caller's to count.
         """
         if payload.planes is not None:
             ge, lt = payload.planes
-            out = np.zeros((size, 2, ge.shape[-1]), dtype=np.uint64)
-            out[at, 0] = ge[windows, cols]
-            out[at, 1] = lt[windows, cols]
-            return out, ~payload.related[windows, cols]
-        rows = payload.rows[windows, cols]
-        # One gather lays out the grid: rows off the cells take the
-        # table's zero row, its last.
-        grid = np.full(size, -1, dtype=rows.dtype)
-        grid[at] = rows
-        out = payload.cells.take(grid, axis=0)
-        unrelated = rows < 0
-        miss = unrelated.nonzero()[0]
-        if miss.size:
-            matrix = self.query_columns().matrix
-            values = payload.block.sketch_values.astype(matrix.dtype)
-            cols = cols[miss]
-            at = at[miss]
-            # A window's cells share its row of values: compare against
-            # it broadcast, a window (and at most _ENCODE_CELLS) at once.
-            cuts = windows[miss].searchsorted(
-                np.arange(values.shape[0] + 1)
-            ).tolist()
-            for t in range(values.shape[0]):
-                for lo in range(cuts[t], cuts[t + 1], _ENCODE_CELLS):
-                    part = slice(lo, min(lo + _ENCODE_CELLS, cuts[t + 1]))
-                    lt = pack_bool_planes(
-                        values[t] < matrix.take(cols[part], axis=0)
-                    )
-                    out[at[part]] = lt[:, np.newaxis]
-        return out, unrelated
+            planes = np.stack((ge[:, cols], lt[:, cols]), axis=2)
+            planes[~entries] = 0
+            unrelated = entries & ~payload.related[:, cols]
+            return planes.reshape((-1,) + planes.shape[2:]), unrelated, None
+        # One gather lays out the grid: cells off the entries or off
+        # R_L take the table's zero row, its last.
+        rows = np.where(entries, payload.rows[:, cols], -1)
+        unrelated = entries & (rows < 0)
+        return payload.cells.take(rows.ravel(), axis=0), unrelated, unrelated
+
+    def encode_cells(
+        self, payload: BlockPayload, windows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """``lt`` planes ``(n, W)`` of the block cells
+        ``(windows[i], cols[i])``: one compare and pack per
+        ``_ENCODE_CELLS``, in the query matrix's dtype."""
+        matrix = self.query_columns().matrix
+        values = payload.block.sketch_values.astype(matrix.dtype)
+        parts = [
+            pack_bool_planes(
+                values.take(windows[lo:lo + _ENCODE_CELLS], axis=0)
+                < matrix.take(cols[lo:lo + _ENCODE_CELLS], axis=0)
+            )
+            for lo in range(0, windows.shape[0], _ENCODE_CELLS)
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)

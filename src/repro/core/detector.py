@@ -2,8 +2,8 @@
 
 :class:`StreamingDetector` wires the pieces of Sections IV-V together for
 one stream: it sketches basic windows, consults the Hash-Query index when
-configured, feeds the Sequential engine, and accumulates match events and
-statistics — a block of windows per call
+configured, feeds the Sequential engine and accumulates statistics,
+returning each call's match events — a block of windows per call
 (:meth:`StreamingDetector.process_batch`). Queries can be subscribed and
 unsubscribed while the stream is running, mirroring the paper's online
 index maintenance.
@@ -121,7 +121,6 @@ class StreamingDetector:
             cap_hint=cap_hint,
         )
         self.engine = self.engine_classes[config.order](self.context)
-        self.matches: List[Match] = []
 
     # ------------------------------------------------------------------
     # stream processing
@@ -150,15 +149,14 @@ class StreamingDetector:
         if not len(block):
             return []
         stats = self.context.stats
-        stats.frames_processed += int(block.frames.sum())
-        partial = int(np.count_nonzero(block.frames < self.window_frames))
+        frames = block.frames.tolist()
+        stats.frames_processed += sum(frames)
+        partial = sum(length < self.window_frames for length in frames)
         if partial:
             stats.partial_windows += partial
         per_window: List[List[Match]] = []
-        for first in range(0, len(block), MAX_BLOCK_WINDOWS):
+        for first in range(0, len(frames), MAX_BLOCK_WINDOWS):
             per_window += self._detect(block[first:first + MAX_BLOCK_WINDOWS])
-        for matches in per_window:
-            self.matches.extend(matches)
         return per_window
 
     def _detect(self, block: WindowBlock) -> List[List[Match]]:

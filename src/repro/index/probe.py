@@ -86,8 +86,9 @@ def probe_index(
 
     1. One ``np.searchsorted`` over the flat key array finds where every
        window's row targets (:meth:`~repro.index.hq.HashQueryIndex.targets`)
-       would sit, at once (the K BinarySearch steps, B times); a second,
-       over the targets that occur only, finds their equal runs' ends
+       would sit, at once (the K BinarySearch steps, B times, in
+       ascending order); a second, over the targets that occur only,
+       finds their equal runs' ends
        (EqualSearch).
     2. The runs' query columns are read off the index's
        :attr:`~repro.index.hq.HashQueryIndex.key_columns`; a
@@ -109,7 +110,7 @@ def probe_index(
     targets = index.targets(sketches)
     # In the matrix's dtype (``targets`` has checked that the family's
     # values fit below 2**32), so the compares promote nothing.
-    values = np.atleast_2d(sketches.values).astype(
+    values = sketches.values.reshape(-1, sketches.values.shape[-1]).astype(
         query_matrix.dtype, copy=False
     )
     num_hashes = values.shape[1]
@@ -120,6 +121,12 @@ def probe_index(
             f"query matrix has {query_matrix.shape[0]} rows for "
             f"{sorted_qids.shape[0]} indexed queries"
         )
+    # Searched ascending, consecutive searches share keys in cache; row
+    # by row (i·B + b), only each row's B targets need a (cheap) sort.
+    num_windows = values.shape[0]
+    targets = targets.reshape(num_windows, num_hashes).T.ravel()
+    order = targets.argsort(kind="stable")
+    targets = targets[order]
     if not keys.size:
         targets = targets[:0]  # an empty index relates to nothing
     left = keys.searchsorted(targets, "left")
@@ -131,18 +138,21 @@ def probe_index(
         return RelatedQueries(windows=none, columns=none, ge=planes, lt=planes)
     left = left[found]
     counts = keys.searchsorted(targets[found], "right") - left
-    # Flat position of every equal entry: each run's offset, repeated
-    # over the run, plus a running count.
-    ends = np.cumsum(counts)
-    positions = np.repeat(left - (ends - counts), counts) + np.arange(
-        counts.sum()
-    )
-    hit = np.zeros((values.shape[0], sorted_qids.shape[0]), dtype=bool)
-    hit[
-        np.repeat(found // num_hashes, counts),
-        index.key_columns[positions],
-    ] = True
-    windows, columns = hit.nonzero()
+    found_windows = order[found] % num_windows
+    total = int(np.add.reduce(counts))
+    if total == found.size:  # every run is one key: it starts there
+        positions = left
+    else:
+        # Flat position of every equal entry: each run's offset,
+        # repeated over the run, plus a running count.
+        ends = np.cumsum(counts)
+        positions = np.repeat(left - (ends - counts), counts) + np.arange(
+            total
+        )
+        found_windows = np.repeat(found_windows, counts)
+    hit = np.zeros((num_windows, sorted_qids.shape[0]), dtype=bool)
+    hit[found_windows, index.key_columns[positions]] = True
+    windows, columns = np.divmod(hit.ravel().nonzero()[0], hit.shape[1])
     probed = values.take(windows, axis=0)
     related = query_matrix.take(columns, axis=0)
     lt = pack_bool_planes(probed < related)

@@ -58,6 +58,19 @@ class ReferenceDetector(StreamingDetector):
     }
     representations = tuple(Representation)
 
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        #: Every match so far, in stream order: the oracle keeps the
+        #: whole stream for the tests that compare it (production hands
+        #: each call's matches back and keeps none).
+        self.matches: List[Match] = []
+
+    def process_batch(self, block: WindowBlock) -> List[List[Match]]:
+        per_window = super().process_batch(block)
+        for matches in per_window:
+            self.matches.extend(matches)
+        return per_window
+
     def _detect(self, block: WindowBlock) -> List[List[Match]]:
         fingerprint = self.queries.family.fingerprint
         per_window = []

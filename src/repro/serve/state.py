@@ -169,9 +169,11 @@ def _restore_columnar_sequential(
     )
     unique, inverse = np.unique(keys, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    members = [0] * unique.shape[0]
-    for row, number in zip(rows.tolist(), inverse.tolist()):
-        members[number] |= 1 << row
+    # Member words: bit i of word j is candidate row 64 j + i.
+    words = -(-len(engine.start_window) // 64)
+    members = np.zeros((unique.shape[0], words), dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
+    np.bitwise_or.at(members, (inverse, rows >> 6), bits)
     # A class's adoption window is its newest member's start.
     adopt = np.full(unique.shape[0], -1, dtype=np.int64)
     np.maximum.at(adopt, inverse, engine.start_window[rows])

@@ -72,9 +72,10 @@ def pack_bool_planes(flags: np.ndarray) -> np.ndarray:
             [packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)],
             axis=-1,
         )
-    # Viewing the contiguous last axis as uint64 already yields
-    # ``(..., W)``; no reshape, so an empty leading axis stays legal.
-    return np.ascontiguousarray(packed).view("<u8")
+    # packbits and concatenate return C-contiguous arrays, so viewing
+    # the last axis as uint64 already yields ``(..., W)``; no reshape,
+    # so an empty leading axis stays legal.
+    return packed.view("<u8")
 
 
 if hasattr(np, "bitwise_count"):
@@ -89,7 +90,7 @@ if hasattr(np, "bitwise_count"):
         """
         counts = np.bitwise_count(planes)
         if counts.size <= 1024:
-            return counts.sum(axis=-1, dtype=np.int64)
+            return np.add.reduce(counts, axis=-1, dtype=np.int64)
         total = counts[..., 0].astype(np.int64)
         for word in range(1, counts.shape[-1]):
             total += counts[..., word]

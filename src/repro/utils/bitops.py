@@ -14,18 +14,9 @@ __all__ = [
     "count_ones",
     "count_zeros_in_low_bits",
     "low_mask",
-    "popcount",
 ]
 
 _HAS_BIT_COUNT = hasattr(int, "bit_count")
-
-#: The population count of a non-negative int, unchecked, for loops over
-#: many small ints: :meth:`int.bit_count` itself where the interpreter
-#: has it (Python 3.10+), so a call costs no wrapper.
-popcount = (
-    int.bit_count if _HAS_BIT_COUNT else lambda value: bin(value).count("1")
-)
-
 
 def count_ones(value: int) -> int:
     """Return the population count (number of 1 bits) of ``value``.

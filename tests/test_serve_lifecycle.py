@@ -232,10 +232,16 @@ def test_sequential_state_round_trips_byte_for_byte(use_index):
     uninterrupted = detector()
     resumed = None
     split = False
+    # The matches of both after the resume point, as the calls return them.
+    expected, got = [], []
     for first in range(0, len(block), 7):
-        uninterrupted.process_batch(block[first:first + 7])
+        per_window = uninterrupted.process_batch(block[first:first + 7])
         if resumed is not None:
-            resumed.process_batch(block[first:first + 7])
+            expected += [m for matches in per_window for m in matches]
+            got += [
+                m for matches in resumed.process_batch(block[first:first + 7])
+                for m in matches
+            ]
             continue
         state = worker_state(uninterrupted)
         twin = detector()
@@ -263,11 +269,8 @@ def test_sequential_state_round_trips_byte_for_byte(use_index):
         )
         if first == 28:
             resumed = twin
-    assert split
-    tail = len(uninterrupted.matches) - len(resumed.matches)
-    assert [_match_key(m) for m in resumed.matches] == [
-        _match_key(m) for m in uninterrupted.matches[tail:]
-    ]
+    assert split and expected
+    assert [_match_key(m) for m in got] == [_match_key(m) for m in expected]
     assert dict(resumed.registry.counters()) == dict(
         uninterrupted.registry.counters()
     )
@@ -284,17 +287,17 @@ def test_dense_state_with_stale_planes_resumes_identically():
     stream[5:30], stream[40:65] = cells[2], cells[4]
     whole, first, resumed = (StreamingDetector(_config(), QuerySet.from_cell_ids(
         cells, frames, family), KEYFRAMES_PER_SECOND) for _ in range(3))
-    whole.process_cell_ids(stream)
-    first.process_cell_ids(stream[:40])
+    whole_matches = whole.process_cell_ids(stream)
+    first_matches = first.process_cell_ids(stream[:40])
     state = worker_state(first)
     stale = ~state["eng_presence"]
     assert state["eng_ge"].shape == stale.shape + (1,) and stale.any()
     noise = rng.integers(2**63, size=(stale.sum(), 1), dtype=np.uint64)
     state["eng_ge"][stale] = state["eng_lt"][stale] = noise
     restore_worker_state(resumed, state)
-    resumed.process_cell_ids(stream[40:])
-    assert list(map(_match_key, first.matches + resumed.matches)) == list(
-        map(_match_key, whole.matches))
+    resumed_matches = resumed.process_cell_ids(stream[40:])
+    assert list(map(_match_key, first_matches + resumed_matches)) == list(
+        map(_match_key, whole_matches))
     assert dict(resumed.registry.counters()) == dict(whole.registry.counters())
 
 
