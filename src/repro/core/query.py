@@ -92,6 +92,9 @@ class QuerySet:
     ) -> "QuerySet":
         """Build queries (and their offline sketches) from raw cell ids.
 
+        Each query's ids are deduplicated once, here; the sketch hashes
+        the distinct ids as they are.
+
         Parameters
         ----------
         cell_id_map:

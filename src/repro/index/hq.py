@@ -147,18 +147,22 @@ class HashQueryIndex:
             _check_key_range(sketches[qid])
 
         index = cls(first.num_hashes)
-        # (m, K) value matrix, query row order matching ``qids``.
-        values = np.stack([sketches[qid].values for qid in qids])
-        # Each (m, K) temporary is dropped as soon as it is used up: the
+        # (K, m): row i holds every query's hash i, in sorted-qid order.
+        values = np.stack([sketches[qid].values for qid in qids], axis=1)
+        # orders[i, c]: the sorted-qid position of the query at column c
+        # of row i (ties in qid order, as the stable sort leaves them),
+        # which is exactly :attr:`key_columns`.
+        orders = np.argsort(values, axis=1, kind="stable")
+        index._values = np.take_along_axis(values, orders, axis=1)
+        # Each (K, m) temporary is dropped as soon as it is used up: the
         # bulk build is the set-up's memory peak.
-        orders = np.argsort(values, axis=0, kind="stable")  # (m, K): rank -> query
-        # (K, m): row i's values in column order, and each column's query.
-        index._values = np.ascontiguousarray(
-            np.take_along_axis(values, orders, axis=0).T
-        )
         del values
+        index._key_columns = orders.astype(np.int32).ravel()
+        del orders
         index._sorted_qids = np.asarray(qids, dtype=np.int64)
-        index._qid_matrix = np.ascontiguousarray(index._sorted_qids[orders.T])
+        index._qid_matrix = index._sorted_qids[
+            index._key_columns.reshape(index._values.shape)
+        ]
         index._lengths = {qid: int(lengths_windows[qid]) for qid in qids}
         return index
 

@@ -35,14 +35,14 @@ from __future__ import annotations
 
 import contextlib
 import pathlib
-from typing import Dict, Iterator, List, Mapping, Optional, Type, Union
+from typing import Dict, Iterator, Mapping, Optional, Type, Union
 
 import numpy as np
 
 from repro.config import CombinationOrder, DetectorConfig, Representation
-from repro.core.query import Query, QuerySet
-from repro.errors import ReproError
-from repro.minhash.family import MinHashFamily
+from repro.core.query import QuerySet
+from repro.errors import ReproError, SketchError
+from repro.minhash.family import MERSENNE_PRIME_31, MinHashFamily
 
 __all__ = [
     "CONFIG_FIELDS",
@@ -146,32 +146,38 @@ def query_set_from_mapping(
     """Rebuild a query set from :func:`query_set_payload` arrays.
 
     ``mapping`` may be an open ``np.load`` archive or a plain dict;
-    ``source`` names it in error messages.
+    ``source`` names it in error messages. The stored prime must be the
+    family's fixed ``2**31 - 1``: sketches of any other modulus would
+    not be the ones the stream reproduces.
     """
     try:
+        prime = int(mapping[f"{prefix}family_prime"][0])
+        if prime != MERSENNE_PRIME_31:
+            raise SketchError(
+                f"{source} records family prime {prime}; every family "
+                f"hashes modulo 2**31 - 1 = {MERSENNE_PRIME_31}"
+            )
         family = MinHashFamily(
             num_hashes=int(mapping[f"{prefix}family_num_hashes"][0]),
             seed=int(mapping[f"{prefix}family_seed"][0]),
-            prime=int(mapping[f"{prefix}family_prime"][0]),
         )
-        qids = mapping[f"{prefix}qids"]
-        num_frames = mapping[f"{prefix}num_frames"]
-        labels = mapping[f"{prefix}labels"]
-        queries: List[Query] = []
-        for position, qid in enumerate(qids):
-            cell_ids = mapping[f"{prefix}cells_{int(qid)}"]
-            queries.append(
-                Query(
-                    qid=int(qid),
-                    cell_ids=np.asarray(cell_ids, dtype=np.int64),
-                    num_frames=int(num_frames[position]),
-                    sketch=family.sketch(cell_ids),
-                    label=str(labels[position]),
-                )
-            )
+        qids = [int(qid) for qid in mapping[f"{prefix}qids"]]
+        if len(set(qids)) != len(qids):
+            raise PersistenceError(f"{source} lists a query id twice: {qids}")
+        return QuerySet.from_cell_ids(
+            {qid: mapping[f"{prefix}cells_{qid}"] for qid in qids},
+            {
+                qid: int(frames)
+                for qid, frames in zip(qids, mapping[f"{prefix}num_frames"])
+            },
+            family,
+            labels={
+                qid: str(label)
+                for qid, label in zip(qids, mapping[f"{prefix}labels"])
+            },
+        )
     except KeyError as error:
         raise PersistenceError(f"{source} is missing field {error}")
-    return QuerySet(queries, family)
 
 
 def detector_config_payload(

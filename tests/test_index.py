@@ -10,7 +10,7 @@ from repro.errors import IndexError_
 from repro.index.hq import HashQueryIndex
 from repro.index.probe import RelatedQueries, probe_index
 from repro.minhash.family import MinHashFamily
-from repro.minhash.sketch import SketchBlock
+from repro.minhash.sketch import Sketch, SketchBlock
 from repro.reference import probe_index_reference, related_view
 from repro.signature.bitsig import BitSignature
 
@@ -70,6 +70,38 @@ class TestBuild:
                 position = index.rows[i][position].down
             root = index.query_of_column(index.num_hashes - 1, position)
             assert root.qid == qid
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_build_equals_the_axis_zero_sort_it_replaced(self, seed):
+        """``build`` sorts a ``(K, m)`` copy along axis 1 and keeps that
+        order as :attr:`key_columns`. Its arrays must equal the former
+        build's: a stable argsort of the ``(m, K)`` stack along axis 0,
+        then a ``searchsorted`` for the columns. Values from a tiny
+        range tie on every row, so the tie order (by qid) is checked;
+        qids are sparse and inserted unsorted."""
+        rng = np.random.default_rng(seed)
+        num_hashes, num_queries = 16, 50
+        qids = rng.choice(10_000, size=num_queries, replace=False).tolist()
+        family = (num_hashes, 0, MinHashFamily.prime)
+        sketches = {
+            qid: Sketch(rng.integers(0, 3, size=num_hashes), family)
+            for qid in qids
+        }
+        index = HashQueryIndex.build(sketches, {qid: 2 for qid in qids})
+
+        sorted_qids = np.sort(qids)
+        stacked = np.stack([sketches[qid].values for qid in sorted_qids])
+        orders = np.argsort(stacked, axis=0, kind="stable")
+        want_qids = sorted_qids[orders.T]
+        assert np.array_equal(
+            index.values, np.take_along_axis(stacked, orders, axis=0).T
+        )
+        assert np.array_equal(index.qid_matrix, want_qids)
+        assert index.key_columns.dtype == np.int32
+        assert np.array_equal(
+            index.key_columns, sorted_qids.searchsorted(want_qids.ravel())
+        )
+        index.check_invariants()
 
     def test_build_rejects_empty(self):
         with pytest.raises(IndexError_):

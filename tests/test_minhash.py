@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,12 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines.membership import jaccard_similarity
 from repro.errors import SketchError
 from repro.core.query import QuerySet
-from repro.minhash.family import MERSENNE_PRIME_31, MinHashFamily, _mix_bits
+from repro.minhash.family import (
+    MERSENNE_PRIME_31,
+    MinHashFamily,
+    _mix_bits,
+    _reduce_mod_prime,
+)
 from repro.persistence import query_set_from_mapping, query_set_payload
 from repro.minhash.sketch import Sketch
 from repro.minhash.windows import iter_basic_windows
@@ -48,31 +55,27 @@ class TestMinHashFamily:
     def test_rejects_bad_construction(self):
         with pytest.raises(SketchError):
             MinHashFamily(num_hashes=0)
-        with pytest.raises(SketchError):
-            MinHashFamily(num_hashes=4, prime=1)
+        with pytest.raises(TypeError):  # the prime is not an option
+            MinHashFamily(num_hashes=4, prime=MERSENNE_PRIME_31)
 
     def test_rejects_a_prime_whose_hashes_overflow_int64(self):
-        """``a·m(x) + b`` is int64 arithmetic: with p = 2**61 − 1 it wraps
-        and the values stop being ``(a·m(x) + b) mod p``. Such a family
-        is refused, built or loaded back; the largest prime below 2**32
-        hashes exactly."""
-        for prime in ((1 << 61) - 1, 1 << 32):
-            with pytest.raises(SketchError, match="below 2"):
-                MinHashFamily(num_hashes=4, prime=prime)
-        family = MinHashFamily(num_hashes=8, seed=3, prime=(1 << 32) - 5)
+        """Every family hashes modulo 2**31 - 1, so a query-set payload
+        recording any other prime is refused on load, with its source
+        and the value named."""
+        family = MinHashFamily(num_hashes=8, seed=3)
         ids = np.array([0, 1, 977, 123456789], dtype=np.int64)
-        mixed = _mix_bits(ids).tolist()
-        want = [
-            [(int(a) * m + int(b)) % family.prime for m in mixed]
-            for a, b in zip(family._a, family._b)
-        ]
-        assert family.hash_values(ids).tolist() == want
         payload = query_set_payload(
             QuerySet.from_cell_ids({1: ids}, {1: 4}, family)
         )
-        payload["family_prime"] = np.array([(1 << 61) - 1])
-        with pytest.raises(SketchError):
-            query_set_from_mapping(payload)
+        for prime in ((1 << 61) - 1, 1 << 32, (1 << 32) - 5, 1):
+            payload["family_prime"] = np.array([prime])
+            with pytest.raises(SketchError, match=f"queries.npz.*{prime}"):
+                query_set_from_mapping(payload, source="queries.npz")
+        payload["family_prime"] = np.array([MERSENNE_PRIME_31])
+        loaded = query_set_from_mapping(payload)
+        assert np.array_equal(
+            loaded.get(1).sketch.values, family.sketch(ids).values
+        )
 
     def test_sketch_duplicates_ignored(self):
         family = MinHashFamily(num_hashes=16, seed=1)
@@ -91,6 +94,149 @@ class TestMinHashFamily:
         assert np.array_equal(
             family.sketch(np.array([1, 5])).values, family.sketch([1, 5]).values
         )
+
+
+def _digest(values: np.ndarray) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype="<i8").tobytes()
+    ).hexdigest()
+
+
+#: Sketches and hashes of ``GOLDEN_IDS`` recorded before the hash moved
+#: from an integer ``%`` to the shift-and-add reduction: archives and
+#: checkpoints hold values the stream must keep reproducing, so the
+#: family's output is pinned, not just self-consistent. Each entry is
+#: the leading values and a SHA-256 over all of them as little-endian
+#: int64 (row-major).
+GOLDEN_IDS = [0, 1, 977, 40959, 11529601]
+GOLDEN = {
+    0: {
+        "sketch": (
+            [568417369, 317383238, 8140291, 282433621],
+            "9bee8cec4565c70becc62e60568a9b344eaf27caac027b279d71e5df375f65de",
+        ),
+        "hash_values": (
+            [1846674249, 784459827, 733835639, 568417369, 896187488],
+            "2dedc477e3e19dc37b43367d1d134fd3191088e347fdb03bda640eb73a021700",
+        ),
+    },
+    7: {
+        "sketch": (
+            [495030645, 737248730, 607299332, 62427157],
+            "304c6db0d17243d7d06716e81f1e2c2233149b05277de34d92917363c7d6cf7c",
+        ),
+        "hash_values": (
+            [813841223, 1809131203, 1087044932, 1963030138, 495030645],
+            "9ec52d2f4deb31059120d3ff85b9fdfef9529633efa3d6515cabadc94e62a141",
+        ),
+    },
+}
+#: One ``sketch_many`` block of three sets, seed 7, K = 256: each row's
+#: leading values and the digest of the whole ``(3, 256)`` block.
+GOLDEN_BLOCK = (
+    [0, 1, 977, 40959, 11529601, 977, 5],
+    [0, 3, 4],
+    [
+        [813841223, 737248730, 1041234159],
+        [1963030138, 1414951962, 607299332],
+        [495030645, 1283179415, 925718859],
+    ],
+    "af1268fcfdb3dae966ef0c8cd6ce10ad6440ffa5c059ad1410f5640e691eaf44",
+)
+
+
+class TestHashKernel:
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_golden_values(self, seed):
+        family = MinHashFamily(num_hashes=256, seed=seed)
+        sketch = family.sketch(np.array(GOLDEN_IDS)).values
+        head, digest = GOLDEN[seed]["sketch"]
+        assert sketch.dtype == np.int64
+        assert sketch[:4].tolist() == head and _digest(sketch) == digest
+        hashed = family.hash_values(np.array(GOLDEN_IDS))
+        head, digest = GOLDEN[seed]["hash_values"]
+        assert hashed.shape == (256, len(GOLDEN_IDS))
+        assert hashed[0].tolist() == head and _digest(hashed) == digest
+
+    def test_golden_block(self):
+        elements, starts, heads, digest = GOLDEN_BLOCK
+        block = MinHashFamily(num_hashes=256, seed=7).sketch_many(
+            np.array(elements), np.array(starts)
+        ).values
+        assert block.shape == (3, 256) and block.dtype == np.int64
+        assert block[:, :3].tolist() == heads and _digest(block) == digest
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            0,
+            MERSENNE_PRIME_31 - 1,
+            MERSENNE_PRIME_31,
+            2 * MERSENNE_PRIME_31 - 1,
+            # the largest reachable: a = p - 1, m(x) = 2**31 - 2, b = p - 1
+            (MERSENNE_PRIME_31 - 1) * ((1 << 31) - 2) + MERSENNE_PRIME_31 - 1,
+        ],
+    )
+    def test_reduction_is_exact_at_the_edges(self, h):
+        values = np.array([h], dtype=np.uint64)
+        _reduce_mod_prime(values, np.empty_like(values))
+        assert int(values[0]) == h % MERSENNE_PRIME_31
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, MERSENNE_PRIME_31 - 1),
+                st.integers(0, (1 << 31) - 2),
+                st.integers(0, MERSENNE_PRIME_31 - 1),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_reduction_equals_big_int_mod(self, triples):
+        """``(a m + b) mod p`` for every ``(a, m, b)`` a family can
+        meet, against Python's arbitrary-precision ``%``."""
+        values = np.array([a * m + b for a, m, b in triples], dtype=np.uint64)
+        _reduce_mod_prime(values, np.empty_like(values))
+        assert values.tolist() == [
+            (a * m + b) % MERSENNE_PRIME_31 for a, m, b in triples
+        ]
+
+    def test_hash_values_equal_big_int_arithmetic_across_blocks(self):
+        family = MinHashFamily(num_hashes=8, seed=3)
+        ids = np.random.default_rng(0).integers(0, 1 << 24, size=130)
+        mixed = _mix_bits(ids).tolist()
+        want = [
+            [(int(a) * m + int(b)) % MERSENNE_PRIME_31 for m in mixed]
+            for a, b in zip(family._a, family._b)
+        ]
+        assert family.hash_values(ids).tolist() == want
+
+    @pytest.mark.parametrize("size", [1, 63, 64, 65, 1000])
+    def test_sketch_many_of_one_set_equals_sketch(self, size):
+        family = MinHashFamily(num_hashes=32, seed=5)
+        ids = np.random.default_rng(size).choice(1 << 20, size, replace=False)
+        block = family.sketch_many(ids, np.array([0])).values
+        assert np.array_equal(block[0], family.sketch(ids).values)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            [1] * 70,  # one-element sets across a block edge
+            [60, 10, 1, 65, 64, 63, 200],  # sets straddling block edges
+            [64, 64, 1],
+        ],
+    )
+    def test_sketch_many_equals_per_set_sketch(self, sizes):
+        family = MinHashFamily(num_hashes=32, seed=5)
+        rng = np.random.default_rng(len(sizes))
+        sets = [rng.choice(1 << 20, size, replace=False) for size in sizes]
+        starts = np.cumsum([0] + sizes[:-1])
+        block = family.sketch_many(np.concatenate(sets), starts).values
+        assert block.shape == (len(sizes), 32)
+        for row, elements in zip(block, sets):
+            assert np.array_equal(row, family.sketch(elements).values)
 
 
 class TestSketch:

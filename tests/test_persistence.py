@@ -122,6 +122,13 @@ class TestFailureModes:
         with pytest.raises(PersistenceError, match="missing field"):
             load_query_set(path)
 
+    def test_duplicate_query_id_is_refused(self, query_set, tmp_path):
+        path = tmp_path / "queries.npz"
+        save_query_set(query_set, path)
+        self._rewrite(path, qids=np.asarray([3, 3, 11]))
+        with pytest.raises(PersistenceError, match="query id twice"):
+            load_query_set(path)
+
     def test_pickled_member_is_refused(self, query_set, tmp_path):
         path = tmp_path / "queries.npz"
         save_query_set(query_set, path)
