@@ -2,22 +2,21 @@
 
 :class:`EvalContext` owns everything an engine needs: the query set,
 configuration-derived constants (window length in frames, per-query
-candidate caps, the Lemma 2 bound), the optional Hash-Query index, and
-the instrumented payload construction — one probe or one batched encode
-per *block* of windows. Without the index the block's ``(B, Q, W)``
-planes are encoded whole; with it, the probe's
-:class:`~repro.index.probe.RelatedQueries` rows are kept as one stacked
-plane table with a ``(B, Q)`` row map, and the planes of any other
-(window, column) cell an engine needs are encoded when it asks, for all
-of a block's cells in one call (the lazy encode). The planes are
+candidate caps, the Lemma 2 bound), the Hash-Query index, and the
+instrumented payload construction — one probe per *block* of windows.
+The probe's :class:`~repro.index.probe.RelatedQueries` rows are kept as
+one stacked plane table with a ``(B, Q)`` row map, and the planes of any
+other (window, column) cell an engine needs are encoded when it asks,
+for all of a block's cells in one call (the lazy encode). The planes are
 compared against this layout's ``QueryColumns.matrix``, so the index
 keeps no second copy of the query sketches. Routing it through this
 class is what makes the engines' cost profiles measurable (see
 :class:`~repro.core.monitor.EngineStats`). Production payloads are bit
-signatures only. The one-window, one-pair-at-a-time primitives of the
-paper's prose (sketch similarity and combination, signature OR, the
-memoised lazy encode) and the sketch representation itself are the
-oracle's: ``repro.reference`` adds them on top of this class.
+signatures from the index only. The one-window, one-pair-at-a-time
+primitives of the paper's prose (sketch similarity and combination,
+signature OR, the memoised lazy encode), the run without the index and
+the sketch representation itself are the oracle's: ``repro.reference``
+adds them on top of this class.
 """
 
 from __future__ import annotations
@@ -36,13 +35,7 @@ from repro.index.probe import probe_index
 from repro.minhash.sketch import SketchBlock
 from repro.minhash.windows import WindowBlock
 from repro.obs.registry import MetricsRegistry
-from repro.signature.bitsig import (
-    encode_planes_many,
-    pack_bool_planes,
-    plane_words,
-    popcount_planes,
-)
-from repro.signature.pruning import lemma2_prunable
+from repro.signature.bitsig import pack_bool_planes, plane_words
 
 __all__ = ["BlockPayload", "EvalContext", "QueryColumns"]
 
@@ -62,8 +55,8 @@ class QueryColumns:
     """
 
     qids: Tuple[int, ...]
-    #: ``(Q, K)`` query sketch values: uint32 with the index, whose keys
-    #: already hold every value below 2**32, int64 without it
+    #: ``(Q, K)`` uint32 query sketch values (every family value is
+    #: below 2**31)
     matrix: np.ndarray
     max_windows: np.ndarray  #: ``(Q,)`` int64 per-query λL caps
     #: distinct caps ascending, and each column's position among them
@@ -73,28 +66,21 @@ class QueryColumns:
 
 @dataclass
 class BlockPayload:
-    """A block of basic windows plus its packed per-query artefacts.
+    """A block of basic windows plus the probe's related cells.
 
     ``born`` lists the (window, column) cells the block brings into
-    play, as ``(windows, columns)`` in that order: the probe's ``R_L``
-    with the index, every query without it, less the columns whose
-    window signature fails Lemma 2. The window-vs-query signature
-    planes come in one of two forms: ``planes``, the no-index encode's
-    dense ``(B, Q, W)`` pair, valid on every cell, with ``related`` its
-    ``(B, Q)`` mask of the born cells; or the probe's rows, valid on the
-    related cells only, kept as ``cells`` — their ``(ge, lt)`` planes
-    stacked ``(R + 1, 2, W)``, a zero row last — and ``rows``, the
-    ``(B, Q)`` map from a cell to its row of ``cells`` (``-1``, the zero
-    row, off ``R_L``). :meth:`EvalContext.cell_planes` reads either
-    form.
+    play, as ``(windows, columns)`` in that order: the probe's ``R_L``,
+    less the columns whose window signature fails Lemma 2. Their
+    window-vs-query signature planes are ``cells`` — the ``(ge, lt)``
+    planes stacked ``(R + 1, 2, W)``, a zero row last — and ``rows`` is
+    the ``(B, Q)`` map from a cell to its row of ``cells`` (``-1``, the
+    zero row, off ``R_L``). :meth:`EvalContext.cell_planes` reads them.
     """
 
     block: WindowBlock
     born: Tuple[np.ndarray, np.ndarray]
-    related: Optional[np.ndarray] = None  #: ``(B, Q)`` bool, no index
-    planes: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    cells: Optional[np.ndarray] = None
-    rows: Optional[np.ndarray] = None
+    cells: np.ndarray
+    rows: np.ndarray
 
     def __len__(self) -> int:
         return len(self.block)
@@ -106,13 +92,9 @@ class BlockPayload:
         lo, hi = born_t.searchsorted((run.start, run.stop)).tolist()
         return BlockPayload(
             block=self.block[windows],
-            related=None if self.related is None else self.related[windows],
             born=(born_t[lo:hi] - run.start, born_col[lo:hi]),
-            planes=None if self.planes is None else (
-                self.planes[0][windows], self.planes[1][windows]
-            ),
             cells=self.cells,
-            rows=None if self.rows is None else self.rows[windows],
+            rows=self.rows[windows],
         )
 
 
@@ -180,9 +162,7 @@ class EvalContext:
             qids = tuple(self.queries.query_ids)
             matrix = np.stack(
                 [self.queries.get(qid).sketch.values for qid in qids]
-            )
-            if self.index is not None:
-                matrix = matrix.astype(np.uint32)
+            ).astype(np.uint32)
             caps = np.array(
                 [self.max_windows[qid] for qid in qids], dtype=np.int64
             )
@@ -214,11 +194,9 @@ class EvalContext:
     def block_payload(self, block: WindowBlock) -> BlockPayload:
         """Compare a block of arriving windows against the query population.
 
-        With the index, one probe yields every window's related queries
-        and their signatures; without it, every query is compared, in
-        one batched encode. Runs under the ``probe`` phase
-        timer either way (payload construction is the probe stage of the
-        pipeline).
+        One probe of the index yields every window's related queries
+        and their signatures. Runs under the ``probe`` phase timer
+        (payload construction is the probe stage of the pipeline).
         """
         with self.phase("probe"):
             return self._block_payload(block)
@@ -228,68 +206,43 @@ class EvalContext:
 
         Counter parity with ``ReferenceContext._window_payload``, which
         builds one payload per window, is load-bearing (the equivalence
-        suite asserts it): per window, the index path charges one probe,
-        and the no-index path one ``signature_encodes`` per
-        subscribed query and one ``signature_prunes`` per window-level
-        Lemma 2 casualty.
+        suite asserts it): one probe per window.
         """
         columns = self.query_columns()
         num_windows = len(block)
-        num_queries = len(columns.qids)
-
-        if self.index is not None:
-            self.registry.inc("engine.index_probes", num_windows)
-            # The index and the query set hold the same qids, so the
-            # probe's sorted-qid columns are this layout's columns.
-            probed = probe_index(
-                SketchBlock(block.sketch_values, self.queries.family.fingerprint),
-                self.index,
-                columns.matrix,
-                self.config.threshold,
-                prune=self.config.prune,
-            )
-            count = len(probed)
-            cells = np.zeros(
-                (count + 1, 2, plane_words(self.config.num_hashes)),
-                dtype=np.uint64,
-            )
-            cells[:count, 0] = probed.ge
-            cells[:count, 1] = probed.lt
-            rows = np.full((num_windows, num_queries), -1, dtype=np.int32)
-            rows[probed.windows, probed.columns] = np.arange(count)
-            return BlockPayload(
-                block=block, born=(probed.windows, probed.columns),
-                cells=cells, rows=rows,
-            )
-
-        planes = encode_planes_many(block.sketch_values, columns.matrix)
-        self.registry.inc("engine.signature_encodes", num_windows * num_queries)
-        if self.config.prune:
-            prunable = lemma2_prunable(
-                popcount_planes(planes[1]),
-                self.config.num_hashes,
-                self.config.threshold,
-            )
-            pruned = int(np.count_nonzero(prunable))
-            if pruned:
-                self.registry.inc("engine.signature_prunes", pruned)
-            related = ~prunable
-        else:
-            related = np.ones((num_windows, num_queries), dtype=bool)
+        self.registry.inc("engine.index_probes", num_windows)
+        # The index and the query set hold the same qids, so the
+        # probe's sorted-qid columns are this layout's columns.
+        probed = probe_index(
+            SketchBlock(block.sketch_values, self.queries.family.fingerprint),
+            self.index,
+            columns.matrix,
+            self.config.threshold,
+            prune=self.config.prune,
+        )
+        count = len(probed)
+        cells = np.zeros(
+            (count + 1, 2, plane_words(self.config.num_hashes)),
+            dtype=np.uint64,
+        )
+        cells[:count, 0] = probed.ge
+        cells[:count, 1] = probed.lt
+        rows = np.full((num_windows, len(columns.qids)), -1, dtype=np.int32)
+        rows[probed.windows, probed.columns] = np.arange(count)
         return BlockPayload(
-            block=block, related=related, born=related.nonzero(),
-            planes=planes,
+            block=block, born=(probed.windows, probed.columns),
+            cells=cells, rows=rows,
         )
 
     def cell_planes(
         self, payload: BlockPayload, cols: np.ndarray, entries: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(ge, lt)`` planes ``(B * G, 2, W)`` of a block's
         ``(window, class)`` grid, class ``g`` being of query column
         ``cols[g]``: the window's planes at the ``(B, G)`` ``entries``
-        and zeros elsewhere. Also returns which entries the block does
-        not relate, and which of those still hold zeros — ``None`` when
-        the payload is dense — for :meth:`encode_cells` to fill.
+        the block relates and zeros elsewhere. Also returns which
+        entries the block does not relate, still zeros, for
+        :meth:`encode_cells` to fill.
 
         ``lt`` is exact on every entry, ``ge`` on the related ones: a
         lazily encoded cell's ``ge`` is its ``lt``, exact when the window
@@ -298,17 +251,10 @@ class EvalContext:
         holding it fails too, so that ``ge`` is never read. Charges no
         counter: a lazy encode is the caller's to count.
         """
-        if payload.planes is not None:
-            ge, lt = payload.planes
-            planes = np.stack((ge[:, cols], lt[:, cols]), axis=2)
-            planes[~entries] = 0
-            unrelated = entries & ~payload.related[:, cols]
-            return planes.reshape((-1,) + planes.shape[2:]), unrelated, None
         # One gather lays out the grid: cells off the entries or off
         # R_L take the table's zero row, its last.
         rows = np.where(entries, payload.rows[:, cols], -1)
-        unrelated = entries & (rows < 0)
-        return payload.cells.take(rows.ravel(), axis=0), unrelated, unrelated
+        return payload.cells.take(rows.ravel(), axis=0), entries & (rows < 0)
 
     def encode_cells(
         self, payload: BlockPayload, windows: np.ndarray, cols: np.ndarray

@@ -1,8 +1,8 @@
 """The public streaming copy-detection facade.
 
 :class:`StreamingDetector` wires the pieces of Sections IV-V together for
-one stream: it sketches basic windows, consults the Hash-Query index when
-configured, feeds the Sequential engine and accumulates statistics,
+one stream: it sketches basic windows, probes the Hash-Query index,
+feeds the Sequential engine and accumulates statistics,
 returning each call's match events — a block of windows per call
 (:meth:`StreamingDetector.process_batch`). Queries can be subscribed and
 unsubscribed while the stream is running, mirroring the paper's online
@@ -29,8 +29,8 @@ from repro.obs.registry import MetricsRegistry
 __all__ = ["StreamingDetector"]
 
 #: The most windows one engine pass takes. Longer blocks (a whole stream
-#: pushed at once) are cut, so the per-block arrays — ``(B, Q)`` masks,
-#: the no-index ``(B, Q, W)`` encode — stay bounded.
+#: pushed at once) are cut, so the per-block arrays — the ``(B, Q)`` row
+#: map, the ``(window, class)`` grid — stay bounded.
 MAX_BLOCK_WINDOWS = 64
 
 
@@ -41,9 +41,9 @@ class StreamingDetector:
     ----------
     config:
         Engine configuration (K, δ, w, λ, order, index). The production
-        engine runs the Sequential order on bit signatures, with the
-        index or without it: a ``GEOMETRIC`` or ``SKETCH`` configuration
-        raises :class:`~repro.errors.DetectionError` (both run on the
+        engine runs the Sequential order on bit signatures with the
+        index: a ``GEOMETRIC``, ``SKETCH`` or no-index configuration
+        raises :class:`~repro.errors.DetectionError` (each runs on the
         oracle, ``repro.reference.ReferenceDetector``, which
         :func:`~repro.evaluation.runner.run_detector` picks for them).
     queries:
@@ -65,13 +65,14 @@ class StreamingDetector:
         (see :meth:`set_cap_hint` and ``docs/serving.md``).
     """
 
-    #: What a detector is built from and which orders and
-    #: representations it runs. The oracle,
+    #: What a detector is built from and which orders, representations
+    #: and ``use_index`` settings it runs. The oracle,
     #: ``repro.reference.ReferenceDetector``, differs in these and in
     #: nothing else.
     context_class = EvalContext
     engine_classes = {CombinationOrder.SEQUENTIAL: ColumnarSequentialEngine}
     representations = (Representation.BIT,)
+    index_modes = (True,)
 
     def __init__(
         self,
@@ -86,15 +87,17 @@ class StreamingDetector:
                 f"keyframes_per_second must be positive, "
                 f"got {keyframes_per_second}"
             )
-        for kind, value, runs in (
-            ("order", config.order, self.engine_classes),
-            ("representation", config.representation, self.representations),
+        for runs, what in (
+            (config.order in self.engine_classes,
+             f"the {config.order.value} order"),
+            (config.representation in self.representations,
+             f"the {config.representation.value} representation"),
+            (config.use_index in self.index_modes, "without the index"),
         ):
-            if value not in runs:
+            if not runs:
                 raise DetectionError(
-                    f"{type(self).__name__} does not run the "
-                    f"{value.value} {kind}; it runs on the oracle, "
-                    "repro.reference.ReferenceDetector"
+                    f"{type(self).__name__} does not run {what}; it runs "
+                    "on the oracle, repro.reference.ReferenceDetector"
                 )
         self.config = config
         self.queries = queries
@@ -141,8 +144,8 @@ class StreamingDetector:
         """Feed a block of pre-sketched basic windows; one match list per
         window.
 
-        The production path: one probe (or one batched encode) and one
-        engine pass cover the whole block — cut into runs of at most
+        The production path: one probe and one engine pass cover the
+        whole block — cut into runs of at most
         :data:`MAX_BLOCK_WINDOWS` — so the fixed cost of a call is paid
         once per block rather than once per window.
         """

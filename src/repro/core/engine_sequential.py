@@ -123,9 +123,9 @@ class ColumnarSequentialEngine:
     start window of its newest member: its adoption window),
     ``class_planes`` (its stacked ``(ge, lt)`` planes, ``(G, 2, W)``
     uint64, as of the last processed window) and ``class_members``
-    (``(G, words)`` uint64; bit ``i % 64`` of word ``i // 64`` is
-    candidate row ``i``). A member still counts as a pair only while the
-    column's λL cap allows it.
+    (``(G, ⌈C/64⌉)`` uint64 over the ``C`` candidates; bit ``i % 64`` of
+    word ``i // 64`` is candidate row ``i``). A member still counts as a
+    pair only while the column's λL cap allows it.
 
     Counter accounting is identical to the oracle's.
     """
@@ -321,9 +321,12 @@ class ColumnarSequentialEngine:
         adopt = np.concatenate((self.class_adopt, indices[born_t]))
         num_classes = col.shape[0]
         registry = ctx.registry
+        # Member words kept: one per 64 rows left, no more.
+        kept_words = -(-(starts.shape[0] - expired) // 64)
         if not num_classes:  # no pair to extend, adopt or count
             registry.inc("engine.signature_combines", 0)
             registry.inc("engine.signature_prunes", 0)
+            self.class_members = np.empty((0, kept_words), dtype=np.uint64)
             return None, [0] * num_windows
         born = np.arange(carried, num_classes)
         cap = columns.cap_index[col]
@@ -341,17 +344,16 @@ class ColumnarSequentialEngine:
             64 * words,
         )
         window = np.arange(num_windows)[:, np.newaxis]
-        flat, unrelated, lazy = ctx.cell_planes(payload, col, entries)
+        flat, unrelated = ctx.cell_planes(payload, col, entries)
 
         with ctx.phase("combine.bitops"):
             grid = flat.reshape((num_windows, num_classes) + flat.shape[1:])
-            asked = np.count_nonzero(unrelated)
-            pending = 0 if lazy is None else asked
+            asked = pending = np.count_nonzero(unrelated)
             if pending:  # a block no longer than a round has one round
-                first = lazy
+                first = unrelated
                 if num_windows > _FIRST_ROUND:
-                    nth = lazy.cumsum(axis=0)
-                    first = lazy & (nth <= _FIRST_ROUND)
+                    nth = unrelated.cumsum(axis=0)
+                    first = unrelated & (nth <= _FIRST_ROUND)
                 pending -= self._encode(payload, grid, col, first, fold=False)
             if carried:
                 flat[:carried] |= self.class_planes
@@ -360,7 +362,7 @@ class ColumnarSequentialEngine:
                 ends = self._prune_windows(popcount_planes(grid[:, :, 1]))
                 if self._encode(
                     payload, grid, col,
-                    lazy & (nth > _FIRST_ROUND) & (window <= ends),
+                    unrelated & (nth > _FIRST_ROUND) & (window <= ends),
                     fold=True,
                 ):
                     _prefix_or(grid)
@@ -411,7 +413,9 @@ class ColumnarSequentialEngine:
         self.class_col = col[survive]
         self.class_adopt = adopt[survive]
         self.class_planes = grid[-1][survive]
-        self.class_members = _drop_rows(members[survive], expired)
+        self.class_members = _drop_rows(members[survive], expired)[
+            :, :kept_words
+        ]
         return hits, resident
 
     def _encode(self, payload: BlockPayload, grid: np.ndarray,

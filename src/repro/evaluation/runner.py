@@ -160,13 +160,14 @@ def run_detector(
     in the paper; the stopwatch covers stream windowing, sketching, index
     probing and candidate maintenance.
 
-    The configuration picks the detector: Sequential on bit signatures,
-    with the index or without it, runs on the production
+    The configuration picks the detector: Sequential on bit signatures
+    with the index runs on the production
     :class:`~repro.core.detector.StreamingDetector`; the ``GEOMETRIC``
-    order and the ``SKETCH`` representation — the paper's alternatives,
-    which production does not run — on the oracle,
-    ``repro.reference.ReferenceDetector``. Both report the same counters,
-    so a sweep's lines stay comparable in counted work.
+    order, the ``SKETCH`` representation and the run without the index
+    — the paper's alternatives and baselines, which production does not
+    run — on the oracle, ``repro.reference.ReferenceDetector``. Both
+    report the same counters, so a sweep's lines stay comparable in
+    counted work.
 
     Parameters
     ----------
@@ -184,6 +185,7 @@ def run_detector(
     if (
         config.order not in StreamingDetector.engine_classes
         or config.representation not in StreamingDetector.representations
+        or config.use_index not in StreamingDetector.index_modes
     ):
         from repro.reference import ReferenceDetector
 

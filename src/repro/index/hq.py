@@ -96,8 +96,9 @@ class HashQueryIndex:
         self._values = np.empty((num_hashes, 0), dtype=np.int64)
         self._qid_matrix = np.empty((num_hashes, 0), dtype=np.int64)
         self._lengths: Dict[int, int] = {}
-        # Views derived from the record on first use, dropped by every
-        # change: the probe's keys and sorted qids, the oracle's triples.
+        # Views derived from the record on first use: the probe's keys,
+        # sorted qids and key columns, the oracle's triples. Every change
+        # drops the keys and triples and carries the other two along.
         self._keys: Optional[np.ndarray] = None
         self._sorted_qids: Optional[np.ndarray] = None
         self._key_columns: Optional[np.ndarray] = None
@@ -182,7 +183,10 @@ class HashQueryIndex:
         Every row gains the query's value at its ``bisect_right``
         position — after any equal values — found for all rows by one
         ``searchsorted`` over :attr:`keys`; one boolean mask scatters
-        the old cells and the new column into ``(K, m+1)``.
+        the old cells and the new column into ``(K, m+1)``. The
+        :attr:`key_columns` map, if derived, follows: the new cells take
+        the query's rank ``r`` among the qids, and every old entry at or
+        above ``r`` moves up one.
         """
         if sketch.num_hashes != self.num_hashes:
             raise IndexError_(
@@ -212,21 +216,39 @@ class HashQueryIndex:
         qid_matrix = np.empty(new.shape, dtype=np.int64)
         qid_matrix[new] = qid
         qid_matrix[old] = self._qid_matrix.ravel()
+        sorted_qids, key_columns = self.sorted_qids, self._key_columns
+        rank = int(sorted_qids.searchsorted(qid))
         self._values = values
         self._qid_matrix = qid_matrix
         self._lengths[qid] = int(length_windows)
         self._invalidate_caches()
+        self._sorted_qids = np.insert(sorted_qids, rank, qid)
+        if key_columns is not None:
+            columns = np.empty(new.shape, dtype=np.int32)
+            columns[new] = rank
+            columns[old] = key_columns + (key_columns >= rank)
+            self._key_columns = columns.ravel()
 
     def remove(self, qid: int) -> None:
-        """Unsubscribe a query online: drop its cell from every row."""
+        """Unsubscribe a query online: drop its cell from every row.
+
+        A derived :attr:`key_columns` map follows: the query's cells go,
+        and every entry above its rank moves down one.
+        """
         if qid not in self._lengths:
             raise IndexError_(f"query {qid} is not subscribed")
         keep = self._qid_matrix != qid
         shape = (self.num_hashes, self.num_queries - 1)
+        sorted_qids, key_columns = self.sorted_qids, self._key_columns
+        rank = int(sorted_qids.searchsorted(qid))
         self._values = self._values[keep].reshape(shape)
         self._qid_matrix = self._qid_matrix[keep].reshape(shape)
         del self._lengths[qid]
         self._invalidate_caches()
+        self._sorted_qids = np.delete(sorted_qids, rank)
+        if key_columns is not None:
+            columns = key_columns[keep.ravel()]
+            self._key_columns = columns - (columns > rank)
 
     # ------------------------------------------------------------------
     # batched views

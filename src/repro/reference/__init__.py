@@ -5,12 +5,14 @@ payload they consume and the literal row-by-row ProbeIndex walk are the
 oracle the production (columnar, batched) code is held to, match for
 match and counter for counter (``tests/test_engine_reference.py``,
 ``tests/test_index.py``). The oracle also runs what production does
-not: the Geometric order (Section IV-A, Figure 2) and the paper's
-baseline representation, Section IV's min-hash sketch vectors.
-:func:`repro.evaluation.runner.run_detector` routes a ``GEOMETRIC`` or
-``SKETCH`` configuration here, so the paper benches' Geometric and
-sketch lines time the paper's algorithms. Nothing else outside this package imports it
-(a test asserts so), and ``import repro`` does not load it. The oracle
+not: the Geometric order (Section IV-A, Figure 2), the paper's
+baseline representation, Section IV's min-hash sketch vectors, and
+detection without the Hash-Query index (the no-index Bit line of
+Figure 9). :func:`repro.evaluation.runner.run_detector` routes a
+``GEOMETRIC``, ``SKETCH`` or no-index configuration here, so the paper
+benches' Geometric, sketch and no-index lines time the paper's
+algorithms. Nothing else outside this package imports it (a test
+asserts so), and ``import repro`` does not load it. The oracle
 is never sharded, supervised, backfilled or checkpointed —
 ``repro.serve`` refuses it.
 """
@@ -44,8 +46,8 @@ class ReferenceDetector(StreamingDetector):
     """A :class:`StreamingDetector` built from the scalar engines.
 
     Only what it is built from differs — and that it takes a block one
-    window at a time and also runs the Geometric order and the sketch
-    representation — so a test drives oracle and production through
+    window at a time and also runs the Geometric order, the sketch
+    representation and detection without the index — so a test drives oracle and production through
     the same ``process_batch`` / ``process_window`` / ``process_cell_ids``
     / ``subscribe`` / ``unsubscribe`` / ``acknowledge_gap`` calls and
     compares matches and counters.
@@ -57,6 +59,7 @@ class ReferenceDetector(StreamingDetector):
         CombinationOrder.GEOMETRIC: GeometricEngine,
     }
     representations = tuple(Representation)
+    index_modes = (True, False)
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)

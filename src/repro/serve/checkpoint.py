@@ -64,7 +64,7 @@ __all__ = [
 
 #: Format tag embedded in every checkpoint archive — written, and the
 #: only one read. Bump the suffix whenever the layout changes.
-CHECKPOINT_FORMAT = "repro.ckpt/5"
+CHECKPOINT_FORMAT = "repro.ckpt/6"
 
 _CKPT_NAME = re.compile(r"^ckpt-(\d+)\.npz$")
 

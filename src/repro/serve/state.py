@@ -14,18 +14,16 @@ partial-window buffer and gap state are not a worker's: the service's
 front end, which cuts the stream into windows, checkpoints them.
 
 The service runs one engine, Sequential, so there is one state
-``kind``, ``columnar-sequential``, in the dense on-disk layout every
-``repro.ckpt/5`` checkpoint has always had. The store is a class table
-in memory and dense pairs on disk: start/frame vectors, ``(C, Q)``
-presence and ``(C, Q, W)`` planes (each class's in-cap members
-scattered densely with its planes; on restore the present pairs
-regroup into classes by equal ``(column, ge, lt)``).
-
-Planes under ``presence == False`` are ignored on restore, so a
-checkpoint whose dense store kept stale planes there resumes the same.
-The production engine holds bit signatures only, so the sketch-mode keys
-older snapshots may carry (``eng_block``, ``eng_relevant``,
-``eng_seg_sketch``) are neither written nor read.
+``kind``, ``columnar-sequential``. A ``repro.ckpt/6`` checkpoint stores
+its class table as the engine holds it: the candidates' start window
+and frame vectors (``eng_start_window``, ``eng_start_frame``, ``C``
+each), and per class its query column, adoption window, ``(2, W)``
+planes and ``⌈C/64⌉`` member words (``eng_class_col``,
+``eng_class_adopt``, ``eng_class_planes``, ``eng_class_members``).
+Restore checks their dtypes and shapes, the column range and the member
+width against the detector it restores onto, then assigns them: two
+classes of one column holding equal planes stay two classes, so a
+resumed engine holds what the snapshotted one held, byte for byte.
 
 The oracle in ``repro.reference`` is never checkpointed: its
 engines are refused here, as is a snapshot whose ``kind`` names one —
@@ -122,28 +120,25 @@ def _engine_kind(engine) -> str:
     raise ServeError(f"unknown engine type {type(engine).__name__}")
 
 
+#: The class table's arrays in a snapshot: key, engine attribute, dtype.
+_CLASS_TABLE = (
+    ("eng_start_window", "start_window", np.int64),
+    ("eng_start_frame", "start_frame", np.int64),
+    ("eng_class_col", "class_col", np.int64),
+    ("eng_class_adopt", "class_adopt", np.int64),
+    ("eng_class_planes", "class_planes", np.uint64),
+    ("eng_class_members", "class_members", np.uint64),
+)
+
+
 def _columnar_sequential_state(engine: ColumnarSequentialEngine) -> Dict:
     # The column layout is adopted lazily; sync before reading so a
     # snapshot taken right after a subscribe/unsubscribe (before the
     # next window) records the live query set, not a stale one.
     engine._sync_columns()
-    state = {
-        "eng_qids": np.asarray(engine._qids, dtype=np.int64),
-        "eng_start_window": engine.start_window.copy(),
-        "eng_start_frame": engine.start_frame.copy(),
-    }
-    rows, classes = engine.live_pairs()
-    cols = engine.class_col[classes]
-    cells = (len(engine.start_window), len(engine._qids))
-    presence = np.zeros(cells, dtype=bool)
-    presence[rows, cols] = True
-    state["eng_presence"] = presence
-    for plane, name in enumerate(("ge", "lt")):
-        dense = np.zeros(
-            cells + (engine.class_planes.shape[2],), dtype=np.uint64
-        )
-        dense[rows, cols] = engine.class_planes[classes, plane]
-        state[f"eng_{name}"] = dense
+    state = {"eng_qids": np.asarray(engine._qids, dtype=np.int64)}
+    for key, name, _ in _CLASS_TABLE:
+        state[key] = np.array(getattr(engine, name))
     return state
 
 
@@ -152,37 +147,35 @@ def _restore_columnar_sequential(
 ) -> None:
     engine._sync_columns()
     _check_qids(engine._qids, state["eng_qids"])
-    engine.start_window = state["eng_start_window"].astype(np.int64)
-    engine.start_frame = state["eng_start_frame"].astype(np.int64)
-    rows, cols = np.nonzero(state["eng_presence"])
-    # Pairs of one column holding one signature are one class, wherever
-    # their rows lie: a class's members need not be one run of starts.
-    # (Two classes that came to hold equal signatures merge, which
-    # changes nothing: from here on they OR the same planes.)
-    keys = np.concatenate(
-        [
-            cols.astype(np.uint64)[:, np.newaxis],
-            state["eng_ge"][rows, cols].astype(np.uint64),
-            state["eng_lt"][rows, cols].astype(np.uint64),
-        ],
-        axis=1,
-    )
-    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    # Member words: bit i of word j is candidate row 64 j + i.
-    words = -(-len(engine.start_window) // 64)
-    members = np.zeros((unique.shape[0], words), dtype=np.uint64)
-    bits = np.left_shift(np.uint64(1), (rows & 63).astype(np.uint64))
-    np.bitwise_or.at(members, (inverse, rows >> 6), bits)
-    # A class's adoption window is its newest member's start.
-    adopt = np.full(unique.shape[0], -1, dtype=np.int64)
-    np.maximum.at(adopt, inverse, engine.start_window[rows])
-    engine.class_col = unique[:, 0].astype(np.int64)
-    engine.class_adopt = adopt
-    engine.class_planes = unique[:, 1:].reshape(
-        -1, 2, engine.class_planes.shape[2]
-    ).copy()
-    engine.class_members = members
+    candidates = len(state.get("eng_start_window", ()))
+    classes = len(state.get("eng_class_col", ()))
+    shapes = {
+        "eng_start_window": (candidates,),
+        "eng_start_frame": (candidates,),
+        "eng_class_col": (classes,),
+        "eng_class_adopt": (classes,),
+        "eng_class_planes": (classes,) + engine.class_planes.shape[1:],
+        "eng_class_members": (classes, -(-candidates // 64)),
+    }
+    for key, _, dtype in _CLASS_TABLE:
+        array = state.get(key)
+        if array is None or (array.dtype, array.shape) != (dtype, shapes[key]):
+            found = "missing" if array is None else (
+                f"{array.dtype} {array.shape}"
+            )
+            raise ServeError(
+                f"engine state {key} is {found}, expected "
+                f"{np.dtype(dtype)} {shapes[key]} for {candidates} "
+                f"candidates and {classes} classes"
+            )
+    col = state["eng_class_col"]
+    if classes and not (0 <= col.min() and col.max() < len(engine._qids)):
+        raise ServeError(
+            f"engine state names query columns {col.min()}..{col.max()} "
+            f"of {len(engine._qids)}"
+        )
+    for key, name, _ in _CLASS_TABLE:
+        setattr(engine, name, state[key].copy())
 
 
 def _check_qids(current: tuple, recorded: np.ndarray) -> None:

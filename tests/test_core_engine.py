@@ -163,9 +163,10 @@ class TestVariantEquivalence:
             prune=prune,
             threshold=0.55,
         )
-        # Production runs Sequential on bit signatures; the oracle the rest.
-        production = (order, representation) == (
-            CombinationOrder.SEQUENTIAL, Representation.BIT
+        # Production runs Sequential on bit signatures with the index;
+        # the oracle the rest.
+        production = (order, representation, use_index) == (
+            CombinationOrder.SEQUENTIAL, Representation.BIT, True
         )
         detector_class = StreamingDetector if production else ReferenceDetector
         detector = detector_class(config, queries, KF_RATE)
@@ -248,14 +249,15 @@ class TestPruning:
     def test_pruning_preserves_matches(self, wide_family, rng):
         """Lemma 2 soundness: pruning never loses a report position —
         any window inside a δ-matching candidate satisfies the bound
-        itself, so it is never dropped from the payload."""
+        itself, so it is never dropped from the payload. Without the
+        index every query is compared, which only the oracle runs."""
         copy = np.arange(1000, 1040)
         ids = np.concatenate([_filler(rng, 50), copy, _filler(rng, 50)])
 
         def run(prune):
             family = MinHashFamily(num_hashes=128, seed=11)
             queries = _make_queries(family, {0: (1000, 1040, 40)})
-            detector = StreamingDetector(
+            detector = ReferenceDetector(
                 _config(prune=prune, use_index=False), queries, KF_RATE
             )
             matches = detector.process_cell_ids(ids)
@@ -271,7 +273,7 @@ class TestPruning:
 
     def test_pruning_counts_recorded(self, wide_family, rng):
         queries = _make_queries(wide_family, {0: (1000, 1040, 40)})
-        detector = StreamingDetector(
+        detector = ReferenceDetector(
             _config(use_index=False), queries, KF_RATE
         )
         detector.process_cell_ids(_filler(rng, 200))

@@ -20,7 +20,7 @@ KF_RATE = 1.0
 
 def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.BIT,
               window_seconds=10.0, num_query_frames=200,
-              detector_cls=ReferenceDetector):
+              detector_cls=ReferenceDetector, use_index=False):
     family = MinHashFamily(num_hashes=64, seed=2)
     queries = QuerySet.from_cell_ids(
         {0: np.arange(1000, 1100)}, {0: num_query_frames}, family
@@ -30,7 +30,7 @@ def _detector(order=CombinationOrder.GEOMETRIC, representation=Representation.BI
         order=order,
         representation=representation,
         window_seconds=window_seconds,
-        use_index=False,
+        use_index=use_index,
     )
     return detector_cls(config, queries, KF_RATE)
 
@@ -109,14 +109,18 @@ class TestEngineStatsAccounting:
         assert detector.stats.index_probes == detector.stats.windows_processed == 7
 
     def test_bit_mode_never_combines_sketches(self, rng):
-        detector = _detector(
-            order=CombinationOrder.SEQUENTIAL,
-            representation=Representation.BIT,
-            detector_cls=StreamingDetector,
-        )
-        detector.process_cell_ids(rng.integers(0, 500, size=200))
-        assert detector.stats.sketch_combines == 0
-        assert detector.stats.sketch_comparisons == 0
+        """Production (with the index) and the oracle without it."""
+        for detector_cls, use_index in (
+            (StreamingDetector, True), (ReferenceDetector, False)
+        ):
+            detector = _detector(
+                order=CombinationOrder.SEQUENTIAL,
+                representation=Representation.BIT,
+                detector_cls=detector_cls, use_index=use_index,
+            )
+            detector.process_cell_ids(rng.integers(0, 500, size=200))
+            assert detector.stats.sketch_combines == 0
+            assert detector.stats.sketch_comparisons == 0
 
     def test_sketch_mode_never_uses_signatures(self, rng):
         detector = _detector(

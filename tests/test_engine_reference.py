@@ -8,10 +8,10 @@ the same counters — including ``signature_prunes`` and
 This suite drives a :class:`StreamingDetector` and a
 :class:`ReferenceDetector` through the same randomized workloads
 (hypothesis) covering mid-stream subscribe/unsubscribe, partial tail
-windows and threshold edge cases, with the Hash-Query index on and off,
-in the Sequential order and the bit representation: production runs no
-other. The Geometric order and the sketch representation are the
-oracle's alone; the refusal matrix at the end pins down which layer
+windows and threshold edge cases, in the Sequential order on bit
+signatures with the Hash-Query index: production runs no other. The
+Geometric order, the sketch representation and detection without the
+index are the oracle's alone; the refusal matrix pins down which layer
 runs what.
 """
 
@@ -41,9 +41,8 @@ WINDOW_SECONDS = 2.5
 KEYFRAMES_PER_SECOND = 2.0  # w = 5 key frames
 
 ALL_MODES = [
-    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, use_index,
-                 id=f"sequential-bit-{'idx' if use_index else 'noidx'}")
-    for use_index in (False, True)
+    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, True,
+                 id="sequential-bit-idx")
 ]
 
 
@@ -300,7 +299,7 @@ def test_columnar_partial_tail_window(order, representation):
     frames = {0: 20}
     stream = rng.integers(0, CELL_SPACE, size=23)  # 4 windows + 3 frames
     reference, columnar, matches = _run_both(
-        (order, representation, False), 0.3,
+        (order, representation, True), 0.3,
         family, queries, frames, [stream], [],
     )
     assert reference.stats.partial_windows == 1
@@ -314,10 +313,10 @@ def test_columnar_partial_tail_window(order, representation):
 @pytest.mark.parametrize("order", list(CombinationOrder),
                          ids=lambda o: o.value)
 def test_refusal_matrix(order, representation, use_index):
-    """Production detects Sequential on bit signatures, with the index or
-    without; the service runs it with the index only; ``run_detector``
-    runs all eight, on the oracle where production has no engine, with
-    the oracle's matches and counters."""
+    """Production detects Sequential on bit signatures with the index
+    only, and so does the service; ``run_detector`` runs all eight, on
+    the oracle where production has no engine, with the oracle's
+    matches and counters."""
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
     rng = np.random.default_rng(8)
     query = rng.integers(0, 60, size=20)
@@ -327,13 +326,12 @@ def test_refusal_matrix(order, representation, use_index):
         representation=representation, use_index=use_index, threshold=0.5,
     )
     queries = QuerySet.from_cell_ids({0: query}, {0: 20}, family)
-    production = (order, representation) == (
-        CombinationOrder.SEQUENTIAL, Representation.BIT
+    production = (order, representation, use_index) == (
+        CombinationOrder.SEQUENTIAL, Representation.BIT, True
     )
     if not production:
         with pytest.raises(DetectionError, match="runs on the oracle"):
             StreamingDetector(config, queries, KEYFRAMES_PER_SECOND)
-    if not (production and use_index):
         with pytest.raises(ServeError, match="run_detector"):
             DetectionService(config, queries, KEYFRAMES_PER_SECOND)
     oracle = ReferenceDetector(config, queries, KEYFRAMES_PER_SECOND)
@@ -426,10 +424,7 @@ def _run_class_table(config, plan, window_frames, seed=1, actions=()):
 
 
 PRUNE_INDEX_MODES = [
-    pytest.param(use_index, prune,
-                 id=f"{'idx' if use_index else 'noidx'}-"
-                    f"{'prune' if prune else 'noprune'}")
-    for use_index in (True, False)
+    pytest.param(True, prune, id=f"idx-{'prune' if prune else 'noprune'}")
     for prune in (True, False)
 ]
 
@@ -444,10 +439,8 @@ def test_class_table_matches_reference(use_index, prune, plan):
     """Split classes (a column re-adopted after its older class was
     pruned while a newer class of it lives on, so two free row ranges
     join one class) and cap expiry inside a living class, for every
-    block size, with and without the index and Lemma 2, in the oracle's
-    order. Only pruning frees rows for a split; without the index and
-    Lemma 2 every window relates every query, so each class holds its
-    fresh row alone and nothing is left to expire inside one."""
+    block size, with and without Lemma 2, in the oracle's order. Only
+    pruning frees rows for a split."""
     config = DetectorConfig(
         num_hashes=NUM_HASHES, threshold=0.5, window_seconds=WINDOW_SECONDS,
         use_index=use_index, prune=prune,
@@ -481,7 +474,7 @@ def test_class_table_wider_than_a_word(use_index, prune):
     _assert_equivalent(reference, columnar, matches)
 
 
-@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("use_index", [True])
 def test_class_table_churn_and_exact_tie(use_index):
     """A subscribe and an unsubscribe between blocks, at a threshold the
     similarity hits exactly (every similarity is a multiple of 1/K)."""
@@ -561,7 +554,7 @@ class _PassSpy:
 
         def cell_planes(self, payload, cols, entries):
             planes = original_planes(self, payload, cols, entries)
-            spy.passes[-1]["lazy"] = planes[2]
+            spy.passes[-1]["lazy"] = planes[1]
             return planes
 
         def encode(self, payload, grid, col, cells, fold):
@@ -614,7 +607,7 @@ def test_production_detector_keeps_no_matches():
         assert not held, f"{type(owner).__name__} holds matches in {held}"
 
 
-@pytest.mark.parametrize("use_index", [True, False], ids=["idx", "noidx"])
+@pytest.mark.parametrize("use_index", [True], ids=["idx"])
 def test_class_table_carried_class_dies_at_the_first_window(
     monkeypatch, use_index
 ):
@@ -665,7 +658,7 @@ def test_class_table_every_class_dies_at_its_first_unrelated_entry(
     _assert_equivalent(reference, columnar, matches)
 
 
-@pytest.mark.parametrize("use_index", [True, False], ids=["idx", "noidx"])
+@pytest.mark.parametrize("use_index", [True], ids=["idx"])
 def test_class_table_rows_freed_by_a_prune_readopt_later_in_the_block(
     use_index,
 ):
@@ -701,7 +694,7 @@ def test_class_table_rows_freed_by_a_prune_readopt_later_in_the_block(
     _assert_equivalent(reference, columnar, matches)
 
 
-@pytest.mark.parametrize("use_index", [True, False], ids=["idx", "noidx"])
+@pytest.mark.parametrize("use_index", [True], ids=["idx"])
 def test_class_table_without_pruning_no_class_ends_early(
     monkeypatch, use_index
 ):
@@ -717,7 +710,6 @@ def test_class_table_without_pruning_no_class_ends_early(
     )
     for record in spy.passes:
         assert (record["ends"] == record["windows"]).all()
-    if use_index:
-        assert sum(record["second"] for record in spy.passes)
+    assert sum(record["second"] for record in spy.passes)
     assert [*map(_match_key, matches)] == [*map(_match_key, reference.matches)]
     _assert_equivalent(reference, columnar, matches)

@@ -166,3 +166,41 @@ def test_derived_rows_follow_every_change():
     for column, qid in enumerate(index.qid_matrix[last].tolist()):
         assert index.query_of_column(last, column).qid == qid
     _assert_equivalent(index, family, live)
+
+
+def test_key_columns_follow_inserts_and_removes():
+    """Insert and remove carry the probe's qid → column map along rather
+    than dropping it: across a run of changes whose qids fall below,
+    between and above every subscribed one — with no fresh derivation in
+    between — ``key_columns`` equals the fresh derivation after each
+    step, and the probe's related pairs equal the literal walk's."""
+    from repro.reference import probe_index_reference, related_view
+
+    rng = np.random.default_rng(48)
+    family = MinHashFamily(num_hashes=NUM_HASHES, seed=3)
+    live = {qid: (_sketch(family, rng), 4) for qid in (10, 20, 30)}
+    index = _rebuilt(family, live)
+    index.warm_caches()
+    steps = [("insert", 5), ("insert", 40), ("insert", 25), ("remove", 5),
+             ("insert", 1), ("remove", 40), ("remove", 20), ("insert", 99),
+             ("remove", 1), ("insert", 0)]
+    for op, qid in steps:
+        if op == "insert":
+            live[qid] = (_sketch(family, rng), int(rng.integers(1, 12)))
+            index.insert(qid, *live[qid])
+        else:
+            index.remove(qid)
+            del live[qid]
+        kept = index.key_columns
+        fresh = np.sort(index.qid_matrix[0]).searchsorted(
+            index.qid_matrix.ravel())
+        assert kept.dtype == np.int32 and np.array_equal(kept, fresh), op
+        assert index.sorted_qids.tolist() == sorted(live)
+        matrix = np.stack([live[q][0].values for q in sorted(live)])
+        for _ in range(3):
+            window = _sketch(family, rng)
+            for threshold, prune in ((0.0, False), (0.5, True)):
+                fast = probe_index(window, index, matrix, threshold, prune)
+                walk = probe_index_reference(window, index, threshold, prune)
+                assert related_view(index, fast) == related_view(index, walk)
+    index.check_invariants()

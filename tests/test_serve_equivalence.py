@@ -384,9 +384,8 @@ def test_resume_carries_partial_buffer(tmp_path):
 
 
 @pytest.mark.parametrize("order,representation,use_index", [
-    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, use_index,
-                 id=f"sequential-bit-{'idx' if use_index else 'noidx'}")
-    for use_index in (False, True)
+    pytest.param(CombinationOrder.SEQUENTIAL, Representation.BIT, True,
+                 id="sequential-bit-idx")
 ])
 @settings(max_examples=10, deadline=None)
 @given(workload=workloads())

@@ -29,7 +29,7 @@ from repro.errors import ServeError
 from repro.ingest import CellIdSource, StreamScheduler, StreamSession
 from repro.minhash.family import MinHashFamily
 from repro.minhash.windows import build_window_block
-from repro.persistence import save_query_set
+from repro.persistence import PersistenceError, save_query_set
 from repro.reference import ReferenceDetector
 from repro.serve import (
     CHECKPOINT_FORMAT,
@@ -178,7 +178,7 @@ def test_the_oracle_is_never_checkpointed():
 def test_checkpoint_of_an_unserved_configuration_is_refused(
     old, tmp_path, monkeypatch
 ):
-    """A ``repro.ckpt/5`` of a configuration older builds served —
+    """A checkpoint of a configuration older builds served —
     Geometric (with ``columnar-geometric`` worker state) or no-index —
     is refused with a typed error naming ``run_detector`` before any
     worker starts, whether or not the caller expects that config."""
@@ -208,12 +208,11 @@ def test_checkpoint_of_an_unserved_configuration_is_refused(
             )
 
 
-@pytest.mark.parametrize("use_index", [True, False])
+@pytest.mark.parametrize("use_index", [True])
 def test_sequential_state_round_trips_byte_for_byte(use_index):
     """Mid-stream, save → restore → save gives the same arrays byte for
     byte at every block boundary — classes whose members are not one run
-    of candidate rows included, since restore regroups the dense pairs by
-    equal ``(column, ge, lt)`` — and a detector resumed from a snapshot
+    of candidate rows included — and a detector resumed from a snapshot
     runs on exactly as the uninterrupted one."""
     rng = np.random.default_rng(2)
     family = MinHashFamily(num_hashes=NUM_HASHES, seed=2)
@@ -278,27 +277,127 @@ def test_sequential_state_round_trips_byte_for_byte(use_index):
         assert dist.state() == resumed.registry.distribution(name).state()
 
 
-def test_dense_state_with_stale_planes_resumes_identically():
-    """The Sequential bit state is dense on disk — ``(C, Q)`` presence,
-    ``(C, Q, W)`` planes — as older builds wrote it, stale planes under
-    ``presence == False`` included; restore reads only present cells."""
-    family, cells, frames, rng = _fixture(num_queries=6)
-    stream = rng.integers(0, CELL_SPACE, size=80)
-    stream[5:30], stream[40:65] = cells[2], cells[4]
-    whole, first, resumed = (StreamingDetector(_config(), QuerySet.from_cell_ids(
-        cells, frames, family), KEYFRAMES_PER_SECOND) for _ in range(3))
-    whole_matches = whole.process_cell_ids(stream)
-    first_matches = first.process_cell_ids(stream[:40])
-    state = worker_state(first)
-    stale = ~state["eng_presence"]
-    assert state["eng_ge"].shape == stale.shape + (1,) and stale.any()
-    noise = rng.integers(2**63, size=(stale.sum(), 1), dtype=np.uint64)
-    state["eng_ge"][stale] = state["eng_lt"][stale] = noise
+def _member_words(rows, width):
+    """Member words of candidate ``rows``: bit ``i % 64`` of word
+    ``i // 64`` is row ``i``."""
+    words = np.zeros(width, dtype=np.uint64)
+    np.bitwise_or.at(words, np.asarray(rows) // 64,
+                     np.uint64(1) << (np.asarray(rows) % 64).astype(np.uint64))
+    return words
+
+
+def test_worker_state_keeps_classes_with_equal_planes():
+    """``repro.ckpt/6`` stores the class table as the engine holds it.
+    One column holds two classes with equal planes and different members
+    (a class split in two: both OR the same window planes from here on,
+    so the split detector runs on as the whole one). Restore keeps both,
+    with their member words, where regrouping pairs by equal
+    ``(column, ge, lt)`` would merge them; and the resumed detector
+    runs on exactly as the split one and the whole one."""
+    family, cells, frames, rng = _fixture(num_queries=4)
+    stream = rng.integers(0, CELL_SPACE, size=120)
+    stream[10:35] = cells[1]
+    split, resumed, whole = (StreamingDetector(
+        _config(), QuerySet.from_cell_ids(cells, frames, family),
+        KEYFRAMES_PER_SECOND) for _ in range(3))
+    matches = [d.process_cell_ids(stream[:40]) for d in (split, whole)]
+    assert matches[0] == matches[1]
+    engine = split.engine
+    width = engine.class_members.shape[1]
+    held = [np.unpackbits(words.view(np.uint8), bitorder="little").nonzero()[0]
+            for words in engine.class_members]
+    g = max(range(len(held)), key=lambda c: held[c].size)
+    assert held[g].size >= 2
+    older, newer = np.array_split(held[g], 2)
+    members = engine.class_members.copy()
+    members[g] = _member_words(newer, width)
+    engine.class_members = np.concatenate(
+        [members, _member_words(older, width)[np.newaxis]])
+    engine.class_col = np.append(engine.class_col, engine.class_col[g])
+    engine.class_adopt = np.append(
+        engine.class_adopt, engine.start_window[older[-1]])
+    engine.class_planes = np.concatenate(
+        [engine.class_planes, engine.class_planes[g:g + 1]])
+    classes = len(engine.class_col)
+
+    state = worker_state(split)
     restore_worker_state(resumed, state)
-    resumed_matches = resumed.process_cell_ids(stream[40:])
-    assert list(map(_match_key, first_matches + resumed_matches)) == list(
-        map(_match_key, whole_matches))
-    assert dict(resumed.registry.counters()) == dict(whole.registry.counters())
+    assert len(resumed.engine.class_col) == classes
+    assert resumed.engine.class_members.tobytes() == (
+        engine.class_members.tobytes())
+    again = worker_state(resumed)
+    for name, array in state.items():
+        assert array.dtype == again[name].dtype, name
+        assert array.tobytes() == again[name].tobytes(), name
+    later = [d.process_cell_ids(stream[40:]) for d in (split, resumed, whole)]
+    assert later[0] and later[0] == later[1] == later[2]
+    assert dict(resumed.registry.counters()) == dict(
+        whole.registry.counters())
+
+
+def test_worker_state_restore_checks_the_class_table():
+    """A class table that does not fit the detector it is restored onto
+    — a dtype, a shape, a column out of range, member words of the wrong
+    width, a missing array — is a typed ``ServeError``, and nothing is
+    assigned."""
+    family, cells, frames, rng = _fixture()
+    detector, target = (StreamingDetector(
+        _config(), QuerySet.from_cell_ids(cells, frames, family),
+        KEYFRAMES_PER_SECOND) for _ in range(2))
+    detector.process_cell_ids(rng.integers(0, CELL_SPACE, size=60))
+    state = worker_state(detector)
+    assert len(state["eng_start_window"]) and len(state["eng_class_col"])
+    broken = {
+        "dtype": {"eng_class_planes":
+                  state["eng_class_planes"].astype(np.int64)},
+        "shape": {"eng_class_adopt": state["eng_class_adopt"][:-1]},
+        "column": {"eng_class_col": state["eng_class_col"] + len(cells)},
+        "width": {"eng_class_members": np.zeros(
+            (len(state["eng_class_col"]),
+             state["eng_class_members"].shape[1] + 1), dtype=np.uint64)},
+    }
+    for case, change in broken.items():
+        with pytest.raises(ServeError, match="engine state"):
+            restore_worker_state(target, {**state, **change})
+        assert target.engine.num_candidates == 0, case
+    with pytest.raises(ServeError, match="eng_class_members is missing"):
+        restore_worker_state(target, {
+            key: value for key, value in state.items()
+            if key != "eng_class_members"})
+
+
+def test_a_ckpt5_file_is_refused(tmp_path):
+    """A ``repro.ckpt/5`` file — the dense ``(C, Q)`` presence and
+    ``(C, Q, W)`` planes older builds wrote in place of the class table
+    — is refused by its tag with the typed error naming both tags,
+    before any worker starts."""
+    family, cells, frames, rng = _fixture()
+    with DetectionService(
+        _config(), QuerySet.from_cell_ids(cells, frames, family),
+        KEYFRAMES_PER_SECOND, num_workers=2,
+    ) as service:
+        service.run([rng.integers(0, CELL_SPACE, size=30)], flush=False)
+        path = service.checkpoint(tmp_path)
+    with np.load(path) as archive:
+        payload = {key: archive[key] for key in archive.files
+                   if "_eng_class_" not in key}
+    payload["format"] = np.asarray(["repro.ckpt/5"])
+    for worker in range(2):
+        candidates = payload[f"w{worker}_eng_start_window"].shape[0]
+        qids = payload[f"w{worker}_eng_qids"].shape[0]
+        payload[f"w{worker}_eng_presence"] = np.zeros(
+            (candidates, qids), dtype=bool)
+        for plane in ("ge", "lt"):
+            payload[f"w{worker}_eng_{plane}"] = np.zeros(
+                (candidates, qids, 1), dtype=np.uint64)
+    with open(path, "wb") as handle:
+        np.savez_compressed(handle, **payload)
+    refusal = ("has format 'repro.ckpt/5'; this build reads and writes "
+               "'repro.ckpt/6' only")
+    with pytest.raises(PersistenceError, match=refusal):
+        CheckpointManager(tmp_path).load(path)
+    with pytest.raises(PersistenceError, match=refusal):
+        DetectionService.restore(path)
 
 
 # ----------------------------------------------------------------------
@@ -491,7 +590,7 @@ def test_checkpoint_records_epochs(tmp_path):
     assert checkpoint.epoch == 1
     assert checkpoint.worker_epochs() == [1, 1]
     with np.load(path) as archive:  # nothing in a snapshot is pickled
-        assert str(archive["format"][0]) == CHECKPOINT_FORMAT == "repro.ckpt/5"
+        assert str(archive["format"][0]) == CHECKPOINT_FORMAT == "repro.ckpt/6"
 
     resumed = DetectionService.restore(checkpoint)
     assert resumed.epoch == 1

@@ -392,8 +392,8 @@ class TestCheckpointManager:
         manager = CheckpointManager(tmp_path)
         path = manager.save(self._checkpoint(family))
         assert path == manager.latest()
-        # ``repro.ckpt/5`` files written while the engine switch existed
-        # carry one more member; they load unchanged.
+        # A member this build does not read (``config_vectorized``, as
+        # builds with the engine switch wrote) loads unchanged.
         with np.load(path) as archive:
             payload = {**archive, "config_vectorized": np.asarray([1])}
         with open(path, "wb") as handle:
@@ -443,14 +443,14 @@ class TestCheckpointManager:
         path = manager.save(self._checkpoint(family))
         with np.load(path) as archive:
             payload = dict(archive)
-        for tag in ("repro.ckpt/4", "repro.ckpt/99"):
+        for tag in ("repro.ckpt/4", "repro.ckpt/5", "repro.ckpt/99"):
             payload["format"] = np.asarray([tag])
             with open(path, "wb") as handle:
                 np.savez_compressed(handle, **payload)
             with pytest.raises(PersistenceError) as excinfo:
                 manager.load(path)
             assert f"has format {tag!r}" in str(excinfo.value)
-            assert "reads and writes 'repro.ckpt/5' only" in str(
+            assert "reads and writes 'repro.ckpt/6' only" in str(
                 excinfo.value
             )
 
