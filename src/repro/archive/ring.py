@@ -31,12 +31,15 @@ sealing is synchronous, checkpointing periodic).
 bound is exceeded — ``retain_windows`` (total retained windows),
 ``retain_bytes`` (on-disk footprint) or ``retain_seconds`` (segment
 age). Segments pinned by an in-flight backfill survive until unpinned.
+
+**One thread.** The service appends and the backfill engine reads on
+the same thread, the service caller's, so the archive takes no lock;
+do not share one between threads.
 """
 
 from __future__ import annotations
 
 import pathlib
-import threading
 import time
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -114,10 +117,6 @@ class SketchArchive:
         self.next_index = 0
         self._pins: Dict[int, Tuple[int, int]] = {}
         self._next_pin = 0
-        # The backfill engine reads and pins from its worker thread
-        # while the live pipeline appends; one reentrant lock guards
-        # every public entry point.
-        self._lock = threading.RLock()
         for counter in (
             "archive.windows_archived",
             "archive.windows_deduped",
@@ -141,35 +140,31 @@ class SketchArchive:
         return len(self._indices)
 
     def windows_retained(self) -> int:
-        with self._lock:
-            sealed = self.store.windows_on_disk() if self.store else 0
-            return sealed + len(self._indices)
+        sealed = self.store.windows_on_disk() if self.store else 0
+        return sealed + len(self._indices)
 
     def bytes_on_disk(self) -> int:
-        with self._lock:
-            return self.store.bytes_on_disk() if self.store else 0
+        return self.store.bytes_on_disk() if self.store else 0
 
     def available(self) -> Tuple[int, int]:
         """``[lo, hi)`` — the retained index range (may contain holes
         from stream gaps or pruning; readers skip them)."""
-        with self._lock:
-            if self.store is not None and self.store.segments:
-                lo = self.store.segments[0].first_index
-            elif self._indices:
-                lo = self._indices[0]
-            else:
-                lo = self.next_index
-            return lo, self.next_index
+        if self.store is not None and self.store.segments:
+            lo = self.store.segments[0].first_index
+        elif self._indices:
+            lo = self._indices[0]
+        else:
+            lo = self.next_index
+        return lo, self.next_index
 
     def fast_forward(self, next_index: int) -> None:
         """Advance the watermark to the live stream clock (archiving
         enabled mid-stream on a resumed service: the windows already
         streamed were never archived and are not gaps)."""
-        with self._lock:
-            if next_index > self.next_index:
-                self.next_index = int(next_index)
-                self._seal_ready()
-                self._publish_gauges()
+        if next_index > self.next_index:
+            self.next_index = int(next_index)
+            self._seal_ready()
+            self._publish_gauges()
 
     # -- append path ---------------------------------------------------
 
@@ -198,46 +193,44 @@ class SketchArchive:
                 f"sketch block shape {sketch_values.shape} does not "
                 f"match {indices.shape[0]} windows of K={self.num_hashes}"
             )
-        with self._lock:
-            fresh = indices >= self.next_index
-            deduped = int(indices.shape[0] - np.count_nonzero(fresh))
-            if deduped:
-                self.registry.inc("archive.windows_deduped", deduped)
-            new = 0
-            for row in np.nonzero(fresh)[0]:
-                index = int(indices[row])
-                if index < self.next_index:
-                    raise ArchiveError(
-                        "window indices must be ascending within a batch"
-                    )
-                if index > self.next_index:
-                    self.registry.inc(
-                        "archive.windows_gapped", index - self.next_index
-                    )
-                self._indices.append(index)
-                self._starts.append(int(starts[row]))
-                self._frames.append(int(frames[row]))
-                self._values.append(
-                    np.asarray(sketch_values[row], dtype=np.int64).copy()
+        fresh = indices >= self.next_index
+        deduped = int(indices.shape[0] - np.count_nonzero(fresh))
+        if deduped:
+            self.registry.inc("archive.windows_deduped", deduped)
+        new = 0
+        for row in np.nonzero(fresh)[0]:
+            index = int(indices[row])
+            if index < self.next_index:
+                raise ArchiveError(
+                    "window indices must be ascending within a batch"
                 )
-                self.next_index = index + 1
-                new += 1
-            if new:
-                self.registry.inc("archive.windows_archived", new)
-                self._seal_ready()
-                self.enforce_retention()
-            return new
+            if index > self.next_index:
+                self.registry.inc(
+                    "archive.windows_gapped", index - self.next_index
+                )
+            self._indices.append(index)
+            self._starts.append(int(starts[row]))
+            self._frames.append(int(frames[row]))
+            self._values.append(
+                np.asarray(sketch_values[row], dtype=np.int64).copy()
+            )
+            self.next_index = index + 1
+            new += 1
+        if new:
+            self.registry.inc("archive.windows_archived", new)
+            self._seal_ready()
+            self.enforce_retention()
+        return new
 
     def note_gap(self, num_windows: int) -> None:
         """Advance the watermark over windows the stream lost (lossy
         degradation policies); the open run seals at the hole."""
         if num_windows <= 0:
             return
-        with self._lock:
-            self.registry.inc("archive.windows_gapped", num_windows)
-            self.next_index += int(num_windows)
-            self._seal_ready()
-            self._publish_gauges()
+        self.registry.inc("archive.windows_gapped", num_windows)
+        self.next_index += int(num_windows)
+        self._seal_ready()
+        self._publish_gauges()
 
     def _head_run(self) -> int:
         """Length of the contiguous index run at the ring head."""
@@ -263,57 +256,43 @@ class SketchArchive:
                 take = run
             else:
                 break
-            self.store.seal(
-                self._indices[0],
-                np.asarray(self._starts[:take], dtype=np.int64),
-                np.asarray(self._frames[:take], dtype=np.int64),
-                np.stack(self._values[:take]),
-                self.family_fingerprint,
-            )
-            self.registry.inc("archive.segments_sealed")
-            del self._indices[:take]
-            del self._starts[:take]
-            del self._frames[:take]
-            del self._values[:take]
+            self._seal_head(take)
+
+    def _seal_head(self, take: int) -> None:
+        """Seal the ring's first ``take`` windows as one segment."""
+        self.store.seal(
+            self._indices[0],
+            np.asarray(self._starts[:take], dtype=np.int64),
+            np.asarray(self._frames[:take], dtype=np.int64),
+            np.stack(self._values[:take]),
+            self.family_fingerprint,
+        )
+        self.registry.inc("archive.segments_sealed")
+        del self._indices[:take]
+        del self._starts[:take]
+        del self._frames[:take]
+        del self._values[:take]
 
     def seal_open_run(self) -> None:
         """Force the unsealed ring to disk (shutdown/testing hook)."""
-        with self._lock:
-            self._seal_open_run()
-
-    def _seal_open_run(self) -> None:
         if self.store is None or not self._indices:
             return
         while self._indices:
-            take = min(self._head_run(), self.segment_windows)
-            self.store.seal(
-                self._indices[0],
-                np.asarray(self._starts[:take], dtype=np.int64),
-                np.asarray(self._frames[:take], dtype=np.int64),
-                np.stack(self._values[:take]),
-                self.family_fingerprint,
-            )
-            self.registry.inc("archive.segments_sealed")
-            del self._indices[:take]
-            del self._starts[:take]
-            del self._frames[:take]
-            del self._values[:take]
+            self._seal_head(min(self._head_run(), self.segment_windows))
         self._publish_gauges()
 
     # -- retention -----------------------------------------------------
 
     def pin(self, lo: int, hi: int) -> int:
         """Protect ``[lo, hi)`` from retention until unpinned."""
-        with self._lock:
-            token = self._next_pin
-            self._next_pin += 1
-            self._pins[token] = (int(lo), int(hi))
-            return token
+        token = self._next_pin
+        self._next_pin += 1
+        self._pins[token] = (int(lo), int(hi))
+        return token
 
     def unpin(self, token: int) -> None:
-        with self._lock:
-            self._pins.pop(token, None)
-            self.enforce_retention()
+        self._pins.pop(token, None)
+        self.enforce_retention()
 
     def _pinned(self, lo: int, hi: int) -> bool:
         return any(
@@ -324,26 +303,25 @@ class SketchArchive:
     def enforce_retention(self) -> int:
         """Drop oldest windows until every configured bound holds;
         returns windows dropped. Pinned segments stop the sweep."""
-        with self._lock:
-            dropped = 0
-            if self.store is not None:
-                dropped += self._enforce_disk()
-            elif self.retain_windows is not None:
-                over = len(self._indices) - self.retain_windows
-                while over > 0:
-                    index = self._indices[0]
-                    if self._pinned(index, index + 1):
-                        break
-                    del self._indices[0]
-                    del self._starts[0]
-                    del self._frames[0]
-                    del self._values[0]
-                    dropped += 1
-                    over -= 1
-            if dropped:
-                self.registry.inc("archive.windows_dropped", dropped)
-            self._publish_gauges()
-            return dropped
+        dropped = 0
+        if self.store is not None:
+            dropped += self._enforce_disk()
+        elif self.retain_windows is not None:
+            over = len(self._indices) - self.retain_windows
+            while over > 0:
+                index = self._indices[0]
+                if self._pinned(index, index + 1):
+                    break
+                del self._indices[0]
+                del self._starts[0]
+                del self._frames[0]
+                del self._values[0]
+                dropped += 1
+                over -= 1
+        if dropped:
+            self.registry.inc("archive.windows_dropped", dropped)
+        self._publish_gauges()
+        return dropped
 
     def _enforce_disk(self) -> int:
         assert self.store is not None
@@ -373,16 +351,15 @@ class SketchArchive:
 
     def compact(self) -> int:
         """Coalesce undersized adjacent segments; returns merges."""
-        with self._lock:
-            if self.store is None:
-                return 0
-            merged = self.store.compact(
-                self.segment_windows, self.family_fingerprint
-            )
-            if merged:
-                self.registry.inc("archive.segments_compacted", merged)
-            self._publish_gauges()
-            return merged
+        if self.store is None:
+            return 0
+        merged = self.store.compact(
+            self.segment_windows, self.family_fingerprint
+        )
+        if merged:
+            self.registry.inc("archive.segments_compacted", merged)
+        self._publish_gauges()
+        return merged
 
     # -- read path -----------------------------------------------------
 
@@ -390,44 +367,43 @@ class SketchArchive:
         """``(indices, starts, frames, sketch_values)`` blocks covering
         every retained window in ``[start, stop)``, ascending. Holes
         (gaps, pruned segments) are skipped silently — callers see
-        exactly what is retained. Materialised under the lock so the
-        live appender cannot mutate the ring mid-read."""
-        with self._lock:
-            blocks: List[Block] = []
-            if self.store is not None:
-                for info in self.store.segments:
-                    if info.end_index <= start or info.first_index >= stop:
-                        continue
-                    seg_starts, seg_frames, seg_values = self.store.load(
-                        info
-                    )
-                    indices = info.first_index + np.arange(
-                        info.num_windows, dtype=np.int64
-                    )
-                    keep = (indices >= start) & (indices < stop)
-                    if not keep.all():
-                        indices = indices[keep]
-                        seg_starts = seg_starts[keep]
-                        seg_frames = seg_frames[keep]
-                        seg_values = seg_values[keep]
-                    if indices.shape[0]:
-                        blocks.append(
-                            (indices, seg_starts, seg_frames, seg_values)
-                        )
-            if self._indices:
-                indices = np.asarray(self._indices, dtype=np.int64)
+        exactly what is retained. Materialised, so later appends
+        cannot change a block already returned."""
+        blocks: List[Block] = []
+        if self.store is not None:
+            for info in self.store.segments:
+                if info.end_index <= start or info.first_index >= stop:
+                    continue
+                seg_starts, seg_frames, seg_values = self.store.load(
+                    info
+                )
+                indices = info.first_index + np.arange(
+                    info.num_windows, dtype=np.int64
+                )
                 keep = (indices >= start) & (indices < stop)
-                rows = np.nonzero(keep)[0]
-                if rows.shape[0]:
+                if not keep.all():
+                    indices = indices[keep]
+                    seg_starts = seg_starts[keep]
+                    seg_frames = seg_frames[keep]
+                    seg_values = seg_values[keep]
+                if indices.shape[0]:
                     blocks.append(
-                        (
-                            indices[rows],
-                            np.asarray(self._starts, dtype=np.int64)[rows],
-                            np.asarray(self._frames, dtype=np.int64)[rows],
-                            np.stack([self._values[row] for row in rows]),
-                        )
+                        (indices, seg_starts, seg_frames, seg_values)
                     )
-            return blocks
+        if self._indices:
+            indices = np.asarray(self._indices, dtype=np.int64)
+            keep = (indices >= start) & (indices < stop)
+            rows = np.nonzero(keep)[0]
+            if rows.shape[0]:
+                blocks.append(
+                    (
+                        indices[rows],
+                        np.asarray(self._starts, dtype=np.int64)[rows],
+                        np.asarray(self._frames, dtype=np.int64)[rows],
+                        np.stack([self._values[row] for row in rows]),
+                    )
+                )
+        return blocks
 
     # -- checkpoint ----------------------------------------------------
 
@@ -435,18 +411,17 @@ class SketchArchive:
         self,
     ) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(next_index, ring indices, starts, frames, sketches)``."""
-        with self._lock:
-            if self._indices:
-                values = np.stack(self._values)
-            else:
-                values = np.empty((0, self.num_hashes), dtype=np.int64)
-            return (
-                self.next_index,
-                np.asarray(self._indices, dtype=np.int64),
-                np.asarray(self._starts, dtype=np.int64),
-                np.asarray(self._frames, dtype=np.int64),
-                values,
-            )
+        if self._indices:
+            values = np.stack(self._values)
+        else:
+            values = np.empty((0, self.num_hashes), dtype=np.int64)
+        return (
+            self.next_index,
+            np.asarray(self._indices, dtype=np.int64),
+            np.asarray(self._starts, dtype=np.int64),
+            np.asarray(self._frames, dtype=np.int64),
+            values,
+        )
 
     def restore(
         self,
@@ -459,35 +434,34 @@ class SketchArchive:
         """Reinstate a snapshot, reconciled against the recovered disk
         catalogue: segments sealed *after* the snapshot win over their
         ring copies, and the watermark never moves backwards."""
-        with self._lock:
-            disk_next = (
-                self.store.segments[-1].end_index
-                if self.store is not None and self.store.segments
-                else 0
+        disk_next = (
+            self.store.segments[-1].end_index
+            if self.store is not None and self.store.segments
+            else 0
+        )
+        indices = np.asarray(indices, dtype=np.int64)
+        starts = np.asarray(starts, dtype=np.int64)
+        frames = np.asarray(frames, dtype=np.int64)
+        sketch_values = np.asarray(sketch_values, dtype=np.int64)
+        keep = indices >= disk_next
+        reconciled = int(indices.shape[0] - np.count_nonzero(keep))
+        if reconciled:
+            self.registry.inc(
+                "archive.windows_reconciled", reconciled
             )
-            indices = np.asarray(indices, dtype=np.int64)
-            starts = np.asarray(starts, dtype=np.int64)
-            frames = np.asarray(frames, dtype=np.int64)
-            sketch_values = np.asarray(sketch_values, dtype=np.int64)
-            keep = indices >= disk_next
-            reconciled = int(indices.shape[0] - np.count_nonzero(keep))
-            if reconciled:
-                self.registry.inc(
-                    "archive.windows_reconciled", reconciled
-                )
-            self._indices = [int(v) for v in indices[keep]]
-            self._starts = [int(v) for v in starts[keep]]
-            self._frames = [int(v) for v in frames[keep]]
-            self._values = [
-                np.asarray(row, dtype=np.int64).copy()
-                for row in sketch_values[keep]
-            ]
-            self.next_index = max(int(next_index), disk_next)
-            if self._indices:
-                self.next_index = max(
-                    self.next_index, self._indices[-1] + 1
-                )
-            self._publish_gauges()
+        self._indices = [int(v) for v in indices[keep]]
+        self._starts = [int(v) for v in starts[keep]]
+        self._frames = [int(v) for v in frames[keep]]
+        self._values = [
+            np.asarray(row, dtype=np.int64).copy()
+            for row in sketch_values[keep]
+        ]
+        self.next_index = max(int(next_index), disk_next)
+        if self._indices:
+            self.next_index = max(
+                self.next_index, self._indices[-1] + 1
+            )
+        self._publish_gauges()
 
     # -- metrics -------------------------------------------------------
 

@@ -650,7 +650,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             policy=policy,
             batch_chunks=args.batch_chunks,
             archive=archive,
-            backfill_async=False,
             supervisor=supervisor_config,
             chaos=chaos_plan,
         )
@@ -673,7 +672,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             policy=policy,
             batch_chunks=args.batch_chunks,
             archive=archive,
-            backfill_async=False,
             supervisor=supervisor_config,
             chaos=chaos_plan,
         )
@@ -719,10 +717,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             service.process_chunk(chunks[position])
             ingested = service.chunks_ingested
             apply_churn(ingested)
-            if archive is not None:
-                # Synchronous backfill keeps retro output deterministic:
-                # pending probes run at chunk barriers, never mid-chunk.
-                service.pump_backfill()
+            # Backfill runs here, at the chunk barrier, never mid-chunk,
+            # so retro output is deterministic.
+            service.pump_backfill()
             if manager and args.checkpoint_every and (
                 ingested % args.checkpoint_every == 0
             ):
@@ -752,9 +749,7 @@ def _command_serve(args: argparse.Namespace) -> int:
             print(f"stopped after chunk {service.chunks_ingested} "
                   "(no --checkpoint-dir, nothing saved)")
     else:
-        if archive is not None:
-            service.drain_backfill()
-        service.flush()
+        service.flush()  # also finishes every backfill job
         quality = score_matches(
             service.matches,
             prepared.ground_truth,

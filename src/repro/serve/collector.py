@@ -17,7 +17,6 @@ single-process stream bit-for-bit (see ``docs/serving.md``).
 
 from __future__ import annotations
 
-import threading
 from typing import List, Sequence, Tuple
 
 from repro.core.results import Match
@@ -42,16 +41,15 @@ class MatchCollector:
     through :meth:`add_retro` into a *separate* list: the live list
     stays exactly what an archiveless service would have collected, and
     the two never interleave (retro windows end where the query's live
-    windows begin — the subscription epoch boundary). ``add_retro`` may
-    be called from the backfill thread, so the retro list is guarded by
-    a lock; :meth:`combined` merges both streams into global canonical
-    order for reporting.
+    windows begin — the subscription epoch boundary). Backfill runs on
+    the service caller's thread, like every other call here, so no
+    list is locked; :meth:`combined` merges both streams into global
+    canonical order for reporting.
     """
 
     def __init__(self) -> None:
         self.matches: List[Match] = []
         self.retro: List[Match] = []
-        self._retro_lock = threading.Lock()
 
     def merge(self, batches: Sequence[List[Match]]) -> List[Match]:
         """Merge one chunk's per-shard batches; return them in order."""
@@ -65,18 +63,11 @@ class MatchCollector:
     def add_retro(self, matches: Sequence[Match]) -> None:
         """Append backfill matches (already canonically ordered within
         and across calls per query — jobs probe windows ascending)."""
-        with self._retro_lock:
-            self.retro.extend(matches)
-
-    def retro_snapshot(self) -> List[Match]:
-        """A consistent copy of the retro stream."""
-        with self._retro_lock:
-            return list(self.retro)
+        self.retro.extend(matches)
 
     def combined(self) -> List[Match]:
         """Live + retro in one globally canonical stream."""
-        with self._retro_lock:
-            return sorted(self.matches + self.retro, key=canonical_sort_key)
+        return sorted(self.matches + self.retro, key=canonical_sort_key)
 
     def restore(self, matches: Sequence[Match]) -> None:
         """Reinstate a previously collected stream (checkpoint resume)."""
@@ -84,8 +75,7 @@ class MatchCollector:
 
     def restore_retro(self, matches: Sequence[Match]) -> None:
         """Reinstate the retro stream (checkpoint resume)."""
-        with self._retro_lock:
-            self.retro = list(matches)
+        self.retro = list(matches)
 
     def __len__(self) -> int:
         return len(self.matches)

@@ -170,6 +170,7 @@ def put_with_policy(
     item: object,
     policy: BackpressurePolicy,
     poll_seconds: float = 0.05,
+    on_full: Optional[Callable[[float], None]] = None,
 ) -> PutOutcome:
     """Policy-aware put onto a multiprocessing (or stdlib) queue.
 
@@ -178,6 +179,11 @@ def put_with_policy(
     parent is a legal consumer of its own queue), then retry the put.
     The loop handles the race where the worker drains the queue between
     the steal and the retry.
+
+    A ``BLOCK`` put wakes every ``poll_seconds`` while the queue stays
+    full and calls ``on_full(seconds_waited)``, which gives up by
+    raising (the process executor's check for a dead or stalled
+    worker); without it the put waits for as long as the queue is full.
     """
     try:
         target.put_nowait(item)
@@ -210,7 +216,8 @@ def put_with_policy(
                 blocked_seconds=time.perf_counter() - started,
             )
         except queue_module.Full:
-            continue
+            if on_full is not None:
+                on_full(time.perf_counter() - started)
 
 
 def queue_depth(target: object) -> Optional[int]:

@@ -15,6 +15,12 @@ error path, crash-aware shared-memory sweeping and close() hygiene.
 from __future__ import annotations
 
 from dataclasses import astuple as _match_key
+import os
+from pathlib import Path
+import signal
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +280,54 @@ def test_unsupervised_dead_worker_raises_not_hangs(backend):
     finally:
         service.close()
         service.close()  # idempotent, including after a crash
+
+
+#: Run in a child process: on a build whose blocked put ignores a dead
+#: worker, ``run_chunks`` never returns, and the test must not hang.
+_DEAD_WORKER_RUN_CHUNKS = """
+from tests.test_serve_supervisor import _fixed_workload, _service
+from repro.errors import WorkerDeadError
+
+config, family, queries, frames, chunks = _fixed_workload()
+service = _service(config, family, queries, frames, 2, "process",
+                   queue_capacity=1, batch_chunks=1)
+try:
+    service.run_chunks(chunks[:1])
+    service._executor.kill(0)
+    try:
+        service.run_chunks(chunks[1:] + chunks)
+    except WorkerDeadError as exc:
+        print("raised WorkerDeadError", exc.worker_id)
+finally:
+    service.close()
+print("closed")
+"""
+
+
+def test_unsupervised_dead_worker_fails_a_long_run_chunks_not_hangs():
+    """A dead worker's inbox fills up: a ``run_chunks`` of many chunks
+    (one batch each, one slot per inbox) then blocks on a put, not on a
+    receive, and that put must raise ``WorkerDeadError`` too; the
+    service still closes."""
+    repo = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), str(repo), env.get("PYTHONPATH", "")]
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-c", _DEAD_WORKER_RUN_CHUNKS],
+        cwd=repo, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = child.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        # Take the child's workers down with it.
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("run_chunks hung on a dead worker's full inbox")
+    assert child.returncode == 0, err
+    assert out.split("\n")[:2] == ["raised WorkerDeadError 0", "closed"]
 
 
 def test_close_is_idempotent_on_healthy_service():
